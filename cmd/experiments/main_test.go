@@ -22,15 +22,21 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 // golden that depended on the worker count would be pinning scheduler
 // noise.
 //
+// budget, if given, adjusts the quick Scale before rendering, for
+// experiments whose full quick-scale run is too slow for every test pass.
+//
 // Regenerate with `go test ./cmd/experiments -run Golden -update` after an
 // intentional change, and say why in the commit.
-func testQuickGolden(t *testing.T, name, file string) {
+func testQuickGolden(t *testing.T, name, file string, budget ...func(*experiments.Scale)) {
 	e, ok := experiments.ByName(name)
 	if !ok {
 		t.Fatalf("%s not registered", name)
 	}
 	render := func(workers int) string {
 		sc := experiments.QuickScale()
+		for _, b := range budget {
+			b(&sc)
+		}
 		sc.Workers = workers
 		tbl, err := e.Run(context.Background(), sc)
 		if err != nil {
@@ -75,4 +81,24 @@ func TestFigure5QuickGolden(t *testing.T) {
 // queue, fill queue and prefetch-free demand path end to end.
 func TestFigure7QuickGolden(t *testing.T) {
 	testQuickGolden(t, "Figure7", "figure7_quick.golden")
+}
+
+// PolicyMatrix pins every (policy, design) cell: the reuse and occupancy
+// probers and the AES-CBC victim replayed against all seven L1 designs.
+// The budget keeps one render near two seconds.
+func TestPolicyMatrixGolden(t *testing.T) {
+	testQuickGolden(t, "PolicyMatrix", "policymatrix_budget.golden", func(sc *experiments.Scale) {
+		sc.MonteCarloTrials = 10000
+		sc.CBCBytes = 4 * 1024
+	})
+}
+
+// Figure8 pins the SMT co-run: each SPEC-like program interleaved with the
+// AES enc+dec thread under the five Figure 8 cache configurations. The
+// budget keeps one render near two seconds.
+func TestFigure8Golden(t *testing.T) {
+	testQuickGolden(t, "Figure8", "figure8_budget.golden", func(sc *experiments.Scale) {
+		sc.SpecAccesses = 8000
+		sc.CBCBytes = 2 * 1024
+	})
 }

@@ -393,9 +393,9 @@ func TestFabricUsageErrors(t *testing.T) {
 		t.Skip("subprocess runs")
 	}
 	for _, args := range [][]string{
-		{"-role", "worker"},                                          // no -fabric-dir
-		{"-role", "conductor", "-fabric-dir", t.TempDir()},           // unknown role
-		{"-role", "worker", "-fabric-dir", t.TempDir()},              // -run all is not resumable
+		{"-role", "worker"}, // no -fabric-dir
+		{"-role", "conductor", "-fabric-dir", t.TempDir()},                 // unknown role
+		{"-role", "worker", "-fabric-dir", t.TempDir()},                    // -run all is not resumable
 		{"-role", "worker", "-fabric-dir", t.TempDir(), "-run", "Figure5"}, // non-resumable experiment
 		{"-role", "coordinator", "-fabric-dir", t.TempDir(), "-run", "Figure2",
 			"-checkpoint-dir", t.TempDir()}, // role owns its store

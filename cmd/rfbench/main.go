@@ -39,6 +39,7 @@ import (
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
 	"randfill/internal/trace"
+	"randfill/internal/workloads"
 )
 
 // Schema identifies the BENCH.json layout; bump on incompatible change.
@@ -180,6 +181,43 @@ func kernels() []kernelDef {
 			},
 		},
 		{
+			name: "smt-corun",
+			desc: "Figure 8 SMT co-run on a 16 KB DM Newcache L1: SPEC-like main thread next to the AES enc+dec thread, one steady co-run per op",
+			run: func(short bool, b *testing.B) {
+				accesses := 30_000
+				if short {
+					accesses = 8_000
+				}
+				bench, ok := workloads.ByName("sjeng")
+				if !ok {
+					b.Fatal("no sjeng workload")
+				}
+				tracer, pt, iv := aesInputs(b, 19, short)
+				ct, enc, err := tracer.EncryptCBC(pt, iv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, dec, err := tracer.DecryptCBC(ct, iv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Both traces are compiled once, as Figure 8 compiles them
+				// once per run (crypto) and once per work item (benchmark).
+				mainCT := trace.Compile(bench.Gen(accesses, 19))
+				cryptoCT := trace.Compile(append(enc, dec...))
+				cfg := sim.DefaultConfig()
+				cfg.L1 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 1}
+				cfg.L1Kind = sim.KindNewcache
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res := sim.New(cfg).RunSMTSteadyCompiled(sim.ThreadConfig{Owner: 0}, mainCT, sim.ThreadConfig{Owner: 1}, cryptoCT)
+					if res.Instructions == 0 {
+						b.Fatal("co-run executed nothing")
+					}
+				}
+			},
+		},
+		{
 			name: "occupancy-probe",
 			desc: "cache-occupancy attack round loop: prime, victim sweep, probe-miss count (scattercache)",
 			run: func(short bool, b *testing.B) {
@@ -244,6 +282,17 @@ func kernels() []kernelDef {
 // aesTrace builds the shared AES-CBC replay workload: an 8 KB (short: 2 KB)
 // encryption traced at the default table layout, seeded deterministically.
 func aesTrace(b *testing.B, seed uint64, short bool) mem.Trace {
+	tracer, pt, iv := aesInputs(b, seed, short)
+	_, tr, err := tracer.EncryptCBC(pt, iv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// aesInputs returns a tracer at the default table layout and an 8 KB
+// (short: 2 KB) plaintext with its IV, seeded deterministically.
+func aesInputs(b *testing.B, seed uint64, short bool) (*aes.Tracer, []byte, []byte) {
 	bytes := 8 * 1024
 	if short {
 		bytes = 2 * 1024
@@ -258,12 +307,7 @@ func aesTrace(b *testing.B, seed uint64, short bool) mem.Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	_, tr, err := tracer.EncryptCBC(pt, iv[:])
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
+	return &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}, pt, iv[:]
 }
 
 func main() {

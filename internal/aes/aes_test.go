@@ -4,8 +4,10 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"crypto/cipher"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"randfill/internal/mem"
 	"randfill/internal/rng"
@@ -384,6 +386,50 @@ func TestTracerCBCTraceAndResult(t *testing.T) {
 	if secret := countSecret(dtrace); secret != 160*blocks {
 		t.Errorf("decrypt secret accesses = %d", secret)
 	}
+}
+
+// TestTracerCBCAllocatesTraceOnce pins the CBC tracers' presizing: after
+// the first block they reserve the whole trace, so the bytes one call
+// allocates stay within 1.1x of the returned trace's size instead of the
+// several-fold cost of growing it by appends.
+func TestTracerCBCAllocatesTraceOnce(t *testing.T) {
+	src := rng.New(7)
+	var key, iv [16]byte
+	src.Bytes(key[:])
+	src.Bytes(iv[:])
+	pt := make([]byte, 8*1024)
+	src.Bytes(pt)
+	c, _ := New(key[:])
+	tr := &Tracer{Cipher: c, Layout: DefaultLayout()}
+	ct, _, err := tr.EncryptCBC(pt, iv[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tr.DecryptCBC(ct, iv[:]); err != nil { // builds the inverse key schedule
+		t.Fatal(err)
+	}
+
+	check := func(name string, run func() (mem.Trace, error)) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		trace, err := run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := uint64(len(trace)) * uint64(unsafe.Sizeof(mem.Access{}))
+		if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(size) {
+			t.Errorf("%s allocated %d bytes for a %d-byte trace (> 1.1x)", name, got, size)
+		}
+	}
+	check("EncryptCBC", func() (mem.Trace, error) {
+		_, trace, err := tr.EncryptCBC(pt, iv[:])
+		return trace, err
+	})
+	check("DecryptCBC", func() (mem.Trace, error) {
+		_, trace, err := tr.DecryptCBC(ct, iv[:])
+		return trace, err
+	})
 }
 
 func countSecret(tr mem.Trace) int {

@@ -117,6 +117,16 @@ type traceRec struct {
 
 func (r *traceRec) add(a mem.Access) { r.trace = append(r.trace, a) }
 
+// reserve sizes the trace for blocks blocks in all, once the first block is
+// recorded: for a given cipher and TraceOpts every block emits the same
+// number of accesses, so a CBC run makes one allocation of the whole trace
+// instead of growing it through repeated copies.
+func (r *traceRec) reserve(blocks int) {
+	if n := len(r.trace) * blocks; n > cap(r.trace) {
+		r.trace = append(make(mem.Trace, 0, n), r.trace...)
+	}
+}
+
 func (r *traceRec) stackAccess(kind mem.Kind) {
 	addr := r.lay.Stack + mem.Addr((r.stack%stackLines)*mem.LineSize) + mem.Addr(r.stack*8%mem.LineSize)
 	r.stack++
@@ -219,6 +229,9 @@ func (t *Tracer) EncryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 		t.Cipher.Encrypt(dst[off:off+BlockSize], x[:], rec)
 		rec.bufferIO(t.Layout.Output, off, mem.Write)
 		copy(chain[:], dst[off:off+BlockSize])
+		if off == 0 {
+			rec.reserve(len(src) / BlockSize)
+		}
 	}
 	return dst, rec.trace, nil
 }
@@ -239,6 +252,9 @@ func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 		}
 		rec.bufferIO(t.Layout.Output, off, mem.Write)
 		chain = next
+		if off == 0 {
+			rec.reserve(len(src) / BlockSize)
+		}
 	}
 	return dst, rec.trace, nil
 }

@@ -11,6 +11,7 @@ import (
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // occCell is one design's row of the security x performance matrix: both
@@ -55,8 +56,8 @@ var occupancyVictimSizes = []int{16, 32, 64, 96}
 // occupancyCell evaluates one registered design: the reuse (flush + reload)
 // channel over the AES table region, the occupancy channel over the victim
 // size sweep, and the AES-CBC IPC/MPKI of the same architecture on the
-// timing simulator.
-func occupancyCell(sc Scale, d securecache.Design, seed uint64) occCell {
+// timing simulator. victim is the run's shared compiled AES-CBC trace.
+func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Compiled) occCell {
 	mk := func(geom cache.Geometry) func(src *rng.Source) securecache.SecureCache {
 		return func(src *rng.Source) securecache.SecureCache {
 			return d.New(securecache.Config{Geom: geom}, src)
@@ -94,7 +95,7 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64) occCell {
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, aesCBCTrace(sc))
+	res := runAES(cfg, tc, victim)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,
@@ -112,12 +113,13 @@ func occupancyPlan(sc Scale) unitPlan[occCell] {
 	seedFor := func(i int) uint64 {
 		return rng.New(sc.Seed ^ 0x0cc9).SplitSeed(uint64(i + 1))
 	}
+	victim := lazyVictim(sc)
 	return unitPlan[occCell]{
 		exp:  "OccupancyMatrix",
 		n:    len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
-			return occupancyCell(sc, designs[i], seedFor(i)), nil
+			return occupancyCell(sc, designs[i], seedFor(i), victim()), nil
 		},
 		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (occCell, error) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"randfill/internal/aes"
 	"randfill/internal/cache"
@@ -9,6 +10,7 @@ import (
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // aesCBCTrace builds the Figure 6/7 workload: AES-CBC encryption of
@@ -25,11 +27,11 @@ func aesCBCTrace(sc Scale) mem.Trace {
 		panic(err)
 	}
 	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	_, trace, err := tracer.EncryptCBC(pt, iv[:])
+	_, tr, err := tracer.EncryptCBC(pt, iv[:])
 	if err != nil {
 		panic(err)
 	}
-	return trace
+	return tr
 }
 
 // aesEncDecTrace builds the Figure 8 crypto workload: continuous AES
@@ -54,13 +56,24 @@ func aesEncDecTrace(sc Scale) mem.Trace {
 	if err != nil {
 		panic(err)
 	}
-	return append(encTrace, decTrace...)
+	out := make(mem.Trace, 0, len(encTrace)+len(decTrace))
+	return append(append(out, encTrace...), decTrace...)
 }
 
-// runAES runs the CBC trace on one machine/thread configuration and
-// returns the thread result.
-func runAES(cfg sim.Config, tc sim.ThreadConfig, trace mem.Trace) sim.Result {
-	return sim.New(cfg).RunTrace(tc, trace)
+// lazyVictim returns the compiled Figure 6 AES-CBC victim trace of sc,
+// built on the first call and shared read-only by every later one. The
+// matrix experiments replay it in every unit: building it lazily means a
+// resume pass that restores every unit never builds it, and sharing it keeps
+// each unit a pure function of (Scale, index) because the trace depends
+// only on Seed and CBCBytes, which the config hash binds.
+func lazyVictim(sc Scale) func() *trace.Compiled {
+	return sync.OnceValue(func() *trace.Compiled { return trace.Compile(aesCBCTrace(sc)) })
+}
+
+// runAES replays the compiled victim trace on one machine/thread
+// configuration and returns the thread result.
+func runAES(cfg sim.Config, tc sim.ThreadConfig, victim *trace.Compiled) sim.Result {
+	return sim.New(cfg).NewThread(tc).RunCompiled(victim)
 }
 
 // encTables returns the five encryption-table regions (the Figure 6
@@ -86,7 +99,7 @@ func figure6Geometries() []cache.Geometry {
 // geometry, the IPC of PLcache+preload, disable-cache and random fill
 // [-16,+15], normalized to the demand-fetch baseline of the same geometry.
 func Figure6(sc Scale) *Table {
-	trace := aesCBCTrace(sc)
+	victim := trace.Compile(aesCBCTrace(sc))
 	t := &Table{
 		Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
 		Headers: []string{"L1 geometry", "baseline", "PLcache+preload", "disable cache", "random fill"},
@@ -102,14 +115,14 @@ func Figure6(sc Scale) *Table {
 			cfg.Seed = sc.Seed
 			return cfg
 		}
-		baseline := runAES(base(sim.KindSA), sim.ThreadConfig{}, trace)
+		baseline := runAES(base(sim.KindSA), sim.ThreadConfig{}, victim)
 		preload := runAES(base(sim.KindPLcache), sim.ThreadConfig{
 			Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
-		}, trace)
-		disable := runAES(base(sim.KindSA), sim.ThreadConfig{Mode: sim.ModeDisableSecret}, trace)
+		}, victim)
+		disable := runAES(base(sim.KindSA), sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim)
 		rf := runAES(base(sim.KindSA), sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, trace)
+		}, victim)
 		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}
 	})
 	for i, r := range rows {
@@ -124,7 +137,7 @@ func Figure6(sc Scale) *Table {
 // normalized to the same cache with demand fetch, for the SA cache (8 KB DM
 // and 32 KB 4-way) and Newcache (8 KB and 32 KB).
 func Figure7(sc Scale) *Table {
-	trace := aesCBCTrace(sc)
+	victim := trace.Compile(aesCBCTrace(sc))
 	t := &Table{
 		Title:   "Figure 7: normalized IPC of AES vs random fill window size",
 		Headers: []string{"window", "8KB DM SA", "32KB 4-way SA", "8KB Newcache", "32KB Newcache"},
@@ -144,7 +157,7 @@ func Figure7(sc Scale) *Table {
 		cfg.L1 = configs[i].geom
 		cfg.L1Kind = configs[i].kind
 		cfg.Seed = sc.Seed
-		return runAES(cfg, sim.ThreadConfig{}, trace).IPC()
+		return runAES(cfg, sim.ThreadConfig{}, victim).IPC()
 	})
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	// One work item per (size, config) cell, index-ordered back into rows.
@@ -158,7 +171,7 @@ func Figure7(sc Scale) *Table {
 		if size > 1 {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 		}
-		return runAES(cfg, tc, trace).IPC()
+		return runAES(cfg, tc, victim).IPC()
 	})
 	for si, size := range sizes {
 		row := []string{fmt.Sprintf("%d", size)}

@@ -9,6 +9,7 @@ import (
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // policyMatrixVictimSizes is the occupancy sweep of the policy matrix: the
@@ -21,8 +22,8 @@ var policyMatrixVictimSizes = []int{32, 96}
 // the replacement policy overridden on both the attack caches (via
 // securecache.Config.Policy) and the simulator L1 (via Config.L1Policy). The
 // per-channel budgets are a fraction of OccupancyMatrix's because the matrix
-// has six times the cells.
-func policyCell(sc Scale, pol string, d securecache.Design, seed uint64) occCell {
+// has six times the cells. victim is the run's shared compiled AES-CBC trace.
+func policyCell(sc Scale, pol string, d securecache.Design, seed uint64, victim *trace.Compiled) occCell {
 	mk := func(geom cache.Geometry) func(src *rng.Source) securecache.SecureCache {
 		return func(src *rng.Source) securecache.SecureCache {
 			return d.New(securecache.Config{Geom: geom, Policy: pol}, src)
@@ -55,7 +56,7 @@ func policyCell(sc Scale, pol string, d securecache.Design, seed uint64) occCell
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, aesCBCTrace(sc))
+	res := runAES(cfg, tc, victim)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,
@@ -74,12 +75,13 @@ func policyPlan(sc Scale) unitPlan[occCell] {
 	seedFor := func(i int) uint64 {
 		return rng.New(sc.Seed ^ 0x9011c).SplitSeed(uint64(i + 1))
 	}
+	victim := lazyVictim(sc)
 	return unitPlan[occCell]{
 		exp:  "PolicyMatrix",
 		n:    len(policies) * len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
-			return policyCell(sc, policies[i/len(designs)], designs[i%len(designs)], seedFor(i)), nil
+			return policyCell(sc, policies[i/len(designs)], designs[i%len(designs)], seedFor(i), victim()), nil
 		},
 		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (occCell, error) {

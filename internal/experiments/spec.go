@@ -4,24 +4,24 @@ import (
 	"fmt"
 
 	"randfill/internal/cache"
-	"randfill/internal/mem"
 	"randfill/internal/parexp"
 	"randfill/internal/prefetch"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
-// smtRun co-runs one benchmark with the continuous AES enc+dec thread and
-// returns the benchmark's IPC.
-func smtRun(sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.ThreadConfig, bench workloads.Generator, crypto mem.Trace) float64 {
+// smtRun co-runs one compiled benchmark trace with the continuous AES
+// enc+dec thread and returns the benchmark's IPC.
+func smtRun(sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.ThreadConfig, bench, crypto *trace.Compiled) float64 {
 	cfg := sim.DefaultConfig()
 	cfg.L1 = g
 	cfg.L1Kind = kind
 	cfg.Seed = sc.Seed
 	m := sim.New(cfg)
 	main := sim.ThreadConfig{Owner: 0}
-	res := m.RunSMTSteady(main, bench.Gen(sc.SpecAccesses, sc.Seed), cryptoCfg, crypto)
+	res := m.RunSMTSteadyCompiled(main, bench, cryptoCfg, crypto)
 	return res.IPC()
 }
 
@@ -35,7 +35,9 @@ func Figure8(sc Scale) *Table {
 		Headers: []string{"L1", "benchmark", "baseline", "PLcache+preload",
 			"Randomfill+SA", "Newcache", "Randomfill+Newcache"},
 	}
-	crypto := aesEncDecTrace(sc)
+	// The crypto trace is compiled once per run and shared read-only; each
+	// benchmark is generated and compiled once per work item.
+	crypto := trace.Compile(aesEncDecTrace(sc))
 	w := rng.Symmetric(32) // bidirectional window of 32 lines (Section VI)
 	geoms := []cache.Geometry{
 		{SizeBytes: 16 * 1024, Ways: 1},
@@ -47,7 +49,7 @@ func Figure8(sc Scale) *Table {
 		g := g
 		// One work item per benchmark: five co-runs against this geometry.
 		rows := parexp.Map(eng, len(benches), func(i int) [5]float64 {
-			bench := benches[i]
+			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
 			base := smtRun(sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
 			return [5]float64{
 				1,

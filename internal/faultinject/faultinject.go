@@ -92,7 +92,10 @@ type Plan struct {
 	// checks then disagree with its peers' by this much.
 	ClockSkew time.Duration
 
-	puts        atomic.Int64
+	puts atomic.Int64
+	// admitted counts Puts past BeforePut, so kill-after-puts can hold
+	// back every Put beyond the Nth (see BeforePut).
+	admitted    atomic.Int64
 	leaseWrites atomic.Int64
 	// exit is swapped out by tests; os.Exit in production.
 	exit func(code int)
@@ -177,8 +180,16 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
-// BeforePut implements checkpoint.Hooks: the fail-put and delay-put faults.
+// BeforePut implements checkpoint.Hooks: the fail-put and delay-put faults,
+// and the admission side of kill-after-puts. The process exits once the Nth
+// Put lands, but with concurrent workers another Put could publish while
+// that one is still in flight, leaving N+1 checkpoints behind. So a Put
+// beyond the Nth never starts: it waits here for the exit, and the crash
+// always leaves exactly N checkpoints.
 func (p *Plan) BeforePut(m checkpoint.Meta) error {
+	if p.KillAfterPuts > 0 && int(p.admitted.Add(1)) > p.KillAfterPuts {
+		select {}
+	}
 	n := int(p.puts.Load()) + 1 // the Put now in progress
 	if p.DelayPut == n && p.Delay > 0 {
 		time.Sleep(p.Delay)

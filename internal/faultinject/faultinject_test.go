@@ -133,6 +133,32 @@ func TestKillAfterPuts(t *testing.T) {
 	}
 }
 
+// TestKillAfterPutsHoldsBackLaterPuts: a Put admitted after the Nth waits
+// for the exit instead of publishing, so a crash leaves exactly N
+// checkpoints even when concurrent workers put at the same moment.
+func TestKillAfterPutsHoldsBackLaterPuts(t *testing.T) {
+	p, err := Parse("kill-after-puts=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.exit = func(int) {} // the real exit would end the held-back Put too
+	st := storeWithPlan(t, p)
+	if err := st.Put(meta(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = st.Put(meta(1), nil) }() // never returns
+	for p.admitted.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if _, ok, _ := st.Get(meta(1)); ok {
+		t.Fatal("a Put past the kill point published a checkpoint")
+	}
+	if p.Puts() != 1 {
+		t.Fatalf("observed %d puts, want 1", p.Puts())
+	}
+}
+
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	var p Plan
 	st := storeWithPlan(t, &p)

@@ -36,8 +36,8 @@ import "randfill/internal/mem"
 //
 // A nonmem field of escapeMark (all ones) marks an escape record: the line
 // bits then hold an index into the escapes table, which stores the original
-// mem.Access verbatim. Escapes are exact but slow (the batch loops hand
-// them to the scalar path), which is the right trade: a 49-bit line number
+// mem.Access verbatim. Escapes are exact but slow (the batch loops decode
+// them through At), which is the right trade: a 49-bit line number
 // covers a 55-bit byte address space and 4094 non-memory instructions
 // between accesses covers every trace generator in this repository, so
 // escapes appear only in adversarial (fuzzed) inputs.

@@ -27,9 +27,12 @@ SINCE ?= HEAD
 lint-fast:
 	$(GO) run ./cmd/rflint -since $(SINCE)
 
-# What CI runs (.github/workflows/ci.yml).
+# What CI runs (.github/workflows/ci.yml). The benchmark module under
+# _perfbench/ is skipped by ./... patterns, so it is vetted and tested on its
+# own.
 ci: build lint
 	$(GO) test -race -short ./...
+	cd _perfbench && GOFLAGS=-mod=mod $(GO) vet ./... && GOFLAGS=-mod=mod $(GO) test ./...
 
 test:
 	$(GO) test ./...

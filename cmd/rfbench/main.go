@@ -252,6 +252,40 @@ func kernels() []kernelDef {
 			},
 		},
 		{
+			name: "reuse-clflush",
+			desc: "design-generic Flush-Reload (attacks.Reuse) on the registry's newcache and rpcache, 32 KB 4-way: 48 clflushes, a victim access and 48 probes per trial",
+			run: func(short bool, b *testing.B) {
+				trials := 2000
+				if short {
+					trials = 500
+				}
+				var probes []attacks.ReuseConfig
+				for _, name := range []string{"newcache", "rpcache"} {
+					d, ok := securecache.ByName(name)
+					if !ok {
+						b.Fatalf("no %s design", name)
+					}
+					probes = append(probes, attacks.ReuseConfig{
+						NewCache: func(src *rng.Source) securecache.SecureCache {
+							return d.New(securecache.Config{Geom: cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}}, src)
+						},
+						Region: mem.Region{Base: 0x11000, Size: 1024},
+						Pad:    16,
+						Trials: trials,
+						Seed:   5,
+					})
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, cfg := range probes {
+						if res := attacks.Reuse(cfg); res.Trials != trials {
+							b.Fatal("short reuse run")
+						}
+					}
+				}
+			},
+		},
+		{
 			name: "flushreload-probe",
 			desc: "Flush-Reload probe loop: flush, victim access, reload over the observable range",
 			run: func(short bool, b *testing.B) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"randfill/internal/aes"
-	"randfill/internal/mem"
 	"randfill/internal/plcache"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
@@ -88,17 +87,34 @@ type Collision struct {
 
 	cfg     CollisionConfig
 	cipher  *aes.Cipher
-	tracer  *aes.Tracer
 	machine *sim.Machine
 	thread  *sim.Thread
 	src     *rng.Source
-	layout  aes.Layout
 	warmups int
-	// trace and ct are the recycled per-encryption access trace and its
-	// compiled form; Collect runs one encryption per sample, so buffer
-	// reuse keeps the sample loop allocation-free.
-	trace mem.Trace
-	ct    trace.Compiled
+	// block is the victim's one-block encryption, traced and compiled once
+	// per attack. Only its table lookups depend on the plaintext, and their
+	// positions in the trace do not, so each sample rewrites those words
+	// in place through patch instead of re-tracing and re-compiling.
+	block trace.Compiled
+	patch lookupPatch
+}
+
+// lookupPatch is the per-sample aes.Recorder: it rewrites the compiled
+// block's secret lookup words, in the cipher's emission order, with the
+// addresses of the sample's table lookups.
+type lookupPatch struct {
+	block  *trace.Compiled
+	layout aes.Layout
+	// words holds the index of each secret lookup word in block; next is
+	// the lookup the cipher reports next.
+	words []int
+	next  int
+}
+
+// Lookup implements aes.Recorder.
+func (r *lookupPatch) Lookup(table int, index byte, round int, first bool) {
+	r.block.SetAddr(r.words[r.next], r.layout.LookupAddr(table, index))
+	r.next++
 }
 
 // bytePair identifies one recovered XOR relation.
@@ -129,11 +145,18 @@ func NewCollision(cfg CollisionConfig) *Collision {
 		CollisionStats: &CollisionStats{},
 		cfg:            cfg,
 		cipher:         cipher,
-		tracer:         &aes.Tracer{Cipher: cipher, Layout: layout, Opts: cfg.TraceOpts},
 		machine:        machine,
 		thread:         machine.NewThread(cfg.Victim),
 		src:            src,
-		layout:         layout,
+	}
+	tracer := &aes.Tracer{Cipher: cipher, Layout: layout, Opts: cfg.TraceOpts}
+	_, block := tracer.EncryptBlock(make([]byte, aes.BlockSize), 0)
+	trace.CompileInto(&a.block, block)
+	a.patch = lookupPatch{block: &a.block, layout: layout}
+	for i := range block {
+		if block[i].Secret {
+			a.patch.words = append(a.patch.words, i)
+		}
 	}
 	switch cfg.Round {
 	case FinalRound:
@@ -262,17 +285,16 @@ func (a *Collision) Collect(n int) {
 		a.warmups++
 		a.src.Bytes(pt[:])
 		a.cleanCache()
-		_, a.trace = a.tracer.EncryptBlockInto(a.trace[:0], pt[:], 0)
-		a.thread.ReplayBatch(trace.CompileInto(&a.ct, a.trace))
+		a.encrypt(pt[:])
+		a.thread.ReplayBatch(&a.block)
 		a.thread.Drain()
 	}
 	for s := 0; s < n; s++ {
 		a.src.Bytes(pt[:])
 		a.cleanCache()
 		start := a.thread.Cycle()
-		var ct [16]byte
-		ct, a.trace = a.tracer.EncryptBlockInto(a.trace[:0], pt[:], 0)
-		a.thread.ReplayBatch(trace.CompileInto(&a.ct, a.trace))
+		ct := a.encrypt(pt[:])
+		a.thread.ReplayBatch(&a.block)
 		a.thread.Drain()
 		elapsed := a.thread.Cycle() - start
 		a.timing.Add(elapsed)
@@ -288,6 +310,15 @@ func (a *Collision) Collect(n int) {
 			a.groups[p].Add(key, elapsed)
 		}
 	}
+}
+
+// encrypt encrypts the plaintext block pt and patches its table lookups
+// into the compiled block, which is then the block's exact access trace.
+func (a *Collision) encrypt(pt []byte) [aes.BlockSize]byte {
+	var ct [aes.BlockSize]byte
+	a.patch.next = 0
+	a.cipher.Encrypt(ct[:], pt, &a.patch)
+	return ct
 }
 
 // TrueXor returns the ground-truth XOR value for pair p: for the final

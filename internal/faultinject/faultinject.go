@@ -93,6 +93,10 @@ type Plan struct {
 	ClockSkew time.Duration
 
 	puts atomic.Int64
+	// started numbers the Puts BeforePut lets through, so two concurrent
+	// Puts cannot both take the number fail-put or delay-put names (puts
+	// only advances once a Put lands).
+	started atomic.Int64
 	// admitted counts Puts past BeforePut, so kill-after-puts can hold
 	// back every Put beyond the Nth (see BeforePut).
 	admitted    atomic.Int64
@@ -190,7 +194,7 @@ func (p *Plan) BeforePut(m checkpoint.Meta) error {
 	if p.KillAfterPuts > 0 && int(p.admitted.Add(1)) > p.KillAfterPuts {
 		select {}
 	}
-	n := int(p.puts.Load()) + 1 // the Put now in progress
+	n := int(p.started.Add(1)) // the Put now in progress
 	if p.DelayPut == n && p.Delay > 0 {
 		time.Sleep(p.Delay)
 	}

@@ -80,6 +80,20 @@ func TestFailPutFailsExactlyTheNthWrite(t *testing.T) {
 	}
 }
 
+// TestFailPutNumbersConcurrentPuts: two Puts in flight at once, neither
+// landed yet (concurrent workers), take distinct numbers, so fail-put=2
+// still fails exactly one of them.
+func TestFailPutNumbersConcurrentPuts(t *testing.T) {
+	p, err := Parse("fail-put=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := p.BeforePut(meta(0)), p.BeforePut(meta(1))
+	if first != nil || second == nil {
+		t.Fatalf("overlapping puts: first err=%v, second err=%v; want only the second to fail", first, second)
+	}
+}
+
 func TestTornPutIsDetectedOnGet(t *testing.T) {
 	p, err := Parse("torn-put=1")
 	if err != nil {

@@ -255,17 +255,26 @@ func (c *Newcache) evict(p int) cache.Victim {
 }
 
 // Invalidate implements cache.Cache. Unlike Lookup, invalidation matches
-// by tag across all physical lines (a clflush snoops by address, not
-// through the issuing process's remapping table).
+// by tag in every domain's remapping table, not only the issuing process's
+// (a clflush snoops by address). Every valid physical line p is mapped by
+// its own domain's table, remaps[domain][lidx] == p, so the one slot per
+// table is the whole search. When several domains hold l, the lowest
+// physical index is evicted, the line a scan of the store would find first.
 func (c *Newcache) Invalidate(l mem.Line) bool {
-	for p := range c.lines {
-		if c.lines[p].valid && c.lines[p].tag == l {
-			c.stats.Invalidates++
-			c.evict(p)
-			return true
+	lidx := c.LogicalIndex(l)
+	victim := -1
+	for d := range c.remaps {
+		p := int(c.remaps[d][lidx])
+		if p >= 0 && (victim < 0 || p < victim) && c.lines[p].valid && c.lines[p].tag == l {
+			victim = p
 		}
 	}
-	return false
+	if victim < 0 {
+		return false
+	}
+	c.stats.Invalidates++
+	c.evict(victim)
+	return true
 }
 
 // Flush implements cache.Cache.

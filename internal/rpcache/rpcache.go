@@ -272,19 +272,30 @@ func (c *RPcache) evict(s []rpLine, w int) cache.Victim {
 	return v
 }
 
-// Invalidate implements cache.Cache. Invalidation matches by tag across
-// all physical lines (a clflush snoops by address, not through the issuing
-// domain's permutation table).
+// Invalidate implements cache.Cache. Invalidation matches by tag through
+// every domain's permutation table, not only the issuing domain's (a
+// clflush snoops by address). A valid line of domain d sits in physical set
+// perm[d][logicalSet(tag)]: fills place it there, and a permutation swap
+// invalidates the swapping domain's lines in both sets. The one set per
+// table is therefore the whole search. When several ways hold l, the
+// lowest physical index is evicted, the line a scan of the store would
+// find first.
 func (c *RPcache) Invalidate(l mem.Line) bool {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].tag == l {
-			c.stats.Invalidates++
-			set := c.lines[i/c.ways*c.ways : i/c.ways*c.ways+c.ways]
-			c.evict(set, i%c.ways)
-			return true
+	logical := c.logicalSet(l)
+	victim := -1
+	for d := range c.perm {
+		base := int(c.perm[d][logical]) * c.ways
+		if w := find(c.lines[base:base+c.ways], l); w >= 0 && (victim < 0 || base+w < victim) {
+			victim = base + w
 		}
 	}
-	return false
+	if victim < 0 {
+		return false
+	}
+	c.stats.Invalidates++
+	phys := victim / c.ways
+	c.evict(c.set(phys), victim-phys*c.ways)
+	return true
 }
 
 // Flush implements cache.Cache.

@@ -44,7 +44,11 @@ type ScatterCache struct {
 	// on scratch, a gathered copy written back after mutation.
 	stamps  []uint64
 	scratch []uint64
-	policy  cache.Policy
+	// cand holds the flat candidate slot of each way for the line the
+	// current operation works on, hashed once per Lookup, Probe, Fill or
+	// Invalidate by candidates; find, touch and victimWay read it.
+	cand   []int
+	policy cache.Policy
 	// noState devirtualizes the uniform-random default: Random keeps no
 	// per-access state, so the gather/scatter and policy dispatch are
 	// skipped and the hot paths stay as lean as before parameterization.
@@ -97,6 +101,7 @@ func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *Scat
 		skews:   make([]uint64, geom.Ways),
 		stamps:  make([]uint64, lines),
 		scratch: make([]uint64, geom.Ways),
+		cand:    make([]int, geom.Ways),
 		policy:  pol,
 		src:     src,
 	}
@@ -109,21 +114,21 @@ func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *Scat
 	return c
 }
 
-// touch gathers line l's candidate stamps, applies the policy's hit or fill
-// event to way w, and scatters the (possibly mutated) stamps back. Callers
-// gate on !noState so the default random policy pays neither the call nor
-// the way division at the call site.
-func (c *ScatterCache) touch(l mem.Line, w int, fill bool) {
-	for i := 0; i < c.ways; i++ {
-		c.scratch[i] = c.stamps[c.slot(i, l)]
+// touch gathers the candidate stamps of the line whose slots are cand,
+// applies the policy's hit or fill event to way w, and scatters the
+// (possibly mutated) stamps back. Callers gate on !noState so the default
+// random policy pays neither the call nor the way division at the call site.
+func (c *ScatterCache) touch(cand []int, w int, fill bool) {
+	for i, p := range cand {
+		c.scratch[i] = c.stamps[p]
 	}
 	if fill {
 		c.policy.OnFill(c.scratch, w, c.tick)
 	} else {
 		c.policy.OnHit(c.scratch, w, c.tick)
 	}
-	for i := 0; i < c.ways; i++ {
-		c.stamps[c.slot(i, l)] = c.scratch[i]
+	for i, p := range cand {
+		c.stamps[p] = c.scratch[i]
 	}
 }
 
@@ -168,16 +173,20 @@ func (c *ScatterCache) SetEvictionObserver(fn cache.EvictionObserver) { c.onEv =
 // Skews returns a copy of the per-way index keys, for tests.
 func (c *ScatterCache) Skews() []uint64 { return append([]uint64(nil), c.skews...) }
 
-// slot returns the flat index of line l's candidate slot in way w.
-func (c *ScatterCache) slot(w int, l mem.Line) int {
-	return w*c.sets + Index(c.skews[w], l, c.sets)
+// candidates hashes line l's flat candidate slot in every way (way w owns
+// lines[w*sets : (w+1)*sets]) into c.cand and returns it.
+func (c *ScatterCache) candidates(l mem.Line) []int {
+	for w, skew := range c.skews {
+		c.cand[w] = w*c.sets + Index(skew, l, c.sets)
+	}
+	return c.cand
 }
 
-// find returns the flat slot index holding line l, or -1. A line can only
-// live at one of its ways' keyed indexes, so the scan is ways-long.
-func (c *ScatterCache) find(l mem.Line) int {
-	for w := 0; w < c.ways; w++ {
-		p := c.slot(w, l)
+// find returns the flat slot index holding line l among its candidate slots
+// cand, or -1. A line can only live at one of its ways' keyed indexes, so
+// the scan is ways-long.
+func (c *ScatterCache) find(cand []int, l mem.Line) int {
+	for _, p := range cand {
 		if c.lines[p].valid && c.lines[p].tag == l {
 			return p
 		}
@@ -187,7 +196,8 @@ func (c *ScatterCache) find(l mem.Line) int {
 
 // Lookup implements cache.Cache.
 func (c *ScatterCache) Lookup(l mem.Line, write bool) bool {
-	p := c.find(l)
+	cand := c.candidates(l)
+	p := c.find(cand, l)
 	if p < 0 {
 		c.stats.Misses++
 		return false
@@ -196,7 +206,7 @@ func (c *ScatterCache) Lookup(l mem.Line, write bool) bool {
 	c.tick++
 	c.lines[p].referenced = true
 	if !c.noState {
-		c.touch(l, p/c.sets, false)
+		c.touch(cand, p/c.sets, false)
 	}
 	if write {
 		c.lines[p].dirty = true
@@ -205,7 +215,7 @@ func (c *ScatterCache) Lookup(l mem.Line, write bool) bool {
 }
 
 // Probe implements cache.Cache.
-func (c *ScatterCache) Probe(l mem.Line) bool { return c.find(l) >= 0 }
+func (c *ScatterCache) Probe(l mem.Line) bool { return c.find(c.candidates(l), l) >= 0 }
 
 // Fill implements cache.Cache: install at an invalid candidate slot if one
 // exists, else at a uniformly random way's candidate slot, evicting its
@@ -213,24 +223,25 @@ func (c *ScatterCache) Probe(l mem.Line) bool { return c.find(l) >= 0 }
 // no recency state exists for an attacker to steer.
 func (c *ScatterCache) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
 	c.tick++
-	if p := c.find(l); p >= 0 {
+	cand := c.candidates(l)
+	if p := c.find(cand, l); p >= 0 {
 		c.lines[p].dirty = c.lines[p].dirty || opts.Dirty
 		if !c.noState {
-			c.touch(l, p/c.sets, true)
+			c.touch(cand, p/c.sets, true)
 		}
 		return cache.Victim{}
 	}
 	c.stats.Fills++
 	p := -1
-	for w := 0; w < c.ways; w++ {
-		if q := c.slot(w, l); !c.lines[q].valid {
+	for _, q := range cand {
+		if !c.lines[q].valid {
 			p = q
 			break
 		}
 	}
 	var v cache.Victim
 	if p < 0 {
-		p = c.slot(c.victimWay(l), l)
+		p = cand[c.victimWay(cand)]
 		v = c.evict(p)
 	}
 	c.lines[p] = scLine{
@@ -241,26 +252,26 @@ func (c *ScatterCache) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
 		offset: opts.Offset,
 	}
 	if !c.noState {
-		c.touch(l, p/c.sets, true)
+		c.touch(cand, p/c.sets, true)
 	}
 	return v
 }
 
-// victimWay picks the way whose candidate slot is evicted when every
-// candidate is valid. The uniform-random default draws a way directly (the
-// candidate stamps carry no information for it — scratch is passed
+// victimWay picks the way whose candidate slot (of cand) is evicted when
+// every candidate is valid. The uniform-random default draws a way directly
+// (the candidate stamps carry no information for it — scratch is passed
 // ungathered); stateful policies see the gathered candidate stamps and any
 // mutation (RRIP aging) is scattered back.
-func (c *ScatterCache) victimWay(l mem.Line) int {
+func (c *ScatterCache) victimWay(cand []int) int {
 	if c.noState {
 		return c.rndSrc.Intn(c.ways) // == Random.Victim over the candidate vector
 	}
-	for i := 0; i < c.ways; i++ {
-		c.scratch[i] = c.stamps[c.slot(i, l)]
+	for i, p := range cand {
+		c.scratch[i] = c.stamps[p]
 	}
 	w := c.policy.Victim(c.scratch)
-	for i := 0; i < c.ways; i++ {
-		c.stamps[c.slot(i, l)] = c.scratch[i]
+	for i, p := range cand {
+		c.stamps[p] = c.scratch[i]
 	}
 	return w
 }
@@ -288,7 +299,7 @@ func (c *ScatterCache) evict(p int) cache.Victim {
 
 // Invalidate implements cache.Cache.
 func (c *ScatterCache) Invalidate(l mem.Line) bool {
-	p := c.find(l)
+	p := c.find(c.candidates(l), l)
 	if p < 0 {
 		return false
 	}

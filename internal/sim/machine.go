@@ -99,6 +99,7 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 		cfg:        tc,
 		engine:     nil,
 		mshr:       make([]mshrEntry, m.cfg.MissQueue),
+		earliest:   math.Inf(1),
 		issueWidth: float64(m.cfg.IssueWidth),
 		hitLat:     float64(m.cfg.L1HitLat),
 	}

@@ -121,9 +121,14 @@ type Thread struct {
 	// available; a Dependent access cannot issue before it.
 	dataReady float64
 	mshr      []mshrEntry
-	// inflight counts valid miss-queue entries, so the per-access retire
-	// scan can return immediately when nothing is outstanding.
-	inflight int
+	// inflight counts valid miss-queue entries, earliest is the smallest
+	// done among them (+Inf when none) and background counts those that
+	// are background fills. issue maintains all three on insert and retire
+	// on removal, so the per-access retire returns at once while nothing is
+	// due and serviceFills reads the reservation count without a rescan.
+	inflight   int
+	earliest   float64
+	background int
 	// fillQueue holds random-fill/prefetch requests waiting for a free
 	// miss-queue slot (the "random fill queue" of Figure 3, which waits
 	// for idle cycles). It is a head-indexed ring: fillHead marks the next
@@ -155,15 +160,35 @@ func (t *Thread) Result() Result {
 	return r
 }
 
+// issue places the valid entry e in miss-queue slot slot, keeping inflight,
+// earliest and background current.
+func (t *Thread) issue(slot int, e mshrEntry) {
+	t.mshr[slot] = e
+	t.inflight++
+	if e.done < t.earliest {
+		t.earliest = e.done
+	}
+	if e.background {
+		t.background++
+	}
+}
+
 // retire completes every miss-queue entry finished by time now, applying
-// its L1 fill.
+// its L1 fill. It returns at once while no entry is due (now < earliest).
 func (t *Thread) retire(now float64) {
-	if t.inflight == 0 {
+	if now < t.earliest {
 		return
 	}
+	t.earliest = math.Inf(1)
 	for i := range t.mshr {
 		e := &t.mshr[i]
-		if !e.valid || e.done > now {
+		if !e.valid {
+			continue
+		}
+		if e.done > now {
+			if e.done < t.earliest {
+				t.earliest = e.done
+			}
 			continue
 		}
 		if e.fillL1 {
@@ -185,6 +210,9 @@ func (t *Thread) retire(now float64) {
 		}
 		e.valid = false
 		t.inflight--
+		if e.background {
+			t.background--
+		}
 	}
 }
 
@@ -216,14 +244,8 @@ func (t *Thread) freeSlot() int {
 			}
 		}
 		// Queue full: wait for the earliest completion.
-		min := t.mshr[0].done
-		for i := 1; i < len(t.mshr); i++ {
-			if t.mshr[i].done < min {
-				min = t.mshr[i].done
-			}
-		}
-		t.res.StallCycles += min - t.cycle
-		t.cycle = min
+		t.res.StallCycles += t.earliest - t.cycle
+		t.cycle = t.earliest
 		t.retire(t.cycle)
 	}
 }
@@ -267,16 +289,8 @@ func (t *Thread) enqueueFill(r core.Request) {
 // fills (standard MSHR reservation for demand traffic).
 func (t *Thread) serviceFills() {
 	for t.fillPending() > 0 {
-		if len(t.mshr) > 1 {
-			bg := 0
-			for i := range t.mshr {
-				if t.mshr[i].valid && t.mshr[i].background {
-					bg++
-				}
-			}
-			if bg >= len(t.mshr)-1 {
-				return
-			}
+		if len(t.mshr) > 1 && t.background >= len(t.mshr)-1 {
+			return
 		}
 		slot := t.trySlot()
 		if slot < 0 {
@@ -294,7 +308,7 @@ func (t *Thread) serviceFills() {
 			continue
 		}
 		lat := t.machine.fetchBelow(r.Line, false)
-		t.mshr[slot] = mshrEntry{
+		t.issue(slot, mshrEntry{
 			valid:      true,
 			line:       r.Line,
 			done:       t.cycle + float64(lat),
@@ -302,8 +316,7 @@ func (t *Thread) serviceFills() {
 			background: true,
 			offset:     r.Offset,
 			prefetch:   r.Type == prefetchRequest,
-		}
-		t.inflight++
+		})
 	}
 	// Drained: rewind the ring so the backing array is reused.
 	t.fillQueue = t.fillQueue[:0]
@@ -328,15 +341,16 @@ func (t *Thread) Step(a mem.Access) {
 //
 // The probe changes cost, never behaviour: a TryHit hit is exactly access's
 // hit path, and a TryHit miss mutates nothing, so access re-runs the lookup
-// and adds exactly the one miss count. The retirement and fill-queue calls
-// are skipped whenever their queues are empty, where both are no-ops.
+// and adds exactly the one miss count. The retirement call is skipped while
+// no entry is due and the fill-queue call while no fill is queued, where
+// both are no-ops.
 func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool, sa *cache.SetAssoc) {
 	if t.domainL1 != nil {
 		t.domainL1.SetActiveDomain(t.cfg.Owner)
 	}
 	t.res.Instructions += instr
 	t.cycle += float64(instr) / t.issueWidth
-	if t.inflight != 0 {
+	if t.cycle >= t.earliest {
 		t.retire(t.cycle)
 	}
 
@@ -378,12 +392,11 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 		t.res.SecretBypass++
 		slot := t.freeSlot()
 		lat := t.machine.fetchBelow(line, write)
-		t.mshr[slot] = mshrEntry{
+		t.issue(slot, mshrEntry{
 			valid: true,
 			line:  line,
 			done:  t.cycle + float64(lat),
-		}
-		t.inflight++
+		})
 		if !write {
 			t.dataReady = t.mshr[slot].done
 		}
@@ -449,14 +462,13 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 		case core.Normal, core.NoFill:
 			slot := t.freeSlot()
 			lat := t.machine.fetchBelow(line, write)
-			t.mshr[slot] = mshrEntry{
+			t.issue(slot, mshrEntry{
 				valid:  true,
 				line:   line,
 				done:   t.cycle + float64(lat),
 				fillL1: r.Type == core.Normal,
 				dirty:  write,
-			}
-			t.inflight++
+			})
 			if !write {
 				t.dataReady = t.mshr[slot].done
 			}
@@ -517,7 +529,11 @@ func (t *Thread) RunCompiled(ct *trace.Compiled) Result {
 }
 
 // Drain waits for all outstanding requests to complete and applies their
-// fills, advancing the clock to the last completion.
+// fills, advancing the clock to the last completion. Queued background
+// fills get a single round of issue: serviceFills keeps one miss-queue
+// entry for demand misses, so with more than one entry at most
+// MissQueue-1 fills are issued and land here (one with a single entry),
+// and the rest stay queued for the thread's next access.
 func (t *Thread) Drain() {
 	maxDone := t.cycle
 	for i := range t.mshr {
@@ -527,7 +543,9 @@ func (t *Thread) Drain() {
 	}
 	t.cycle = maxDone
 	t.retire(t.cycle)
-	// Issue any still-queued background fills and let them land too.
+	// Issue queued background fills into the now empty miss queue, up to
+	// the demand reservation, and let the issued ones land. Fills beyond
+	// that stay queued: Drain can return with fillPending() > 0.
 	t.serviceFills()
 	for i := range t.mshr {
 		if t.mshr[i].valid && t.mshr[i].done > t.cycle {

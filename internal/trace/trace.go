@@ -69,8 +69,7 @@ func Compile(t mem.Trace) *Compiled {
 
 // CompileInto decodes t into ct, reusing ct's backing arrays when they are
 // large enough, and returns ct. Steady-state recompilation of same-length
-// traces (the collision attack compiles one fresh single-block trace per
-// measurement) allocates nothing.
+// traces allocates nothing.
 func CompileInto(ct *Compiled, t mem.Trace) *Compiled {
 	if cap(ct.words) < len(t) {
 		ct.words = make([]uint64, len(t))
@@ -122,6 +121,30 @@ func (ct *Compiled) At(i int) mem.Access {
 		a.Kind = mem.Write
 	}
 	return a
+}
+
+// SetAddr rewrites access i's address in place, keeping its other fields:
+// the collision attack patches one compiled encryption template with each
+// sample's table lookups instead of re-tracing and re-compiling the block.
+// A packed record keeps the new address's line (At drops the in-line
+// offset, as CompileInto does); an escape record stores it verbatim. A line
+// beyond the packed range turns the record into an escape, as CompileInto
+// would have stored it.
+func (ct *Compiled) SetAddr(i int, addr mem.Addr) {
+	w := ct.words[i]
+	if IsEscape(w) {
+		ct.escapes[w&lineMask].Addr = addr
+		return
+	}
+	line := mem.LineOf(addr)
+	if uint64(line) > lineMask {
+		a := ct.At(i)
+		a.Addr = addr
+		ct.words[i] = uint64(len(ct.escapes)) | escapeMark<<nonMemShift
+		ct.escapes = append(ct.escapes, a)
+		return
+	}
+	ct.words[i] = w&^lineMask | uint64(line)
 }
 
 // Word returns the packed word of access i. Batch replay loops decode it

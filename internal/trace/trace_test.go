@@ -84,6 +84,28 @@ func TestCompileMatchesScalarDecode(t *testing.T) {
 	}
 }
 
+// TestSetAddrMatchesRecompile rewrites random accesses' addresses in a
+// compiled trace, packed and escape records alike and including addresses
+// beyond the packed line range, and requires the result to decode like
+// the compiled trace of the rewritten source.
+func TestSetAddrMatchesRecompile(t *testing.T) {
+	src := rng.New(0x5e7a)
+	for round := 0; round < 50; round++ {
+		tr := randTrace(src, 1+src.Intn(300))
+		ct := Compile(tr)
+		for k := 0; k < 40; k++ {
+			i := src.Intn(len(tr))
+			addr := mem.Addr(src.Uint64() >> (8 + src.Intn(30)))
+			if src.Intn(10) == 0 {
+				addr = mem.Addr(src.Uint64()) // likely beyond the 49-bit line space
+			}
+			tr[i].Addr = addr
+			ct.SetAddr(i, addr)
+		}
+		checkCompiled(t, tr, ct, []int{1 << src.Intn(12), 64})
+	}
+}
+
 // TestCompileIntoReuses pins the steady-state allocation contract: once the
 // backing arrays fit, recompiling same-shaped traces allocates nothing.
 func TestCompileIntoReuses(t *testing.T) {

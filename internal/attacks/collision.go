@@ -152,7 +152,8 @@ func NewCollision(cfg CollisionConfig) *Collision {
 	tracer := &aes.Tracer{Cipher: cipher, Layout: layout, Opts: cfg.TraceOpts}
 	_, block := tracer.EncryptBlock(make([]byte, aes.BlockSize), 0)
 	trace.CompileInto(&a.block, block)
-	a.patch = lookupPatch{block: &a.block, layout: layout}
+	// The cipher looks up one table entry per state byte per round.
+	a.patch = lookupPatch{block: &a.block, layout: layout, words: make([]int, 0, aes.BlockSize*cipher.Rounds())}
 	for i := range block {
 		if block[i].Secret {
 			a.patch.words = append(a.patch.words, i)

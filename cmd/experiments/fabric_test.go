@@ -14,6 +14,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -162,9 +164,10 @@ func TestFabricByteIdenticalAcrossTopologies(t *testing.T) {
 }
 
 // TestFabricKillWholeWorkerMidUnit: a worker is SIGKILLed while stalled
-// inside a unit, holding its lease. The lease expires, the coordinator
-// re-dispatches the unit to the surviving worker, and the rendered table
-// still matches the single-process bytes.
+// inside its first unit, holding its lease. The lease expires, the unit is
+// re-dispatched to the surviving worker, the coordinator counts at least one
+// re-dispatch, and the rendered table still matches the single-process
+// bytes.
 func TestFabricKillWholeWorkerMidUnit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fabric runs")
@@ -176,10 +179,10 @@ func TestFabricKillWholeWorkerMidUnit(t *testing.T) {
 
 	dir := t.TempDir()
 	coord := startBin(t, coordArgs(dir, "Figure2")...)
-	// w0 stalls for two minutes inside its first unit, so the SIGKILL is
-	// guaranteed to land mid-unit with a claimed lease.
+	// w0 stalls for two minutes inside its first unit (units count from
+	// 1), so the SIGKILL is guaranteed to land mid-unit with a claimed lease.
 	stalled := startBin(t, workerArgs(dir, "Figure2", "w0",
-		"-fault-plan", "stall-worker=0:2m")...)
+		"-fault-plan", "stall-worker=1:2m")...)
 	time.Sleep(1500 * time.Millisecond)
 	if err := stalled.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -198,8 +201,14 @@ func TestFabricKillWholeWorkerMidUnit(t *testing.T) {
 	if c := survivor.wait(t).code; c != 0 {
 		t.Errorf("surviving worker exited %d", c)
 	}
-	if !strings.Contains(res.stderr, "re-dispatched") {
-		t.Errorf("coordinator stderr does not report re-dispatch:\n%s", res.stderr)
+	// The coordinator's summary line reads "... N re-dispatched ..."; the
+	// stalled unit must be among them.
+	m := regexp.MustCompile(`(\d+) re-dispatched`).FindStringSubmatch(res.stderr)
+	if m == nil {
+		t.Fatalf("coordinator stderr does not report a re-dispatch count:\n%s", res.stderr)
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Errorf("coordinator reports 0 re-dispatches after a worker died holding a unit:\n%s", res.stderr)
 	}
 }
 

@@ -148,9 +148,11 @@ func Parse(spec string) (*Plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("faultinject: stall-worker=%q: want N:duration", val)
 			}
+			// Workers number their units from 1, so unit 0 would never
+			// stall: reject it rather than run a vacuous fault.
 			n, err := strconv.Atoi(nth)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("faultinject: stall-worker=%q: bad unit index", val)
+			if err != nil || n < 1 {
+				return nil, fmt.Errorf("faultinject: stall-worker=%q: want a unit number from 1", val)
 			}
 			d, err := time.ParseDuration(durStr)
 			if err != nil {

@@ -217,6 +217,18 @@ func TestParseProcessClauseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsStallWorkerZero: workers number their units from 1, so
+// stall-worker=0 names a unit that never runs and the fault would silently
+// do nothing.
+func TestParseRejectsStallWorkerZero(t *testing.T) {
+	if _, err := Parse("stall-worker=0:2m"); err == nil {
+		t.Fatal("Parse accepted stall-worker=0, a unit that never runs")
+	}
+	if _, err := Parse("stall-worker=1:2m"); err != nil {
+		t.Fatalf("Parse rejected stall-worker=1: %v", err)
+	}
+}
+
 func TestKillAfterUnit(t *testing.T) {
 	p, err := Parse("kill-worker-after-units=2")
 	if err != nil {

@@ -82,12 +82,13 @@ crash-resume:
 	$(GO) test -race -run 'CrashResume|DeadlineExit|InterruptExit|UsageErrors' ./cmd/experiments
 
 # Distributed-fabric fault suite: multi-process coordinator/worker runs of
-# the real binary with whole-worker kills, stalls, torn leases, and clock
+# the real binary with whole-worker kills, stalls, torn claims, and clock
 # skew; every topology must print the single-process bytes (see ci.yml
-# fabric-fault).
+# fabric-fault). The in-process claim race runs ten times under -race.
 fabric-fault:
 	$(GO) test -race -run 'Fabric' -timeout 15m ./cmd/experiments
 	$(GO) test -race ./internal/fabric/
+	$(GO) test -race -count=10 -run 'TestClaimRace' ./internal/fabric/
 
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/traceio/

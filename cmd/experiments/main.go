@@ -12,10 +12,12 @@
 // of the resumable experiments (Figure2, Table3, MissQueueSecurity) is
 // flushed to disk the moment it finishes, and -resume loads those units
 // instead of re-running them — the resumed output is byte-identical to an
-// uninterrupted run at any -workers value. The first SIGINT or SIGTERM
-// cancels cooperatively (in-flight units finish and flush); a second exits
-// immediately, leaving best-effort aborted markers so a resuming
-// coordinator prioritizes the units that were in flight.
+// uninterrupted run at any -workers value. The store keeps the first frame
+// written for a unit: rerunning without -resume into a store that holds
+// different bytes for the same unit fails (exit 1) instead of overwriting.
+// The first SIGINT or SIGTERM cancels cooperatively (in-flight units finish
+// and flush); a second exits immediately, leaving best-effort aborted
+// markers so fabric workers take the units that were in flight first.
 //
 // Multi-process runs distribute one resumable experiment's work units
 // across worker processes over a shared fabric directory (internal/fabric;
@@ -24,19 +26,22 @@
 //	experiments -role coordinator -fabric-dir F -run PolicyMatrix -fabric-spawn 4
 //	experiments -role worker      -fabric-dir F -run PolicyMatrix   # more, any time
 //
-// The coordinator hands units out through lease files, re-dispatches
-// expired leases with exponential backoff, and renders the final table from
-// the checkpoint store — byte-identical to a single-process run no matter
-// how many workers ran, died, or were re-dispatched. -join merges the
-// checkpoint stores of partial runs into -checkpoint-dir and renders from
-// the merged store, with the same byte-identity guarantee.
+// Workers schedule themselves, claiming one unit at a time through claim
+// files; a claim that expires (its worker died or stalled) is taken over by
+// another worker. The coordinator waits for every unit's checkpoint, counts
+// the lost claims as re-dispatches, and renders the final table from the
+// checkpoint store — byte-identical to a single-process run no matter how
+// many workers ran, died, or re-ran a unit. -join merges the checkpoint
+// stores of partial runs into -checkpoint-dir and renders from the merged
+// store, with the same byte-identity guarantee.
 //
-// Exit codes: 0 success; 1 experiment failure; 2 usage error; 3 interrupted
-// by a signal (completed units were flushed if -checkpoint-dir was set);
-// 4 -timeout deadline exceeded (same flush guarantee); 5 fabric coordinator
-// refused — another live coordinator holds the fabric directory; 130 hard
-// exit on a second signal; 137 fault-injected kill (-fault-plan, crash
-// tests only).
+// Exit codes: 0 success; 1 experiment failure, including a checkpoint whose
+// unit the store already holds with different bytes; 2 usage error;
+// 3 interrupted by a signal (completed units were flushed if
+// -checkpoint-dir was set); 4 -timeout deadline exceeded (same flush
+// guarantee); 5 fabric coordinator refused — another live coordinator
+// holds the fabric directory; 130 hard exit on a second signal; 137
+// fault-injected kill (-fault-plan, crash tests only).
 package main
 
 import (
@@ -84,9 +89,9 @@ func run() int {
 	fabricDir := flag.String("fabric-dir", "", "shared fabric directory for multi-process runs (see internal/fabric)")
 	workerID := flag.String("worker-id", "", "this worker's id (default worker-<pid>)")
 	fabricSpawn := flag.Int("fabric-spawn", 0, "coordinator convenience: spawn this many worker subprocesses of this binary")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fabric lease duration; a worker silent this long is presumed dead")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fabric claim and lease duration; a worker silent this long is presumed dead")
 	fabricPoll := flag.Duration("fabric-poll", 200*time.Millisecond, "fabric scan/claim interval")
-	idleExit := flag.Duration("worker-idle-exit", time.Minute, "worker exits cleanly after this long with no work and no done marker (0 = wait forever)")
+	idleExit := flag.Duration("worker-idle-exit", time.Minute, "worker exits cleanly after this long with every unfinished unit claimed by others (0 = wait forever)")
 	joinSrcs := flag.String("join", "", "comma-separated checkpoint or fabric dirs to merge into -checkpoint-dir, then render from the merged store")
 	flag.Parse()
 
@@ -209,8 +214,7 @@ func run() int {
 	// First signal: cancel cooperatively — workers stop claiming new units,
 	// units already running finish and flush their checkpoints, and the run
 	// exits 3. Second signal: exit immediately, leaving best-effort aborted
-	// markers for the units in flight so a resuming coordinator runs them
-	// first.
+	// markers for the units in flight so fabric workers run them first.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
@@ -324,9 +328,9 @@ func fabricPlan(name string, sc experiments.Scale, dir string) (fabric.Plan, *ch
 	return fabric.Plan{Name: wp.Name, Units: wp.Units, Meta: wp.Meta, RunUnit: wp.RunUnit}, store, nil
 }
 
-// runFabricWorker claims and executes leased units until the coordinator
-// publishes the done marker (or the worker idles out). It writes nothing to
-// stdout: the coordinator owns the rendered table.
+// runFabricWorker claims and executes units until every unit is
+// checkpointed (or the worker idles out). It writes nothing to stdout: the
+// coordinator owns the rendered table.
 func runFabricWorker(ctx context.Context, sc experiments.Scale, name, dir, id string,
 	ttl, poll, idle time.Duration, plan *faultinject.Plan, tracker *fabric.InFlight) int {
 	fp, store, err := fabricPlan(name, sc, dir)
@@ -343,7 +347,7 @@ func runFabricWorker(ctx context.Context, sc experiments.Scale, name, dir, id st
 		store.Hooks = plan
 		cfg.BeforeUnit = plan.StallBeforeUnit
 		cfg.AfterUnit = plan.KillAfterUnit
-		cfg.AfterLeaseWrite = plan.AfterLeaseWrite
+		cfg.AfterClaimWrite = plan.AfterLeaseWrite
 		if plan.ClockSkew != 0 {
 			cfg.Clock = fabric.SkewedClock(plan.ClockSkew)
 		}
@@ -351,8 +355,7 @@ func runFabricWorker(ctx context.Context, sc experiments.Scale, name, dir, id st
 	res, err := fabric.RunWorker(ctx, cfg)
 	switch {
 	case err == nil:
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: %d units completed, %d fenced, %d skipped\n",
-			id, res.Completed, res.Fenced, res.Skipped)
+		fmt.Fprintf(os.Stderr, "experiments: worker %s: %d units completed\n", id, res.Completed)
 		return 0
 	case errors.Is(err, context.DeadlineExceeded):
 		fmt.Fprintf(os.Stderr, "experiments: worker %s: deadline exceeded\n", id)
@@ -366,8 +369,8 @@ func runFabricWorker(ctx context.Context, sc experiments.Scale, name, dir, id st
 	}
 }
 
-// runFabricCoordinator dispatches the experiment's units over the fabric
-// directory, optionally spawning worker subprocesses of this same binary,
+// runFabricCoordinator holds the fabric directory while workers, optionally
+// spawned as subprocesses of this same binary, run the experiment's units,
 // and renders the final table from the shared store once every unit is
 // checkpointed — byte-identical to a single-process run.
 func runFabricCoordinator(ctx context.Context, sc experiments.Scale, name, dir, id string,
@@ -382,7 +385,7 @@ func runFabricCoordinator(ctx context.Context, sc experiments.Scale, name, dir, 
 		TTL: ttl, Poll: poll, Log: os.Stderr,
 	}
 	if plan != nil {
-		cfg.AfterLeaseWrite = plan.AfterLeaseWrite
+		cfg.AfterClaimWrite = plan.AfterLeaseWrite
 		if plan.ClockSkew != 0 {
 			cfg.Clock = fabric.SkewedClock(plan.ClockSkew)
 		}
@@ -437,8 +440,8 @@ func runFabricCoordinator(ctx context.Context, sc experiments.Scale, name, dir, 
 		reap()
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "experiments: coordinator %s: epoch %d, %d dispatched (%d re-dispatched, %d aborted-first)\n",
-		id, res.Epoch, res.Dispatched, res.Redispatched, res.AbortedFirst)
+	fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %d units checkpointed (%d re-dispatched)\n",
+		id, fp.Units, res.Redispatched)
 	reap()
 
 	// Every unit is checkpointed: render by restoring from the shared store.

@@ -48,7 +48,10 @@ func Create(dest string) (*File, error) {
 // Commit fsyncs the temporary file, closes it, and renames it over the
 // destination. On any error the temporary file is removed and the
 // destination is untouched.
-func (f *File) Commit() error {
+func (f *File) Commit() error { return f.commit(os.Rename) }
+
+// commit is Commit with the final publish step (rename or link) supplied.
+func (f *File) commit(publish func(tmp, dest string) error) error {
 	if f.committed {
 		return fmt.Errorf("atomicio: %s committed twice", f.dest)
 	}
@@ -60,7 +63,7 @@ func (f *File) Commit() error {
 		f.Abort()
 		return fmt.Errorf("atomicio: close %s: %w", f.dest, err)
 	}
-	if err := os.Rename(f.Name(), f.dest); err != nil {
+	if err := publish(f.Name(), f.dest); err != nil {
 		f.Abort()
 		return fmt.Errorf("atomicio: publish %s: %w", f.dest, err)
 	}
@@ -92,6 +95,27 @@ func (f *File) Abort() {
 // published file. It is the drop-in replacement for os.WriteFile on result
 // artifacts.
 func WriteFile(dest string, data []byte, perm os.FileMode) error {
+	return write(dest, data, perm, os.Rename)
+}
+
+// WriteNew is WriteFile that never replaces: the temporary file is
+// hard-linked to dest instead of renamed over it, so of several racing
+// writers exactly one publishes. When dest already exists nothing is
+// written and the error satisfies errors.Is(err, fs.ErrExist).
+func WriteNew(dest string, data []byte, perm os.FileMode) error {
+	return write(dest, data, perm, linkNew)
+}
+
+// linkNew publishes tmp at dest only if dest does not exist, then drops the
+// temporary name.
+func linkNew(tmp, dest string) error {
+	err := os.Link(tmp, dest)
+	//lint:ignore errcheck-io the temp name is dead either way; dest is published or untouched
+	os.Remove(tmp)
+	return err
+}
+
+func write(dest string, data []byte, perm os.FileMode, publish func(tmp, dest string) error) error {
 	f, err := Create(dest)
 	if err != nil {
 		return err
@@ -103,7 +127,7 @@ func WriteFile(dest string, data []byte, perm os.FileMode) error {
 	if err := f.Chmod(perm); err != nil {
 		return fmt.Errorf("atomicio: chmod %s: %w", dest, err)
 	}
-	return f.Commit()
+	return f.commit(publish)
 }
 
 // dirHandle is the slice of *os.File syncDir needs; tests swap openDir to

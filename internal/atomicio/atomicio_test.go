@@ -1,9 +1,13 @@
 package atomicio_test
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"randfill/internal/atomicio"
@@ -35,6 +39,47 @@ func TestWriteFileReplacesExisting(t *testing.T) {
 	got, _ := os.ReadFile(dest)
 	if string(got) != "new" {
 		t.Fatalf("got %q, want %q", got, "new")
+	}
+}
+
+// TestWriteNewNeverReplaces: of several racing WriteNew calls exactly one
+// publishes, every other one reports fs.ErrExist, the file holds the
+// winner's bytes, and no temporary file is left behind.
+func TestWriteNewNeverReplaces(t *testing.T) {
+	dir := t.TempDir()
+	dest := filepath.Join(dir, "unit.ckpt")
+	const writers = 8
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = atomicio.WriteNew(dest, []byte(fmt.Sprintf("writer %d", i)), 0o644)
+		}(i)
+	}
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && winner >= 0:
+			t.Fatalf("writers %d and %d both published", winner, i)
+		case err == nil:
+			winner = i
+		case !errors.Is(err, fs.ErrExist):
+			t.Fatalf("writer %d: %v, want fs.ErrExist", i, err)
+		}
+	}
+	if winner < 0 {
+		t.Fatal("no writer published")
+	}
+	got, err := os.ReadFile(dest)
+	if err != nil || string(got) != fmt.Sprintf("writer %d", winner) {
+		t.Fatalf("file holds %q (err %v), want writer %d's bytes", got, err, winner)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (err %v), want only the published file", len(entries), err)
 	}
 }
 

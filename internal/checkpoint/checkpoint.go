@@ -10,8 +10,13 @@
 //
 // Robustness is layered:
 //
-//   - Writes are atomic (internal/atomicio: temp file + fsync + rename), so
-//     a crash during Put leaves either no checkpoint or a complete one.
+//   - Writes are atomic (internal/atomicio: temp file + fsync + link or
+//     rename), so a crash during Put leaves either no checkpoint or a
+//     complete one.
+//   - The first writer wins: a unit's frame is written only when no valid
+//     frame for it exists, a byte-identical re-write does nothing, and
+//     different bytes fail with ErrPurity. Units are pure, so running one
+//     twice, in one process or in several, costs work and never bytes.
 //   - Every file carries a CRC32-framed body; a torn or bit-flipped file
 //     fails verification and reads as "missing", so the shard re-runs
 //     instead of corrupting the merge.
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -96,7 +102,7 @@ func (s *Store) Dir() string { return s.dir }
 // extension. The config hash is part of the name, so checkpoints from a
 // different configuration of the same experiment coexist without ever being
 // confused for each other. The fabric layer reuses the same stem for a
-// unit's lease and aborted-marker files, so every per-unit artifact of one
+// unit's claim and aborted-marker files, so every per-unit artifact of one
 // run sorts and greps together.
 func (m Meta) FileBase() string {
 	return fmt.Sprintf("%s-s%03d-%016x", sanitize(m.Experiment), m.Shard, m.ConfigHash)
@@ -123,22 +129,62 @@ func sanitize(name string) string {
 	}, name)
 }
 
-// Put durably records payload as shard m's completed result, atomically
-// replacing any previous checkpoint for the same identity.
+// ErrPurity reports a write whose identity the store already holds with
+// different bytes. Units are pure functions of their Meta, so honest runs
+// can only ever write identical frames: a mismatch means a broken
+// determinism contract or CRC-colliding corruption, and the run must stop
+// rather than guess which frame is right.
+var ErrPurity = errors.New("checkpoint: store already holds different bytes for the same identity (purity violation)")
+
+// Put durably records payload as shard m's completed result under the
+// store's first-writer-wins rule (see publish): re-putting the bytes the
+// store already holds does nothing, and different bytes fail with
+// ErrPurity. Hooks see every Put that succeeds, including the no-op one.
 func (s *Store) Put(m Meta, payload []byte) error {
 	if s.Hooks != nil {
 		if err := s.Hooks.BeforePut(m); err != nil {
 			return fmt.Errorf("checkpoint: put %s shard %d: %w", m.Experiment, m.Shard, err)
 		}
 	}
-	path := s.path(m)
-	if err := atomicio.WriteFile(path, encode(m, payload), 0o644); err != nil {
+	if _, err := s.publish(m, encode(m, payload)); err != nil {
 		return fmt.Errorf("checkpoint: put %s shard %d: %w", m.Experiment, m.Shard, err)
 	}
 	if s.Hooks != nil {
-		s.Hooks.AfterPut(m, path)
+		s.Hooks.AfterPut(m, s.path(m))
 	}
 	return nil
+}
+
+// publish is the store's one write rule, shared by Put and AdoptFrame:
+// frame, which binds m, is written only when no valid frame for m exists.
+// The first writer wins. A byte-identical frame is AlreadyPresent; a
+// different one fails with ErrPurity and leaves the first in place; a torn
+// file, or another identity's frame under m's name, reads as missing to
+// Get and is replaced (by a plain atomic rename, so only that rare repair
+// is not exclusive).
+func (s *Store) publish(m Meta, frame []byte) (AdoptResult, error) {
+	path := s.path(m)
+	err := atomicio.WriteNew(path, frame, 0o644)
+	if err == nil {
+		return Adopted, nil
+	}
+	if !errors.Is(err, fs.ErrExist) {
+		return RejectedTorn, err
+	}
+	existing, err := os.ReadFile(path)
+	if err != nil {
+		return RejectedTorn, err
+	}
+	if got, _, derr := decode(existing); derr == nil && got == m {
+		if bytes.Equal(existing, frame) {
+			return AlreadyPresent, nil
+		}
+		return RejectedTorn, ErrPurity
+	}
+	if err := atomicio.WriteFile(path, frame, 0o644); err != nil {
+		return RejectedTorn, err
+	}
+	return Adopted, nil
 }
 
 // Get loads shard m's checkpoint. ok is false when no checkpoint exists,
@@ -362,35 +408,19 @@ const (
 )
 
 // AdoptFrame merges one raw checkpoint frame (read from another run's
-// directory) into the store under its canonical name. Torn frames are
-// rejected. If the store already holds a checkpoint for the same identity,
-// the bytes must match exactly: work units are pure functions of their
-// Meta, so two honest runs can only ever produce identical frames — a
-// mismatch means one side is corrupt in a CRC-colliding way or the purity
-// contract is broken, and the merge must stop rather than guess.
+// directory) into the store under its canonical name, by the same
+// first-writer-wins rule as Put. Torn frames are rejected; a frame whose
+// identity the store holds with different bytes fails with ErrPurity.
 func (s *Store) AdoptFrame(data []byte) (Meta, AdoptResult, error) {
 	m, ok := Verify(data)
 	if !ok {
 		return Meta{}, RejectedTorn, nil
 	}
-	existing, err := os.ReadFile(s.path(m))
-	if err == nil {
-		if _, eok := Verify(existing); eok {
-			if bytes.Equal(existing, data) {
-				return m, AlreadyPresent, nil
-			}
-			return m, RejectedTorn, fmt.Errorf(
-				"checkpoint: adopt %s shard %d: store already holds different bytes for the same identity (purity violation or undetected corruption)",
-				m.Experiment, m.Shard)
-		}
-		// Existing file is torn: the incoming verified frame replaces it.
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return m, RejectedTorn, fmt.Errorf("checkpoint: adopt: %w", err)
+	res, err := s.publish(m, data)
+	if err != nil {
+		return m, res, fmt.Errorf("checkpoint: adopt %s shard %d: %w", m.Experiment, m.Shard, err)
 	}
-	if err := atomicio.WriteFile(s.path(m), data, 0o644); err != nil {
-		return m, RejectedTorn, fmt.Errorf("checkpoint: adopt %s shard %d: %w", m.Experiment, m.Shard, err)
-	}
-	return m, Adopted, nil
+	return m, res, nil
 }
 
 // Hash fingerprints a configuration as FNV-1a over its canonical string

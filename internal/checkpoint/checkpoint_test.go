@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,18 +142,46 @@ func TestMetaMismatchReadsAsMissing(t *testing.T) {
 	}
 }
 
-func TestPutOverwrites(t *testing.T) {
+// TestPutFirstWriterWins pins the store's one write rule: an identical
+// re-put is a no-op, different bytes fail with ErrPurity and keep the first
+// frame, and a torn file is replaced.
+func TestPutFirstWriterWins(t *testing.T) {
 	st, _ := checkpoint.Open(t.TempDir())
 	m := testMeta()
 	if err := st.Put(m, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(m, []byte("second")); err != nil {
+	first, err := os.ReadFile(st.Path(m))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := st.Get(m)
-	if err != nil || !ok || string(got) != "second" {
-		t.Fatalf("got %q ok=%v err=%v", got, ok, err)
+	info, err := os.Stat(st.Path(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := st.Put(m, []byte("first")); err != nil {
+		t.Fatalf("identical re-put: %v", err)
+	}
+	if again, err := os.Stat(st.Path(m)); err != nil || !os.SameFile(info, again) {
+		t.Fatalf("identical re-put replaced the file (err %v)", err)
+	}
+
+	if err := st.Put(m, []byte("second")); !errors.Is(err, checkpoint.ErrPurity) {
+		t.Fatalf("different re-put: err = %v, want ErrPurity", err)
+	}
+	if got, err := os.ReadFile(st.Path(m)); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("different re-put changed the stored frame (err %v)", err)
+	}
+
+	if err := os.Truncate(st.Path(m), int64(len(first)/2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(m, []byte("second")); err != nil {
+		t.Fatalf("put over a torn file: %v", err)
+	}
+	if got, ok, err := st.Get(m); err != nil || !ok || string(got) != "second" {
+		t.Fatalf("torn file not replaced: got %q ok=%v err=%v", got, ok, err)
 	}
 }
 
@@ -357,8 +386,8 @@ func TestAdoptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dst.AdoptFrame(conflict); err == nil {
-		t.Fatal("conflicting adopt did not error")
+	if _, _, err := dst.AdoptFrame(conflict); !errors.Is(err, checkpoint.ErrPurity) {
+		t.Fatalf("conflicting adopt: err = %v, want ErrPurity", err)
 	}
 
 	// A torn file already in the store is replaced by a verifying frame.

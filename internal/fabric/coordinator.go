@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"time"
 
 	"randfill/internal/atomicio"
@@ -15,10 +13,10 @@ import (
 
 // ErrCoordinatorHeld reports that another coordinator holds a live lease on
 // the fabric directory; the second coordinator must refuse to start (exit
-// code 5 in cmd/experiments) rather than race dispatch decisions.
+// code 5 in cmd/experiments).
 var ErrCoordinatorHeld = errors.New("fabric: another coordinator holds a live lease")
 
-// CoordinatorConfig configures the single dispatching coordinator.
+// CoordinatorConfig configures the coordinator.
 type CoordinatorConfig struct {
 	// Dir is the fabric root directory.
 	Dir string
@@ -28,63 +26,24 @@ type CoordinatorConfig struct {
 	Plan Plan
 	// Store is the shared checkpoint store on Layout.CheckpointDir.
 	Store *checkpoint.Store
-	// TTL is the lease duration granted to units and to the coordinator's
-	// own lease.
+	// TTL is the coordinator lease's duration; it is renewed every TTL/3.
 	TTL time.Duration
 	// Poll is the scan interval.
 	Poll time.Duration
-	// BackoffBase is the first re-dispatch delay after an observed expiry;
-	// it doubles per attempt up to BackoffMax. Zero defaults to Poll.
-	BackoffBase time.Duration
-	// BackoffMax caps the re-dispatch delay. Zero defaults to 8*BackoffBase.
-	BackoffMax time.Duration
-	// MaxPerWorker caps outstanding leases per live worker. Zero means 2.
-	MaxPerWorker int
 	// Clock supplies wall-clock reads; nil means SystemClock.
 	Clock Clock
-	// AfterLeaseWrite runs after each dispatched lease becomes visible
-	// (torn-lease fault hook).
-	AfterLeaseWrite func(path string)
+	// AfterClaimWrite runs after each coordinator lease write becomes
+	// visible (torn-lease fault hook).
+	AfterClaimWrite func(path string)
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
 
 // CoordinatorResult summarizes a coordinator run.
 type CoordinatorResult struct {
-	// Epoch is the coordinator generation this run fenced itself into.
-	Epoch uint64
-	// Dispatched counts lease grants, including re-dispatches.
-	Dispatched int
-	// Redispatched counts grants beyond a unit's first.
+	// Redispatched counts unit claims the coordinator saw lost — expired,
+	// or taken over by another worker — each counted once.
 	Redispatched int
-	// AbortedFirst counts units dispatched early due to aborted markers.
-	AbortedFirst int
-}
-
-func (c CoordinatorConfig) clock() Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return SystemClock()
-}
-
-func (c CoordinatorConfig) backoff(attempts int) time.Duration {
-	base := c.BackoffBase
-	if base <= 0 {
-		base = c.Poll
-	}
-	max := c.BackoffMax
-	if max <= 0 {
-		max = 8 * base
-	}
-	d := base
-	for i := 1; i < attempts && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
 }
 
 func (c CoordinatorConfig) logf(format string, args ...any) {
@@ -93,84 +52,41 @@ func (c CoordinatorConfig) logf(format string, args ...any) {
 	}
 }
 
-// coordState is the coordinator's in-memory dispatch bookkeeping. It is
-// advisory: a restarted coordinator rebuilds what it needs from the lease
-// files, and anything it cannot rebuild (per-unit attempt counts) only
-// weakens backoff, never correctness.
-type coordState struct {
-	issued       []uint64    // highest generation this coordinator issued per unit
-	attempts     []int       // dispatch count per unit
-	expiredSince []time.Time // first tick the current lease was seen expired
-}
-
-// RunCoordinator acquires the coordinator lease (fencing any expired
-// predecessor, refusing a live one with ErrCoordinatorHeld), dispatches
-// unit leases to live workers until every unit has a verified checkpoint,
-// then writes the done marker. On context cancellation it returns ctx.Err()
-// with all leases left in place for a successor.
+// RunCoordinator acquires the coordinator lease (refusing a live one held
+// by someone else with ErrCoordinatorHeld) and waits until every unit has
+// a verified checkpoint, counting lost claims as re-dispatches, then writes
+// the done marker. It dispatches nothing: workers schedule themselves. On
+// context cancellation it returns ctx.Err().
 func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (CoordinatorResult, error) {
 	var res CoordinatorResult
 	if cfg.TTL <= 0 || cfg.Poll <= 0 {
 		return res, errors.New("fabric: coordinator needs positive TTL and Poll")
 	}
-	if cfg.MaxPerWorker <= 0 {
-		cfg.MaxPerWorker = 2
-	}
 	layout := Layout{Root: cfg.Dir}
 	if err := layout.Prepare(); err != nil {
 		return res, err
 	}
-	clock := cfg.clock()
-
-	epoch, counter, err := acquireCoordinator(layout, cfg, clock)
-	if err != nil {
+	clock := clockOr(cfg.Clock)
+	if err := acquireCoordinator(layout, cfg, clock); err != nil {
 		return res, err
 	}
-	res.Epoch = epoch
-	cfg.logf("acquired fabric %s at epoch %d (generation counter %d)", cfg.Dir, epoch, counter)
+	cfg.logf("acquired fabric %s", cfg.Dir)
 
 	metas := cfg.Plan.Metas()
-	st := coordState{
-		issued:       make([]uint64, len(metas)),
-		attempts:     make([]int, len(metas)),
-		expiredSince: make([]time.Time, len(metas)),
-	}
-	// A fresh coordinator must never issue a generation at or below one a
-	// predecessor issued: start the counter above every surviving lease.
-	for i, m := range metas {
-		if l, ok, _ := readLease(layout.UnitLease(m.FileBase())); ok && l.Kind == KindUnit {
-			st.issued[i] = l.Generation
-			if l.Generation > counter {
-				counter = l.Generation
-			}
-			st.attempts[i] = 1 // unknown true count; backoff starts at base
-		}
-	}
-
-	var lastRenew time.Time
-	renewCoordinator := func() error {
-		now := clock()
-		if !lastRenew.IsZero() && now.Sub(lastRenew) < cfg.TTL/3 {
-			return nil
-		}
-		// Persist the counter on every renewal so a takeover continues the
-		// generation sequence instead of restarting it.
-		if err := writeLease(layout.CoordinatorLease(), Lease{
-			Kind: KindCoordinator, Owner: cfg.ID, Generation: epoch,
-			Deadline: now.Add(cfg.TTL).UnixNano(), Counter: counter,
-		}, nil); err != nil {
-			return err
-		}
-		lastRenew = now
-		return nil
-	}
-
+	watches := make([]claimWatch, len(metas))
+	lastRenew := clock()
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		if err := renewCoordinator(); err != nil {
-			return res, err
+		now := clock()
+		if now.Sub(lastRenew) >= cfg.TTL/3 {
+			if err := writeClaim(layout.CoordinatorLease(), Claim{
+				Owner: cfg.ID, Deadline: now.Add(cfg.TTL).UnixNano(),
+			}, false, cfg.AfterClaimWrite); err != nil {
+				return res, err
+			}
+			lastRenew = now
 		}
 
 		done, err := cfg.Store.Complete(metas)
@@ -178,15 +94,21 @@ func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (CoordinatorResu
 			return res, err
 		}
 		remaining := 0
-		for i, ok := range done {
-			if !ok {
-				remaining++
+		for i, m := range metas {
+			if done[i] {
 				continue
 			}
-			// Completed units need no lease or marker any longer.
-			//lint:ignore errcheck-io best-effort cleanup of a completed unit's lease; a leftover lease is ignored once the checkpoint verifies
-			os.Remove(layout.UnitLease(metas[i].FileBase()))
-			ClearAborted(cfg.Store.Dir(), metas[i])
+			remaining++
+			c, ok, err := readClaim(layout.UnitClaim(m.FileBase()))
+			if err != nil {
+				return res, err
+			}
+			if ok && c.Unit == m {
+				if prev, lost := watches[i].observe(c, now); lost {
+					res.Redispatched++
+					cfg.logf("unit %d: claim of %s lost; counting a re-dispatch", i, prev)
+				}
+			}
 		}
 		if remaining == 0 {
 			if err := atomicio.WriteFile(layout.DonePath(), []byte("done\n"), 0o644); err != nil {
@@ -195,187 +117,61 @@ func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (CoordinatorResu
 			cfg.logf("all %d units checkpointed; done marker written", len(metas))
 			return res, nil
 		}
-
-		if err := dispatchTick(ctx, cfg, layout, clock, metas, done, &st, &counter, &res); err != nil {
-			return res, err
-		}
 		sleepCtx(ctx, cfg.Poll)
 	}
 }
 
-// acquireCoordinator takes or takes over the coordinator lease. A live
-// lease held by someone else yields ErrCoordinatorHeld; an expired or
-// absent one is claimed at the next epoch with the predecessor's persisted
-// generation counter carried forward.
-func acquireCoordinator(layout Layout, cfg CoordinatorConfig, clock Clock) (epoch, counter uint64, err error) {
-	prev, ok, err := readLease(layout.CoordinatorLease())
-	if err != nil {
-		return 0, 0, err
-	}
-	now := clock()
-	if ok && prev.Kind == KindCoordinator {
-		if prev.Owner != cfg.ID && !prev.Expired(now) {
-			return 0, 0, fmt.Errorf("%w: %q until %s", ErrCoordinatorHeld,
-				prev.Owner, time.Unix(0, prev.Deadline).UTC().Format(time.RFC3339))
-		}
-		epoch, counter = prev.Generation, prev.Counter
-	}
-	epoch++
-	if err := writeLease(layout.CoordinatorLease(), Lease{
-		Kind: KindCoordinator, Owner: cfg.ID, Generation: epoch,
-		Deadline: now.Add(cfg.TTL).UnixNano(), Counter: counter,
-	}, nil); err != nil {
-		return 0, 0, err
-	}
-	// Read back: two starters racing past the liveness check serialize on
-	// the atomic rename — the loser sees the winner's lease and refuses.
-	cur, ok, err := readLease(layout.CoordinatorLease())
-	if err != nil {
-		return 0, 0, err
-	}
-	if !ok || cur.Owner != cfg.ID || cur.Generation != epoch {
-		return 0, 0, fmt.Errorf("%w: lost acquisition race to %q", ErrCoordinatorHeld, cur.Owner)
-	}
-	return epoch, counter, nil
-}
-
-// dispatchTick runs one scan-and-dispatch pass.
-func dispatchTick(ctx context.Context, cfg CoordinatorConfig, layout Layout, clock Clock, metas []checkpoint.Meta, done []bool, st *coordState, counter *uint64, res *CoordinatorResult) error {
-	now := clock()
-	workers, load, err := liveWorkers(layout, cfg.Plan, now)
+// acquireCoordinator takes the coordinator lease unless someone else holds
+// a live one, which yields ErrCoordinatorHeld. An expired, torn or absent
+// lease is simply taken over.
+func acquireCoordinator(layout Layout, cfg CoordinatorConfig, clock Clock) error {
+	prev, ok, err := readClaim(layout.CoordinatorLease())
 	if err != nil {
 		return err
 	}
-	if len(workers) == 0 {
-		return nil
+	now := clock()
+	if ok && prev.Owner != cfg.ID && !prev.Expired(now) {
+		return fmt.Errorf("%w: %q until %s", ErrCoordinatorHeld,
+			prev.Owner, time.Unix(0, prev.Deadline).UTC().Format(time.RFC3339))
 	}
-
-	// Aborted markers promote their units to the front of the dispatch
-	// order: a dead process already sank time into them.
-	abortedSet := make(map[int]bool)
-	for _, m := range ScanAborted(cfg.Store.Dir()) {
-		if i := cfg.Plan.unitIndex(m); i >= 0 {
-			abortedSet[i] = true
-		}
+	if err := writeClaim(layout.CoordinatorLease(), Claim{
+		Owner: cfg.ID, Deadline: now.Add(cfg.TTL).UnixNano(),
+	}, false, cfg.AfterClaimWrite); err != nil {
+		return err
 	}
-	order := make([]int, 0, len(metas))
-	for i := range metas {
-		if !done[i] && abortedSet[i] {
-			order = append(order, i)
-		}
+	// Read back: two starters racing past the liveness check serialize on
+	// the atomic rename — the loser sees the winner's lease and refuses. A
+	// torn read-back (the torn-lease fault) is not a loss.
+	cur, ok, err := readClaim(layout.CoordinatorLease())
+	if err != nil {
+		return err
 	}
-	for i := range metas {
-		if !done[i] && !abortedSet[i] {
-			order = append(order, i)
-		}
-	}
-
-	for _, i := range order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		leasePath := layout.UnitLease(metas[i].FileBase())
-		l, ok, err := readLease(leasePath)
-		if err != nil {
-			return err
-		}
-		live := ok && l.Kind == KindUnit && !l.Expired(now) && l.Generation >= st.issued[i]
-		if live {
-			st.expiredSince[i] = time.Time{}
-			continue
-		}
-		// Absent, torn, expired, or clobbered by a stale lower-generation
-		// renewal (the coordinator's issued[] watermark detects the last
-		// case: the on-disk generation regressed below what it granted).
-		if st.attempts[i] > 0 {
-			if st.expiredSince[i].IsZero() {
-				st.expiredSince[i] = now
-			}
-			if now.Sub(st.expiredSince[i]) < cfg.backoff(st.attempts[i]) {
-				continue // exponential backoff before re-dispatch
-			}
-		}
-		target := pickWorker(workers, load, cfg.MaxPerWorker)
-		if target == "" {
-			continue // every live worker is at capacity
-		}
-		*counter++
-		if err := writeLease(leasePath, Lease{
-			Kind: KindUnit, Owner: target, Generation: *counter,
-			Deadline: now.Add(cfg.TTL).UnixNano(), Unit: metas[i],
-		}, cfg.AfterLeaseWrite); err != nil {
-			return err
-		}
-		st.issued[i] = *counter
-		st.attempts[i]++
-		st.expiredSince[i] = time.Time{}
-		load[target]++
-		res.Dispatched++
-		if st.attempts[i] > 1 {
-			res.Redispatched++
-			cfg.logf("re-dispatched unit %d to %s (gen %d, attempt %d)", i, target, *counter, st.attempts[i])
-		} else {
-			cfg.logf("dispatched unit %d to %s (gen %d)", i, target, *counter)
-		}
-		if abortedSet[i] {
-			res.AbortedFirst++
-		}
+	if ok && cur.Owner != cfg.ID {
+		return fmt.Errorf("%w: lost acquisition race to %q", ErrCoordinatorHeld, cur.Owner)
 	}
 	return nil
 }
 
-// liveWorkers scans registration heartbeats and current unit leases,
-// returning the sorted ids of unexpired workers and each one's outstanding
-// lease count.
-func liveWorkers(layout Layout, plan Plan, now time.Time) ([]string, map[string]int, error) {
-	entries, err := os.ReadDir(layout.WorkerDir())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
-	}
-	var ids []string
-	for _, e := range entries {
-		l, ok, err := readLease(layout.WorkerDir() + string(os.PathSeparator) + e.Name())
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok && l.Kind == KindWorker && !l.Expired(now) {
-			ids = append(ids, l.Owner)
-		}
-	}
-	sort.Strings(ids)
-
-	load := make(map[string]int, len(ids))
-	for _, id := range ids {
-		load[id] = 0
-	}
-	lentries, err := os.ReadDir(layout.LeaseDir())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
-	}
-	for _, e := range lentries {
-		l, ok, err := readLease(layout.UnitLease(trimLease(e.Name())))
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok && l.Kind == KindUnit && !l.Expired(now) && plan.unitIndex(l.Unit) >= 0 {
-			if _, live := load[l.Owner]; live {
-				load[l.Owner]++
-			}
-		}
-	}
-	return ids, load, nil
+// claimWatch follows one unit's claim across coordinator polls so that
+// each lost claim counts once as a re-dispatch.
+type claimWatch struct {
+	owner string // holder of the last claim seen
+	lost  bool   // that claim was already counted as lost
 }
 
-// pickWorker returns the least-loaded live worker under the cap,
-// lexicographically smallest id on ties (ids is sorted) — deterministic
-// given the same scan, which keeps multi-process test runs reproducible in
-// their scheduling decisions even though results never depend on them.
-func pickWorker(ids []string, load map[string]int, cap int) string {
-	best, bestLoad := "", cap
-	for _, id := range ids {
-		if load[id] < bestLoad {
-			best, bestLoad = id, load[id]
-		}
+// observe records the unit's current claim c and reports whether it shows
+// the previous holder's claim lost: expired, or replaced by another
+// owner's. prev names the holder that lost it.
+func (w *claimWatch) observe(c Claim, now time.Time) (prev string, lost bool) {
+	prev = w.owner
+	if c.Owner != w.owner {
+		lost = w.owner != "" && !w.lost
+		w.owner, w.lost = c.Owner, false
 	}
-	return best
+	expired := c.Expired(now)
+	if expired && !w.lost {
+		prev, lost = c.Owner, true
+	}
+	w.lost = expired
+	return prev, lost
 }

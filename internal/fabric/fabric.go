@@ -1,46 +1,39 @@
-// Package fabric is the multi-process experiment coordinator layered on the
-// checkpoint store: a fleet of worker processes executes one experiment's
-// work units, with a single coordinator handing units out through
-// CRC-framed lease files. There is no network stack — the shared filesystem
-// (the fabric directory) is the bus, and every file that crosses a process
-// boundary goes through internal/atomicio, so a crash at any instant leaves
-// either a complete artifact or a verifiably torn one.
+// Package fabric runs one experiment's work units across several processes
+// over a shared directory, the fabric directory. There is no network stack:
+// the filesystem is the bus, and every file that crosses a process boundary
+// goes through internal/atomicio, so a crash at any instant leaves either a
+// complete artifact or a verifiably torn one.
 //
-// Robustness model — workers that die, stall, or double-claim must only
-// ever cost work, never correctness:
+// Correctness rests on one rule, in the checkpoint store rather than here:
+// checkpoint.Store.Put writes a unit's frame only when no valid frame for
+// it exists, and a different frame for the same unit fails with
+// checkpoint.ErrPurity. Units are pure functions of their Meta, so running
+// a unit twice, or in two processes at once, costs work and never bytes.
+// Everything in this package only saves work:
 //
-//   - A unit lease names its owner, a generation, and a deadline. Workers
-//     renew their leases (heartbeat); a lease whose deadline passes without
-//     renewal is expired and the coordinator re-dispatches the unit with
-//     the next (strictly higher) generation after an exponential backoff.
-//   - Generation fencing: a revoked straggler discovers the newer
-//     generation at its next renewal or at checkpoint-publish time. Its
-//     late checkpoint write is discarded — or accepted if and only if it is
-//     byte-identical to what the store already holds, which the determinism
-//     contract (a unit is a pure function of its Meta) guarantees for
-//     honest runs. A same-identity checkpoint with *different* bytes is a
-//     purity violation and fails the run loudly.
-//   - Torn or corrupt lease files read as absent (same discipline as torn
-//     checkpoints): the coordinator simply re-leases the unit. Corruption
-//     costs work, never correctness.
-//   - A second coordinator on a live fabric directory refuses to start; on
-//     an expired one it fences the old coordinator by taking over with a
-//     higher epoch and a generation counter strictly above every lease the
-//     old coordinator could have issued.
-//   - The final output is rendered from the checkpoint store alone (the
-//     resume path), so the merged table is byte-identical to a
-//     single-process run regardless of which worker computed which unit,
-//     how many died, or how often units were re-dispatched.
+//   - Claims are advisory. A worker claims a unit by publishing a
+//     CRC-framed claim file naming itself, a deadline and the unit, and
+//     renews it every TTL/3 while the unit runs. A torn or expired claim
+//     reads as absent, and any worker may take it over. Nothing fences a
+//     worker that lost its claim: its late Put is a byte-identical no-op.
+//   - Workers schedule themselves from the Plan: each takes the first unit,
+//     aborted ones first and then in unit order, that has neither a
+//     checkpoint nor a live claim by another worker.
+//   - The coordinator is optional. It holds coordinator.lease (a second
+//     live coordinator refuses to start), waits for every unit to be
+//     checkpointed while counting lost claims as re-dispatches, and writes
+//     the done marker. The final table is rendered from the store alone, so
+//     it is byte-identical to a single-process run whichever worker
+//     computed which unit, how many died, or how often a unit re-ran.
 //
 // Directory layout under the fabric dir F:
 //
 //	F/ckpt/                 the shared checkpoint.Store (one file per unit)
 //	F/ckpt/aborted/         best-effort markers for units in flight when a
-//	                        worker was hard-killed; re-dispatched first
-//	F/leases/<unit>.lease   current lease for a unit (atomic rename replaces)
-//	F/workers/<id>.lease    worker registration heartbeats
-//	F/coordinator.lease     the coordinator's own lease: epoch + the
-//	                        persisted generation counter
+//	                        process was hard-killed; workers take them first
+//	F/claims/<unit>.claim   the current claim on a unit (atomic rename
+//	                        replaces; removed once the unit is checkpointed)
+//	F/coordinator.lease     the coordinator's own claim on the directory
 //	F/done                  written when every unit has a verified checkpoint
 //
 // DESIGN.md §14 documents the protocol, frame format, and exit codes.
@@ -53,7 +46,7 @@ import (
 )
 
 // Clock abstracts wall-clock reads so tests (and the clock-skew fault) can
-// shift a process's notion of time. Lease deadlines are wall-clock times:
+// shift a process's notion of time. Claim deadlines are wall-clock times:
 // the fabric is a robustness layer, not a results layer — no simulator or
 // experiment state ever depends on these reads, which is why the one
 // time.Now call below carries a lint suppression instead of feeding
@@ -63,7 +56,7 @@ type Clock func() time.Time
 // SystemClock reads the real wall clock.
 func SystemClock() Clock {
 	return func() time.Time {
-		//lint:ignore detrand lease deadlines are wall-clock by nature; they schedule work and never feed simulator or experiment state
+		//lint:ignore detrand claim deadlines are wall-clock by nature; they schedule work and never feed simulator or experiment state
 		return time.Now()
 	}
 }
@@ -81,31 +74,23 @@ type Layout struct{ Root string }
 // CheckpointDir is the shared store directory.
 func (l Layout) CheckpointDir() string { return filepath.Join(l.Root, "ckpt") }
 
-// LeaseDir holds the per-unit lease files.
-func (l Layout) LeaseDir() string { return filepath.Join(l.Root, "leases") }
+// ClaimDir holds the per-unit claim files.
+func (l Layout) ClaimDir() string { return filepath.Join(l.Root, "claims") }
 
-// WorkerDir holds worker registration heartbeats.
-func (l Layout) WorkerDir() string { return filepath.Join(l.Root, "workers") }
-
-// CoordinatorLease is the coordinator's own lease file.
+// CoordinatorLease is the coordinator's own claim file.
 func (l Layout) CoordinatorLease() string { return filepath.Join(l.Root, "coordinator.lease") }
 
 // DonePath is the all-units-complete marker.
 func (l Layout) DonePath() string { return filepath.Join(l.Root, "done") }
 
-// UnitLease is the lease file for one unit.
-func (l Layout) UnitLease(base string) string {
-	return filepath.Join(l.LeaseDir(), base+".lease")
-}
-
-// WorkerLease is worker id's registration file.
-func (l Layout) WorkerLease(id string) string {
-	return filepath.Join(l.WorkerDir(), sanitizeID(id)+".lease")
+// UnitClaim is the claim file for one unit.
+func (l Layout) UnitClaim(base string) string {
+	return filepath.Join(l.ClaimDir(), base+".claim")
 }
 
 // Prepare creates the fabric directory tree.
 func (l Layout) Prepare() error {
-	for _, d := range []string{l.Root, l.CheckpointDir(), l.LeaseDir(), l.WorkerDir(), AbortDir(l.CheckpointDir())} {
+	for _, d := range []string{l.Root, l.CheckpointDir(), l.ClaimDir(), AbortDir(l.CheckpointDir())} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return err
 		}
@@ -113,22 +98,10 @@ func (l Layout) Prepare() error {
 	return nil
 }
 
-// Done reports whether the done marker exists.
-func (l Layout) Done() bool {
-	_, err := os.Stat(l.DonePath())
-	return err == nil
-}
-
-// sanitizeID maps a worker/coordinator id to a safe file-name fragment.
-func sanitizeID(id string) string {
-	out := make([]rune, 0, len(id))
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
+// clockOr returns c, or the system clock when c is nil.
+func clockOr(c Clock) Clock {
+	if c != nil {
+		return c
 	}
-	return string(out)
+	return SystemClock()
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 )
 
 // testClock is a manually advanced clock shared by every process-in-a-test;
-// nothing in these tests reads the wall clock, so lease expiry is exact.
+// the tests that use it never read the wall clock, so claim expiry is
+// exact.
 type testClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -71,590 +73,356 @@ func openStore(t *testing.T, dir string) *checkpoint.Store {
 	return st
 }
 
-func TestLeaseRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "u.lease")
-	want := Lease{
-		Kind: KindUnit, Owner: "worker-3", Generation: 17,
-		Deadline: 123456789, Counter: 99,
-		Unit: checkpoint.Meta{Experiment: "Figure2", Shard: 5, Seed: 7, ConfigHash: 0xdead, StreamVersion: 2},
+// newWorker builds a worker loop's state without running it, so a test can
+// drive its scan, claim and renewal steps one at a time.
+func newWorker(layout Layout, id string, plan Plan, store *checkpoint.Store, clk *testClock) *worker {
+	return &worker{
+		cfg:    WorkerConfig{Dir: layout.Root, ID: id, Plan: plan, Store: store, TTL: time.Minute, Poll: time.Millisecond},
+		layout: layout, clock: clk.Now, metas: plan.Metas(),
 	}
-	if err := writeLease(path, want, nil); err != nil {
+}
+
+func prepared(t *testing.T) Layout {
+	t.Helper()
+	layout := Layout{Root: t.TempDir()}
+	if err := layout.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := readLease(path)
+	return layout
+}
+
+func TestClaimRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "u.claim")
+	want := Claim{
+		Owner: "worker-3", Deadline: 123456789,
+		Unit: checkpoint.Meta{Experiment: "Figure2", Shard: 5, Seed: 7, ConfigHash: 0xdead, StreamVersion: 2},
+	}
+	if err := writeClaim(path, want, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := readClaim(path)
 	if err != nil || !ok {
-		t.Fatalf("readLease: ok=%v err=%v", ok, err)
+		t.Fatalf("readClaim: ok=%v err=%v", ok, err)
 	}
 	if got != want {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestTornLeaseReadsAsAbsent is satellite 3's torn-file case: truncated,
-// bit-flipped, garbage, and empty lease files must all read as absent —
-// never as an error, never as a lease.
-func TestTornLeaseReadsAsAbsent(t *testing.T) {
+// TestTornClaimReadsAsAbsent: truncated, bit-flipped, garbage, and empty
+// claim files must all read as absent — never as an error, never as a
+// claim.
+func TestTornClaimReadsAsAbsent(t *testing.T) {
 	dir := t.TempDir()
-	valid := encodeLease(Lease{Kind: KindUnit, Owner: "w", Generation: 3, Deadline: 10})
+	valid := encodeClaim(Claim{Owner: "w", Deadline: 10})
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"truncated", valid[:len(valid)-3]},
 		{"bitflip", append(append([]byte{}, valid[:20]...), valid[20]^0x40)},
-		{"garbage", []byte("not a lease at all")},
+		{"garbage", []byte("not a claim at all")},
 		{"empty", []byte{}},
 		{"badmagic", append([]byte("WRONGMAG"), valid[8:]...)},
 	}
 	for _, tc := range cases {
-		name, data := tc.name, tc.data
-		path := filepath.Join(dir, name+".lease")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		path := filepath.Join(dir, tc.name+".claim")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, ok, err := readLease(path)
+		c, ok, err := readClaim(path)
 		if err != nil {
-			t.Errorf("%s: unexpected error %v", name, err)
+			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
 		if ok {
-			t.Errorf("%s: torn lease read as present: %+v", name, l)
+			t.Errorf("%s: torn claim read as present: %+v", tc.name, c)
 		}
 	}
 	// A missing file is equally absent.
-	if _, ok, err := readLease(filepath.Join(dir, "missing.lease")); ok || err != nil {
+	if _, ok, err := readClaim(filepath.Join(dir, "missing.claim")); ok || err != nil {
 		t.Errorf("missing: ok=%v err=%v, want absent", ok, err)
 	}
 }
 
-// TestSecondCoordinatorRefuses is satellite 3's two-coordinators case: a
-// second coordinator on a fabric dir with a live coordinator lease must
-// refuse with ErrCoordinatorHeld.
+// TestSecondCoordinatorRefuses: a second coordinator on a fabric dir with a
+// live coordinator lease must refuse with ErrCoordinatorHeld.
 func TestSecondCoordinatorRefuses(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+	layout := prepared(t)
 	clk := newTestClock()
-	if err := writeLease(layout.CoordinatorLease(), Lease{
-		Kind: KindCoordinator, Owner: "coord-A", Generation: 4,
-		Deadline: clk.Now().Add(time.Hour).UnixNano(), Counter: 31,
-	}, nil); err != nil {
+	if err := writeClaim(layout.CoordinatorLease(), Claim{
+		Owner: "coord-A", Deadline: clk.Now().Add(time.Hour).UnixNano(),
+	}, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := CoordinatorConfig{Dir: dir, ID: "coord-B", TTL: time.Hour, Poll: time.Millisecond, Clock: clk.Now}
-	_, _, err := acquireCoordinator(layout, cfg, clk.Now)
-	if !errors.Is(err, ErrCoordinatorHeld) {
+	cfg := CoordinatorConfig{Dir: layout.Root, ID: "coord-B", TTL: time.Hour, Poll: time.Millisecond, Clock: clk.Now}
+	if err := acquireCoordinator(layout, cfg, clk.Now); !errors.Is(err, ErrCoordinatorHeld) {
 		t.Fatalf("second coordinator: got err %v, want ErrCoordinatorHeld", err)
 	}
 	// RunCoordinator surfaces the same refusal.
-	if _, err := RunCoordinator(context.Background(), CoordinatorConfig{
-		Dir: dir, ID: "coord-B", Plan: testPlan("X", 1),
-		Store: openStore(t, layout.CheckpointDir()),
-		TTL:   time.Hour, Poll: time.Millisecond, Clock: clk.Now,
-	}); !errors.Is(err, ErrCoordinatorHeld) {
+	cfg.Plan, cfg.Store = testPlan("X", 1), openStore(t, layout.CheckpointDir())
+	if _, err := RunCoordinator(context.Background(), cfg); !errors.Is(err, ErrCoordinatorHeld) {
 		t.Fatalf("RunCoordinator: got err %v, want ErrCoordinatorHeld", err)
 	}
 }
 
-// TestCoordinatorTakesOverExpired: an expired coordinator lease is fenced
-// by taking the next epoch while continuing the generation counter.
+// TestCoordinatorTakesOverExpired: an expired or torn coordinator lease is
+// taken over, and the lease then names the new coordinator.
 func TestCoordinatorTakesOverExpired(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+	layout := prepared(t)
 	clk := newTestClock()
-	if err := writeLease(layout.CoordinatorLease(), Lease{
-		Kind: KindCoordinator, Owner: "coord-A", Generation: 4,
-		Deadline: clk.Now().Add(-time.Second).UnixNano(), Counter: 31,
-	}, nil); err != nil {
+	if err := writeClaim(layout.CoordinatorLease(), Claim{
+		Owner: "coord-A", Deadline: clk.Now().Add(-time.Second).UnixNano(),
+	}, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := CoordinatorConfig{Dir: dir, ID: "coord-B", TTL: time.Hour, Poll: time.Millisecond, Clock: clk.Now}
-	epoch, counter, err := acquireCoordinator(layout, cfg, clk.Now)
-	if err != nil {
+	cfg := CoordinatorConfig{Dir: layout.Root, ID: "coord-B", TTL: time.Hour, Poll: time.Millisecond, Clock: clk.Now}
+	if err := acquireCoordinator(layout, cfg, clk.Now); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
-	if epoch != 5 {
-		t.Errorf("epoch = %d, want 5 (predecessor's 4 + 1)", epoch)
+	c, ok, err := readClaim(layout.CoordinatorLease())
+	if err != nil || !ok || c.Owner != "coord-B" || c.Deadline != clk.Now().Add(time.Hour).UnixNano() {
+		t.Fatalf("lease after takeover = %+v ok=%v err=%v, want coord-B's for one TTL", c, ok, err)
 	}
-	if counter != 31 {
-		t.Errorf("counter = %d, want 31 carried over", counter)
-	}
-	// A torn coordinator lease reads as absent: takeover from epoch 0.
+	// A torn coordinator lease reads as absent and is taken over too.
 	if err := os.WriteFile(layout.CoordinatorLease(), []byte("torn!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	epoch, counter, err = acquireCoordinator(layout, cfg, clk.Now)
-	if err != nil || epoch != 1 || counter != 0 {
-		t.Errorf("torn coordinator lease: epoch=%d counter=%d err=%v, want 1, 0, nil", epoch, counter, err)
+	cfg.ID = "coord-C"
+	if err := acquireCoordinator(layout, cfg, clk.Now); err != nil {
+		t.Fatalf("takeover of a torn lease: %v", err)
 	}
 }
 
-// TestExpiredThenRenewedRace is satellite 3's race case: a lease expires,
-// but its holder renews (same generation) before the coordinator's backoff
-// elapses. The coordinator must honor the revived lease — expiry is
-// resolved by generation, not by the deadline alone.
+// TestExpiredThenRenewedRace: a claim that expired but was renewed by its
+// holder before anyone took it over is live again, and other workers leave
+// the unit alone. Once another worker takes over an expired claim, the old
+// holder's renewal backs off instead of clobbering the live claim.
 func TestExpiredThenRenewedRace(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+	layout := prepared(t)
 	clk := newTestClock()
 	plan := testPlan("Race", 1)
-	meta := plan.Meta(0)
-	leasePath := layout.UnitLease(meta.FileBase())
 	store := openStore(t, layout.CheckpointDir())
+	a := newWorker(layout, "A", plan, store, clk)
+	b := newWorker(layout, "B", plan, store, clk)
 
-	cfg := CoordinatorConfig{
-		Dir: dir, ID: "coord", Plan: plan, Store: store,
-		TTL: time.Minute, Poll: time.Second,
-		BackoffBase: 10 * time.Second, MaxPerWorker: 2, Clock: clk.Now,
+	if ok, err := a.claim(0); err != nil || !ok {
+		t.Fatalf("A's claim: ok=%v err=%v", ok, err)
 	}
-	// Live worker registration so dispatch has a target.
-	if err := writeLease(layout.WorkerLease("w1"), Lease{
-		Kind: KindWorker, Owner: "w1", Deadline: clk.Now().Add(time.Hour).UnixNano(),
-	}, nil); err != nil {
-		t.Fatal(err)
+	clk.Advance(2 * time.Minute) // A's claim expires unrenewed
+	if ok, err := a.claim(0); err != nil || !ok {
+		t.Fatalf("A could not renew its expired, untaken claim: ok=%v err=%v", ok, err)
 	}
-	// The unit's lease was issued at generation 7 and has expired.
-	if err := writeLease(leasePath, Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 7,
-		Deadline: clk.Now().Add(-time.Second).UnixNano(), Unit: meta,
-	}, nil); err != nil {
-		t.Fatal(err)
+	if idx, done, err := b.next(); err != nil || idx != -1 || done {
+		t.Fatalf("B's scan after A's renewal: idx=%d done=%v err=%v, want nothing to take", idx, done, err)
 	}
 
-	st := coordState{issued: []uint64{7}, attempts: []int{1}, expiredSince: []time.Time{{}}}
-	counter := uint64(7)
-	var res CoordinatorResult
-	metas := plan.Metas()
-
-	// Tick 1: coordinator observes the expiry but backoff gates re-dispatch.
-	if err := dispatchTick(context.Background(), cfg, layout, clk.Now, metas, []bool{false}, &st, &counter, &res); err != nil {
-		t.Fatal(err)
+	clk.Advance(2 * time.Minute) // expired again; this time B takes it over
+	if idx, _, err := b.next(); err != nil || idx != 0 {
+		t.Fatalf("B's scan of an expired claim: idx=%d err=%v, want unit 0", idx, err)
 	}
-	if res.Dispatched != 0 {
-		t.Fatalf("dispatched during backoff window: %+v", res)
+	if ok, err := b.claim(0); err != nil || !ok {
+		t.Fatalf("B's takeover: ok=%v err=%v", ok, err)
 	}
-	if st.expiredSince[0].IsZero() {
-		t.Fatal("expiry not recorded")
+	if ok, err := a.claim(0); err != nil || ok {
+		t.Fatalf("A renewed over B's live claim: ok=%v err=%v", ok, err)
 	}
-
-	// The straggler renews at its original generation before backoff ends.
-	if err := writeLease(leasePath, Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 7,
-		Deadline: clk.Now().Add(time.Minute).UnixNano(), Unit: meta,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tick 2 (even past the backoff): the lease is live again at a
-	// generation >= issued, so the coordinator must not re-dispatch.
-	clk.Advance(15 * time.Second)
-	if err := writeLease(leasePath, Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 7,
-		Deadline: clk.Now().Add(time.Minute).UnixNano(), Unit: meta,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := dispatchTick(context.Background(), cfg, layout, clk.Now, metas, []bool{false}, &st, &counter, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Dispatched != 0 || counter != 7 {
-		t.Fatalf("revived lease re-dispatched: res=%+v counter=%d", res, counter)
-	}
-	if !st.expiredSince[0].IsZero() {
-		t.Error("expiry mark not cleared after revival")
+	if c, ok, _ := readClaim(layout.UnitClaim(plan.Meta(0).FileBase())); !ok || c.Owner != "B" {
+		t.Fatalf("claim after A's renewal attempt = %+v ok=%v, want B's", c, ok)
 	}
 }
 
-// TestExpiredLeaseRedispatchedWithBackoff: without a renewal, an expired
-// lease is re-dispatched at a strictly higher generation, but only after
-// the exponential backoff elapses.
-func TestExpiredLeaseRedispatchedWithBackoff(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+// TestExpiredClaimTakenOver: a dead worker's claim expires, a live worker
+// takes the unit over and runs it, and the coordinator's watch counts the
+// lost claim exactly once — whether it sees the expiry or only the new
+// owner.
+func TestExpiredClaimTakenOver(t *testing.T) {
+	layout := prepared(t)
 	clk := newTestClock()
-	plan := testPlan("Backoff", 1)
+	plan := testPlan("Takeover", 1)
 	meta := plan.Meta(0)
 	store := openStore(t, layout.CheckpointDir())
-	cfg := CoordinatorConfig{
-		Dir: dir, ID: "coord", Plan: plan, Store: store,
-		TTL: time.Minute, Poll: time.Second,
-		BackoffBase: 10 * time.Second, MaxPerWorker: 2, Clock: clk.Now,
-	}
-	if err := writeLease(layout.WorkerLease("w1"), Lease{
-		Kind: KindWorker, Owner: "w1", Deadline: clk.Now().Add(time.Hour).UnixNano(),
-	}, nil); err != nil {
+	path := layout.UnitClaim(meta.FileBase())
+	if err := writeClaim(path, Claim{Owner: "dead", Deadline: clk.Now().Add(time.Minute).UnixNano(), Unit: meta}, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	leasePath := layout.UnitLease(meta.FileBase())
-	if err := writeLease(leasePath, Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 3,
-		Deadline: clk.Now().Add(-time.Second).UnixNano(), Unit: meta,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	st := coordState{issued: []uint64{3}, attempts: []int{1}, expiredSince: []time.Time{{}}}
-	counter := uint64(3)
-	var res CoordinatorResult
-	metas := plan.Metas()
-	tick := func() {
+	var watch claimWatch
+	observe := func() bool {
 		t.Helper()
-		if err := dispatchTick(context.Background(), cfg, layout, clk.Now, metas, []bool{false}, &st, &counter, &res); err != nil {
-			t.Fatal(err)
+		c, ok, err := readClaim(path)
+		if err != nil || !ok {
+			t.Fatalf("claim unreadable: ok=%v err=%v", ok, err)
+		}
+		_, lost := watch.observe(c, clk.Now())
+		return lost
+	}
+	if observe() {
+		t.Fatal("live claim counted as lost")
+	}
+	if idx, done, err := newWorker(layout, "live", plan, store, clk).next(); err != nil || idx != -1 || done {
+		t.Fatalf("scan of a live foreign-owner claim: idx=%d done=%v err=%v, want nothing to take", idx, done, err)
+	}
+
+	clk.Advance(2 * time.Minute)
+	if !observe() {
+		t.Fatal("expired claim not counted")
+	}
+	if observe() {
+		t.Fatal("expired claim counted twice")
+	}
+	res, err := RunWorker(context.Background(), WorkerConfig{
+		Dir: layout.Root, ID: "live", Plan: plan, Store: store,
+		TTL: time.Minute, Poll: time.Millisecond, Clock: clk.Now,
+	})
+	if err != nil || res.Completed != 1 {
+		t.Fatalf("takeover run: res=%+v err=%v", res, err)
+	}
+	if _, ok, _ := store.Get(meta); !ok {
+		t.Fatal("taken-over unit not checkpointed")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("finished unit's claim not dropped (stat err %v)", err)
+	}
+
+	// A coordinator that missed the expiry still counts the takeover once.
+	var late claimWatch
+	far := clk.Now().Add(time.Hour).UnixNano()
+	for i, step := range []struct {
+		owner string
+		lost  bool
+	}{{"dead", false}, {"live", true}, {"live", false}} {
+		if _, lost := late.observe(Claim{Owner: step.owner, Deadline: far, Unit: meta}, clk.Now()); lost != step.lost {
+			t.Errorf("observation %d (%s): lost=%v, want %v", i, step.owner, lost, step.lost)
 		}
 	}
-
-	tick() // observes expiry, starts backoff
-	if res.Dispatched != 0 {
-		t.Fatalf("re-dispatched before backoff: %+v", res)
-	}
-	clk.Advance(5 * time.Second) // backoff(1) = 10s not yet elapsed
-	tick()
-	if res.Dispatched != 0 {
-		t.Fatalf("re-dispatched mid-backoff: %+v", res)
-	}
-	clk.Advance(6 * time.Second) // 11s > 10s
-	tick()
-	if res.Dispatched != 1 || res.Redispatched != 1 {
-		t.Fatalf("expected one re-dispatch: %+v", res)
-	}
-	l, ok, _ := readLease(leasePath)
-	if !ok || l.Generation != 4 || l.Owner != "w1" {
-		t.Fatalf("re-dispatched lease = %+v ok=%v, want gen 4", l, ok)
-	}
-	if st.attempts[0] != 2 {
-		t.Errorf("attempts = %d, want 2", st.attempts[0])
-	}
-	// The second backoff is doubled: 20s.
-	if got := cfg.backoff(2); got != 20*time.Second {
-		t.Errorf("backoff(2) = %v, want 20s", got)
-	}
 }
 
-func TestBackoffDoublesAndCaps(t *testing.T) {
-	cfg := CoordinatorConfig{BackoffBase: time.Second, BackoffMax: 10 * time.Second}
-	wants := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second}
-	for i, want := range wants {
-		if got := cfg.backoff(i + 1); got != want {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, want)
-		}
-	}
-	// Defaults: base = Poll, max = 8*base.
-	d := CoordinatorConfig{Poll: 50 * time.Millisecond}
-	if got := d.backoff(1); got != 50*time.Millisecond {
-		t.Errorf("default backoff(1) = %v", got)
-	}
-	if got := d.backoff(20); got != 400*time.Millisecond {
-		t.Errorf("default backoff cap = %v, want 400ms", got)
-	}
+// divergeFirst is a store hook that publishes a different frame for the
+// unit just before the worker's own Put — a straggler whose unit broke the
+// purity contract and finished first.
+type divergeFirst struct{ other *checkpoint.Store }
+
+func (h divergeFirst) BeforePut(m checkpoint.Meta) error {
+	return h.other.Put(m, []byte("divergent bytes"))
 }
+func (divergeFirst) AfterPut(checkpoint.Meta, string) {}
 
-// flipLease is an inner hook that rewrites the unit's lease between the
-// fence's BeforePut check and the write — the narrowest possible window for
-// the revoked-straggler race.
-type flipLease struct {
-	path  string
-	lease Lease
-}
-
-func (h flipLease) BeforePut(checkpoint.Meta) error {
-	return writeLease(h.path, h.lease, nil)
-}
-func (h flipLease) AfterPut(checkpoint.Meta, string) {}
-
-// TestFencedPutRefused: a straggler whose lease was already re-issued is
-// vetoed before writing anything.
-func TestFencedPutRefused(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	plan := testPlan("Fence", 1)
-	meta := plan.Meta(0)
-	leasePath := layout.UnitLease(meta.FileBase())
-	store := openStore(t, layout.CheckpointDir())
-
-	// The lease on disk is generation 9 for another worker.
-	if err := writeLease(leasePath, Lease{Kind: KindUnit, Owner: "other", Generation: 9, Deadline: 1 << 62, Unit: meta}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fence := &fenceHooks{store: store}
-	store.Hooks = fence
-	fence.arm(leasePath, "straggler", 7)
-
-	err := store.Put(meta, testPayload("Fence", 0))
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("fenced put: err = %v, want ErrFenced", err)
-	}
-	if !fence.Fenced() {
-		t.Error("Fenced() = false after veto")
-	}
-	if _, err := os.Stat(store.Path(meta)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("vetoed put left a checkpoint file")
-	}
-}
-
-// TestFencedPutDiscardedMidWrite: the lease flips while the write is in
-// flight; with no prior checkpoint the late write must be removed.
-func TestFencedPutDiscardedMidWrite(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	plan := testPlan("Fence", 1)
-	meta := plan.Meta(0)
-	leasePath := layout.UnitLease(meta.FileBase())
-	store := openStore(t, layout.CheckpointDir())
-
-	if err := writeLease(leasePath, Lease{Kind: KindUnit, Owner: "straggler", Generation: 7, Deadline: 1 << 62, Unit: meta}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fence := &fenceHooks{
-		store: store,
-		inner: flipLease{path: leasePath, lease: Lease{Kind: KindUnit, Owner: "other", Generation: 9, Deadline: 1 << 62, Unit: meta}},
-	}
-	store.Hooks = fence
-	fence.arm(leasePath, "straggler", 7)
-
-	if err := store.Put(meta, testPayload("Fence", 0)); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if !fence.Fenced() {
-		t.Fatal("mid-write fence not detected")
-	}
-	if _, err := os.Stat(store.Path(meta)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("late write not discarded")
-	}
-}
-
-// TestFencedPutAcceptedIffByteIdentical: the same mid-write fence, but the
-// store already holds the byte-identical checkpoint — the write is
-// accepted (it changed nothing), and a *different*-bytes late write is
-// rolled back to the published frame.
-func TestFencedPutAcceptedIffByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	plan := testPlan("Fence", 1)
-	meta := plan.Meta(0)
-	leasePath := layout.UnitLease(meta.FileBase())
-	store := openStore(t, layout.CheckpointDir())
-
-	// Publish the canonical frame first (no fencing).
-	if err := store.Put(meta, testPayload("Fence", 0)); err != nil {
-		t.Fatal(err)
-	}
-	published, err := os.ReadFile(store.Path(meta))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := writeLease(leasePath, Lease{Kind: KindUnit, Owner: "straggler", Generation: 7, Deadline: 1 << 62, Unit: meta}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fence := &fenceHooks{
-		store: store,
-		inner: flipLease{path: leasePath, lease: Lease{Kind: KindUnit, Owner: "other", Generation: 9, Deadline: 1 << 62, Unit: meta}},
-	}
-	store.Hooks = fence
-
-	// Identical bytes: accepted.
-	fence.arm(leasePath, "straggler", 7)
-	if err := store.Put(meta, testPayload("Fence", 0)); err != nil {
-		t.Fatalf("identical fenced put: %v", err)
-	}
-	got, _ := os.ReadFile(store.Path(meta))
-	if !bytes.Equal(got, published) {
-		t.Error("identical fenced put changed the published frame")
-	}
-
-	// Different bytes (a buggy straggler): rolled back to the published
-	// frame, not merged.
-	if err := writeLease(leasePath, Lease{Kind: KindUnit, Owner: "straggler", Generation: 7, Deadline: 1 << 62, Unit: meta}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fence.arm(leasePath, "straggler", 7)
-	if err := store.Put(meta, []byte("divergent result")); err != nil {
-		t.Fatalf("divergent fenced put: %v", err)
-	}
-	if !fence.Fenced() {
-		t.Fatal("divergent fenced put not detected")
-	}
-	got, _ = os.ReadFile(store.Path(meta))
-	if !bytes.Equal(got, published) {
-		t.Error("divergent late write survived; published frame not restored")
-	}
-}
-
-// TestPurityViolationDetected: overwriting a verified checkpoint with
-// different verified bytes, while still holding the lease, is a loud error.
+// TestPurityViolationDetected: a worker whose result differs from the frame
+// the store already holds fails with checkpoint.ErrPurity, and the first
+// frame stays.
 func TestPurityViolationDetected(t *testing.T) {
-	store := openStore(t, t.TempDir())
+	layout := prepared(t)
 	plan := testPlan("Pure", 1)
-	meta := plan.Meta(0)
-	fence := &fenceHooks{store: store}
-	store.Hooks = fence
-
-	fence.arm("", "", 0) // no lease: solo-style put, purity check only
-	if err := store.Put(meta, testPayload("Pure", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if v := fence.Violation(); v != nil {
-		t.Fatalf("first put flagged: %v", v)
-	}
-	if err := store.Put(meta, testPayload("Pure", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if v := fence.Violation(); v != nil {
-		t.Fatalf("identical overwrite flagged: %v", v)
-	}
-	if err := store.Put(meta, []byte("different bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if v := fence.Violation(); !errors.Is(v, ErrPurity) {
-		t.Fatalf("divergent overwrite: violation = %v, want ErrPurity", v)
-	}
-}
-
-// TestStaleClobberRedispatch: a stale straggler renewal overwrites a
-// higher-generation lease (last-writer-wins on the filesystem). The
-// coordinator's issued[] watermark detects the regression and re-issues
-// above its counter.
-func TestStaleClobberRedispatch(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	clk := newTestClock()
-	plan := testPlan("Clobber", 1)
-	meta := plan.Meta(0)
 	store := openStore(t, layout.CheckpointDir())
-	cfg := CoordinatorConfig{
-		Dir: dir, ID: "coord", Plan: plan, Store: store,
-		TTL: time.Minute, Poll: time.Second,
-		BackoffBase: 10 * time.Second, MaxPerWorker: 2, Clock: clk.Now,
+	store.Hooks = divergeFirst{other: openStore(t, layout.CheckpointDir())}
+	_, err := RunWorker(context.Background(), WorkerConfig{
+		Dir: layout.Root, ID: "w", Plan: plan, Store: store,
+		TTL: time.Minute, Poll: time.Millisecond, Clock: newTestClock().Now,
+	})
+	if !errors.Is(err, checkpoint.ErrPurity) {
+		t.Fatalf("worker err = %v, want checkpoint.ErrPurity", err)
 	}
-	if err := writeLease(layout.WorkerLease("w1"), Lease{
-		Kind: KindWorker, Owner: "w1", Deadline: clk.Now().Add(time.Hour).UnixNano(),
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Coordinator issued generation 8; a stale gen-5 renewal clobbered it
-	// with a fresh deadline.
-	leasePath := layout.UnitLease(meta.FileBase())
-	if err := writeLease(leasePath, Lease{
-		Kind: KindUnit, Owner: "dead-worker", Generation: 5,
-		Deadline: clk.Now().Add(time.Minute).UnixNano(), Unit: meta,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := coordState{issued: []uint64{8}, attempts: []int{2}, expiredSince: []time.Time{{}}}
-	counter := uint64(8)
-	var res CoordinatorResult
-	// Tick 1 observes the generation regression (clobbered lease is treated
-	// as dead even though its deadline is fresh); tick 2, after backoff(2) =
-	// 20s elapses, re-issues above the watermark.
-	if err := dispatchTick(context.Background(), cfg, layout, clk.Now, plan.Metas(), []bool{false}, &st, &counter, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Dispatched != 0 {
-		t.Fatalf("clobbered lease re-dispatched before backoff: %+v", res)
-	}
-	clk.Advance(21 * time.Second)
-	if err := dispatchTick(context.Background(), cfg, layout, clk.Now, plan.Metas(), []bool{false}, &st, &counter, &res); err != nil {
-		t.Fatal(err)
-	}
-	l, ok, _ := readLease(leasePath)
-	if !ok || l.Generation != 9 {
-		t.Fatalf("clobbered lease not re-issued: %+v ok=%v, want gen 9", l, ok)
+	if got, ok, _ := store.Get(plan.Meta(0)); !ok || string(got) != "divergent bytes" {
+		t.Fatalf("store holds %q ok=%v, want the first writer's frame", got, ok)
 	}
 }
 
-// TestAbortedUnitsDispatchFirst: units with aborted markers jump the queue.
+// TestAbortedUnitsDispatchFirst: a worker takes units with aborted markers
+// before the rest, and clears each marker once its unit is checkpointed.
 func TestAbortedUnitsDispatchFirst(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	clk := newTestClock()
+	layout := prepared(t)
 	plan := testPlan("Abort", 4)
 	store := openStore(t, layout.CheckpointDir())
-	cfg := CoordinatorConfig{
-		Dir: dir, ID: "coord", Plan: plan, Store: store,
-		TTL: time.Minute, Poll: time.Second, MaxPerWorker: 1, Clock: clk.Now,
-	}
-	if err := writeLease(layout.WorkerLease("w1"), Lease{
-		Kind: KindWorker, Owner: "w1", Deadline: clk.Now().Add(time.Hour).UnixNano(),
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Unit 2 was in flight when its worker was hard-killed.
+	// Unit 2 was in flight when its process was hard-killed.
 	tracker := NewInFlight("dead")
 	tracker.Observe(plan.Meta(2), false)
 	tracker.WriteAborted(store.Dir())
 
-	st := coordState{issued: make([]uint64, 4), attempts: make([]int, 4), expiredSince: make([]time.Time, 4)}
-	counter := uint64(0)
-	var res CoordinatorResult
-	// With MaxPerWorker=1 only one unit can be dispatched this tick; it
-	// must be the aborted one, not unit 0.
-	if err := dispatchTick(context.Background(), cfg, layout, clk.Now, plan.Metas(), make([]bool, 4), &st, &counter, &res); err != nil {
+	var order []int
+	run := plan.RunUnit
+	plan.RunUnit = func(ctx context.Context, i int, st *checkpoint.Store) error {
+		order = append(order, i)
+		return run(ctx, i, st)
+	}
+	if _, err := RunWorker(context.Background(), WorkerConfig{
+		Dir: layout.Root, ID: "w1", Plan: plan, Store: store,
+		TTL: time.Minute, Poll: time.Millisecond, Clock: newTestClock().Now,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Dispatched != 1 || res.AbortedFirst != 1 {
-		t.Fatalf("res = %+v, want exactly the aborted unit dispatched", res)
+	if fmt.Sprint(order) != "[2 0 1 3]" {
+		t.Errorf("run order = %v, want the aborted unit 2 first: [2 0 1 3]", order)
 	}
-	l, ok, _ := readLease(layout.UnitLease(plan.Meta(2).FileBase()))
-	if !ok || l.Owner != "w1" {
-		t.Fatalf("aborted unit 2 not leased first: %+v ok=%v", l, ok)
+	if got := ScanAborted(store.Dir()); len(got) != 0 {
+		t.Errorf("aborted marker not cleared after its unit finished: %+v", got)
 	}
 }
 
-// TestWorkerRefusesForeignLease: a lease whose unit identity does not match
-// the worker's plan (different config hash) is never claimed.
-func TestWorkerRefusesForeignLease(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+// TestWorkerIgnoresForeignClaim: a live claim under a unit's file name that
+// names another run's identity (same file stem, different seed) does not
+// hold the unit, so the worker runs it.
+func TestWorkerIgnoresForeignClaim(t *testing.T) {
+	layout := prepared(t)
 	plan := testPlan("Foreign", 2)
 	store := openStore(t, layout.CheckpointDir())
 	foreign := plan.Meta(0)
-	foreign.ConfigHash ^= 0xff // someone else's run
-	if err := writeLease(layout.UnitLease(foreign.FileBase()), Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 1, Deadline: 1 << 62, Unit: foreign,
-	}, nil); err != nil {
+	foreign.Seed ^= 0xff // someone else's run
+	if err := writeClaim(layout.UnitClaim(foreign.FileBase()), Claim{
+		Owner: "elsewhere", Deadline: 1 << 62, Unit: foreign,
+	}, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := claimable(layout, plan, "w1", store); err != nil || ok {
-		t.Fatalf("foreign lease claimed: ok=%v err=%v", ok, err)
+	res, err := RunWorker(context.Background(), WorkerConfig{
+		Dir: layout.Root, ID: "w1", Plan: plan, Store: store,
+		TTL: time.Minute, Poll: time.Millisecond, Clock: newTestClock().Now,
+	})
+	if err != nil || res.Completed != 2 {
+		t.Fatalf("res=%+v err=%v, want both units run despite the foreign claim", res, err)
 	}
-	// The matching identity is claimable.
-	if err := writeLease(layout.UnitLease(plan.Meta(1).FileBase()), Lease{
-		Kind: KindUnit, Owner: "w1", Generation: 2, Deadline: 1 << 62, Unit: plan.Meta(1),
-	}, nil); err != nil {
-		t.Fatal(err)
+}
+
+// renderStore concatenates every unit's payload in unit order: the fake
+// plan's stand-in for an experiment table rendered from the store.
+func renderStore(t *testing.T, plan Plan, st *checkpoint.Store) []byte {
+	t.Helper()
+	var out []byte
+	for i := 0; i < plan.Units; i++ {
+		payload, ok, err := st.Get(plan.Meta(i))
+		if err != nil || !ok {
+			t.Fatalf("unit %d not checkpointed: ok=%v err=%v", i, ok, err)
+		}
+		out = append(out, payload...)
 	}
-	idx, l, ok, err := claimable(layout, plan, "w1", store)
-	if err != nil || !ok || idx != 1 || l.Generation != 2 {
-		t.Fatalf("own lease not claimed: idx=%d l=%+v ok=%v err=%v", idx, l, ok, err)
+	return out
+}
+
+// soloStore runs every unit of plan in one store, in unit order.
+func soloStore(t *testing.T, plan Plan) *checkpoint.Store {
+	t.Helper()
+	st := openStore(t, t.TempDir())
+	for i := 0; i < plan.Units; i++ {
+		if err := plan.RunUnit(context.Background(), i, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// sameFrames checks every unit's checkpoint file in got against want's.
+func sameFrames(t *testing.T, plan Plan, got, want *checkpoint.Store) {
+	t.Helper()
+	for i := 0; i < plan.Units; i++ {
+		m := plan.Meta(i)
+		w, err := os.ReadFile(want.Path(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(got.Path(m))
+		if err != nil {
+			t.Fatalf("unit %d: %v", i, err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("unit %d: fabric checkpoint differs from solo run", i)
+		}
 	}
 }
 
@@ -662,39 +430,29 @@ func TestWorkerRefusesForeignLease(t *testing.T) {
 // over one fabric dir and checks the store ends up byte-identical to a
 // solo run of the same plan.
 func TestEndToEndInProcess(t *testing.T) {
-	const units = 6
-	plan := testPlan("E2E", units)
+	plan := testPlan("E2E", 6)
+	solo := soloStore(t, plan)
 
-	// Solo reference run.
-	soloDir := t.TempDir()
-	solo := openStore(t, soloDir)
-	for i := 0; i < units; i++ {
-		if err := plan.RunUnit(context.Background(), i, solo); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	dir := t.TempDir()
-	layout := Layout{Root: dir}
+	layout := Layout{Root: t.TempDir()}
 	clk := newTestClock()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	var wg sync.WaitGroup
 	workerErr := make([]error, 2)
-	for w := 0; w < 2; w++ {
+	for w := range workerErr {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			_, workerErr[w] = RunWorker(ctx, WorkerConfig{
-				Dir: dir, ID: fmt.Sprintf("w%d", w), Plan: plan,
+				Dir: layout.Root, ID: fmt.Sprintf("w%d", w), Plan: plan,
 				Store: openStore(t, layout.CheckpointDir()),
 				TTL:   time.Minute, Poll: 5 * time.Millisecond, Clock: clk.Now,
 			})
 		}(w)
 	}
 	res, err := RunCoordinator(ctx, CoordinatorConfig{
-		Dir: dir, ID: "coord", Plan: plan,
+		Dir: layout.Root, ID: "coord", Plan: plan,
 		Store: openStore(t, layout.CheckpointDir()),
 		TTL:   time.Minute, Poll: 5 * time.Millisecond, Clock: clk.Now,
 	})
@@ -707,35 +465,116 @@ func TestEndToEndInProcess(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if res.Dispatched < units {
-		t.Errorf("dispatched %d < %d units", res.Dispatched, units)
+	if res.Redispatched != 0 {
+		t.Errorf("re-dispatched %d units with no claim ever expiring", res.Redispatched)
 	}
-	if !layout.Done() {
-		t.Error("done marker missing")
+	if _, err := os.Stat(layout.DonePath()); err != nil {
+		t.Errorf("done marker missing: %v", err)
+	}
+	sameFrames(t, plan, openStore(t, layout.CheckpointDir()), solo)
+	// Finished units' claims were dropped.
+	for i := 0; i < plan.Units; i++ {
+		if _, err := os.Stat(layout.UnitClaim(plan.Meta(i).FileBase())); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("unit %d claim not dropped", i)
+		}
+	}
+}
+
+// TestClaimRace races four workers and a coordinator on one fabric
+// directory under a short real-clock TTL. Worker w0 claims a unit and then
+// stalls without renewing until every unit is checkpointed, so the others
+// must take its expired claim over; w0 then runs the unit anyway. Every
+// unit must be checkpointed, and the table rendered from the store must be
+// byte-identical to a solo run's. The duplicate executions this costs —
+// w0's, plus any from workers racing on the same claim — are counted.
+func TestClaimRace(t *testing.T) {
+	const workers, ttl = 4, 60 * time.Millisecond
+	base := testPlan("ClaimRace", 24)
+	solo := soloStore(t, base)
+	runs := make([]atomic.Int32, base.Units)
+	plan := base
+	plan.RunUnit = func(ctx context.Context, i int, st *checkpoint.Store) error {
+		runs[i].Add(1)
+		return base.RunUnit(ctx, i, st)
 	}
 
-	// Byte-identical store.
-	fabricStore := openStore(t, layout.CheckpointDir())
-	for i := 0; i < units; i++ {
-		m := plan.Meta(i)
-		want, err := os.ReadFile(solo.Path(m))
+	layout := Layout{Root: t.TempDir()}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	allDone := func(st *checkpoint.Store) bool {
+		done, err := st.Complete(plan.Metas())
 		if err != nil {
-			t.Fatal(err)
+			return false
 		}
-		got, err := os.ReadFile(fabricStore.Path(m))
-		if err != nil {
-			t.Fatalf("unit %d: %v", i, err)
+		for _, d := range done {
+			if !d {
+				return false
+			}
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("unit %d: fabric checkpoint differs from solo run", i)
+		return true
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	stalled := make(chan struct{})
+	for w := range errs {
+		cfg := WorkerConfig{
+			Dir: layout.Root, ID: fmt.Sprintf("w%d", w), Plan: plan,
+			Store: openStore(t, layout.CheckpointDir()),
+			TTL:   ttl, Poll: time.Millisecond,
+		}
+		if w == 0 {
+			cfg.BeforeUnit = func(n int) {
+				if n != 1 {
+					return
+				}
+				close(stalled)
+				for ctx.Err() == nil && !allDone(cfg.Store) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = RunWorker(ctx, cfg)
+		}(w)
+		if w == 0 {
+			<-stalled // w0 holds its claim before anyone else starts
 		}
 	}
-	// Completed units' leases were cleaned up.
-	for i := 0; i < units; i++ {
-		if _, err := os.Stat(layout.UnitLease(plan.Meta(i).FileBase())); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("unit %d lease not cleaned up", i)
+	res, err := RunCoordinator(ctx, CoordinatorConfig{
+		Dir: layout.Root, ID: "coord", Plan: plan,
+		Store: openStore(t, layout.CheckpointDir()),
+		TTL:   time.Second, Poll: time.Millisecond,
+	})
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker w%d: %v", w, err)
 		}
 	}
+
+	store := openStore(t, layout.CheckpointDir())
+	if got, want := renderStore(t, plan, store), renderStore(t, plan, solo); !bytes.Equal(got, want) {
+		t.Errorf("table rendered from the raced store differs from the solo run's")
+	}
+	sameFrames(t, plan, store, solo)
+	dups := 0
+	for i := range runs {
+		n := int(runs[i].Load())
+		if n < 1 {
+			t.Errorf("unit %d never ran", i)
+		}
+		dups += n - 1
+	}
+	if dups == 0 {
+		t.Error("no unit ran twice, although w0 ran a unit the others had taken over")
+	}
+	t.Logf("%d duplicate executions over %d units; the coordinator counted %d re-dispatches", dups, plan.Units, res.Redispatched)
 }
 
 // TestJoinMergesPartialRuns: two disjoint (plus overlapping) partial stores
@@ -792,8 +631,8 @@ func TestJoinMergesPartialRuns(t *testing.T) {
 	if err := evil.Put(plan.Meta(0), []byte("divergent")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Join(dst, []string{evil.Dir()}); err == nil {
-		t.Fatal("conflicting join did not fail")
+	if _, err := Join(dst, []string{evil.Dir()}); !errors.Is(err, checkpoint.ErrPurity) {
+		t.Fatalf("conflicting join: err = %v, want checkpoint.ErrPurity", err)
 	}
 
 	// A fabric root resolves to its ckpt/ subdirectory.

@@ -21,8 +21,8 @@ func abortPath(storeDir string, m checkpoint.Meta) string {
 
 // InFlight tracks the units a process is currently executing, so a
 // hard-kill path (second signal) can leave best-effort aborted markers
-// behind. A resuming coordinator dispatches marked units first: they are
-// the ones a dead process already sank time into.
+// behind. Fabric workers take marked units first: they are the ones a dead
+// process already sank time into.
 type InFlight struct {
 	mu    sync.Mutex
 	owner string
@@ -63,7 +63,8 @@ func (f *InFlight) Snapshot() []checkpoint.Meta {
 // WriteAborted leaves one marker per in-flight unit under the store
 // directory. It is called from a hard-kill path, so it is strictly
 // best-effort: every error is swallowed — a missing marker only costs
-// scheduling priority, never correctness.
+// scheduling priority, never correctness. A marker is an aborted unit's
+// claim with no deadline.
 func (f *InFlight) WriteAborted(storeDir string) {
 	if storeDir == "" {
 		return
@@ -75,8 +76,8 @@ func (f *InFlight) WriteAborted(storeDir string) {
 	}
 	for _, m := range f.Snapshot() {
 		// Best-effort marker on the hard-kill path; a lost marker only costs
-		// dispatch priority.
-		_ = writeLease(abortPath(storeDir, m), Lease{Kind: KindAborted, Owner: f.owner, Unit: m}, nil)
+		// scheduling priority.
+		_ = writeClaim(abortPath(storeDir, m), Claim{Owner: f.owner, Unit: m}, false, nil)
 	}
 }
 
@@ -91,18 +92,18 @@ func ScanAborted(storeDir string) []checkpoint.Meta {
 	sort.Strings(names)
 	var out []checkpoint.Meta
 	for _, name := range names {
-		l, ok, err := readLease(name)
-		if err != nil || !ok || l.Kind != KindAborted {
+		c, ok, err := readClaim(name)
+		if err != nil || !ok {
 			continue
 		}
-		out = append(out, l.Unit)
+		out = append(out, c.Unit)
 	}
 	return out
 }
 
 // ClearAborted removes the marker for a unit once it has a verified
 // checkpoint. Best effort: a leftover marker only re-prioritizes a unit
-// the completion scan already filters out.
+// the workers' completion check already skips.
 func ClearAborted(storeDir string, m checkpoint.Meta) {
 	//lint:ignore errcheck-io best-effort cleanup; a stale marker is filtered by the completion scan
 	os.Remove(abortPath(storeDir, m))

@@ -8,7 +8,7 @@ import (
 
 // Plan is the type-erased description of one experiment's work units — the
 // same fixed shard plan the in-process runShards driver executes, exposed
-// so the coordinator can enumerate units and a worker can run exactly one.
+// so workers can schedule and run units one at a time.
 // internal/experiments provides these (PlanFor); fabric never imports the
 // experiment layer.
 type Plan struct {
@@ -18,11 +18,12 @@ type Plan struct {
 	Units int
 	// Meta returns unit i's checkpoint identity. It must be a pure
 	// function of the run configuration — every process in the fabric
-	// derives the same identities or refuses foreign leases.
+	// derives the same identities, and a claim naming any other identity
+	// is foreign and ignored.
 	Meta func(i int) checkpoint.Meta
 	// RunUnit executes unit i and flushes its result through store (one
 	// checkpoint Put). The result must be a pure function of the
-	// configuration and i: that purity is what makes a re-dispatched or
+	// configuration and i: that purity is what makes a re-run or
 	// double-executed unit byte-identical, and with it the whole fabric
 	// crash-safe.
 	RunUnit func(ctx context.Context, i int, store *checkpoint.Store) error
@@ -39,7 +40,7 @@ func (p Plan) Metas() []checkpoint.Meta {
 
 // unitIndex finds the unit whose identity matches m exactly; -1 when m is
 // foreign to this plan (different experiment, config hash, or stream
-// version — e.g. a lease written for another run sharing the directory).
+// version — e.g. a marker written for another run sharing the directory).
 func (p Plan) unitIndex(m checkpoint.Meta) int {
 	if m.Shard < 0 || m.Shard >= p.Units {
 		return -1

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
-	"sort"
 	"time"
 
 	"randfill/internal/checkpoint"
@@ -16,21 +16,20 @@ import (
 type WorkerConfig struct {
 	// Dir is the fabric root directory.
 	Dir string
-	// ID is this worker's unique id (lease owner string).
+	// ID is this worker's unique id (claim owner string).
 	ID string
 	// Plan enumerates and executes the experiment's units.
 	Plan Plan
 	// Store is the shared checkpoint store, opened on Layout.CheckpointDir.
-	// Any hooks already installed (fault plans) keep running under fencing.
+	// Any hooks already installed (fault plans) see every Put.
 	Store *checkpoint.Store
-	// TTL is the lease duration the fabric runs on; renewals happen every
+	// TTL is the claim duration the fabric runs on; renewals happen every
 	// TTL/3.
 	TTL time.Duration
 	// Poll is the idle re-scan interval.
 	Poll time.Duration
 	// IdleExit, when positive, makes the worker exit cleanly after going
-	// that long without finding work and without a done marker (covers a
-	// crashed coordinator).
+	// that long without finding an unclaimed unit.
 	IdleExit time.Duration
 	// Clock supplies wall-clock reads; nil means SystemClock. The
 	// clock-skew fault substitutes SkewedClock.
@@ -39,33 +38,23 @@ type WorkerConfig struct {
 	Track *InFlight
 	// BeforeUnit runs before the worker's n-th claimed unit executes
 	// (1-based); the stall-worker fault sleeps here, before renewals start,
-	// so the lease expires naturally.
+	// so the claim expires naturally.
 	BeforeUnit func(n int)
 	// AfterUnit runs after the worker's n-th completed unit (1-based); the
 	// kill-worker fault exits the process here.
 	AfterUnit func(n int)
-	// AfterLeaseWrite runs after each lease renewal becomes visible; the
+	// AfterClaimWrite runs after each claim write becomes visible; the
 	// torn-lease fault damages the file here.
-	AfterLeaseWrite func(path string)
+	AfterClaimWrite func(path string)
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
 
 // WorkerResult summarizes a worker's run.
 type WorkerResult struct {
-	// Completed counts units this worker ran to a durable checkpoint.
+	// Completed counts units this worker ran to a durable checkpoint,
+	// including units another worker also ran.
 	Completed int
-	// Fenced counts units abandoned because the lease was revoked mid-run.
-	Fenced int
-	// Skipped counts claimed units that already had a verified checkpoint.
-	Skipped int
-}
-
-func (c WorkerConfig) clock() Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return SystemClock()
 }
 
 func (c WorkerConfig) logf(format string, args ...any) {
@@ -74,232 +63,201 @@ func (c WorkerConfig) logf(format string, args ...any) {
 	}
 }
 
-// RunWorker claims and executes unit leases addressed to cfg.ID until the
-// done marker appears, the context is canceled, or the idle timeout fires.
-// Fenced units are abandoned and counted, not fatal; a purity violation or
-// unit error is fatal.
+// worker is one RunWorker loop's fixed state.
+type worker struct {
+	cfg    WorkerConfig
+	layout Layout
+	clock  Clock
+	metas  []checkpoint.Meta
+}
+
+// RunWorker runs the plan's units until every one is checkpointed, the
+// context is canceled, or the idle timeout fires. It schedules itself: it
+// takes the first unit, aborted ones first and then in unit order, that has
+// neither a checkpoint nor a live claim by another worker, claims it, and
+// runs it while renewing the claim every TTL/3. Claims are advisory: two
+// workers may run the same unit, and the store's first-writer-wins Put
+// makes that cost work, never bytes. A unit error, including
+// checkpoint.ErrPurity, is fatal.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerResult, error) {
 	var res WorkerResult
 	if cfg.TTL <= 0 || cfg.Poll <= 0 {
 		return res, errors.New("fabric: worker needs positive TTL and Poll")
 	}
-	layout := Layout{Root: cfg.Dir}
-	if err := layout.Prepare(); err != nil {
+	w := &worker{cfg: cfg, layout: Layout{Root: cfg.Dir}, clock: clockOr(cfg.Clock), metas: cfg.Plan.Metas()}
+	if err := w.layout.Prepare(); err != nil {
 		return res, err
-	}
-	clock := cfg.clock()
-
-	fence := &fenceHooks{inner: cfg.Store.Hooks, store: cfg.Store}
-	cfg.Store.Hooks = fence
-	defer func() { cfg.Store.Hooks = fence.inner }()
-
-	heartbeat := func() error {
-		now := clock()
-		return writeLease(layout.WorkerLease(cfg.ID), Lease{
-			Kind: KindWorker, Owner: cfg.ID,
-			Deadline: now.Add(cfg.TTL).UnixNano(),
-		}, cfg.AfterLeaseWrite)
 	}
 
 	var started int
-	idleSince := clock()
-	var lastBeat time.Time
+	idleSince := w.clock()
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		now := clock()
-		if lastBeat.IsZero() || now.Sub(lastBeat) >= cfg.TTL/3 {
-			if err := heartbeat(); err != nil {
-				return res, err
-			}
-			lastBeat = now
-		}
-		if layout.Done() {
-			cfg.logf("done marker present; exiting")
-			return res, nil
-		}
-
-		idx, lease, ok, err := claimable(layout, cfg.Plan, cfg.ID, cfg.Store)
+		idx, done, err := w.next()
 		if err != nil {
 			return res, err
 		}
-		if !ok {
-			if cfg.IdleExit > 0 && clock().Sub(idleSince) >= cfg.IdleExit {
-				cfg.logf("idle for %v with no done marker; exiting", cfg.IdleExit)
+		if done {
+			cfg.logf("every unit is checkpointed; exiting")
+			return res, nil
+		}
+		if idx < 0 {
+			if cfg.IdleExit > 0 && w.clock().Sub(idleSince) >= cfg.IdleExit {
+				cfg.logf("idle for %v with units still claimed by others; exiting", cfg.IdleExit)
 				return res, nil
 			}
 			sleepCtx(ctx, cfg.Poll)
 			continue
 		}
-		idleSince = clock()
-
-		meta := cfg.Plan.Meta(idx)
-		if _, ok, _ := cfg.Store.Get(meta); ok {
-			// Checkpointed between the claim scan and here (a redundant
-			// re-dispatch that another worker just finished): nothing to run.
-			res.Skipped++
-			sleepCtx(ctx, cfg.Poll)
-			continue
+		ok, err := w.claim(idx)
+		if err != nil {
+			return res, err
+		}
+		if !ok {
+			continue // another worker's claim landed first
 		}
 
 		started++
 		if cfg.BeforeUnit != nil {
 			cfg.BeforeUnit(started)
 		}
-
-		leasePath := layout.UnitLease(meta.FileBase())
-		fence.arm(leasePath, cfg.ID, lease.Generation)
-		runErr := runLeasedUnit(ctx, cfg, layout, clock, idx, meta, lease)
-		fencedPut, violation := fence.Fenced(), fence.Violation()
-		fence.arm("", "", 0)
-		if violation != nil {
-			return res, violation
-		}
-		switch {
-		case fencedPut && runErr == nil:
-			// The put itself was discarded by fencing even though RunUnit
-			// returned success (an experiment layer that swallows the hook
-			// error would land here); the unit is not ours to count.
-			res.Fenced++
-			cfg.logf("unit %d write fenced at generation %d", idx, lease.Generation)
-		case runErr == nil:
-			res.Completed++
-			cfg.logf("unit %d complete (gen %d)", idx, lease.Generation)
-			if cfg.AfterUnit != nil {
-				cfg.AfterUnit(res.Completed)
+		if err := w.run(ctx, idx); err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
 			}
-		case errors.Is(runErr, ErrFenced) || fencedPut:
-			res.Fenced++
-			cfg.logf("unit %d fenced at generation %d; abandoning", idx, lease.Generation)
-		case ctx.Err() != nil:
-			return res, ctx.Err()
-		default:
-			return res, fmt.Errorf("fabric: unit %d: %w", idx, runErr)
+			return res, fmt.Errorf("fabric: unit %d: %w", idx, err)
 		}
+		res.Completed++
+		cfg.logf("unit %d complete", idx)
+		if cfg.AfterUnit != nil {
+			cfg.AfterUnit(res.Completed)
+		}
+		idleSince = w.clock()
 	}
 }
 
-// claimable returns the lowest-indexed unit whose current lease names owner
-// and whose unit identity belongs to plan. Foreign leases (another run's
-// identities) are never claimed. Expired leases still count — renewing an
-// expired-but-unreissued lease revives it (the expired-then-renewed race is
-// resolved by generation, not by the deadline).
-func claimable(layout Layout, plan Plan, owner string, store *checkpoint.Store) (int, Lease, bool, error) {
-	entries, err := os.ReadDir(layout.LeaseDir())
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, Lease{}, false, nil
-		}
-		return 0, Lease{}, false, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	best, bestIdx := Lease{}, -1
-	for _, name := range names {
-		l, ok, err := readLease(layout.UnitLease(trimLease(name)))
+// next returns the first unit in schedule order with neither a checkpoint
+// nor a live claim by another worker, or -1 when every unchecked unit is
+// claimed; done reports that every unit is checkpointed. Each unit's claim
+// is read before its checkpoint: a worker publishes its checkpoint before
+// it drops its claim, so a unit seen unclaimed and then without a
+// checkpoint was not finished by its last holder.
+func (w *worker) next() (idx int, done bool, err error) {
+	done = true
+	for _, i := range w.order() {
+		c, held, err := w.held(i)
 		if err != nil {
-			return 0, Lease{}, false, err
+			return -1, false, err
 		}
-		if !ok || l.Kind != KindUnit || l.Owner != owner {
+		_, checkpointed, err := w.cfg.Store.Get(w.metas[i])
+		if err != nil {
+			return -1, false, err
+		}
+		if checkpointed {
 			continue
 		}
-		idx := plan.unitIndex(l.Unit)
-		if idx < 0 {
-			continue // foreign lease: refuse rather than guess
-		}
-		if _, present, _ := store.Get(l.Unit); present {
-			continue // already checkpointed; the coordinator clears the lease
-		}
-		if bestIdx < 0 || idx < bestIdx {
-			best, bestIdx = l, idx
+		done = false
+		if !held || c.Owner == w.cfg.ID {
+			return i, false, nil
 		}
 	}
-	if bestIdx < 0 {
-		return 0, Lease{}, false, nil
-	}
-	return bestIdx, best, true, nil
+	return -1, done, nil
 }
 
-func trimLease(name string) string {
-	const suffix = ".lease"
-	if len(name) > len(suffix) && name[len(name)-len(suffix):] == suffix {
-		return name[:len(name)-len(suffix)]
+// order is the schedule: units with aborted markers first, then the rest,
+// each in unit order.
+func (w *worker) order() []int {
+	first := make([]bool, len(w.metas))
+	order := make([]int, 0, len(w.metas))
+	for _, m := range ScanAborted(w.cfg.Store.Dir()) {
+		if i := w.cfg.Plan.unitIndex(m); i >= 0 && !first[i] {
+			first[i] = true
+			order = append(order, i)
+		}
 	}
-	return name
+	for i := range w.metas {
+		if !first[i] {
+			order = append(order, i)
+		}
+	}
+	return order
 }
 
-// runLeasedUnit executes one unit under an active renewal loop. The unit's
-// context is canceled the moment a renewal observes a different generation
-// or owner, so a fenced straggler stops burning CPU promptly; its
-// in-flight checkpoint write (if any) is handled by fenceHooks.
-func runLeasedUnit(ctx context.Context, cfg WorkerConfig, layout Layout, clock Clock, idx int, meta checkpoint.Meta, lease Lease) error {
-	leasePath := layout.UnitLease(meta.FileBase())
+// held reads unit i's claim; held is false when the claim is absent, torn,
+// expired, or names another run's identity.
+func (w *worker) held(i int) (c Claim, held bool, err error) {
+	c, ok, err := readClaim(w.layout.UnitClaim(w.metas[i].FileBase()))
+	return c, ok && c.Unit == w.metas[i] && !c.Expired(w.clock()), err
+}
 
-	// First renewal happens synchronously: if the dispatch lease aged while
-	// we were scanning (or a stall fault slept in BeforeUnit), this either
-	// revives it under our unchanged generation or detects the fence before
-	// any work runs.
-	renew := func() error {
-		l, ok, err := readLease(leasePath)
-		if err != nil {
-			return err
-		}
-		if ok && (l.Owner != cfg.ID || l.Generation != lease.Generation || l.Kind != KindUnit) {
-			return ErrFenced
-		}
-		// Absent (torn or raced) leases are rewritten under our generation;
-		// if the coordinator meanwhile issued a higher one, its
-		// stale-clobber rule stomps this write and the next renewal fences.
-		next := lease
-		next.Deadline = clock().Add(cfg.TTL).UnixNano()
-		return writeLease(leasePath, next, cfg.AfterLeaseWrite)
+// claim publishes this worker's claim on unit i with a fresh deadline; it
+// both takes a unit and renews the claim while the unit runs. An unclaimed
+// unit is claimed exclusively, so racing workers cannot both take it. An
+// existing claim is replaced only when it is torn, expired, foreign or this
+// worker's own, and then read back. claim returns false, and leaves the
+// file alone, when another worker holds the unit.
+func (w *worker) claim(i int) (bool, error) {
+	path := w.layout.UnitClaim(w.metas[i].FileBase())
+	mine := Claim{Owner: w.cfg.ID, Deadline: w.clock().Add(w.cfg.TTL).UnixNano(), Unit: w.metas[i]}
+	err := writeClaim(path, mine, true, w.cfg.AfterClaimWrite)
+	if !errors.Is(err, fs.ErrExist) {
+		return err == nil, err
 	}
-	if err := renew(); err != nil {
-		return err
+	c, held, err := w.held(i)
+	if err != nil || (held && c.Owner != w.cfg.ID) {
+		return false, err
 	}
+	if err := writeClaim(path, mine, false, w.cfg.AfterClaimWrite); err != nil {
+		return false, err
+	}
+	c, held, err = w.held(i)
+	return !held || c.Owner == w.cfg.ID, err
+}
 
-	unitCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
+// run executes claimed unit i while a goroutine renews the claim every
+// TTL/3, then drops the claim and the unit's aborted marker. Renewal stops
+// once another worker holds the claim; the unit still runs to the end.
+func (w *worker) run(ctx context.Context, i int) error {
+	meta := w.metas[i]
 	stop := make(chan struct{})
 	renewDone := make(chan struct{})
 	go func() {
 		defer close(renewDone)
-		t := time.NewTicker(cfg.TTL / 3)
+		t := time.NewTicker(w.cfg.TTL / 3)
 		defer t.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-unitCtx.Done():
-				return
 			case <-t.C:
-				if err := renew(); err != nil {
-					cancel(err)
+				ok, err := w.claim(i)
+				if err != nil {
+					w.cfg.logf("unit %d: renewing claim: %v", i, err)
+				}
+				if err != nil || !ok {
 					return
 				}
 			}
 		}
 	}()
 
-	if cfg.Track != nil {
-		cfg.Track.Observe(meta, false)
-		defer cfg.Track.Observe(meta, true)
+	if w.cfg.Track != nil {
+		w.cfg.Track.Observe(meta, false)
+		defer w.cfg.Track.Observe(meta, true)
 	}
-	err := cfg.Plan.RunUnit(unitCtx, idx, cfg.Store)
+	err := w.cfg.Plan.RunUnit(ctx, i, w.cfg.Store)
 	close(stop)
 	<-renewDone
 	if err != nil {
-		// A context cancellation caused by a fencing renewal surfaces as
-		// the fence error, not a generic cancellation.
-		if cause := context.Cause(unitCtx); cause != nil && errors.Is(cause, ErrFenced) {
-			return ErrFenced
-		}
 		return err
 	}
+	if c, held, _ := w.held(i); held && c.Owner == w.cfg.ID {
+		//lint:ignore errcheck-io best-effort cleanup; a leftover claim expires and the unit's checkpoint already verifies
+		os.Remove(w.layout.UnitClaim(meta.FileBase()))
+	}
+	ClearAborted(w.cfg.Store.Dir(), meta)
 	return nil
 }
 

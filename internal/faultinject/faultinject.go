@@ -21,12 +21,15 @@
 //
 //	kill-worker-after-units=2    exit(137) after the worker completes its
 //	                             2nd work unit — a whole-worker crash with
-//	                             its leases left to expire
+//	                             its claim left to expire
 //	stall-worker=2:300ms         sleep before executing the worker's 2nd
-//	                             unit, long enough for the lease to expire
-//	                             and the unit to be re-dispatched
-//	torn-lease=3                 truncate the 3rd lease file this process
-//	                             publishes (dispatch, renewal, or heartbeat)
+//	                             unit (units count from 1), after claiming
+//	                             it and before renewals start, long enough
+//	                             for the claim to expire and another worker
+//	                             to take the unit over
+//	torn-lease=3                 truncate the 3rd claim file this process
+//	                             publishes (a worker's claim or renewal, or
+//	                             the coordinator's lease)
 //	clock-skew=150ms             run the process on a wall clock offset by
 //	                             the (possibly negative) duration, so its
 //	                             deadline arithmetic disagrees with peers
@@ -80,12 +83,12 @@ type Plan struct {
 	// KillAfterUnits terminates a fabric worker after it completes that
 	// many work units (0 = never).
 	KillAfterUnits int
-	// StallUnit sleeps for Stall before the worker executes its Nth unit
-	// (0 = never).
+	// StallUnit sleeps for Stall before the worker executes its Nth unit,
+	// counted from 1 (0 = never).
 	StallUnit int
 	// Stall is the stall-worker duration.
 	Stall time.Duration
-	// TornLease truncates the Nth lease file this process publishes
+	// TornLease truncates the Nth claim file this process publishes
 	// (0 = never).
 	TornLease int
 	// ClockSkew offsets the process's wall clock; the fabric's deadline
@@ -230,8 +233,9 @@ func (p *Plan) Puts() int { return int(p.puts.Load()) }
 
 // StallBeforeUnit is the stall-worker fault, wired to the fabric worker's
 // BeforeUnit hook: it sleeps before the worker executes its Nth claimed
-// unit, with renewals not yet running — the lease ages out naturally and
-// the coordinator re-dispatches the unit while this worker is asleep.
+// unit (counted from 1), with renewals not yet running — the claim ages
+// out naturally and another worker takes the unit over while this one is
+// asleep.
 func (p *Plan) StallBeforeUnit(n int) {
 	if p.StallUnit == n && p.Stall > 0 {
 		fmt.Fprintf(os.Stderr, "faultinject: stalling worker for %v before unit %d\n", p.Stall, n)
@@ -241,7 +245,7 @@ func (p *Plan) StallBeforeUnit(n int) {
 
 // KillAfterUnit is the kill-worker-after-units fault, wired to the fabric
 // worker's AfterUnit hook: the process dies with KillExitCode after
-// durably completing its Nth unit, leaving its remaining leases to expire.
+// durably completing its Nth unit.
 func (p *Plan) KillAfterUnit(n int) {
 	if p.KillAfterUnits > 0 && n >= p.KillAfterUnits {
 		fmt.Fprintf(os.Stderr, "faultinject: killing worker after %d completed units\n", n)
@@ -250,18 +254,19 @@ func (p *Plan) KillAfterUnit(n int) {
 }
 
 // AfterLeaseWrite is the torn-lease fault, wired to the fabric's
-// post-publish lease hook: the Nth lease file this process writes
-// (dispatch, renewal, or heartbeat) is truncated in place. The fabric must
-// read it as absent and recover by re-leasing.
+// claim-write hook (AfterClaimWrite): the Nth claim file this process
+// writes (a worker's claim or renewal, or the coordinator's lease) is
+// truncated in place. The fabric must read it as absent, at worst running
+// the unit twice.
 func (p *Plan) AfterLeaseWrite(path string) {
 	n := int(p.leaseWrites.Add(1))
 	if p.TornLease == n {
-		fmt.Fprintf(os.Stderr, "faultinject: tearing lease write %d (%s)\n", n, path)
+		fmt.Fprintf(os.Stderr, "faultinject: tearing claim write %d (%s)\n", n, path)
 		p.tear(path)
 	}
 }
 
-// LeaseWrites returns the number of lease publishes observed so far.
+// LeaseWrites returns the number of claim publishes observed so far.
 func (p *Plan) LeaseWrites() int { return int(p.leaseWrites.Load()) }
 
 // tear truncates the published checkpoint to half its size, the on-disk

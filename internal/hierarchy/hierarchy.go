@@ -37,7 +37,6 @@ import (
 	"randfill/internal/core"
 	"randfill/internal/mem"
 	"randfill/internal/prefetch"
-	"randfill/internal/trace"
 )
 
 // LevelStats counts the traffic one level observes. Random-fill decision
@@ -272,57 +271,6 @@ func (h *Hierarchy) Access(line mem.Line, write bool) (hit bool, lat uint64) {
 	hitsBefore := l0.stats.Hits
 	lat = h.fetch(0, line, write, false)
 	return l0.stats.Hits > hitsBefore, lat
-}
-
-// ReplayBatch replays a precompiled demand trace from the top of the
-// hierarchy, equivalent to calling Access once per access, and returns the
-// level-0 hit count and the summed latency. When level 0 is a conventional
-// set-associative cache, the all-hits common case runs through the
-// devirtualized cache.SetAssoc.TryHit probe and only misses enter the
-// recursive miss path — same counters, fills and RNG draws, since TryHit is
-// Lookup's hit path and a failed TryHit mutates nothing before the full
-// fetch re-runs the lookup. Other level-0 cache types replay through Access
-// unchanged.
-func (h *Hierarchy) ReplayBatch(ct *trace.Compiled) (hits, lat uint64) {
-	l0 := h.levels[0]
-	sa, _ := l0.Cache.(*cache.SetAssoc)
-	if sa == nil {
-		for i := 0; i < ct.Len(); i++ {
-			a := ct.At(i)
-			hit, l := h.Access(a.Line(), a.Kind == mem.Write)
-			if hit {
-				hits++
-			}
-			lat += l
-		}
-		return hits, lat
-	}
-	for i, w := range ct.Words() {
-		if trace.IsEscape(w) {
-			a := ct.At(i)
-			hit, l := h.Access(a.Line(), a.Kind == mem.Write)
-			if hit {
-				hits++
-			}
-			lat += l
-			continue
-		}
-		line, write := trace.Line(w), trace.Write(w)
-		if sa.TryHit(line, write) {
-			l0.stats.Accesses++
-			l0.stats.Hits++
-			lat += l0.HitLat
-			hits++
-			if l0.Prefetcher != nil {
-				for _, pl := range l0.Prefetcher.OnHit(line) {
-					h.prefetchInto(0, line, pl)
-				}
-			}
-			continue
-		}
-		lat += h.fetch(0, line, write, false)
-	}
-	return hits, lat
 }
 
 func clampOffset(off int64) int8 {

@@ -422,7 +422,7 @@ func runFabricCoordinator(ctx context.Context, sc experiments.Scale, name, dir, 
 	res, err := fabric.RunCoordinator(ctx, cfg)
 	switch {
 	case err == nil:
-		// done marker is published; workers will see it and exit.
+		// Every unit is checkpointed, so the workers exit on their own.
 	case errors.Is(err, fabric.ErrCoordinatorHeld):
 		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %v\n", id, err)
 		reap()

@@ -484,9 +484,11 @@ func TestEndToEndInProcess(t *testing.T) {
 // directory under a short real-clock TTL. Worker w0 claims a unit and then
 // stalls without renewing until every unit is checkpointed, so the others
 // must take its expired claim over; w0 then runs the unit anyway. Every
-// unit must be checkpointed, and the table rendered from the store must be
-// byte-identical to a solo run's. The duplicate executions this costs —
-// w0's, plus any from workers racing on the same claim — are counted.
+// fourth unit runs for half a TTL, so claims are renewed while other
+// workers scan them. Every unit must be checkpointed, and the table
+// rendered from the store must be byte-identical to a solo run's. The
+// duplicate executions this costs — w0's, plus any from workers racing on
+// the same claim — are counted.
 func TestClaimRace(t *testing.T) {
 	const workers, ttl = 4, 60 * time.Millisecond
 	base := testPlan("ClaimRace", 24)
@@ -495,6 +497,9 @@ func TestClaimRace(t *testing.T) {
 	plan := base
 	plan.RunUnit = func(ctx context.Context, i int, st *checkpoint.Store) error {
 		runs[i].Add(1)
+		if i%4 == 0 {
+			time.Sleep(ttl / 2) // long enough for a renewal at TTL/3
+		}
 		return base.RunUnit(ctx, i, st)
 	}
 

@@ -209,23 +209,12 @@ func TestParseProcessClauseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"kill-worker-after-units=x", "kill-worker-after-units=-1",
 		"stall-worker=1", "stall-worker=x:1s", "stall-worker=1:zz",
+		"stall-worker=0:2m", // workers number units from 1: unit 0 never stalls
 		"torn-lease=x", "clock-skew=notadur",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded", spec)
 		}
-	}
-}
-
-// TestParseRejectsStallWorkerZero: workers number their units from 1, so
-// stall-worker=0 names a unit that never runs and the fault would silently
-// do nothing.
-func TestParseRejectsStallWorkerZero(t *testing.T) {
-	if _, err := Parse("stall-worker=0:2m"); err == nil {
-		t.Fatal("Parse accepted stall-worker=0, a unit that never runs")
-	}
-	if _, err := Parse("stall-worker=1:2m"); err != nil {
-		t.Fatalf("Parse rejected stall-worker=1: %v", err)
 	}
 }
 

@@ -31,8 +31,8 @@
 //	F/ckpt/                 the shared checkpoint.Store (one file per unit)
 //	F/ckpt/aborted/         best-effort markers for units in flight when a
 //	                        process was hard-killed; workers take them first
-//	F/claims/<unit>.claim   the current claim on a unit (atomic rename
-//	                        replaces; removed once the unit is checkpointed)
+//	F/claims/<unit>.claim   the current claim on a unit (exclusive create or
+//	                        atomic replace; removed once it is checkpointed)
 //	F/coordinator.lease     the coordinator's own claim on the directory
 //	F/done                  written when every unit has a verified checkpoint
 //

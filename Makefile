@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare profile experiments fuzz fuzz-smoke conformance crash-resume fabric-fault clean
+.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare profile experiments experiments-full fuzz fuzz-smoke conformance crash-resume fabric-fault clean
 
 all: build lint test
 
@@ -22,7 +22,10 @@ lint: vet
 # Incremental lint for the edit loop: the whole module is still loaded and
 # analyzed (cross-package taint needs it), but findings are only reported
 # for packages with files changed since $(SINCE). Changing the lint rules
-# themselves falls back to a full lint.
+# themselves falls back to a full lint. The module checkers (ctflow,
+# unused) can find something in a package the diff did not touch, such as
+# a function whose last caller was just deleted, and lint-fast does not
+# report it there: `make lint` is the gate.
 SINCE ?= HEAD
 lint-fast:
 	$(GO) run ./cmd/rflint -since $(SINCE)

@@ -34,7 +34,6 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/experiments"
 	"randfill/internal/mem"
-	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
@@ -152,31 +151,6 @@ func kernels() []kernelDef {
 				for i := 0; i < b.N; i++ {
 					thread.ReplayBatch(ct)
 					thread.Drain()
-				}
-			},
-		},
-		{
-			name: "replay-batch",
-			desc: "windowed concurrent replay: 8 cold windows of an AES-CBC trace across the parexp pool",
-			run: func(short bool, b *testing.B) {
-				tr := aesTrace(b, 11, short)
-				ct := trace.Compile(tr)
-				cfg := sim.DefaultConfig()
-				cfg.Seed = 11
-				tc := sim.ThreadConfig{
-					Mode:   sim.ModeRandomFill,
-					Window: rng.Symmetric(16),
-				}
-				want := uint64(0)
-				for i := range tr {
-					want += tr[i].Instructions()
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rs := sim.ReplayWindows(cfg, tc, ct, parexp.Shards, 0)
-					if sim.MergeResults(rs).Instructions != want {
-						b.Fatal("windowed replay lost instructions")
-					}
 				}
 			},
 		},

@@ -109,16 +109,6 @@ func New(th *sim.Thread, cfg Config) *Controller {
 // Window returns the currently programmed window.
 func (c *Controller) Window() rng.Window { return c.cfg.Candidates[c.current] }
 
-// Winner returns the window chosen by the most recent completed
-// exploration round, and whether a round has completed yet. Unlike Window,
-// it is stable while a new exploration is in progress.
-func (c *Controller) Winner() (rng.Window, bool) {
-	if c.winner < 0 {
-		return rng.Window{}, false
-	}
-	return c.cfg.Candidates[c.winner], true
-}
-
 // Exploring reports whether the controller is in an exploration phase.
 func (c *Controller) Exploring() bool { return c.phase >= 0 }
 

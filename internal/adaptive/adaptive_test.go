@@ -137,11 +137,10 @@ func TestAdaptiveTracksPhase(t *testing.T) {
 		for i := range tr {
 			c.Step(tr[i])
 		}
-		w, ok := c.Winner()
-		if !ok {
+		if c.winner < 0 {
 			t.Fatal("no exploration round completed")
 		}
-		return w
+		return c.cfg.Candidates[c.winner]
 	}
 	if w := settle(lq.Gen(250000, 1)); w.Zero() {
 		t.Errorf("streaming phase settled on %v, want a real window", w)

@@ -15,19 +15,19 @@ import (
 
 func TestSboxProperties(t *testing.T) {
 	// FIPS-197 anchor values.
-	if Sbox(0x00) != 0x63 || Sbox(0x01) != 0x7c || Sbox(0x53) != 0xed || Sbox(0xff) != 0x16 {
-		t.Fatalf("S-box anchors wrong: %x %x %x %x", Sbox(0), Sbox(1), Sbox(0x53), Sbox(0xff))
+	if sbox[0x00] != 0x63 || sbox[0x01] != 0x7c || sbox[0x53] != 0xed || sbox[0xff] != 0x16 {
+		t.Fatalf("S-box anchors wrong: %x %x %x %x", sbox[0], sbox[1], sbox[0x53], sbox[0xff])
 	}
 	// Bijectivity and inverse consistency.
 	seen := make(map[byte]bool)
 	for i := 0; i < 256; i++ {
-		s := Sbox(byte(i))
+		s := sbox[i]
 		if seen[s] {
 			t.Fatalf("S-box not a permutation: duplicate %#x", s)
 		}
 		seen[s] = true
-		if InvSbox(s) != byte(i) {
-			t.Fatalf("InvSbox(Sbox(%#x)) = %#x", i, InvSbox(s))
+		if invSbox[s] != byte(i) {
+			t.Fatalf("invSbox[sbox[%#x]] = %#x", i, invSbox[s])
 		}
 	}
 }
@@ -145,8 +145,9 @@ func TestCBCMatchesStdlib(t *testing.T) {
 	src.Bytes(pt)
 
 	c, _ := New(key[:])
-	got := make([]byte, len(pt))
-	if err := c.EncryptCBC(got, pt, iv[:], nil); err != nil {
+	tr := &Tracer{Cipher: c, Layout: DefaultLayout()}
+	got, _, err := tr.EncryptCBC(pt, iv[:])
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,8 +158,8 @@ func TestCBCMatchesStdlib(t *testing.T) {
 		t.Fatal("CBC encrypt mismatch vs crypto/cipher")
 	}
 
-	rt := make([]byte, len(pt))
-	if err := c.DecryptCBC(rt, got, iv[:], nil); err != nil {
+	rt, _, err := tr.DecryptCBC(got, iv[:])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rt, pt) {
@@ -168,16 +169,23 @@ func TestCBCMatchesStdlib(t *testing.T) {
 
 func TestCBCErrors(t *testing.T) {
 	c, _ := New(make([]byte, 16))
-	if err := c.EncryptCBC(make([]byte, 15), make([]byte, 15), make([]byte, 16), nil); err == nil {
+	tr := &Tracer{Cipher: c, Layout: DefaultLayout()}
+	if _, _, err := tr.EncryptCBC(make([]byte, 15), make([]byte, 16)); err == nil {
 		t.Error("partial block accepted")
 	}
-	if err := c.EncryptCBC(make([]byte, 8), make([]byte, 16), make([]byte, 16), nil); err == nil {
-		t.Error("short dst accepted")
-	}
-	if err := c.EncryptCBC(make([]byte, 16), make([]byte, 16), make([]byte, 8), nil); err == nil {
+	if _, _, err := tr.EncryptCBC(make([]byte, 16), make([]byte, 8)); err == nil {
 		t.Error("short iv accepted")
 	}
+	if _, _, err := tr.DecryptCBC(make([]byte, 17), make([]byte, 16)); err == nil {
+		t.Error("partial block accepted by decrypt")
+	}
 }
+
+// rounds128 is the AES-128 round count.
+const rounds128 = 10
+
+// inRegion reports whether address a falls inside region r.
+func inRegion(r mem.Region, a mem.Addr) bool { return a >= r.Base && uint64(a-r.Base) < r.Size }
 
 // countingRec counts lookups per table and validates callback invariants.
 type countingRec struct {
@@ -191,7 +199,7 @@ func (r *countingRec) Lookup(table int, index byte, round int, first bool) {
 	if table < 0 || table >= NumTables {
 		r.t.Fatalf("table id %d out of range", table)
 	}
-	if round < 1 || round > Rounds {
+	if round < 1 || round > rounds128 {
 		r.t.Fatalf("round %d out of range", round)
 	}
 	r.counts[table]++
@@ -220,10 +228,10 @@ func TestEncryptLookupCounts(t *testing.T) {
 	if rec.counts[TableTe4] != 16 {
 		t.Errorf("Te4 lookups = %d, want 16", rec.counts[TableTe4])
 	}
-	if rec.firsts != Rounds {
-		t.Errorf("first-of-round callbacks = %d, want %d", rec.firsts, Rounds)
+	if rec.firsts != rounds128 {
+		t.Errorf("first-of-round callbacks = %d, want %d", rec.firsts, rounds128)
 	}
-	if len(rec.rounds) != Rounds {
+	if len(rec.rounds) != rounds128 {
 		t.Errorf("rounds seen = %d", len(rec.rounds))
 	}
 	for tab := TableTd0; tab <= TableTd4; tab++ {
@@ -278,9 +286,9 @@ func TestFinalRoundRelation(t *testing.T) {
 	// (column-major emission order in Encrypt matches output bytes
 	// 0,1,2,3 of each word u0..u3).
 	for i := 0; i < 16; i++ {
-		if Sbox(rec.idx[i])^k10[i] != ct[i] {
+		if sbox[rec.idx[i]]^k10[i] != ct[i] {
 			t.Fatalf("byte %d: S[x]^k10 = %#x, ct = %#x", i,
-				Sbox(rec.idx[i])^k10[i], ct[i])
+				sbox[rec.idx[i]]^k10[i], ct[i])
 		}
 	}
 }
@@ -289,21 +297,22 @@ func TestLayoutAddresses(t *testing.T) {
 	lay := DefaultLayout()
 	for tab := 0; tab < NumTables; tab++ {
 		r := lay.TableRegion(tab)
-		if r.NumLines() != TableLines {
+		if r.NumLines() != TableSize/mem.LineSize {
 			t.Errorf("table %d spans %d lines", tab, r.NumLines())
 		}
 		for idx := 0; idx < 256; idx++ {
 			a := lay.LookupAddr(tab, byte(idx))
-			if !r.Contains(a) {
+			if !inRegion(r, a) {
 				t.Fatalf("lookup addr %#x outside table %d region", uint64(a), tab)
 			}
 		}
 		// 16 entries per line: indices 0..15 share a line, 16 starts
 		// the next.
-		if lay.LookupLine(tab, 0) != lay.LookupLine(tab, 15) {
+		line := func(idx byte) mem.Line { return mem.LineOf(lay.LookupAddr(tab, idx)) }
+		if line(0) != line(15) {
 			t.Error("indices 0 and 15 on different lines")
 		}
-		if lay.LookupLine(tab, 15) == lay.LookupLine(tab, 16) {
+		if line(15) == line(16) {
 			t.Error("indices 15 and 16 share a line")
 		}
 	}
@@ -331,7 +340,7 @@ func TestTracerBlockTrace(t *testing.T) {
 			secret++
 			in := false
 			for tab := 0; tab < NumTables; tab++ {
-				if lay.TableRegion(tab).Contains(a.Addr) {
+				if inRegion(lay.TableRegion(tab), a.Addr) {
 					in = true
 				}
 			}
@@ -364,10 +373,9 @@ func TestTracerCBCTraceAndResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, _ := stdaes.NewCipher(key[:])
 	want := make([]byte, len(pt))
-	if err := c.EncryptCBC(want, pt, iv[:], nil); err != nil {
-		t.Fatal(err)
-	}
+	cipher.NewCBCEncrypter(ref, iv[:]).CryptBlocks(want, pt)
 	if !bytes.Equal(ct, want) {
 		t.Fatal("traced CBC ciphertext mismatch")
 	}

@@ -8,16 +8,6 @@ import (
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
 
-// KeySize is the key size in bytes of the paper's case study (AES-128);
-// 24- and 32-byte keys (AES-192/-256) are also supported, as the paper's
-// background section notes ("three possible key sizes: 128, 192, 256
-// bits ... 10, 12 or 14 rounds").
-const KeySize = 16
-
-// Rounds is the round count for AES-128 keys (Cipher.Rounds reports the
-// actual count for longer keys).
-const Rounds = 10
-
 // Cipher holds the expanded encryption and decryption key schedules.
 type Cipher struct {
 	enc []uint32
@@ -300,55 +290,4 @@ func (c *Cipher) Decrypt(dst, src []byte, rec Recorder) {
 	binary.BigEndian.PutUint32(dst[4:], u1)
 	binary.BigEndian.PutUint32(dst[8:], u2)
 	binary.BigEndian.PutUint32(dst[12:], u3)
-}
-
-// EncryptCBC encrypts src (a multiple of BlockSize) into dst using CBC mode
-// with iv, reporting lookups to rec if non-nil. This is the paper's
-// performance workload: "OpenSSL's AES encryption that takes a 32 KB random
-// input and does a cipher block chaining (CBC) mode of encryption."
-func (c *Cipher) EncryptCBC(dst, src, iv []byte, rec Recorder) error {
-	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", len(src), BlockSize)
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("aes: CBC output too short: %d < %d", len(dst), len(src))
-	}
-	if len(iv) != BlockSize {
-		return fmt.Errorf("aes: CBC iv length %d (want %d)", len(iv), BlockSize)
-	}
-	var chain [BlockSize]byte
-	copy(chain[:], iv)
-	var x [BlockSize]byte
-	for off := 0; off < len(src); off += BlockSize {
-		for i := 0; i < BlockSize; i++ {
-			x[i] = src[off+i] ^ chain[i]
-		}
-		c.Encrypt(dst[off:off+BlockSize], x[:], rec)
-		copy(chain[:], dst[off:off+BlockSize])
-	}
-	return nil
-}
-
-// DecryptCBC decrypts src into dst using CBC mode with iv.
-func (c *Cipher) DecryptCBC(dst, src, iv []byte, rec Recorder) error {
-	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", len(src), BlockSize)
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("aes: CBC output too short: %d < %d", len(dst), len(src))
-	}
-	if len(iv) != BlockSize {
-		return fmt.Errorf("aes: CBC iv length %d (want %d)", len(iv), BlockSize)
-	}
-	var chain, next [BlockSize]byte
-	copy(chain[:], iv)
-	for off := 0; off < len(src); off += BlockSize {
-		copy(next[:], src[off:off+BlockSize])
-		c.Decrypt(dst[off:off+BlockSize], src[off:off+BlockSize], rec)
-		for i := 0; i < BlockSize; i++ {
-			dst[off+i] ^= chain[i]
-		}
-		chain = next
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package aes
 
 import (
+	"fmt"
+
 	"randfill/internal/mem"
 )
 
@@ -16,15 +18,9 @@ type Layout struct {
 	Output    mem.Addr // ciphertext buffer
 }
 
-// TableSize is the byte size of one lookup table.
+// TableSize is the byte size of one lookup table: 16 cache lines (M = 16 in
+// the paper's case study: 1 KB table, 64-byte lines).
 const TableSize = 1024
-
-// TableLines is the number of cache lines per table (M = 16 in the paper's
-// case study: 1 KB table, 64-byte lines).
-const TableLines = TableSize / mem.LineSize
-
-// EntriesPerLine is the number of 4-byte table entries per cache line.
-const EntriesPerLine = mem.LineSize / 4
 
 // DefaultLayout returns the address-space placement used by all experiments.
 // The regions carry distinct line offsets so they do not all alias to the
@@ -70,12 +66,6 @@ func (l Layout) AllTableRegions() []mem.Region {
 // LookupAddr returns the byte address of entry index in table t.
 func (l Layout) LookupAddr(t int, index byte) mem.Addr {
 	return l.Tables[t] + mem.Addr(index)*4
-}
-
-// LookupLine returns the cache line of entry index in table t; within a
-// table, lines are numbered 0..TableLines-1 by index >> 4.
-func (l Layout) LookupLine(t int, index byte) mem.Line {
-	return mem.LineOf(l.LookupAddr(t, index))
 }
 
 // TraceOpts tunes the instruction mix of generated traces. The defaults
@@ -210,8 +200,14 @@ func (t *Tracer) EncryptBlockInto(buf mem.Trace, src []byte, off int) ([BlockSiz
 }
 
 // EncryptCBC encrypts src in CBC mode and returns the ciphertext and the
-// whole run's access trace.
+// whole run's access trace. This is the paper's performance workload:
+// "OpenSSL's AES encryption that takes a 32 KB random input and does a
+// cipher block chaining (CBC) mode of encryption." src must be whole blocks
+// and iv one block.
 func (t *Tracer) EncryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
+	if err := checkCBC(src, iv); err != nil {
+		return nil, nil, err
+	}
 	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults()}
 	dst := make([]byte, len(src))
 	// CBC processes block by block; buffer traffic is interleaved by
@@ -238,6 +234,9 @@ func (t *Tracer) EncryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 
 // DecryptCBC decrypts src in CBC mode and returns the plaintext and trace.
 func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
+	if err := checkCBC(src, iv); err != nil {
+		return nil, nil, err
+	}
 	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults()}
 	dst := make([]byte, len(src))
 	var chain, next [BlockSize]byte
@@ -257,4 +256,16 @@ func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 		}
 	}
 	return dst, rec.trace, nil
+}
+
+// checkCBC rejects a CBC input that is not whole blocks and an iv that is
+// not one block.
+func checkCBC(src, iv []byte) error {
+	if len(src)%BlockSize != 0 {
+		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", len(src), BlockSize)
+	}
+	if len(iv) != BlockSize {
+		return fmt.Errorf("aes: CBC iv length %d (want %d)", len(iv), BlockSize)
+	}
+	return nil
 }

@@ -106,9 +106,3 @@ func init() {
 		td4[i] = uint32(s) * 0x01010101
 	}
 }
-
-// Sbox returns S-box entry i (exported for tests and attack tooling).
-func Sbox(i byte) byte { return sbox[i] }
-
-// InvSbox returns the inverse S-box entry i.
-func InvSbox(i byte) byte { return invSbox[i] }

@@ -20,8 +20,11 @@ package analysis
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 )
 
 // Severity classifies how a Diagnostic affects the trustworthiness of
@@ -116,6 +119,46 @@ type ModulePass struct {
 	Pkgs     []*Package
 
 	diags *[]Diagnostic
+}
+
+// importer returns the importer that type checked the pass's packages, or
+// nil when there are none.
+func (p *ModulePass) importer() *moduleImporter {
+	for _, pkg := range p.Pkgs {
+		if pkg.imp != nil {
+			return pkg.imp
+		}
+	}
+	return nil
+}
+
+// Module returns the root directory and import path of the module the
+// pass's packages were loaded from ("" for both when there are none).
+func (p *ModulePass) Module() (root, path string) {
+	if imp := p.importer(); imp != nil {
+		return imp.root, imp.modPath
+	}
+	return "", ""
+}
+
+// CheckDir type checks the non-test Go files in dir as one package, through
+// the importer that checked the pass's packages, so the module's packages
+// are not checked again. It is for directories the loader skips, such as a
+// nested module that imports this one. It returns nil when dir does not
+// exist or holds no non-test Go files; type errors are collected as in Load.
+func (p *ModulePass) CheckDir(dir string) (*Package, error) {
+	imp := p.importer()
+	if imp == nil {
+		return nil, nil
+	}
+	pkgs, err := loadDir(p.Fset, imp, filepath.Base(dir), dir, false)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil || len(pkgs) == 0 {
+		return nil, err
+	}
+	return pkgs[0], nil
 }
 
 // Report records a finding at pos with an optional witness trace.

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -22,9 +23,16 @@ type expectation struct {
 
 func loadCorpus(t *testing.T, dir string) (*token.FileSet, []*analysis.Package) {
 	t.Helper()
-	fset, pkgs, err := analysis.LoadDir(analysis.LoadConfig{
-		Dir: filepath.Join("testdata", "src", dir),
-	})
+	cfg := analysis.LoadConfig{Dir: filepath.Join("testdata", "src", dir)}
+	load := analysis.LoadDir
+	// A corpus with its own go.mod is a module: load all of it, tests
+	// included, so that its packages reach each other through the
+	// loader's importer as the real module's packages do.
+	if _, err := os.Stat(filepath.Join(cfg.Dir, "go.mod")); err == nil {
+		cfg.Tests = true
+		load = analysis.Load
+	}
+	fset, pkgs, err := load(cfg)
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", dir, err)
 	}
@@ -69,6 +77,8 @@ func analyzerByName(t *testing.T, name string) analysis.Analyzer {
 // TestCheckerCorpus runs each checker over its seeded-violation corpus and
 // requires an exact match: every // want is detected, and nothing else is
 // reported (no false positives on the approved patterns in the same file).
+// Suppression applies, so a corpus can seed a justified finding that must
+// stay silent.
 func TestCheckerCorpus(t *testing.T) {
 	cases := []struct{ dir, checker string }{
 		{"detrand", "detrand"},
@@ -80,12 +90,13 @@ func TestCheckerCorpus(t *testing.T) {
 		{"sim", "simlayer"},
 		{"securecache", "simlayer"},
 		{"atomicwrite", "atomicwrite"},
+		{"unused", "unused"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			fset, pkgs := loadCorpus(t, tc.dir)
 			az := analyzerByName(t, tc.checker)
-			diags, err := analysis.RunUnsuppressed(fset, pkgs, []analysis.Analyzer{az})
+			diags, err := analysis.Run(fset, pkgs, []analysis.Analyzer{az})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,13 +127,19 @@ func TestCheckerCorpus(t *testing.T) {
 	}
 }
 
+// renamed reports an analyzer's findings under another checker name, which
+// no //lint:ignore directive names.
+type renamed struct{ analysis.Analyzer }
+
+func (renamed) Name() string { return "renamed" }
+
 // TestSuppression proves //lint:ignore silences a finding that the raw run
 // detects.
 func TestSuppression(t *testing.T) {
 	fset, pkgs := loadCorpus(t, "suppress")
 	az := analyzerByName(t, "detrand")
 
-	raw, err := analysis.RunUnsuppressed(fset, pkgs, []analysis.Analyzer{az})
+	raw, err := analysis.Run(fset, pkgs, []analysis.Analyzer{renamed{az}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@
 //     branches, and div/mod only at manifest-inventoried victim sites
 //   - simlayer:    internal/sim constructs caches only in level builders
 //   - atomicwrite: result artifacts are written via internal/atomicio
+//   - unused:      package-level code outside cmd/ and examples/ has a
+//     non-test caller (cmd/, examples/ and _perfbench/ count as callers)
 //
 // See each checker's Doc for the precise rule and its rationale.
 package checkers
@@ -34,6 +36,7 @@ func All() []analysis.Analyzer {
 		ctflow{},
 		simlayer{},
 		atomicwrite{},
+		unused{},
 	}
 }
 

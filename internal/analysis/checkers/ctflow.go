@@ -106,17 +106,3 @@ func CtflowKindPrefix(kind string) string {
 	}
 	return "secret-dependent " + kind + ":"
 }
-
-// CtflowDiagKind recovers the sink kind from a ctflow diagnostic message,
-// or "" for non-ctflow messages.
-func CtflowDiagKind(d analysis.Diagnostic) string {
-	if d.Checker != "ctflow" {
-		return ""
-	}
-	for _, kind := range []string{"index", "branch", "divmod"} {
-		if strings.HasPrefix(d.Message, CtflowKindPrefix(kind)) {
-			return kind
-		}
-	}
-	return ""
-}

@@ -32,15 +32,12 @@ var simlayerConstructors = []struct{ pkgSuffix, fn string }{
 	{"internal/cache", "NewSetAssoc"},
 	{"internal/newcache", "New"},
 	{"internal/newcache", "NewWithPolicy"},
-	{"internal/plcache", "New"},
 	{"internal/plcache", "NewWithPolicy"},
 	{"internal/rpcache", "New"},
 	{"internal/rpcache", "NewWithPolicy"},
 	{"internal/nomo", "New"},
 	{"internal/nomo", "NewWithPolicy"},
-	{"internal/scattercache", "New"},
 	{"internal/scattercache", "NewWithPolicy"},
-	{"internal/mirage", "New"},
 	{"internal/mirage", "NewWithPolicy"},
 }
 

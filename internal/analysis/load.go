@@ -30,6 +30,8 @@ type Package struct {
 	// TypeErrors collects type-check problems (best effort: analysis
 	// continues past them).
 	TypeErrors []error
+
+	imp *moduleImporter // the loader's importer, for ModulePass.CheckDir
 }
 
 // LoadConfig controls module loading.
@@ -103,6 +105,8 @@ func Load(cfg LoadConfig) (*token.FileSet, []*Package, error) {
 // LoadDir loads the single package (plus its external test package, if
 // Tests is set) rooted at cfg.Dir without walking the whole module. Used by
 // the analyzer test harness on testdata directories.
+//
+//lint:ignore unused test support: the checker-corpus harness in analysis_test loads each corpus directory through it
 func LoadDir(cfg LoadConfig) (*token.FileSet, []*Package, error) {
 	dir := cfg.Dir
 	if dir == "" {
@@ -134,7 +138,6 @@ func loadDir(fset *token.FileSet, imp *moduleImporter, path, dir string, tests b
 		return nil, err
 	}
 	var prim, ext []*ast.File
-	var primName, extName string
 	for _, name := range names {
 		isTest := strings.HasSuffix(name, "_test.go")
 		if isTest && !tests {
@@ -147,27 +150,25 @@ func loadDir(fset *token.FileSet, imp *moduleImporter, path, dir string, tests b
 		}
 		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
 			ext = append(ext, f)
-			extName = f.Name.Name
 		} else {
 			prim = append(prim, f)
-			primName = f.Name.Name
 		}
 	}
 
 	var out []*Package
 	if len(prim) > 0 {
-		out = append(out, checkPackage(fset, imp, path, dir, primName, prim))
+		out = append(out, checkPackage(fset, imp, path, dir, prim))
 	}
 	if len(ext) > 0 {
-		out = append(out, checkPackage(fset, imp, path+"_test", dir, extName, ext))
+		out = append(out, checkPackage(fset, imp, path+"_test", dir, ext))
 	}
 	return out, nil
 }
 
 // checkPackage runs go/types over files, collecting rather than failing on
 // type errors so that analysis degrades gracefully.
-func checkPackage(fset *token.FileSet, imp *moduleImporter, path, dir, name string, files []*ast.File) *Package {
-	pkg := &Package{Path: path, Dir: dir, Files: files}
+func checkPackage(fset *token.FileSet, imp *moduleImporter, path, dir string, files []*ast.File) *Package {
+	pkg := &Package{Path: path, Dir: dir, Files: files, imp: imp}
 	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -184,7 +185,6 @@ func checkPackage(fset *token.FileSet, imp *moduleImporter, path, dir, name stri
 		pkg.TypeErrors = append(pkg.TypeErrors, err)
 	}
 	pkg.Types = tpkg
-	_ = name
 	return pkg
 }
 

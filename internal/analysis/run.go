@@ -60,21 +60,3 @@ func runAll(fset *token.FileSet, pkgs []*Package, analyzers []Analyzer, diags *[
 	}
 	return nil
 }
-
-// RunUnsuppressed is Run without the //lint:ignore filter; the analyzer
-// test harness uses it to assert that seeded violations are detected even
-// when the corpus also tests suppression.
-func RunUnsuppressed(fset *token.FileSet, pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	if err := runAll(fset, pkgs, analyzers, &diags); err != nil {
-		return nil, err
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Line < b.Line
-	})
-	return diags, nil
-}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/token"
+	"strconv"
 	"strings"
 )
 
@@ -29,7 +30,7 @@ func parseDirectives(fset *token.FileSet, pkgs []*Package) (dirs []ignoreDirecti
 						continue
 					}
 					pos := fset.Position(c.End())
-					key := pos.Filename + ":" + itoa(pos.Line)
+					key := pos.Filename + ":" + strconv.Itoa(pos.Line)
 					if seen[key] {
 						continue
 					}
@@ -113,18 +114,4 @@ func suppress(diags []Diagnostic, dirs []ignoreDirective, enabled map[string]boo
 		}
 	}
 	return kept
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

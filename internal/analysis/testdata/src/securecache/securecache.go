@@ -14,11 +14,11 @@ import (
 
 // Registry factories are named build* and may construct any design.
 func buildScatterCache(geom cache.Geometry, src *rng.Source) cache.Cache {
-	return scattercache.New(geom, src)
+	return scattercache.NewWithPolicy(geom, src, nil)
 }
 
 func buildMirage(geom cache.Geometry, src *rng.Source) cache.Cache {
-	return mirage.New(geom, src)
+	return mirage.NewWithPolicy(geom, src, nil)
 }
 
 func buildRandfill(geom cache.Geometry) cache.Cache {
@@ -29,8 +29,8 @@ func buildRandfill(geom cache.Geometry) cache.Cache {
 // inline — an inline construction bypasses the registry's seed-split
 // discipline and cannot be retargeted by design name.
 func newAdHocDesign(geom cache.Geometry, src *rng.Source) cache.Cache {
-	c := scattercache.New(geom, src)                   // want "outside a level builder"
-	_ = mirage.New(geom, src)                          // want "outside a level builder"
+	c := scattercache.NewWithPolicy(geom, src, nil)    // want "outside a level builder"
+	_ = mirage.NewWithPolicy(geom, src, nil)           // want "outside a level builder"
 	_ = cache.NewSetAssoc(geom, nil)                   // want "outside a level builder"
 	_ = scattercache.NewWithPolicy(geom, src, nil)     // want "outside a level builder"
 	_ = mirage.NewWithPolicy(geom, src, cache.SRRIP{}) // want "outside a level builder"

@@ -23,11 +23,11 @@ func buildSA(geom cache.Geometry) cache.Cache {
 func buildSecureStack(geom cache.Geometry, src *rng.Source) []cache.Cache {
 	return []cache.Cache{
 		newcache.New(geom.SizeBytes, 4, src),
-		plcache.New(geom),
+		plcache.NewWithPolicy(geom, nil),
 		rpcache.New(geom, src),
 		nomo.New(geom, 2, 1),
-		scattercache.New(geom, src),
-		mirage.New(geom, src),
+		scattercache.NewWithPolicy(geom, src, nil),
+		mirage.NewWithPolicy(geom, src, nil),
 	}
 }
 
@@ -45,13 +45,13 @@ func buildPolicyStack(geom cache.Geometry, src *rng.Source, pol cache.Policy) []
 
 // Wiring code must go through the builders instead.
 func wireMachine(geom cache.Geometry, src *rng.Source) cache.Cache {
-	l2 := cache.NewSetAssoc(geom, cache.LRU{}) // want "outside a level builder"
-	_ = newcache.New(geom.SizeBytes, 4, src)   // want "outside a level builder"
-	_ = plcache.New(geom)                      // want "outside a level builder"
-	_ = rpcache.New(geom, src)                 // want "outside a level builder"
-	_ = nomo.New(geom, 2, 1)                   // want "outside a level builder"
-	_ = scattercache.New(geom, src)            // want "outside a level builder"
-	_ = mirage.New(geom, src)                  // want "outside a level builder"
+	l2 := cache.NewSetAssoc(geom, cache.LRU{})     // want "outside a level builder"
+	_ = newcache.New(geom.SizeBytes, 4, src)       // want "outside a level builder"
+	_ = plcache.NewWithPolicy(geom, nil)           // want "outside a level builder"
+	_ = rpcache.New(geom, src)                     // want "outside a level builder"
+	_ = nomo.New(geom, 2, 1)                       // want "outside a level builder"
+	_ = scattercache.NewWithPolicy(geom, src, nil) // want "outside a level builder"
+	_ = mirage.NewWithPolicy(geom, src, nil)       // want "outside a level builder"
 	return l2
 }
 
@@ -91,7 +91,7 @@ func ReplayBatch(cs []cache.Cache) int {
 	return hits
 }
 
-func ReplayWindows(geom cache.Geometry, windows int) []cache.Cache {
+func ReplayShards(geom cache.Geometry, windows int) []cache.Cache {
 	out := make([]cache.Cache, windows)
 	for i := range out {
 		out[i] = cache.NewSetAssoc(geom, cache.LRU{}) // want "outside a level builder"

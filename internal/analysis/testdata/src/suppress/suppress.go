@@ -1,5 +1,6 @@
 // Package suppress proves the //lint:ignore mechanism: the violation below
-// must be reported by RunUnsuppressed and silenced by Run.
+// must be reported when its checker runs under another name, and silenced
+// when it runs under its own.
 package suppress
 
 import "time"

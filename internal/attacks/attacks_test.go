@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func samples(t *testing.T, full int) int {
 func TestCollisionBreaksDemandFetch(t *testing.T) {
 	// Table III "size=1": the final-round collision attack recovers the
 	// full last-round key XOR relations against a demand-fetch cache.
-	res := MeasurementsToSuccess(CollisionConfig{
+	res, _ := MeasurementsToSuccessCtx(context.Background(), CollisionConfig{
 		Sim:  attackerSim(),
 		Seed: 42,
 	}, 4000, samples(t, 260000))
@@ -57,7 +58,7 @@ func TestCollisionBreaksDemandFetch(t *testing.T) {
 func TestCollisionDefeatedByCoveringWindow(t *testing.T) {
 	// Table III: with a window of 32 (covering the whole T4 table) the
 	// attack makes no progress.
-	res := MeasurementsToSuccess(CollisionConfig{
+	res, _ := MeasurementsToSuccessCtx(context.Background(), CollisionConfig{
 		Sim:    attackerSim(),
 		Victim: sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(32)},
 		Seed:   42,
@@ -179,7 +180,7 @@ func TestCollisionSigmaTracked(t *testing.T) {
 	if a.SigmaT() <= 0 {
 		t.Error("sigmaT not tracked")
 	}
-	if a.MeanTime() <= 0 {
+	if a.timing.Mean() <= 0 {
 		t.Error("mean time not tracked")
 	}
 }

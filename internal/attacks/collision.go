@@ -215,9 +215,6 @@ func (s *CollisionStats) Samples() uint64 { return s.n }
 // the sigma_T of Equation 5.
 func (s *CollisionStats) SigmaT() float64 { return s.timing.StdDev() }
 
-// MeanTime returns the mean measured encryption time in cycles.
-func (s *CollisionStats) MeanTime() float64 { return s.timing.Mean() }
-
 // Clone returns an independent deep copy of s, the seed for an aggregate
 // that merges several shards' states without disturbing them.
 func (s *CollisionStats) Clone() *CollisionStats {
@@ -417,16 +414,10 @@ type SearchResult struct {
 	SigmaT float64
 }
 
-// MeasurementsToSuccess collects samples in batches until the attack
+// MeasurementsToSuccessCtx collects samples in batches until the attack
 // recovers every XOR relation or maxSamples is reached — the procedure
-// behind Table III's "# measurements" row.
-func MeasurementsToSuccess(cfg CollisionConfig, batch, maxSamples int) SearchResult {
-	res, _ := MeasurementsToSuccessCtx(context.Background(), cfg, batch, maxSamples)
-	return res
-}
-
-// MeasurementsToSuccessCtx is MeasurementsToSuccess with cooperative
-// cancellation between batches. Unlike the sharded search, an interrupted
+// behind Table III's "# measurements" row — with cooperative cancellation
+// between batches. Unlike the sharded search, an interrupted
 // serial search still returns the partial result alongside ctx's error, so
 // an interactive caller (rfattack) can report how far the attack got before
 // the interrupt; batches already collected are reflected in the result. The

@@ -69,36 +69,6 @@ func MergeStats(states []*CollisionStats) *CollisionStats {
 	return agg
 }
 
-// CollectShardedCtx runs one collision attack's measurement collection
-// across a fixed shard plan: total measurements are split evenly over
-// shards, each shard collects its slice on eng's worker pool, and the
-// merged statistics are returned. For a fixed (cfg, total, shards) the
-// result is byte-identical for any worker count — the parallel counterpart
-// of NewCollision + Collect(total). On cancellation the partial shards are
-// discarded and ctx's error is returned.
-func CollectShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, total, shards int) (*CollisionStats, error) {
-	atks := NewShards(cfg, shards)
-	counts := parexp.SplitCounts(total, len(atks))
-	err := eng.ForEachCtx(ctx, len(atks), func(_ context.Context, s int) error {
-		atks[s].Collect(counts[s])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeShardStats(atks), nil
-}
-
-// CollectSharded is CollectShardedCtx without cancellation. A shard panic
-// is re-panicked in the caller, as with parexp.ForEach.
-func CollectSharded(eng *parexp.Engine, cfg CollisionConfig, total, shards int) *CollisionStats {
-	agg, err := CollectShardedCtx(context.Background(), eng, cfg, total, shards)
-	if err != nil {
-		panic(err)
-	}
-	return agg
-}
-
 // MeasurementsToSuccessShardedCtx is the parallel measurements-to-success
 // search behind Table III: the sample budget is consumed in rounds of batch
 // measurements, each round split over the fixed shard plan; after every
@@ -109,7 +79,7 @@ func CollectSharded(eng *parexp.Engine, cfg CollisionConfig, total, shards int) 
 //
 // The result is a function of (cfg, batch, maxSamples, shards) only —
 // worker count changes wall-clock, never the returned numbers. Note the
-// numbers do differ from the serial MeasurementsToSuccess at equal budgets:
+// numbers do differ from the serial MeasurementsToSuccessCtx at equal budgets:
 // the shards are independent measurement streams, so the grouped means they
 // merge are a different (equally valid) Monte Carlo sample of the same
 // attack.
@@ -157,14 +127,4 @@ func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cf
 		CorrectPairs: best,
 		SigmaT:       agg.SigmaT(),
 	}, nil
-}
-
-// MeasurementsToSuccessSharded is MeasurementsToSuccessShardedCtx without
-// cancellation.
-func MeasurementsToSuccessSharded(eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) SearchResult {
-	res, err := MeasurementsToSuccessShardedCtx(context.Background(), eng, cfg, batch, maxSamples, shards)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -27,7 +27,7 @@ func TestBlockTemplateMatchesTrace(t *testing.T) {
 			key := make([]byte, 16)
 			src.Bytes(key)
 			a := NewCollision(CollisionConfig{Sim: attackerCfg(), Key: key, Seed: uint64(k), TraceOpts: opts})
-			if opts.NonMem > 4094 && !trace.IsEscape(a.block.Word(0)) {
+			if opts.NonMem > 4094 && !trace.IsEscape(a.block.Words()[0]) {
 				t.Fatalf("%+v: block template holds no escape records", opts)
 			}
 			tracer := &aes.Tracer{Cipher: a.cipher, Layout: aes.DefaultLayout(), Opts: opts}
@@ -45,8 +45,8 @@ func TestBlockTemplateMatchesTrace(t *testing.T) {
 					t.Fatalf("%+v key %d sample %d: template has %d accesses, trace %d", opts, k, s, a.block.Len(), want.Len())
 				}
 				for i := 0; i < want.Len(); i++ {
-					if a.block.Word(i) != want.Word(i) {
-						t.Fatalf("%+v key %d sample %d: word %d = %#x, compiled trace %#x", opts, k, s, i, a.block.Word(i), want.Word(i))
+					if got, w := a.block.Words()[i], want.Words()[i]; got != w {
+						t.Fatalf("%+v key %d sample %d: word %d = %#x, compiled trace %#x", opts, k, s, i, got, w)
 					}
 					if a.block.At(i) != want.At(i) {
 						t.Fatalf("%+v key %d sample %d: At(%d) = %+v, compiled trace %+v", opts, k, s, i, a.block.At(i), want.At(i))

@@ -79,6 +79,8 @@ type Cipher struct {
 }
 
 // New expands the variable-length key (1 to 56 bytes) into a Cipher.
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func New(key []byte) (*Cipher, error) {
 	if len(key) < 1 || len(key) > 56 {
 		return nil, fmt.Errorf("blowfish: invalid key size %d (want 1..56)", len(key))
@@ -173,6 +175,8 @@ func (c *Cipher) Encrypt(dst, src []byte, rec Recorder) {
 }
 
 // Decrypt decrypts one 8-byte block from src into dst (may alias).
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func (c *Cipher) Decrypt(dst, src []byte, rec Recorder) {
 	l := binary.BigEndian.Uint32(src[0:])
 	r := binary.BigEndian.Uint32(src[4:])
@@ -183,4 +187,6 @@ func (c *Cipher) Decrypt(dst, src []byte, rec Recorder) {
 
 // PiWord exposes the i-th computed pi word for validation (the first is
 // 0x243F6A88, the well-known leading fractional word of pi).
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func PiWord(i int) uint32 { return piWords[i] }

@@ -18,6 +18,8 @@ const SBoxSize = 1024
 
 // DefaultLayout places the Blowfish data away from the AES layout, with
 // de-aliased line offsets (see aes.DefaultLayout).
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func DefaultLayout() Layout {
 	var l Layout
 	for i := range l.SBoxes {
@@ -36,6 +38,8 @@ func (l Layout) SBoxRegion(b int) mem.Region {
 }
 
 // SBoxRegions returns all four S-box regions (the security-critical data).
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func (l Layout) SBoxRegions() []mem.Region {
 	out := make([]mem.Region, 4)
 	for i := range out {
@@ -52,6 +56,8 @@ func (l Layout) LookupAddr(b int, index byte) mem.Addr {
 // Tracer generates memory access traces for Blowfish executions, in the
 // same shape as the AES tracer: S-box lookups marked Secret, with P-array,
 // stack and buffer traffic interleaved.
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 type Tracer struct {
 	Cipher *Cipher
 	Layout Layout
@@ -94,6 +100,8 @@ func (r *traceRec) Lookup(box int, index byte, round int, first bool) {
 
 // EncryptBlock encrypts one block at buffer offset off and returns the
 // ciphertext and the block's memory access trace.
+//
+//lint:ignore unused lint victim: the second table cipher, which ctflow must find leaking at its LEAKS.json sites; no experiment runs it
 func (t *Tracer) EncryptBlock(src []byte, off int) ([BlockSize]byte, mem.Trace) {
 	rec := &traceRec{lay: t.Layout}
 	for i := 0; i < 2; i++ {

@@ -39,17 +39,6 @@ type Stats struct {
 // Accesses returns Hits + Misses.
 func (s *Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
-// MissRate returns Misses / Accesses, or 0 with no accesses.
-func (s *Stats) MissRate() float64 {
-	if a := s.Accesses(); a > 0 {
-		return float64(s.Misses) / float64(a)
-	}
-	return 0
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() { *s = Stats{} }
-
 // FillOpts carries the per-line metadata recorded when a line is installed.
 type FillOpts struct {
 	// Dirty marks the line as modified (installed by a write allocate).

@@ -26,7 +26,7 @@ func TestMissThenFillThenHit(t *testing.T) {
 		t.Fatal("miss after fill")
 	}
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Fills != 1 {
+	if s.Hits != 1 || s.Misses != 1 || s.Fills != 1 || s.Accesses() != 2 {
 		t.Errorf("stats = %+v", *s)
 	}
 }
@@ -279,30 +279,6 @@ func TestGeometryString(t *testing.T) {
 	}
 	if s := (Geometry{SizeBytes: 32768, Ways: 4}).String(); s != "32KB 4-way" {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestStatsReset(t *testing.T) {
-	c := small()
-	c.Lookup(0, false)
-	c.Fill(0, FillOpts{})
-	c.Stats().Reset()
-	if *c.Stats() != (Stats{}) {
-		t.Error("reset did not zero stats")
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty MissRate != 0")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.MissRate() != 0.25 {
-		t.Errorf("MissRate = %v", s.MissRate())
-	}
-	if s.Accesses() != 4 {
-		t.Errorf("Accesses = %d", s.Accesses())
 	}
 }
 

@@ -84,17 +84,8 @@ func NewSetAssoc(geom Geometry, policy Policy) *SetAssoc {
 	}
 }
 
-// Geometry returns the cache's size and associativity.
-func (c *SetAssoc) Geometry() Geometry { return c.geom }
-
 // NumLines returns the total line capacity.
 func (c *SetAssoc) NumLines() int { return len(c.tags) }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
 
 // Stats returns the live statistics counters.
 func (c *SetAssoc) Stats() *Stats { return &c.stats }
@@ -337,6 +328,8 @@ func (c *SetAssoc) DrainValid() {
 }
 
 // IsLocked reports whether line l is present and locked.
+//
+//lint:ignore unused test support: the cache tests read the lock bit, which no production path exposes
 func (c *SetAssoc) IsLocked(l mem.Line) bool {
 	base := c.base(c.SetIndex(l))
 	w := c.find(base, l)
@@ -344,6 +337,8 @@ func (c *SetAssoc) IsLocked(l mem.Line) bool {
 }
 
 // Owner returns the owner id of line l, or NoOwner if absent or unowned.
+//
+//lint:ignore unused test support: the cache tests read the owner id, which no production path exposes
 func (c *SetAssoc) Owner(l mem.Line) int {
 	base := c.base(c.SetIndex(l))
 	if w := c.find(base, l); w >= 0 {

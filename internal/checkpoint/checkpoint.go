@@ -320,21 +320,6 @@ type ScanEntry struct {
 	State ScanState
 }
 
-// Foreign reports whether a complete entry belongs to a different
-// configuration than want — same directory, but a different experiment,
-// config hash, seed, or RNG stream version. Foreign entries are never
-// loaded for want's run; they are surfaced so a coordinator can tell
-// "done", "torn", and "someone else's" apart when it inventories a shared
-// directory.
-func (e ScanEntry) Foreign(want Meta) bool {
-	if e.State != ScanComplete {
-		return false
-	}
-	return e.Meta.Experiment != want.Experiment ||
-		e.Meta.ConfigHash != want.ConfigHash ||
-		e.Meta.StreamVersion != want.StreamVersion
-}
-
 // Scan inventories every checkpoint file in the store directory, in sorted
 // file-name order: complete entries carry their verified Meta, torn ones are
 // reported as ScanTorn. It is the one shared answer to "which units does

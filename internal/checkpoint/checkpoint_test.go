@@ -277,7 +277,8 @@ func TestScanInventoriesCompleteAndTorn(t *testing.T) {
 }
 
 // TestScanForeign: an entry recorded under a different config hash verifies
-// (it is a real checkpoint) but is foreign to this run's identity.
+// (it is a real checkpoint) but is foreign to this run's identity, so this
+// run neither counts it done nor loads it.
 func TestScanForeign(t *testing.T) {
 	st, err := checkpoint.Open(t.TempDir())
 	if err != nil {
@@ -293,14 +294,18 @@ func TestScanForeign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].State != checkpoint.ScanComplete {
-		t.Fatalf("entries = %+v, want one complete", entries)
+	if len(entries) != 1 || entries[0].State != checkpoint.ScanComplete || entries[0].Meta != other {
+		t.Fatalf("entries = %+v, want one complete entry for the other config", entries)
 	}
-	if !entries[0].Foreign(mine) {
-		t.Error("different-config entry not classified foreign")
+	done, err := st.Complete([]checkpoint.Meta{mine, other})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entries[0].Foreign(other) {
-		t.Error("own entry classified foreign")
+	if done[0] || !done[1] {
+		t.Errorf("Complete = %v, want [false true]", done)
+	}
+	if _, ok, err := st.Get(mine); ok || err != nil {
+		t.Errorf("Get(mine) = ok %v, err %v; want a miss", ok, err)
 	}
 }
 

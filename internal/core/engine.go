@@ -14,8 +14,8 @@
 //   - With the window at [0,0] the engine is disabled and the cache behaves
 //     exactly like a conventional demand-fetch cache.
 //
-// The window is programmed through the set_RR / set_window system interface
-// (Table II), modelled here by SetRR and SetWindow; the range registers are
+// The window is programmed through the set_RR system call (Table II),
+// modelled here by SetRR; the range registers are
 // per-process context, so an SMT simulation instantiates one Engine per
 // hardware thread over a shared cache.
 package core
@@ -141,17 +141,6 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // SetRR models the set_RR(a, b) system call: program the range registers so
 // the random fill window is [i-a, i+b]. SetRR(0, 0) disables random fill.
 func (e *Engine) SetRR(a, b int) { e.gen.SetWindow(rng.Window{A: a, B: b}) }
-
-// SetWindow models the set_window(lowerBound, n) system call: the window's
-// lower bound is lowerBound (≤ 0, stored as -a) and its size is 2^n.
-func (e *Engine) SetWindow(lowerBound, n int) {
-	if lowerBound > 0 {
-		panic("core: set_window lower bound must be <= 0")
-	}
-	size := 1 << n
-	a := -lowerBound
-	e.gen.SetWindow(rng.Window{A: a, B: size - 1 - a})
-}
 
 // Window returns the currently programmed window.
 func (e *Engine) Window() rng.Window { return e.gen.Window() }

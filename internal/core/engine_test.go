@@ -18,6 +18,11 @@ func TestDisabledWindowIsDemandFetch(t *testing.T) {
 	if e.Enabled() {
 		t.Fatal("engine enabled by default")
 	}
+	e.SetRR(8, 7)
+	e.SetRR(0, 0)
+	if e.Enabled() {
+		t.Fatal("SetRR(0,0) did not disable the engine")
+	}
 	if e.Access(100, false) {
 		t.Fatal("cold access hit")
 	}
@@ -155,30 +160,6 @@ func TestUnderflowClamped(t *testing.T) {
 	if st.RandomClamped+st.RandomIssued+st.RandomDropped != st.NoFills {
 		t.Errorf("decision counters inconsistent: %+v", *st)
 	}
-}
-
-func TestSetWindowSyscallForms(t *testing.T) {
-	e := NewEngine(newSA(), rng.New(7))
-	e.SetWindow(-16, 5) // lower bound -16, size 32
-	if w := e.Window(); w.A != 16 || w.B != 15 {
-		t.Errorf("SetWindow(-16,5) → %v, want [-16,+15]", w)
-	}
-	e.SetWindow(0, 4) // forward window of 16
-	if w := e.Window(); w.A != 0 || w.B != 15 {
-		t.Errorf("SetWindow(0,4) → %v, want [0,+15]", w)
-	}
-	e.SetRR(0, 0)
-	if e.Enabled() {
-		t.Error("SetRR(0,0) must disable the engine")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("positive lower bound did not panic")
-			}
-		}()
-		e.SetWindow(1, 3)
-	}()
 }
 
 func TestOnMissRequestShapes(t *testing.T) {

@@ -24,6 +24,8 @@ func EqMask8(a, b byte) byte {
 
 // Select8 returns a when mask is 0xff and b when mask is 0x00. Any other
 // mask value mixes the operands bitwise; callers must pass a proper mask.
+//
+//lint:ignore unused lint victim: a constant-time primitive that ctflow must prove leak-free; no experiment runs it
 func Select8(mask, a, b byte) byte {
 	return b ^ (mask & (a ^ b))
 }
@@ -40,6 +42,8 @@ func LookupByte(table *[256]byte, idx byte) byte {
 }
 
 // LookupU32 is LookupByte for 256-entry word tables.
+//
+//lint:ignore unused lint victim: a constant-time primitive that ctflow must prove leak-free; no experiment runs it
 func LookupU32(table *[256]uint32, idx byte) uint32 {
 	var out uint32
 	for i := 0; i < 256; i++ {

@@ -221,10 +221,3 @@ func ByName(name string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

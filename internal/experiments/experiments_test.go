@@ -295,7 +295,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing chart collection is slow")
 	}
-	tb := Figure2(QuickScale())
+	tb := mustTable(t, Figure2Ctx, QuickScale())
 	if len(tb.Rows) != 18 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -319,7 +319,7 @@ func TestTable3Shape(t *testing.T) {
 	sc.MonteCarloTrials = 20000
 	sc.AttackMaxSamples = 1 << 13 // keep the 12-cell sweep fast
 	sc.AttackBatch = 1 << 12
-	tb := Table3(sc)
+	tb := mustTable(t, Table3Ctx, sc)
 	if len(tb.Rows) != 12 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}

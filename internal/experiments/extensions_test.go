@@ -214,7 +214,7 @@ func TestMissQueueSecurityShape(t *testing.T) {
 	// budgets the pairs-recovered ordering is sampling luck.
 	sc.AttackMaxSamples = 1 << 17
 	sc.AttackBatch = 1 << 15
-	tb := MissQueueSecurity(sc)
+	tb := mustTable(t, MissQueueSecurityCtx, sc)
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}

@@ -17,6 +17,17 @@ func mustRun(t *testing.T, e Experiment, sc Scale) string {
 	return tbl.String()
 }
 
+// mustTable runs an experiment's Ctx form under a background ctx, failing
+// the test on error.
+func mustTable(t *testing.T, run func(context.Context, Scale) (*Table, error), sc Scale) *Table {
+	t.Helper()
+	tbl, err := run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 // extraWorkers adds one more worker count to the invariance matrix, so CI
 // (or a curious operator) can probe odd counts without editing the test:
 //
@@ -84,9 +95,9 @@ func TestTable3QuickWorkerInvariance(t *testing.T) {
 	}
 	sc := QuickScale()
 	sc.Workers = 1
-	serial := Table3(sc).String()
+	serial := mustTable(t, Table3Ctx, sc).String()
 	sc.Workers = 8
-	if parallel := Table3(sc).String(); parallel != serial {
+	if parallel := mustTable(t, Table3Ctx, sc).String(); parallel != serial {
 		t.Fatalf("quick-scale Table3 differs between workers=1 and workers=8\n--- workers=1 ---\n%s--- workers=8 ---\n%s",
 			serial, parallel)
 	}

@@ -9,20 +9,6 @@ import (
 	"randfill/internal/sim"
 )
 
-// MissQueueSecurity reproduces the paper's observation that its 1-entry
-// miss-queue configuration "requires about 1 order of magnitude less
-// samples compared to the baseline configuration ... which has 4 miss queue
-// entries" (Section V.A): more outstanding misses overlap, blurring the
-// per-collision timing signal. At a fixed measurement budget, the attack
-// recovers more key relations against the smaller miss queue.
-func MissQueueSecurity(sc Scale) *Table {
-	t, err := MissQueueSecurityCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // missQueueSizes is the experiment's miss-queue axis.
 var missQueueSizes = []int{2, 4, 8}
 
@@ -51,8 +37,13 @@ func missQueuePlan(sc Scale) unitPlan[attacks.SearchResult] {
 	}
 }
 
-// MissQueueSecurityCtx is the resumable MissQueueSecurity; missQueuePlan
-// describes its units.
+// MissQueueSecurityCtx reproduces the paper's observation that its 1-entry
+// miss-queue configuration "requires about 1 order of magnitude less
+// samples compared to the baseline configuration ... which has 4 miss queue
+// entries" (Section V.A): more outstanding misses overlap, blurring the
+// per-collision timing signal. At a fixed measurement budget, the attack
+// recovers more key relations against the smaller miss queue. missQueuePlan
+// describes its resumable units.
 func MissQueueSecurityCtx(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Section V.A: miss queue size vs collision attack progress",

@@ -130,15 +130,6 @@ func occupancyPlan(sc Scale) unitPlan[occCell] {
 	}
 }
 
-// OccupancyMatrix is the non-resumable entry point (panics on error).
-func OccupancyMatrix(sc Scale) *Table {
-	t, err := OccupancyMatrixCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // OccupancyMatrixCtx builds the security x performance matrix over every
 // registered secure-cache design: the reuse (flush + reload) channel the
 // paper evaluates, the cache-occupancy channel that needs no shared memory,

@@ -92,15 +92,6 @@ func policyPlan(sc Scale) unitPlan[occCell] {
 	}
 }
 
-// PolicyMatrix is the non-resumable entry point (panics on error).
-func PolicyMatrix(sc Scale) *Table {
-	t, err := PolicyMatrixCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // PolicyMatrixCtx sweeps every replacement policy across every registered
 // secure-cache design: the Peters et al. axis that the design papers mostly
 // fix at one policy. Each (policy, design) cell scores the reuse and

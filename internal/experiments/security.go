@@ -33,20 +33,9 @@ func t4Region() mem.Region {
 	return mem.Region{Base: 0x10000 + 4*1024, Size: 1024}
 }
 
-// Figure2 reproduces the timing characteristic chart: mean encryption time
-// vs c0^c1 over random-plaintext block encryptions against a demand-fetch
-// cache, with the minimum at k10_0 ^ k10_1.
-func Figure2(sc Scale) *Table {
-	t, err := Figure2Ctx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // figure2Plan is Figure2's work-unit plan: the collision attack's
-// parexp.Shards measurement shards — the same fixed plan
-// attacks.CollectSharded runs — so each checkpoint holds one shard's full
+// parexp.Shards measurement shards — attacks.NewShards' fixed plan, one
+// Collect per shard — so each checkpoint holds one shard's full
 // CollisionStats and the final merge (in shard-index order) is
 // byte-identical whether the shards came from this run, a prior one, or
 // another process's.
@@ -78,7 +67,10 @@ func figure2Plan(sc Scale) unitPlan[*attacks.CollisionStats] {
 	}
 }
 
-// Figure2Ctx is the resumable Figure2; figure2Plan describes its units.
+// Figure2Ctx reproduces the timing characteristic chart: mean encryption
+// time vs c0^c1 over random-plaintext block encryptions against a
+// demand-fetch cache, with the minimum at k10_0 ^ k10_1. figure2Plan
+// describes its resumable units.
 func Figure2Ctx(ctx context.Context, sc Scale) (*Table, error) {
 	states, err := runShards(ctx, sc, figure2Plan(sc))
 	if err != nil {
@@ -195,17 +187,6 @@ func table3Bases() []struct {
 	}
 }
 
-// Table3 reproduces Table III: P1-P2 (Monte Carlo) and the number of
-// measurements for a successful collision attack, for window sizes 1..32 on
-// the random fill cache built over the 4-way SA cache and over Newcache.
-func Table3(sc Scale) *Table {
-	t, err := Table3Ctx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // table3Sizes is Table III's window-size axis.
 var table3Sizes = []int{1, 2, 4, 8, 16, 32}
 
@@ -238,8 +219,11 @@ func table3Plan(sc Scale) unitPlan[t3cell] {
 	}
 }
 
-// Table3Ctx is the resumable Table III; table3Plan describes its units,
-// which restore in (base, size) order.
+// Table3Ctx reproduces Table III: P1-P2 (Monte Carlo) and the number of
+// measurements for a successful collision attack, for window sizes 1..32 on
+// the random fill cache built over the 4-way SA cache and over Newcache.
+// table3Plan describes its resumable units, which restore in (base, size)
+// order.
 func Table3Ctx(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Table III: P1-P2 and measurements for a successful collision attack",

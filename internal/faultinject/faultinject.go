@@ -228,9 +228,6 @@ func (p *Plan) AfterPut(m checkpoint.Meta, path string) {
 	}
 }
 
-// Puts returns the number of Put attempts observed so far.
-func (p *Plan) Puts() int { return int(p.puts.Load()) }
-
 // StallBeforeUnit is the stall-worker fault, wired to the fabric worker's
 // BeforeUnit hook: it sleeps before the worker executes its Nth claimed
 // unit (counted from 1), with renewals not yet running — the claim ages
@@ -265,9 +262,6 @@ func (p *Plan) AfterLeaseWrite(path string) {
 		p.tear(path)
 	}
 }
-
-// LeaseWrites returns the number of claim publishes observed so far.
-func (p *Plan) LeaseWrites() int { return int(p.leaseWrites.Load()) }
 
 // tear truncates the published checkpoint to half its size, the on-disk
 // shape of a write interrupted between temp-file creation and completion

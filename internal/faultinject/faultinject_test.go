@@ -168,8 +168,8 @@ func TestKillAfterPutsHoldsBackLaterPuts(t *testing.T) {
 	if _, ok, _ := st.Get(meta(1)); ok {
 		t.Fatal("a Put past the kill point published a checkpoint")
 	}
-	if p.Puts() != 1 {
-		t.Fatalf("observed %d puts, want 1", p.Puts())
+	if int(p.puts.Load()) != 1 {
+		t.Fatalf("observed %d puts, want 1", int(p.puts.Load()))
 	}
 }
 
@@ -181,8 +181,8 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Puts() != 5 {
-		t.Fatalf("observed %d puts, want 5", p.Puts())
+	if int(p.puts.Load()) != 5 {
+		t.Fatalf("observed %d puts, want 5", int(p.puts.Load()))
 	}
 }
 
@@ -267,8 +267,8 @@ func TestAfterLeaseWriteTearsExactlyTheNth(t *testing.T) {
 	if size(p2) != 8 {
 		t.Errorf("2nd lease write size %d, want torn to 8", size(p2))
 	}
-	if p.LeaseWrites() != 3 {
-		t.Errorf("LeaseWrites() = %d, want 3", p.LeaseWrites())
+	if int(p.leaseWrites.Load()) != 3 {
+		t.Errorf("lease writes = %d, want 3", int(p.leaseWrites.Load()))
 	}
 }
 

@@ -144,9 +144,6 @@ func (h *Hierarchy) Depth() int { return len(h.levels) }
 // Level returns level i (0 nearest the processor).
 func (h *Hierarchy) Level(i int) *Level { return h.levels[i] }
 
-// MemLat returns the memory latency model's added cycles.
-func (h *Hierarchy) MemLat() uint64 { return h.memLat }
-
 // MemAccesses returns the number of fetch requests served by memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 

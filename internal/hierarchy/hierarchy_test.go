@@ -299,8 +299,8 @@ func TestAccessors(t *testing.T) {
 	if h.Depth() != 3 {
 		t.Fatalf("depth = %d", h.Depth())
 	}
-	if h.MemLat() != 100 {
-		t.Fatalf("memLat = %d", h.MemLat())
+	if h.memLat != 100 {
+		t.Fatalf("memLat = %d", h.memLat)
 	}
 	if !strings.Contains(h.String(), "3 levels") {
 		t.Fatalf("String() = %q", h.String())

@@ -80,12 +80,10 @@ func MeasurementsRequired(p1MinusP2, tMissMinusTHit, sigmaT, alpha float64) floa
 	return 2 * z * z / (r * r)
 }
 
-// normalQuantile mirrors stats.NormalQuantile without importing it (to keep
-// this package's dependencies to the cache model only). Accuracy follows
-// the Acklam approximation.
+// normalQuantile returns z_alpha, the quantile of the standard normal
+// distribution for probability alpha (the Z_alpha of Equation 5), by
+// bisection on the normal CDF: Eq. 5 only needs a few digits.
 func normalQuantile(alpha float64) float64 {
-	// Bisection on the complementary error function is ample here: Eq. 5
-	// only needs a few digits.
 	lo, hi := -10.0, 10.0
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
@@ -225,24 +223,14 @@ func MonteCarloP1P2(cfg P1P2Config) P1P2Result {
 	return res
 }
 
-// MonteCarloP1P2Sharded splits cfg.Trials over a fixed shard plan, runs each
-// shard as an independent MonteCarloP1P2 with its own Split-derived seed on
-// eng's worker pool, and merges the shard counts in shard-index order. For a
-// fixed (cfg, shards) the result is identical for any worker count; it is a
-// different (equally valid) Monte Carlo sample than the serial
-// MonteCarloP1P2 at the same cfg.Seed, because the shards draw from split
-// streams.
-func MonteCarloP1P2Sharded(eng *parexp.Engine, cfg P1P2Config, shards int) P1P2Result {
-	res, err := MonteCarloP1P2ShardedCtx(context.Background(), eng, cfg, shards)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MonteCarloP1P2ShardedCtx is MonteCarloP1P2Sharded with cooperative
-// cancellation between shards; a cancelled run discards the partial counts
-// and returns ctx's error.
+// MonteCarloP1P2ShardedCtx splits cfg.Trials over a fixed shard plan, runs
+// each shard as an independent MonteCarloP1P2 with its own Split-derived
+// seed on eng's worker pool, and merges the shard counts in shard-index
+// order. For a fixed (cfg, shards) the result is identical for any worker
+// count; it is a different (equally valid) Monte Carlo sample than the
+// serial MonteCarloP1P2 at the same cfg.Seed, because the shards draw from
+// split streams. Cancellation is checked between shards; a cancelled run
+// discards the partial counts and returns ctx's error.
 func MonteCarloP1P2ShardedCtx(ctx context.Context, eng *parexp.Engine, cfg P1P2Config, shards int) (P1P2Result, error) {
 	if shards < 1 {
 		shards = 1

@@ -158,3 +158,30 @@ func TestMonteCarloCoveringWindowZerosSignal(t *testing.T) {
 		t.Errorf("covering window: |P1-P2| = %v, want ≈ 0", d)
 	}
 }
+
+// TestNormalQuantileKnownValues pins Eq. 5's z_alpha to published
+// standard normal quantiles.
+func TestNormalQuantileKnownValues(t *testing.T) {
+	cases := []struct {
+		p, want float64
+	}{
+		{0.5, 0},
+		{0.975, 1.959964},
+		{0.99, 2.326348},
+		{0.9999, 3.719016},
+		{0.025, -1.959964},
+	}
+	for _, c := range cases {
+		if got := normalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
+			t.Errorf("normalQuantile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+func TestNormalQuantileSymmetry(t *testing.T) {
+	for _, p := range []float64{0.6, 0.9, 0.99, 0.999} {
+		if d := normalQuantile(p) + normalQuantile(1-p); math.Abs(d) > 1e-6 {
+			t.Errorf("quantile asymmetry at p=%v: %v", p, d)
+		}
+	}
+}

@@ -29,9 +29,6 @@ func LineOf(a Addr) Line { return Line(a >> LineShift) }
 // AddrOf returns the first byte address of line l.
 func AddrOf(l Line) Addr { return Addr(l) << LineShift }
 
-// Offset returns the byte offset of address a within its cache line.
-func Offset(a Addr) uint64 { return uint64(a) & (LineSize - 1) }
-
 // Kind distinguishes the kinds of operations that can appear in a trace.
 type Kind uint8
 
@@ -111,18 +108,6 @@ func (t Trace) Lines() map[Line]struct{} {
 type Region struct {
 	Base Addr
 	Size uint64
-}
-
-// Contains reports whether address a falls inside the region.
-func (r Region) Contains(a Addr) bool {
-	return a >= r.Base && uint64(a-r.Base) < r.Size
-}
-
-// ContainsLine reports whether any byte of line l falls inside the region.
-func (r Region) ContainsLine(l Line) bool {
-	first := LineOf(r.Base)
-	last := LineOf(r.Base + Addr(r.Size) - 1)
-	return l >= first && l <= last
 }
 
 // FirstLine returns the first cache line of the region.

@@ -55,13 +55,6 @@ type Mirage struct {
 
 var _ cache.Cache = (*Mirage)(nil)
 
-// New builds a Mirage cache with geom's line capacity (the Ways field is
-// ignored: the store is fully associative), drawing all placement and
-// eviction randomness from src.
-func New(geom cache.Geometry, src *rng.Source) *Mirage {
-	return NewWithPolicy(geom, src, nil)
-}
-
 // NewWithPolicy builds a Mirage cache whose full-store eviction victim
 // follows pol over all slots (nil selects the historical global-random
 // default). Free-slot placement stays a uniform draw regardless of policy —
@@ -218,17 +211,6 @@ func (c *Mirage) Flush() {
 // Occupancy returns the number of resident lines. It is a pure observer
 // used by the occupancy-channel attacks as footprint ground truth.
 func (c *Mirage) Occupancy() int { return len(c.index) }
-
-// Contents returns the line numbers of all valid lines, for tests.
-func (c *Mirage) Contents() []mem.Line {
-	var out []mem.Line
-	for p := range c.lines {
-		if c.lines[p].valid {
-			out = append(out, c.lines[p].tag)
-		}
-	}
-	return out
-}
 
 func (c *Mirage) String() string {
 	return fmt.Sprintf("Mirage(%d lines, fully associative)", len(c.lines))

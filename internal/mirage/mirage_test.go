@@ -10,7 +10,7 @@ import (
 )
 
 func small(seed uint64) *mirage.Mirage {
-	return mirage.New(cache.Geometry{SizeBytes: 1024, Ways: 4}, rng.New(seed)) // 16 lines
+	return mirage.NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, rng.New(seed), nil) // 16 lines
 }
 
 func TestBasicOperations(t *testing.T) {

@@ -34,11 +34,11 @@ func TestDomainsHaveSeparateTables(t *testing.T) {
 func TestDomainClamping(t *testing.T) {
 	c := New(1024, 2, rng.New(2))
 	c.SetActiveDomain(-1)
-	if c.ActiveDomain() != 0 {
-		t.Errorf("negative domain → %d", c.ActiveDomain())
+	if c.active != 0 {
+		t.Errorf("negative domain → %d", c.active)
 	}
 	c.SetActiveDomain(MaxDomains + 2)
-	if d := c.ActiveDomain(); d < 0 || d >= MaxDomains {
+	if d := c.active; d < 0 || d >= MaxDomains {
 		t.Errorf("overflow domain → %d", d)
 	}
 }

@@ -140,9 +140,6 @@ func (c *Newcache) SetActiveDomain(d int) {
 	c.active = d % MaxDomains
 }
 
-// ActiveDomain returns the currently selected trust domain.
-func (c *Newcache) ActiveDomain() int { return c.active }
-
 // LogicalIndex returns the logical (extended) index of line l.
 func (c *Newcache) LogicalIndex(l mem.Line) int { return int(uint64(l) & c.lidxMask) }
 
@@ -287,27 +284,9 @@ func (c *Newcache) Flush() {
 	}
 }
 
-// DrainValid reports every still-valid line to the eviction observer
-// without invalidating it (end-of-run profiler accounting).
-func (c *Newcache) DrainValid() {
-	if c.onEv == nil {
-		return
-	}
-	for p := range c.lines {
-		if c.lines[p].valid {
-			ln := &c.lines[p]
-			c.onEv(cache.Victim{
-				Valid:      true,
-				Line:       ln.tag,
-				Dirty:      ln.dirty,
-				Referenced: ln.referenced,
-				Offset:     ln.offset,
-			})
-		}
-	}
-}
-
 // Contents returns the line numbers of all valid lines.
+//
+//lint:ignore unused test support: the Newcache tests list resident lines, which no production path exposes
 func (c *Newcache) Contents() []mem.Line {
 	var out []mem.Line
 	for p := range c.lines {

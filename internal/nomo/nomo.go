@@ -242,26 +242,6 @@ func (c *NoMo) Flush() {
 	}
 }
 
-// DrainValid reports every still-valid line to the eviction observer
-// without invalidating it.
-func (c *NoMo) DrainValid() {
-	if c.onEv == nil {
-		return
-	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			ln := &c.lines[i]
-			c.onEv(cache.Victim{
-				Valid:      true,
-				Line:       ln.tag,
-				Dirty:      ln.dirty,
-				Referenced: ln.referenced,
-				Offset:     ln.offset,
-			})
-		}
-	}
-}
-
 func (c *NoMo) String() string {
 	return fmt.Sprintf("NoMo(%v, %dx%d reserved)", c.geom, c.threads, c.reserved)
 }

@@ -59,9 +59,6 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the engine's concurrency.
-func (e *Engine) Workers() int { return e.workers }
-
 // ForEach runs fn(i) once for every i in [0, n), distributing items across
 // the worker pool. It returns when all items are done. Items are claimed
 // from an atomic counter, so the i -> goroutine assignment is scheduling

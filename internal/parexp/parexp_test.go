@@ -56,13 +56,13 @@ func TestMapIsWorkerCountInvariant(t *testing.T) {
 }
 
 func TestNewClampsWorkers(t *testing.T) {
-	if w := New(0).Workers(); w < 1 {
+	if w := New(0).workers; w < 1 {
 		t.Fatalf("New(0) workers = %d", w)
 	}
-	if w := New(-3).Workers(); w < 1 {
+	if w := New(-3).workers; w < 1 {
 		t.Fatalf("New(-3) workers = %d", w)
 	}
-	if w := New(5).Workers(); w != 5 {
+	if w := New(5).workers; w != 5 {
 		t.Fatalf("New(5) workers = %d", w)
 	}
 }

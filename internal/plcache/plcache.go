@@ -53,12 +53,6 @@ type PLcache struct {
 
 var _ cache.Cache = (*PLcache)(nil)
 
-// New builds a PLcache with the given geometry and LRU replacement among
-// unlocked ways.
-func New(geom cache.Geometry) *PLcache {
-	return NewWithPolicy(geom, nil)
-}
-
 // NewWithPolicy builds a PLcache whose victim selection among unlocked
 // ways follows pol (nil selects the historical LRU default). Locking is
 // enforced through the policy's masked victim path, so the associativity
@@ -84,9 +78,6 @@ func NewWithPolicy(geom cache.Geometry, pol cache.Policy) *PLcache {
 		policy: pol,
 	}
 }
-
-// Geometry returns the cache's size and associativity.
-func (c *PLcache) Geometry() cache.Geometry { return c.geom }
 
 // NumLines returns the total line capacity.
 func (c *PLcache) NumLines() int { return len(c.lines) }
@@ -238,17 +229,6 @@ func (c *PLcache) Flush() {
 	}
 }
 
-// Unlock clears the lock bit of every line owned by owner (the unlock
-// half of the special load/store pair, applied en masse at the end of the
-// security-critical region).
-func (c *PLcache) Unlock(owner int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].locked && c.lines[i].owner == owner {
-			c.lines[i].locked = false
-		}
-	}
-}
-
 // Preload installs and locks every cache line of each region on behalf of
 // owner, modelling the PLcache+preload routine run before the cryptographic
 // computation and on context switches. It returns the number of lines that
@@ -268,6 +248,8 @@ func (c *PLcache) Preload(owner int, regions ...mem.Region) (unlockable int) {
 }
 
 // LockedLines returns the number of currently locked lines.
+//
+//lint:ignore unused test support: the PLcache tests count locked lines, which no production path exposes
 func (c *PLcache) LockedLines() int {
 	n := 0
 	for i := range c.lines {
@@ -279,30 +261,12 @@ func (c *PLcache) LockedLines() int {
 }
 
 // IsLocked reports whether line l is present and locked.
+//
+//lint:ignore unused test support: the PLcache tests read the lock bit, which no production path exposes
 func (c *PLcache) IsLocked(l mem.Line) bool {
 	s := c.set(c.setIndex(l))
 	w := find(s, l)
 	return w >= 0 && s[w].locked
-}
-
-// DrainValid reports every still-valid line to the eviction observer
-// without invalidating it.
-func (c *PLcache) DrainValid() {
-	if c.onEv == nil {
-		return
-	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			ln := &c.lines[i]
-			c.onEv(cache.Victim{
-				Valid:      true,
-				Line:       ln.tag,
-				Dirty:      ln.dirty,
-				Referenced: ln.referenced,
-				Offset:     ln.offset,
-			})
-		}
-	}
 }
 
 func (c *PLcache) String() string { return fmt.Sprintf("PLcache(%v)", c.geom) }

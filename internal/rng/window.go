@@ -34,14 +34,6 @@ func Symmetric(size int) Window {
 	return Window{A: size / 2, B: size - size/2 - 1}
 }
 
-// Forward returns the forward-only window [0, size-1]. Size 1 yields [0,0].
-func Forward(size int) Window {
-	if size <= 1 {
-		return Window{}
-	}
-	return Window{A: 0, B: size - 1}
-}
-
 // WindowGenerator models the random fill engine datapath of Figure 4:
 // two range registers hold the lower bound -a and the mask 2^n - 1 for a
 // power-of-two window size; a random byte R from the free-running RNG is
@@ -107,16 +99,4 @@ func (g *WindowGenerator) Offset() int {
 		return g.lower + int(r)
 	}
 	return g.lower + g.src.Intn(g.general.Size())
-}
-
-// BoundedOffset reproduces the Figure 4 example datapath exactly: given a
-// raw 8-bit RNG output r, a lower bound -a (as lower), and window size 2^n,
-// it returns the bounded offset (R & (2^n -1)) + lower computed in 8-bit
-// two's complement and sign-extended, plus the intermediate masked value R'.
-// It exists so tests can check the worked example in the paper
-// (R=0x93, a=4, n=3 → R'=3, offset=-1).
-func BoundedOffset(r byte, lower int8, n uint) (offset int, masked byte) {
-	masked = r & byte(1<<n-1)
-	sum := int8(masked) + lower // 8-bit two's complement add
-	return int(sum), masked
 }

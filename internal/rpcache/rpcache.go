@@ -105,9 +105,6 @@ func (c *RPcache) SetActiveDomain(d int) {
 	c.active = d % MaxDomains
 }
 
-// ActiveDomain returns the currently selected trust domain.
-func (c *RPcache) ActiveDomain() int { return c.active }
-
 // NumLines returns the total line capacity.
 func (c *RPcache) NumLines() int { return len(c.lines) }
 
@@ -309,27 +306,9 @@ func (c *RPcache) Flush() {
 	}
 }
 
-// DrainValid reports every still-valid line to the eviction observer
-// without invalidating it.
-func (c *RPcache) DrainValid() {
-	if c.onEv == nil {
-		return
-	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			ln := &c.lines[i]
-			c.onEv(cache.Victim{
-				Valid:      true,
-				Line:       ln.tag,
-				Dirty:      ln.dirty,
-				Referenced: ln.referenced,
-				Offset:     ln.offset,
-			})
-		}
-	}
-}
-
 // Contents returns the line numbers of all valid lines.
+//
+//lint:ignore unused test support: the RPcache tests list resident lines, which no production path exposes
 func (c *RPcache) Contents() []mem.Line {
 	var out []mem.Line
 	for i := range c.lines {

@@ -129,7 +129,7 @@ func TestCapacityInvariant(t *testing.T) {
 			if len(domains) > 0 {
 				c.SetActiveDomain(int(domains[i%len(domains)]) % 3)
 			}
-			c.Fill(mem.Line(op), cache.FillOpts{Owner: c.ActiveDomain()})
+			c.Fill(mem.Line(op), cache.FillOpts{Owner: c.active})
 		}
 		return len(c.Contents()) <= c.NumLines()
 	}
@@ -171,11 +171,11 @@ func TestInvalidateAndFlush(t *testing.T) {
 func TestSetActiveDomainClamps(t *testing.T) {
 	c := rp()
 	c.SetActiveDomain(-3)
-	if c.ActiveDomain() != 0 {
-		t.Errorf("negative domain → %d", c.ActiveDomain())
+	if c.active != 0 {
+		t.Errorf("negative domain → %d", c.active)
 	}
 	c.SetActiveDomain(MaxDomains + 1)
-	if d := c.ActiveDomain(); d < 0 || d >= MaxDomains {
+	if d := c.active; d < 0 || d >= MaxDomains {
 		t.Errorf("overflow domain → %d", d)
 	}
 }
@@ -189,9 +189,5 @@ func TestEvictionObserver(t *testing.T) {
 	c.Fill(32, cache.FillOpts{})
 	if n != 1 {
 		t.Errorf("observer saw %d evictions, want 1", n)
-	}
-	c.DrainValid()
-	if n != 1+2 {
-		t.Errorf("after drain observer saw %d", n)
 	}
 }

@@ -64,13 +64,6 @@ type ScatterCache struct {
 
 var _ cache.Cache = (*ScatterCache)(nil)
 
-// New builds a ScatterCache with the given geometry, drawing the per-way
-// index keys and all replacement randomness from src. It panics on invalid
-// geometry, mirroring a hardware configuration error.
-func New(geom cache.Geometry, src *rng.Source) *ScatterCache {
-	return NewWithPolicy(geom, src, nil)
-}
-
 // NewWithPolicy builds a ScatterCache whose full-candidate-set victim way
 // follows pol over the line's gathered candidate slots (nil selects the
 // historical uniform-random default). The skewed indexing is untouched by
@@ -149,18 +142,6 @@ func Index(skew uint64, l mem.Line, sets int) int {
 	return int(z & uint64(sets-1))
 }
 
-// Indexes returns the per-way set indexes of line l under the key set.
-func Indexes(skews []uint64, l mem.Line, sets int) []int {
-	out := make([]int, len(skews))
-	for w, skew := range skews {
-		out[w] = Index(skew, l, sets)
-	}
-	return out
-}
-
-// Geometry returns the cache's size and associativity.
-func (c *ScatterCache) Geometry() cache.Geometry { return c.geom }
-
 // NumLines returns the total line capacity.
 func (c *ScatterCache) NumLines() int { return len(c.lines) }
 
@@ -171,6 +152,8 @@ func (c *ScatterCache) Stats() *cache.Stats { return &c.stats }
 func (c *ScatterCache) SetEvictionObserver(fn cache.EvictionObserver) { c.onEv = fn }
 
 // Skews returns a copy of the per-way index keys, for tests.
+//
+//lint:ignore unused test support: the skew tests read the per-way keys, which no production path exposes
 func (c *ScatterCache) Skews() []uint64 { return append([]uint64(nil), c.skews...) }
 
 // candidates hashes line l's flat candidate slot in every way (way w owns
@@ -328,17 +311,6 @@ func (c *ScatterCache) Occupancy() int {
 		}
 	}
 	return n
-}
-
-// Contents returns the line numbers of all valid lines, for tests.
-func (c *ScatterCache) Contents() []mem.Line {
-	var out []mem.Line
-	for p := range c.lines {
-		if c.lines[p].valid {
-			out = append(out, c.lines[p].tag)
-		}
-	}
-	return out
 }
 
 func (c *ScatterCache) String() string {

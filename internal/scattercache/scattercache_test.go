@@ -10,7 +10,7 @@ import (
 )
 
 func small(seed uint64) *scattercache.ScatterCache {
-	return scattercache.New(cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}, rng.New(seed))
+	return scattercache.NewWithPolicy(cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}, rng.New(seed), nil)
 }
 
 func TestBasicOperations(t *testing.T) {
@@ -52,6 +52,15 @@ func TestBasicOperations(t *testing.T) {
 	}
 }
 
+// indexes returns the per-way set indexes of line l under the key set.
+func indexes(skews []uint64, l mem.Line, sets int) []int {
+	out := make([]int, len(skews))
+	for w, skew := range skews {
+		out[w] = scattercache.Index(skew, l, sets)
+	}
+	return out
+}
+
 // TestSkewsDifferPerWay: the per-way keys are distinct draws, and a line's
 // candidate slots genuinely scatter (not all ways agree on one index).
 func TestSkewsDifferPerWay(t *testing.T) {
@@ -66,7 +75,7 @@ func TestSkewsDifferPerWay(t *testing.T) {
 	}
 	scattered := false
 	for l := mem.Line(0); l < 64 && !scattered; l++ {
-		idx := scattercache.Indexes(skews, l, 16)
+		idx := indexes(skews, l, 16)
 		for _, v := range idx[1:] {
 			if v != idx[0] {
 				scattered = true
@@ -85,8 +94,8 @@ func TestKeyedPlacementDiffersAcrossInstances(t *testing.T) {
 	a, b := small(3), small(4)
 	differs := false
 	for l := mem.Line(0); l < 64; l++ {
-		ia := scattercache.Indexes(a.Skews(), l, 16)
-		ib := scattercache.Indexes(b.Skews(), l, 16)
+		ia := indexes(a.Skews(), l, 16)
+		ib := indexes(b.Skews(), l, 16)
 		for w := range ia {
 			if ia[w] != ib[w] {
 				differs = true
@@ -154,8 +163,8 @@ func FuzzScatterIndex(f *testing.F) {
 
 		// Determinism and range, per way.
 		skewsA := deriveSkews(skew1)
-		idx := scattercache.Indexes(skewsA, l, sets)
-		again := scattercache.Indexes(skewsA, l, sets)
+		idx := indexes(skewsA, l, sets)
+		again := indexes(skewsA, l, sets)
 		for w := range idx {
 			if idx[w] != again[w] {
 				t.Fatalf("way %d: index not deterministic (%d vs %d)", w, idx[w], again[w])
@@ -180,8 +189,8 @@ func FuzzScatterIndex(f *testing.F) {
 		}
 		skewsB := deriveSkews(skew2)
 		for probe := uint64(0); probe < 64; probe++ {
-			pa := scattercache.Indexes(skewsA, l+mem.Line(probe), sets)
-			pb := scattercache.Indexes(skewsB, l+mem.Line(probe), sets)
+			pa := indexes(skewsA, l+mem.Line(probe), sets)
+			pb := indexes(skewsB, l+mem.Line(probe), sets)
 			for w := range pa {
 				if pa[w] != pb[w] {
 					return
@@ -242,9 +251,6 @@ func TestPolicyParameterizedReplacement(t *testing.T) {
 		}
 		if st.Evictions == 0 {
 			t.Fatalf("%s: eviction path never ran (fills %d)", pol, st.Fills)
-		}
-		if g := a.Geometry(); g != geom {
-			t.Fatalf("Geometry() = %+v, want %+v", g, geom)
 		}
 	}
 }

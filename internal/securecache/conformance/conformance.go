@@ -24,6 +24,8 @@ type Factory func(src *rng.Source) securecache.SecureCache
 // SmallConfig is the geometry the design packages drive the suite at: 64
 // lines, small enough that the op script overflows the capacity many times
 // and every eviction path runs.
+//
+//lint:ignore unused test support: the shared design-conformance suite that every design package's tests run
 func SmallConfig() securecache.Config {
 	return securecache.Config{Geom: cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}}
 }
@@ -84,6 +86,8 @@ func drive(c securecache.SecureCache, ops int) ([]step, int) {
 }
 
 // RunConformance asserts the SecureCache contract for the design f builds.
+//
+//lint:ignore unused test support: the shared design-conformance suite that every design package's tests run
 func RunConformance(t *testing.T, f Factory) {
 	t.Run("DeterministicReplay", func(t *testing.T) {
 		a := f(rng.New(factorySeed))

@@ -98,6 +98,3 @@ type randfill struct {
 func (r *randfill) Access(l mem.Line, write bool) bool { return r.eng.Access(l, write) }
 
 func (r *randfill) SetParty(id int) { r.eng.SetOwner(id) }
-
-// FillStats exposes the random fill engine's counters, for tests.
-func (r *randfill) FillStats() *core.Stats { return r.eng.Stats() }

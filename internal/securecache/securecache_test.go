@@ -85,13 +85,6 @@ func TestRandfillAdapterNoFill(t *testing.T) {
 	if c.Occupancy() == 0 {
 		t.Fatal("random fill installed nothing from the window")
 	}
-	fs, ok := c.(interface{ FillStats() *core.Stats })
-	if !ok {
-		t.Fatal("randfill design does not expose FillStats")
-	}
-	if fs.FillStats().NoFills != 1 {
-		t.Fatalf("NoFills = %d, want 1", fs.FillStats().NoFills)
-	}
 }
 
 // access replays the demand adapter's exact sequence against a hand-built
@@ -147,12 +140,12 @@ func TestPortIdentity(t *testing.T) {
 	})
 	t.Run("scattercache", func(t *testing.T) {
 		ported, _ := securecache.New("scattercache", smallCfg(), rng.New(seed))
-		c := scattercache.New(geom, rng.New(seed).Split(1))
+		c := scattercache.NewWithPolicy(geom, rng.New(seed).Split(1), nil)
 		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
 	})
 	t.Run("mirage", func(t *testing.T) {
 		ported, _ := securecache.New("mirage", smallCfg(), rng.New(seed))
-		c := mirage.New(geom, rng.New(seed).Split(1))
+		c := mirage.NewWithPolicy(geom, rng.New(seed).Split(1), nil)
 		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
 	})
 }

@@ -46,7 +46,7 @@ func compatSummary(cfg Config, tc ThreadConfig) string {
 	res := m.RunTrace(tc, recordedTrace())
 	return fmt.Sprintf("cycles=%.2f instr=%d hits=%d misses=%d merged=%d rf=%d stall=%.2f l2=%d mem=%d wb=%d",
 		res.Cycles, res.Instructions, res.Hits, res.Misses, res.Merged,
-		res.RandomFills, res.StallCycles, m.L2Accesses(), m.MemAccesses(), m.Writebacks())
+		res.RandomFills, res.StallCycles, m.L2Accesses(), m.MemAccesses(), m.Hierarchy().Level(1).Stats().WritebacksIn)
 }
 
 func TestHierarchyMatchesPreRefactorMachine(t *testing.T) {
@@ -118,9 +118,9 @@ func TestL2RandomFillDropStats(t *testing.T) {
 	m := New(cfg)
 	m.RunTrace(ThreadConfig{}, recordedTrace())
 
-	fs := m.L2FillStats()
+	fs := m.Hierarchy().Level(1).FillStats()
 	if fs == nil {
-		t.Fatal("L2FillStats nil with L2Window set")
+		t.Fatal("L2 FillStats nil with L2Window set")
 	}
 	l2 := m.Hierarchy().Level(1).Stats()
 	if fs.NoFills != l2.Misses {
@@ -149,8 +149,8 @@ func TestL2RandomFillDropStats(t *testing.T) {
 	}
 
 	// A demand-fill machine surfaces no fill stats.
-	if New(Config{Seed: 1}).L2FillStats() != nil {
-		t.Error("L2FillStats non-nil without L2Window")
+	if New(Config{Seed: 1}).Hierarchy().Level(1).FillStats() != nil {
+		t.Error("L2 FillStats non-nil without L2Window")
 	}
 }
 

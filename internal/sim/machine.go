@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"randfill/internal/cache"
-	"randfill/internal/core"
 	"randfill/internal/hierarchy"
 	"randfill/internal/mem"
 	"randfill/internal/plcache"
@@ -47,9 +46,6 @@ func New(cfg Config) *Machine {
 	}
 }
 
-// Config returns the machine's (defaulted) configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Hierarchy returns the machine's cache hierarchy, for per-level stats and
 // direct level inspection.
 func (m *Machine) Hierarchy() *hierarchy.Hierarchy { return m.hier }
@@ -57,22 +53,11 @@ func (m *Machine) Hierarchy() *hierarchy.Hierarchy { return m.hier }
 // L1 returns the L1 data cache.
 func (m *Machine) L1() cache.Cache { return m.hier.Level(0).Cache }
 
-// L2 returns the first cache level below the L1.
-func (m *Machine) L2() cache.Cache { return m.hier.Level(1).Cache }
-
 // L2Accesses returns the number of requests that reached the L2.
 func (m *Machine) L2Accesses() uint64 { return m.hier.Level(1).Stats().Accesses }
 
-// L2FillStats returns the L2 random fill engine's decision counters
-// (nofills, random fills issued/dropped/clamped), or nil when the L2
-// demand-fills (Config.L2Window zero).
-func (m *Machine) L2FillStats() *core.Stats { return m.hier.Level(1).FillStats() }
-
 // MemAccesses returns the number of fetch requests that reached memory.
 func (m *Machine) MemAccesses() uint64 { return m.hier.MemAccesses() }
-
-// Writebacks returns the number of dirty L1 victims written back to the L2.
-func (m *Machine) Writebacks() uint64 { return m.hier.Level(1).Stats().WritebacksIn }
 
 // fillL1 installs a line in the L1 on behalf of a thread; the hierarchy
 // cascades any dirty victim into the levels below (allocating on a
@@ -203,16 +188,11 @@ func (m *Machine) RunSMTCompiled(mainCfg ThreadConfig, mainCT *trace.Compiled, b
 	return main.Result()
 }
 
-// RunSMTSteady is RunSMT with a warm-up pass: the main trace runs once
-// unmeasured (the background thread co-running throughout), then the
-// measured pass runs; the result covers only the measured pass.
-func (m *Machine) RunSMTSteady(mainCfg ThreadConfig, mainTrace mem.Trace, bgCfg ThreadConfig, bgTrace mem.Trace) Result {
-	return m.RunSMTSteadyCompiled(mainCfg, trace.Compile(mainTrace), bgCfg, trace.Compile(bgTrace))
-}
-
-// RunSMTSteadyCompiled is RunSMTSteady over precompiled traces. The
-// background thread resumes the measured pass where the warm-up pass left
-// its trace.
+// RunSMTSteadyCompiled is RunSMTCompiled with a warm-up pass: the main
+// trace runs once unmeasured (the background thread co-running throughout),
+// then the measured pass runs; the result covers only the measured pass.
+// The background thread resumes the measured pass where the warm-up pass
+// left its trace.
 func (m *Machine) RunSMTSteadyCompiled(mainCfg ThreadConfig, mainCT *trace.Compiled, bgCfg ThreadConfig, bgCT *trace.Compiled) Result {
 	main := m.NewThread(mainCfg)
 	bg := m.NewThread(bgCfg)

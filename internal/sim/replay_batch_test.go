@@ -187,16 +187,22 @@ func TestBatchReplayEscapeRecords(t *testing.T) {
 	}
 }
 
-// TestRunCompiledMatchesRun pins the Run-shaped conveniences to each other.
+// TestRunCompiledMatchesRun pins RunCompiled to a whole run stepped one
+// access at a time: Step every access, Drain, then read the Result.
 func TestRunCompiledMatchesRun(t *testing.T) {
 	tr, _ := replayPinTrace()
 	cfg := DefaultConfig()
 	cfg.Seed = 9
 	tc := ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 8, B: 7}}
 
-	a := New(cfg).NewThread(tc).Run(tr)
+	th := New(cfg).NewThread(tc)
+	for _, a := range tr {
+		th.Step(a)
+	}
+	th.Drain()
+	a := th.Result()
 	b := New(cfg).NewThread(tc).RunCompiled(trace.Compile(tr))
 	if ga, gb := fmt.Sprintf("%+v", a), fmt.Sprintf("%+v", b); ga != gb {
-		t.Errorf("RunCompiled diverges from Run:\n compiled %s\n scalar   %s", gb, ga)
+		t.Errorf("RunCompiled diverges from stepping:\n compiled %s\n scalar   %s", gb, ga)
 	}
 }

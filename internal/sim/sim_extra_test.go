@@ -123,7 +123,7 @@ func TestL2RandomFillDecorrelates(t *testing.T) {
 		line := mem.Line(10000 + i*64)
 		th.Step(mem.Access{Addr: mem.AddrOf(line)})
 		th.Drain()
-		if m.L2().Probe(line) {
+		if m.Hierarchy().Level(1).Cache.Probe(line) {
 			selfFilled++
 		}
 	}
@@ -138,11 +138,11 @@ func TestFillQueueCapConfig(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FillQueueCap = 1
 	m := New(cfg)
-	if m.Config().FillQueueCap != 1 {
+	if m.cfg.FillQueueCap != 1 {
 		t.Fatal("FillQueueCap not honored")
 	}
 	// Default applies when zero.
-	if New(tinyConfig()).Config().FillQueueCap != 64 {
+	if New(tinyConfig()).cfg.FillQueueCap != 64 {
 		t.Fatal("FillQueueCap default wrong")
 	}
 }
@@ -158,7 +158,7 @@ func TestWritebackTraffic(t *testing.T) {
 		th.Step(mem.Access{Addr: mem.AddrOf(mem.Line(i * 8))}) // same set as line 0
 		th.Drain()
 	}
-	if m.Writebacks() == 0 {
+	if m.Hierarchy().Level(1).Stats().WritebacksIn == 0 {
 		t.Error("dirty eviction produced no write-back")
 	}
 }

@@ -202,7 +202,7 @@ func TestRandomFillLandsInL2Too(t *testing.T) {
 	th := m.NewThread(ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 0, B: 7}})
 	th.Step(mem.Access{Addr: mem.AddrOf(512)})
 	th.Drain()
-	if !m.L2().Probe(512) {
+	if !m.Hierarchy().Level(1).Cache.Probe(512) {
 		t.Error("demand line missing from L2 after nofill forward")
 	}
 	if m.L2Accesses() < 2 {
@@ -351,8 +351,7 @@ func TestFillModeStrings(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	m := New(Config{})
-	cfg := m.Config()
+	cfg := New(Config{}).cfg
 	if cfg.L1.SizeBytes != 32*1024 || cfg.L1.Ways != 4 {
 		t.Errorf("default L1 %v", cfg.L1)
 	}

@@ -163,8 +163,8 @@ func TestSMTCompiledMatchesStepInterleave(t *testing.T) {
 
 					// The mem.Trace entry points are wrappers over the
 					// compiled ones.
-					if r := New(cfg).RunSMTSteady(mainTC, tr.main, d.bg, tr.bg); r != rm.Result().Sub(rWarm) {
-						t.Errorf("RunSMTSteady = %+v, want %+v", r, rm.Result().Sub(rWarm))
+					if r := New(cfg).RunSMTSteadyCompiled(mainTC, trace.Compile(tr.main), d.bg, trace.Compile(tr.bg)); r != rm.Result().Sub(rWarm) {
+						t.Errorf("RunSMTSteadyCompiled = %+v, want %+v", r, rm.Result().Sub(rWarm))
 					}
 					once := New(cfg)
 					om, ob := once.NewThread(mainTC), once.NewThread(d.bg)

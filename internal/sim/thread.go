@@ -484,15 +484,6 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 	t.serviceFills()
 }
 
-// Run executes an entire trace and returns the thread's result.
-func (t *Thread) Run(trace mem.Trace) Result {
-	for i := range trace {
-		t.Step(trace[i])
-	}
-	t.Drain()
-	return t.Result()
-}
-
 // ReplayBatch executes a precompiled trace. It is observably identical to
 // stepping the trace one access at a time — same counters, same cycle
 // arithmetic, and exactly the same RNG draws — because every access runs the
@@ -520,8 +511,8 @@ func (t *Thread) replay(ct *trace.Compiled, i int, bound float64, sa *cache.SetA
 	return i
 }
 
-// RunCompiled executes an entire precompiled trace and returns the thread's
-// result, like Run over the equivalent mem.Trace.
+// RunCompiled executes an entire precompiled trace, drains it, and returns
+// the thread's result.
 func (t *Thread) RunCompiled(ct *trace.Compiled) Result {
 	t.ReplayBatch(ct)
 	t.Drain()

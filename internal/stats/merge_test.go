@@ -141,7 +141,7 @@ func TestGroupedCloneIsIndependent(t *testing.T) {
 	c.Add(1, 99)
 	c.Add(2, 5)
 	if g.Count(1) != 1 || g.Count(2) != 0 {
-		t.Errorf("mutating the clone changed the original: %v", g.Means())
+		t.Errorf("mutating the clone changed the original: counts %d, %d", g.Count(1), g.Count(2))
 	}
 	if c.Count(1) != 2 {
 		t.Errorf("clone did not keep the original's samples")

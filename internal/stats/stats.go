@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit the experiments need:
-// streaming mean/variance, histograms keyed by small integers, the standard
-// normal quantile used by the paper's Equation 5, and helpers for locating
-// timing-chart minima (Figure 2).
+// streaming mean/variance, histograms keyed by small integers, and a helper
+// for locating timing-chart minima (Figure 2).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of float64 samples and reports mean, variance
@@ -39,14 +37,6 @@ func (r *Running) Variance() float64 {
 		return 0
 	}
 	return r.m2 / float64(r.n)
-}
-
-// SampleVariance returns the unbiased sample variance (0 if < 2 samples).
-func (r *Running) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
 }
 
 // StdDev returns the population standard deviation.
@@ -114,15 +104,6 @@ func (g *Grouped) Mean(k int) float64 { return g.groups[k].Mean() }
 // Count returns the sample count of group k.
 func (g *Grouped) Count(k int) uint64 { return g.groups[k].N() }
 
-// Means returns a copy of all group means.
-func (g *Grouped) Means() []float64 {
-	out := make([]float64, len(g.groups))
-	for i := range g.groups {
-		out[i] = g.groups[i].Mean()
-	}
-	return out
-}
-
 // GrandMean returns the mean over all samples in all groups.
 func (g *Grouped) GrandMean() float64 {
 	var all Running
@@ -146,91 +127,4 @@ func (g *Grouped) ArgMin() int {
 		}
 	}
 	return best
-}
-
-// ArgMax is the complement of ArgMin.
-func (g *Grouped) ArgMax() int {
-	best, bestMean := -1, math.Inf(-1)
-	for k := range g.groups {
-		if g.groups[k].N() == 0 {
-			continue
-		}
-		if m := g.groups[k].Mean(); m > bestMean {
-			best, bestMean = k, m
-		}
-	}
-	return best
-}
-
-// Mean returns the mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// NormalQuantile returns z_alpha, the quantile of the standard normal
-// distribution for probability alpha (the Z_alpha of Equation 5). It uses
-// the Acklam rational approximation, accurate to ~1e-9 over (0,1).
-func NormalQuantile(alpha float64) float64 {
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: NormalQuantile alpha %v out of (0,1)", alpha))
-	}
-	// Coefficients for the Acklam inverse-normal approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-
-	const pLow = 0.02425
-	switch {
-	case alpha < pLow:
-		q := math.Sqrt(-2 * math.Log(alpha))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case alpha <= 1-pLow:
-		q := alpha - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-alpha))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation. It copies and sorts the input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

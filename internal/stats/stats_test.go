@@ -24,9 +24,6 @@ func TestRunningMeanVariance(t *testing.T) {
 	if math.Abs(r.StdDev()-2) > 1e-12 {
 		t.Errorf("StdDev = %v, want 2", r.StdDev())
 	}
-	if math.Abs(r.SampleVariance()-32.0/7) > 1e-12 {
-		t.Errorf("SampleVariance = %v, want %v", r.SampleVariance(), 32.0/7)
-	}
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
@@ -92,9 +89,6 @@ func TestGroupedArgMin(t *testing.T) {
 	if got := g.ArgMin(); got != 160 {
 		t.Errorf("ArgMin = %d, want 160", got)
 	}
-	if got := g.ArgMax(); got == 160 {
-		t.Error("ArgMax picked the minimum group")
-	}
 	if g.Count(160) != 10 {
 		t.Errorf("Count(160) = %d", g.Count(160))
 	}
@@ -121,78 +115,7 @@ func TestGroupedGrandMean(t *testing.T) {
 	if got := g.GrandMean(); math.Abs(got-3) > 1e-12 {
 		t.Errorf("GrandMean = %v, want 3", got)
 	}
-	means := g.Means()
-	if means[0] != 2 || means[1] != 5 {
-		t.Errorf("Means = %v", means)
-	}
-}
-
-func TestNormalQuantileKnownValues(t *testing.T) {
-	cases := []struct {
-		p, want float64
-	}{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.99, 2.326348},
-		{0.9999, 3.719016},
-		{0.025, -1.959964},
-	}
-	for _, c := range cases {
-		if got := NormalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("NormalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestNormalQuantileSymmetry(t *testing.T) {
-	for _, p := range []float64{0.6, 0.9, 0.99, 0.999} {
-		if d := NormalQuantile(p) + NormalQuantile(1-p); math.Abs(d) > 1e-6 {
-			t.Errorf("quantile asymmetry at p=%v: %v", p, d)
-		}
-	}
-}
-
-func TestNormalQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NormalQuantile(%v) did not panic", p)
-				}
-			}()
-			NormalQuantile(p)
-		}()
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("P25 = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("Percentile(nil) not NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
+	if g.Mean(0) != 2 || g.Mean(1) != 5 {
+		t.Errorf("group means = %v, %v", g.Mean(0), g.Mean(1))
 	}
 }

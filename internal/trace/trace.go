@@ -147,14 +147,10 @@ func (ct *Compiled) SetAddr(i int, addr mem.Addr) {
 	ct.words[i] = w&^lineMask | uint64(line)
 }
 
-// Word returns the packed word of access i. Batch replay loops decode it
-// with the exported helpers below; an escape record (IsEscape) must be
-// resolved through At instead.
-func (ct *Compiled) Word(i int) uint64 { return ct.words[i] }
-
-// Words exposes the packed word stream for the replay hot loops. The slice
-// is the compiled trace's backing array: callers must treat it as
-// read-only.
+// Words exposes the packed word stream for the replay hot loops, which
+// decode each word with the exported helpers below; an escape record
+// (IsEscape) must be resolved through At instead. The slice is the
+// compiled trace's backing array: callers must treat it as read-only.
 func (ct *Compiled) Words() []uint64 { return ct.words }
 
 // IsEscape reports whether packed word w is an escape record.
@@ -176,65 +172,3 @@ func Secret(w uint64) bool { return w&flagSecret != 0 }
 // leading non-memory instructions plus the memory operation itself
 // (mem.Access.Instructions).
 func Instructions(w uint64) uint64 { return (w >> nonMemShift) + 1 }
-
-// Windows splits the compiled trace into n contiguous windows of
-// near-equal length (the first Len()%n windows get one extra access,
-// mirroring parexp.SplitCounts). The windows share the compiled backing
-// arrays; the split is a pure function of (Len, n), so it is part of a
-// fixed shard plan. n is clamped to [1, Len] (an empty trace yields n
-// empty windows).
-func (ct *Compiled) Windows(n int) []Compiled {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(ct.words) && len(ct.words) > 0 {
-		n = len(ct.words)
-	}
-	out := make([]Compiled, n)
-	base, rem := len(ct.words)/n, len(ct.words)%n
-	start := 0
-	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Compiled{words: ct.words[start : start+size], escapes: ct.escapes}
-		start += size
-	}
-	return out
-}
-
-// SetTag is one access's per-geometry decode: the set index and tag for a
-// particular cache shape, plus the write flag. Geometry returns the full
-// precomputed stream.
-type SetTag struct {
-	Set   int
-	Tag   mem.Line
-	Write bool
-}
-
-// Geometry precomputes the (set index, tag, write) stream for a cache with
-// the given power-of-two set count, the per-geometry decode the scalar path
-// re-derives on every access. All cache models in this repository use the
-// full line number as the tag (tag comparison over the whole value), so Tag
-// is the line number and Set is its low bits. Escape records decode through
-// At. The result is freshly allocated: callers that replay one trace
-// against one geometry many times compute it once.
-func (ct *Compiled) Geometry(sets int) []SetTag {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("trace: set count must be a positive power of two")
-	}
-	out := make([]SetTag, len(ct.words))
-	for i, w := range ct.words {
-		var line mem.Line
-		var write bool
-		if IsEscape(w) {
-			a := ct.escapes[w&lineMask]
-			line, write = a.Line(), a.Kind == mem.Write
-		} else {
-			line, write = Line(w), Write(w)
-		}
-		out[i] = SetTag{Set: int(uint64(line) & uint64(sets-1)), Tag: line, Write: write}
-	}
-	return out
-}

@@ -33,10 +33,9 @@ func randTrace(src *rng.Source, n int) mem.Trace {
 }
 
 // checkCompiled verifies a compiled trace against its source: the scalar
-// decode of every access (set index, tag, write flag, instruction count,
-// dependence and secret flags) must match what the compiled stream and the
-// per-geometry view report, for every tested set count.
-func checkCompiled(t *testing.T, tr mem.Trace, ct *Compiled, setCounts []int) {
+// decode of every access (line, write flag, instruction count, dependence
+// and secret flags) must match what At and the packed word stream report.
+func checkCompiled(t *testing.T, tr mem.Trace, ct *Compiled) {
 	t.Helper()
 	if ct.Len() != len(tr) {
 		t.Fatalf("Len = %d, want %d", ct.Len(), len(tr))
@@ -47,7 +46,7 @@ func checkCompiled(t *testing.T, tr mem.Trace, ct *Compiled, setCounts []int) {
 			got.Dependent != a.Dependent || got.Secret != a.Secret {
 			t.Fatalf("At(%d) = %+v, want the decode of %+v", i, got, a)
 		}
-		w := ct.Word(i)
+		w := ct.Words()[i]
 		if IsEscape(w) {
 			continue
 		}
@@ -59,28 +58,17 @@ func checkCompiled(t *testing.T, tr mem.Trace, ct *Compiled, setCounts []int) {
 				a.Line(), a.Kind == mem.Write, a.Dependent, a.Secret, a.Instructions())
 		}
 	}
-	for _, sets := range setCounts {
-		view := ct.Geometry(sets)
-		for i, a := range tr {
-			wantSet := int(uint64(a.Line()) & uint64(sets-1))
-			if view[i].Set != wantSet || view[i].Tag != a.Line() || view[i].Write != (a.Kind == mem.Write) {
-				t.Fatalf("Geometry(%d)[%d] = %+v, want set=%d tag=%d write=%v",
-					sets, i, view[i], wantSet, a.Line(), a.Kind == mem.Write)
-			}
-		}
-	}
 }
 
 // TestCompileMatchesScalarDecode is the compiler's property test: for many
-// random traces and fuzzed power-of-two geometries, the compiled stream
-// decodes to exactly the (set, tag, write) sequence — plus instruction
-// counts and scheduling flags — that the scalar path derives per access.
+// random traces, the compiled stream decodes to exactly the (line, write)
+// sequence — plus instruction counts and scheduling flags — that the scalar
+// path derives per access.
 func TestCompileMatchesScalarDecode(t *testing.T) {
 	src := rng.New(0xc0de)
 	for round := 0; round < 50; round++ {
 		tr := randTrace(src, 1+src.Intn(500))
-		sets := []int{1 << src.Intn(12), 1 << src.Intn(12), 64}
-		checkCompiled(t, tr, Compile(tr), sets)
+		checkCompiled(t, tr, Compile(tr))
 	}
 }
 
@@ -102,7 +90,7 @@ func TestSetAddrMatchesRecompile(t *testing.T) {
 			tr[i].Addr = addr
 			ct.SetAddr(i, addr)
 		}
-		checkCompiled(t, tr, ct, []int{1 << src.Intn(12), 64})
+		checkCompiled(t, tr, ct)
 	}
 }
 
@@ -127,68 +115,6 @@ func TestCompileIntoReuses(t *testing.T) {
 	}
 	if &ct.words[0] != words {
 		t.Fatal("CompileInto did not reuse the words backing array")
-	}
-}
-
-func TestWindows(t *testing.T) {
-	src := rng.New(11)
-	tr := randTrace(src, 103)
-	ct := Compile(tr)
-	for _, n := range []int{1, 2, 7, 8, 103, 500} {
-		wins := ct.Windows(n)
-		wantWins := n
-		if wantWins > len(tr) {
-			wantWins = len(tr)
-		}
-		if len(wins) != wantWins {
-			t.Fatalf("Windows(%d): got %d windows, want %d", n, len(wins), wantWins)
-		}
-		// Concatenated windows must be the original access sequence, and
-		// sizes must follow the fixed near-even plan (first rem windows
-		// one longer).
-		idx := 0
-		base, rem := len(tr)/wantWins, len(tr)%wantWins
-		for wi := range wins {
-			want := base
-			if wi < rem {
-				want++
-			}
-			if wins[wi].Len() != want {
-				t.Fatalf("Windows(%d)[%d].Len = %d, want %d", n, wi, wins[wi].Len(), want)
-			}
-			for i := 0; i < wins[wi].Len(); i++ {
-				if got, want := wins[wi].At(i), ct.At(idx); got != want {
-					t.Fatalf("Windows(%d)[%d].At(%d) = %+v, want %+v", n, wi, i, got, want)
-				}
-				idx++
-			}
-		}
-		if idx != len(tr) {
-			t.Fatalf("Windows(%d) covers %d accesses, want %d", n, idx, len(tr))
-		}
-	}
-	empty := (&Compiled{}).Windows(4)
-	if len(empty) != 4 {
-		t.Fatalf("empty Windows(4): got %d windows", len(empty))
-	}
-	for _, w := range empty {
-		if w.Len() != 0 {
-			t.Fatal("empty trace window not empty")
-		}
-	}
-}
-
-func TestGeometryRejectsBadSetCounts(t *testing.T) {
-	ct := Compile(mem.Trace{{Addr: 0x40}})
-	for _, sets := range []int{0, -1, 3, 48} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Geometry(%d) did not panic", sets)
-				}
-			}()
-			ct.Geometry(sets)
-		}()
 	}
 }
 
@@ -218,8 +144,7 @@ func decodeFuzzTrace(data []byte) mem.Trace {
 
 // FuzzTraceCompile fuzzes the compiler against the scalar decode: whatever
 // the input trace, the compiled stream must decode to the same
-// (set, tag, write) sequence at several geometries and At must round-trip
-// every replay-visible field. Seed corpus entries cover the packed fast
+// (line, write) sequence and At must round-trip every replay-visible field. Seed corpus entries cover the packed fast
 // path, both escape conditions, and the all-flags case.
 func FuzzTraceCompile(f *testing.F) {
 	f.Add([]byte{})
@@ -231,6 +156,6 @@ func FuzzTraceCompile(f *testing.F) {
 	f.Add([]byte{0x00, 0x20, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := decodeFuzzTrace(data)
-		checkCompiled(t, tr, Compile(tr), []int{1, 8, 1024})
+		checkCompiled(t, tr, Compile(tr))
 	})
 }

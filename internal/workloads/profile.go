@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"sort"
-
 	"randfill/internal/cache"
 	"randfill/internal/core"
 	"randfill/internal/mem"
@@ -26,32 +24,6 @@ func (p Profile) Eff(d int) float64 {
 		return 0
 	}
 	return float64(p.Referenced[d]) / float64(f)
-}
-
-// Offsets returns the sampled offsets that have data, in ascending order
-// so that iteration over a profile is deterministic.
-func (p Profile) Offsets() []int {
-	var out []int
-	for d := range p.Fetched {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// WideForward reports whether the profile shows useful spatial locality
-// well beyond the next line in the forward direction: the mean Eff over
-// d in [2, 8] compared against a threshold.
-func (p Profile) WideForward(threshold float64) bool {
-	var sum float64
-	n := 0
-	for d := 2; d <= 8; d++ {
-		if p.Fetched[d] > 0 {
-			sum += p.Eff(d)
-			n++
-		}
-	}
-	return n > 0 && sum/float64(n) >= threshold
 }
 
 // SpatialProfile runs the trace through a random-fill cache of the given

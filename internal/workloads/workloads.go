@@ -14,9 +14,6 @@
 package workloads
 
 import (
-	"fmt"
-	"sort"
-
 	"randfill/internal/mem"
 	"randfill/internal/rng"
 )
@@ -77,10 +74,6 @@ func ByName(name string) (Generator, bool) {
 	}
 	return Generator{}, false
 }
-
-// Streaming reports whether the benchmark is one of the two irregular
-// streaming workloads random fill helps (Section VII).
-func Streaming(name string) bool { return name == "lbm" || name == "libquantum" }
 
 // genSjeng: chess tree search — dependent probes into a transposition
 // table with a skewed distribution: most probes hit a hot head region that
@@ -329,11 +322,4 @@ func genHmmer(n int, seed uint64) mem.Trace {
 		}
 	}
 	return tr[:n]
-}
-
-// String lists the benchmark names, for diagnostics.
-func String() string {
-	names := Names()
-	sort.Strings(names)
-	return fmt.Sprint(names)
 }

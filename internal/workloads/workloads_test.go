@@ -82,21 +82,12 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestStreamingClassification(t *testing.T) {
-	if !Streaming("lbm") || !Streaming("libquantum") {
-		t.Error("lbm/libquantum must be classified streaming")
-	}
-	if Streaming("astar") || Streaming("hmmer") {
-		t.Error("astar/hmmer wrongly classified streaming")
-	}
-}
-
 func geom32k() cache.Geometry { return cache.Geometry{SizeBytes: 32 * 1024, Ways: 4} }
 
 func TestSpatialProfileBounds(t *testing.T) {
 	g, _ := ByName("lbm")
 	p := SpatialProfile(g.Gen(40000, 1), geom32k(), 16, 1)
-	for _, d := range p.Offsets() {
+	for _, d := range offsets(p) {
 		f := p.Fetched[d]
 		if d < -16 || d > 16 {
 			t.Errorf("offset %d outside ±16", d)
@@ -108,7 +99,7 @@ func TestSpatialProfileBounds(t *testing.T) {
 			t.Errorf("Eff(%d) = %v", d, e)
 		}
 	}
-	if len(p.Offsets()) == 0 {
+	if len(offsets(p)) == 0 {
 		t.Fatal("no offsets sampled")
 	}
 }
@@ -126,17 +117,42 @@ func TestSpatialLocalityClasses(t *testing.T) {
 		p := SpatialProfile(g.Gen(60000, 1), geom32k(), 16, 1)
 		switch {
 		case wide[g.Name]:
-			if !p.WideForward(0.5) {
+			if !wideForward(p, 0.5) {
 				t.Errorf("%s: expected wide forward locality; Eff(2..8) = %v",
 					g.Name, sampleEff(p))
 			}
 		case narrow[g.Name]:
-			if p.WideForward(0.4) {
+			if wideForward(p, 0.4) {
 				t.Errorf("%s: unexpectedly wide forward locality; Eff(2..8) = %v",
 					g.Name, sampleEff(p))
 			}
 		}
 	}
+}
+
+// offsets returns the sampled offsets that have data, in ascending order.
+func offsets(p Profile) []int {
+	var out []int
+	for d := range p.Fetched {
+		out = append(out, d)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// wideForward reports whether the profile shows useful spatial locality
+// well beyond the next line in the forward direction: the mean Eff over
+// d in [2, 8] compared against a threshold.
+func wideForward(p Profile, threshold float64) bool {
+	var sum float64
+	n := 0
+	for d := 2; d <= 8; d++ {
+		if p.Fetched[d] > 0 {
+			sum += p.Eff(d)
+			n++
+		}
+	}
+	return n > 0 && sum/float64(n) >= threshold
 }
 
 func sampleEff(p Profile) []float64 {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare profile experiments experiments-full fuzz fuzz-smoke conformance crash-resume fabric-fault clean
+.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare profile experiments experiments-full digest fuzz fuzz-smoke conformance crash-resume fabric-fault clean
 
 all: build lint test
 
@@ -72,6 +72,15 @@ profile:
 # Regenerate every table and figure at quick scale.
 experiments: build
 	$(GO) run ./cmd/experiments -run all
+
+# Check that every table and figure at quick scale prints the recorded
+# bytes: the sha256 of `experiments -run all` stdout must match
+# cmd/experiments/testdata/run_all_quick.sha256 (see ci.yml
+# parallel-invariance). A change meant to move output bytes re-records the
+# file, as it does a golden:
+#   go run ./cmd/experiments -run all | sha256sum > cmd/experiments/testdata/run_all_quick.sha256
+digest:
+	$(GO) run ./cmd/experiments -run all | sha256sum -c cmd/experiments/testdata/run_all_quick.sha256
 
 # Regenerate the security tables at (near) paper scale. Slow.
 experiments-full: build

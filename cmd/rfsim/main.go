@@ -93,12 +93,10 @@ func main() {
 	cfg.L1Policy = *policy
 	cfg.MissQueue = *mshrs
 	cfg.Seed = *seed
-	cfg.L2Window = w2
+	cfg.Levels = []sim.LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: w2}}
 	if *l3size > 0 {
-		cfg.Levels = []sim.LevelConfig{
-			{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: w2},
-			{Geom: cache.Geometry{SizeBytes: *l3size, Ways: *l3ways}, HitLat: *l3lat, Window: w3},
-		}
+		cfg.Levels = append(cfg.Levels,
+			sim.LevelConfig{Geom: cache.Geometry{SizeBytes: *l3size, Ways: *l3ways}, HitLat: *l3lat, Window: w3})
 	} else if !w3.Zero() {
 		fatal(fmt.Errorf("-l3window requires -l3"))
 	}

@@ -265,10 +265,7 @@ func (s *CollisionStats) Merge(other *CollisionStats) {
 func (a *Collision) cleanCache() {
 	a.machine.L1().Flush()
 	if a.cfg.Victim.Mode == sim.ModePreload {
-		pl := a.machine.L1().(*plcache.PLcache)
-		for _, r := range a.cfg.Victim.SecretRegions {
-			pl.Preload(a.cfg.Victim.Owner, r)
-		}
+		plcache.Preload(a.machine.L1(), a.cfg.Victim.Owner, a.cfg.Victim.SecretRegions...)
 	}
 }
 

@@ -3,8 +3,10 @@
 // fill, probe, invalidate and flush operations; a parameterized
 // set-associative implementation with pluggable replacement policies (LRU,
 // FIFO, random, tree-PLRU, SRRIP, BRRIP); per-line metadata (dirty, lock,
-// owner, fill-offset tag) used
-// by PLcache and by the spatial-locality profiler; and statistics counters.
+// owner, fill-offset tag) used by the spatial-locality profiler; and
+// statistics counters. The set-associative cache honours the lock bit and
+// an optional per-owner allowed-ways mask, which makes PLcache
+// (internal/plcache) and NoMo (internal/nomo) configurations of it.
 //
 // A deliberate property of the model is that Lookup never fills: the fill
 // decision belongs to the fill policy (demand fetch, or the random fill
@@ -31,8 +33,9 @@ type Stats struct {
 	Evictions   uint64
 	Writebacks  uint64
 	Invalidates uint64
-	// FillRefused counts fills rejected by the architecture (PLcache
-	// refuses to evict a line locked by another process).
+	// FillRefused counts fills rejected by the architecture (every way
+	// the filling owner may use holds a locked line, or its way mask is
+	// empty). A refused fill installs nothing and does not count in Fills.
 	FillRefused uint64
 }
 
@@ -43,7 +46,8 @@ func (s *Stats) Accesses() uint64 { return s.Hits + s.Misses }
 type FillOpts struct {
 	// Dirty marks the line as modified (installed by a write allocate).
 	Dirty bool
-	// Lock sets the PLcache-style lock bit.
+	// Lock sets the PLcache lock bit: SetAssoc never chooses a locked
+	// line as a victim.
 	Lock bool
 	// Owner is the process id owning the line; NoOwner if none.
 	Owner int
@@ -60,7 +64,8 @@ type Victim struct {
 	// into an invalid way displaces nothing.
 	Valid bool
 	// Refused reports that the fill itself was rejected (no line was
-	// installed); only PLcache produces refused fills.
+	// installed); only the lock bits (PLcache) and way masks (NoMo) of
+	// SetAssoc produce refused fills.
 	Refused bool
 	Line    mem.Line
 	Dirty   bool
@@ -125,9 +130,10 @@ func (g Geometry) Sets() int {
 
 // ValidateGeometry checks g the way NewSetAssoc does — size a positive
 // line multiple, lines divisible into ways, power-of-two set count — and
-// panics with the same diagnostics on violation. Design packages that
-// manage their own line arrays (PLcache, RPcache, NoMo) call it instead of
-// constructing a throwaway SetAssoc just to trigger the checks.
+// panics with the same diagnostics on violation. RPcache, the only design
+// package that manages its own line arrays, calls it instead of
+// constructing a throwaway SetAssoc just to trigger the checks; PLcache
+// and NoMo call it to check the geometry before their own arguments.
 func ValidateGeometry(g Geometry) { g.check() }
 
 func (g Geometry) check() {

@@ -219,6 +219,96 @@ func TestLockAndOwnerMetadata(t *testing.T) {
 	}
 }
 
+// TestRestrictWays pins the per-owner way masks on one 4-way set in which
+// owner 0 may fill ways 0-1, owner 1 ways 2-3, and every other owner no way.
+func TestRestrictWays(t *testing.T) {
+	const e = invalidTag
+	type fill struct {
+		line  mem.Line
+		owner int
+		lock  bool
+	}
+	cases := []struct {
+		name    string
+		fills   []fill
+		want    []mem.Line // the set's ways after the fills; e = empty
+		refused uint64
+	}{
+		{"first empty allowed way", []fill{{1, 1, false}}, []mem.Line{e, e, 1, e}, 0},
+		{"victim among allowed ways",
+			[]fill{{1, 1, false}, {2, 1, false}, {3, 1, false}}, []mem.Line{e, e, 3, 2}, 0},
+		{"owners keep to their ways",
+			[]fill{{1, 0, false}, {2, 1, false}, {3, 0, false}, {4, 0, false}}, []mem.Line{4, 3, 2, e}, 0},
+		{"empty mask refuses", []fill{{1, 5, false}}, []mem.Line{e, e, e, e}, 1},
+		{"locked way is no victim",
+			[]fill{{1, 1, true}, {2, 1, false}, {3, 1, false}}, []mem.Line{e, e, 1, 3}, 0},
+		{"all allowed ways locked refuses",
+			[]fill{{1, 1, true}, {2, 1, true}, {3, 1, false}}, []mem.Line{e, e, 1, 2}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewSetAssoc(Geometry{SizeBytes: 4 * mem.LineSize, Ways: 4}, LRU{})
+			c.RestrictWays([]uint64{0b0011, 0b1100}, 0)
+			for _, f := range tc.fills {
+				c.Fill(f.line, FillOpts{Owner: f.owner, Lock: f.lock})
+			}
+			for w, l := range tc.want {
+				if c.tags[w] != l {
+					t.Fatalf("ways = %v, want %v", c.tags, tc.want)
+				}
+			}
+			s := c.Stats()
+			if s.FillRefused != tc.refused || s.Fills != uint64(len(tc.fills))-tc.refused {
+				t.Errorf("FillRefused = %d, Fills = %d, want %d refused of %d", s.FillRefused, s.Fills, tc.refused, len(tc.fills))
+			}
+		})
+	}
+	// An empty owner list still restricts: every owner gets the other mask.
+	c := NewSetAssoc(Geometry{SizeBytes: 4 * mem.LineSize, Ways: 4}, LRU{})
+	c.RestrictWays(nil, 0b0001)
+	c.Fill(1, FillOpts{Owner: 0})
+	if v := c.Fill(2, FillOpts{Owner: 0}); !v.Valid || v.Line != 1 {
+		t.Errorf("second fill into a one-way mask evicted %+v, want line 1", v)
+	}
+}
+
+// TestLockCount: the locked-line count follows Fill, Invalidate and Flush,
+// and once it is back to zero a set whose locked line was invalidated
+// evicts by plain LRU again.
+func TestLockCount(t *testing.T) {
+	c := small()
+	c.Fill(0, FillOpts{Lock: true, Owner: 1})
+	c.Fill(0, FillOpts{Lock: true, Owner: 1}) // refreshing a locked line counts it once
+	c.Fill(4, FillOpts{})
+	c.Fill(4, FillOpts{Lock: true, Owner: 1}) // locking refresh
+	c.Fill(1, FillOpts{Lock: true, Owner: 1})
+	if c.locked != 3 {
+		t.Fatalf("locked = %d, want 3", c.locked)
+	}
+	if v := c.Fill(8, FillOpts{}); !v.Refused {
+		t.Fatalf("fill into a fully locked set returned %+v", v)
+	}
+	c.Invalidate(0)
+	if c.locked != 2 {
+		t.Fatalf("locked = %d after invalidating a locked line, want 2", c.locked)
+	}
+	if v := c.Fill(8, FillOpts{}); v.Valid || v.Refused {
+		t.Fatalf("fill into the invalidated way returned %+v", v)
+	}
+	if v := c.Fill(12, FillOpts{}); !v.Valid || v.Line != 8 {
+		t.Fatalf("fill beside a locked line evicted %+v, want line 8", v)
+	}
+	c.Flush()
+	if c.locked != 0 {
+		t.Fatalf("locked = %d after Flush, want 0", c.locked)
+	}
+	c.Fill(0, FillOpts{})
+	c.Fill(4, FillOpts{})
+	if v := c.Fill(8, FillOpts{}); !v.Valid || v.Line != 0 {
+		t.Fatalf("fill after Flush evicted %+v, want LRU line 0", v)
+	}
+}
+
 func TestCapacityNeverExceeded(t *testing.T) {
 	f := func(lines []uint16) bool {
 		c := small()

@@ -8,23 +8,27 @@ import (
 )
 
 // refCache is an obviously-correct reference model of a set-associative
-// LRU cache: one explicit recency-ordered slice per set. The property tests
+// LRU cache with PLcache lock bits: one explicit recency-ordered slice per
+// set. The victim is the least recently used unlocked line, and a fill into
+// a full set whose lines are all locked is refused. The property tests
 // drive SetAssoc and refCache with identical random operation sequences and
 // require identical observable behaviour.
 type refCache struct {
 	sets int
 	ways int
 	// order[s] holds the lines of set s, most recently used first.
-	order [][]mem.Line
-	dirty map[mem.Line]bool
+	order  [][]mem.Line
+	dirty  map[mem.Line]bool
+	locked map[mem.Line]bool
 }
 
 func newRef(sets, ways int) *refCache {
 	return &refCache{
-		sets:  sets,
-		ways:  ways,
-		order: make([][]mem.Line, sets),
-		dirty: make(map[mem.Line]bool),
+		sets:   sets,
+		ways:   ways,
+		order:  make([][]mem.Line, sets),
+		dirty:  make(map[mem.Line]bool),
+		locked: make(map[mem.Line]bool),
 	}
 }
 
@@ -59,9 +63,11 @@ func (r *refCache) probe(l mem.Line) bool {
 	return r.indexIn(r.order[r.setOf(l)], l) >= 0
 }
 
-// fill installs l and returns the evicted line, whether it was dirty, and
-// whether an eviction happened at all.
-func (r *refCache) fill(l mem.Line, dirty bool) (victim mem.Line, victimDirty, evicted bool) {
+// fill installs l (locking it when lock is set) and returns the evicted
+// line, whether it was dirty, whether an eviction happened at all, and
+// whether the fill was refused because every line of the full set is
+// locked.
+func (r *refCache) fill(l mem.Line, dirty, lock bool) (victim mem.Line, victimDirty, evicted, refused bool) {
 	si := r.setOf(l)
 	s := r.order[si]
 	if i := r.indexIn(s, l); i >= 0 {
@@ -70,12 +76,22 @@ func (r *refCache) fill(l mem.Line, dirty bool) (victim mem.Line, victimDirty, e
 		if dirty {
 			r.dirty[l] = true
 		}
-		return 0, false, false
+		if lock {
+			r.locked[l] = true
+		}
+		return 0, false, false, false
 	}
 	if len(s) == r.ways {
-		victim = s[len(s)-1]
+		i := len(s) - 1
+		for i >= 0 && r.locked[s[i]] {
+			i--
+		}
+		if i < 0 {
+			return 0, false, false, true
+		}
+		victim = s[i]
 		victimDirty = r.dirty[victim]
-		s = s[:len(s)-1]
+		s = append(s[:i], s[i+1:]...)
 		delete(r.dirty, victim)
 		evicted = true
 	}
@@ -83,7 +99,10 @@ func (r *refCache) fill(l mem.Line, dirty bool) (victim mem.Line, victimDirty, e
 	if dirty {
 		r.dirty[l] = true
 	}
-	return victim, victimDirty, evicted
+	if lock {
+		r.locked[l] = true
+	}
+	return victim, victimDirty, evicted, false
 }
 
 func (r *refCache) invalidate(l mem.Line) bool {
@@ -95,6 +114,7 @@ func (r *refCache) invalidate(l mem.Line) bool {
 	}
 	r.order[si] = append(s[:i], s[i+1:]...)
 	delete(r.dirty, l)
+	delete(r.locked, l)
 	return true
 }
 
@@ -107,7 +127,9 @@ type op struct {
 
 // TestSetAssocMatchesReferenceModel drives both implementations with the
 // same random operation sequence and checks every observable result:
-// lookup hits, probe results, fill victims, invalidation results.
+// lookup hits, probe results, fill victims and refusals, invalidation
+// results, and the final contents and lock bits. One fill in four is a
+// locking fill.
 func TestSetAssocMatchesReferenceModel(t *testing.T) {
 	f := func(ops []op) bool {
 		// 8 sets x 2 ways.
@@ -122,8 +144,13 @@ func TestSetAssocMatchesReferenceModel(t *testing.T) {
 					return false
 				}
 			case 1:
-				v := c.Fill(l, FillOpts{Dirty: o.Bit})
-				rv, _, rev := r.fill(l, o.Bit)
+				lock := o.Kind/4%4 == 0
+				v := c.Fill(l, FillOpts{Dirty: o.Bit, Lock: lock})
+				rv, _, rev, rref := r.fill(l, o.Bit, lock)
+				if v.Refused != rref {
+					t.Logf("fill(%d): refusal diverged (%v vs %v)", l, v.Refused, rref)
+					return false
+				}
 				if v.Valid != rev {
 					t.Logf("fill(%d): eviction presence diverged (%v vs %v)", l, v.Valid, rev)
 					return false
@@ -161,6 +188,14 @@ func TestSetAssocMatchesReferenceModel(t *testing.T) {
 				t.Logf("contents diverged at line %d", l)
 				return false
 			}
+			if c.IsLocked(l) != r.locked[l] {
+				t.Logf("lock bit of line %d diverged", l)
+				return false
+			}
+		}
+		if c.locked != len(r.locked) {
+			t.Logf("locked-line count %d, want %d", c.locked, len(r.locked))
+			return false
 		}
 		return true
 	}
@@ -186,7 +221,7 @@ func TestSetAssocDirtyMatchesReference(t *testing.T) {
 				}
 			case 1:
 				v := c.Fill(l, FillOpts{Dirty: o.Bit})
-				rv, rdirty, rev := r.fill(l, o.Bit)
+				rv, rdirty, rev, _ := r.fill(l, o.Bit, false)
 				if v.Valid != rev {
 					return false
 				}

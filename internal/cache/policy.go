@@ -34,8 +34,10 @@ type Policy interface {
 	// VictimMasked is Victim restricted to the ways whose bit is set in
 	// allowed (bit w = way w, so masked callers need Ways <= 64). It
 	// returns -1 when allowed selects no way — the caller's fill is
-	// refused. PLcache (lock bits) and NoMo (way reservation) evict
-	// through it.
+	// refused. SetAssoc evicts through it when the filling owner's ways
+	// are restricted (NoMo) or the set holds a locked line (PLcache);
+	// over a mask of every way it must pick Victim's way with the same
+	// stamp updates and RNG draws.
 	VictimMasked(stamps []uint64, allowed uint64) int
 	String() string
 }

@@ -61,7 +61,8 @@ func TestPolicyVictimAlwaysValid(t *testing.T) {
 
 // TestPolicyVictimMaskedRespectsMask: for every policy and random mask,
 // VictimMasked returns -1 exactly when the mask allows no way, and an
-// allowed way otherwise.
+// allowed way otherwise. At every step it also checks the law SetAssoc's
+// victim choice rests on: over a mask of every way, VictimMasked is Victim.
 func TestPolicyVictimMaskedRespectsMask(t *testing.T) {
 	for _, np := range policiesUnderTest(13) {
 		p := np.p
@@ -73,6 +74,7 @@ func TestPolicyVictimMaskedRespectsMask(t *testing.T) {
 					if src.Bool(0.5) {
 						p.OnFill(stamps, src.Intn(ways), uint64(i))
 					}
+					checkFullMaskIsVictim(t, np.name, stamps, src.Uint64())
 					mask := src.Uint64()
 					if src.Bool(0.1) {
 						mask = 0
@@ -94,6 +96,38 @@ func TestPolicyVictimMaskedRespectsMask(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkFullMaskIsVictim builds two instances of the named policy on
+// equal-seeded sources and hands each its own copy of stamps: Victim on one,
+// VictimMasked with every way allowed on the other. They must pick the same
+// way, leave identical stamps (the RRIP policies age the set) and leave both
+// sources at the same next draw (Random's Intn(popcount) is Intn(ways)).
+func checkFullMaskIsVictim(t *testing.T, name string, stamps []uint64, seed uint64) {
+	t.Helper()
+	ways := len(stamps)
+	plain, masked := append([]uint64(nil), stamps...), append([]uint64(nil), stamps...)
+	plainSrc, maskedSrc := rng.New(seed), rng.New(seed)
+	plainPol, err := PolicyByName(name, plainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maskedPol, err := PolicyByName(name, maskedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plainPol.Victim(plain)
+	if got := maskedPol.VictimMasked(masked, ^uint64(0)>>uint(64-ways)); got != want {
+		t.Fatalf("ways=%d stamps %v: VictimMasked over every way = %d, Victim = %d", ways, stamps, got, want)
+	}
+	for w := range plain {
+		if plain[w] != masked[w] {
+			t.Fatalf("ways=%d: stamps after Victim %v, after VictimMasked %v", ways, plain, masked)
+		}
+	}
+	if a, b := plainSrc.Uint64(), maskedSrc.Uint64(); a != b {
+		t.Fatalf("ways=%d: next draw after Victim %#x, after VictimMasked %#x", ways, a, b)
 	}
 }
 

@@ -23,7 +23,12 @@ const invalidTag = ^mem.Line(0)
 
 // SetAssoc is a conventional set-associative cache with a pluggable
 // replacement policy. It also serves direct-mapped (Ways=1) and fully
-// associative (Sets=1) shapes.
+// associative (Sets=1) shapes, and the partitioned designs: PLcache is a
+// SetAssoc whose lock bits keep a line from ever being chosen as a victim,
+// and NoMo one whose RestrictWays masks reserve ways per hardware thread.
+// Both constraints go through the policy's masked victim path, so lock bits
+// and way masks need Ways <= 64 (plcache.NewWithPolicy and RestrictWays
+// check).
 //
 // Per-way state is struct-of-arrays: the tags array is the only state the
 // hit fast path touches (one contiguous cache line per 8 ways), the meta
@@ -44,6 +49,15 @@ type SetAssoc struct {
 	tick    uint64
 	stats   Stats
 	onEv    EvictionObserver
+
+	// locked counts the valid lines whose lock bit is set. While it is
+	// zero no set holds a locked way, and victim skips the lock scan.
+	locked int
+	// ownerWays, when non-nil, holds each owner's allowed-ways mask (bit w
+	// = way w): a fill by owner o in [0, len(ownerWays)) may only use the
+	// ways in ownerWays[o], a fill by any other owner those in otherWays.
+	ownerWays []uint64
+	otherWays uint64
 
 	// isLRU devirtualizes the by-far-most-common policy on the touch and
 	// victim hot paths (identical results, no interface call).
@@ -92,6 +106,28 @@ func (c *SetAssoc) Stats() *Stats { return &c.stats }
 
 // SetEvictionObserver registers fn to receive every displaced valid line.
 func (c *SetAssoc) SetEvictionObserver(fn EvictionObserver) { c.onEv = fn }
+
+// RestrictWays limits the ways each owner's fills may use (see the
+// ownerWays field): perOwner[o] for owner o, other for every owner outside
+// perOwner. Lookups still hit in any way. It panics on caches of more than
+// 64 ways.
+func (c *SetAssoc) RestrictWays(perOwner []uint64, other uint64) {
+	if c.ways > 64 {
+		panic(fmt.Sprintf("cache: way masks require <= 64 ways, have %d", c.ways))
+	}
+	c.ownerWays = make([]uint64, len(perOwner)) // non-nil even when empty
+	copy(c.ownerWays, perOwner)
+	c.otherWays = other
+}
+
+// allowedWays returns the ways owner's fills may use; call it only when
+// ownerWays is set.
+func (c *SetAssoc) allowedWays(owner int) uint64 {
+	if owner >= 0 && owner < len(c.ownerWays) {
+		return c.ownerWays[owner]
+	}
+	return c.otherWays
+}
 
 // SetIndex returns the set index the line maps to.
 func (c *SetAssoc) SetIndex(l mem.Line) int { return int(uint64(l) & uint64(c.sets-1)) }
@@ -174,9 +210,49 @@ func (c *SetAssoc) touch(base, w int, fill bool) {
 	}
 }
 
-// victim selects the way to evict from the full set starting at base.
-func (c *SetAssoc) victim(base int) int {
+// emptyWay returns the first empty way of the set starting at base that
+// owner may fill, or -1. Lock bits never restrict it.
+func (c *SetAssoc) emptyWay(base, owner int) int {
+	tags := c.tags[base : base+c.ways]
+	if c.ownerWays == nil {
+		for w := range tags {
+			if tags[w] == invalidTag {
+				return w
+			}
+		}
+		return -1
+	}
+	allowed := c.allowedWays(owner)
+	for w := range tags {
+		if tags[w] == invalidTag && allowed&(1<<uint(w)) != 0 {
+			return w
+		}
+	}
+	return -1
+}
+
+// victim selects the way to evict for owner's fill into the set starting at
+// base, which has no empty way owner may use: the policy's pick among
+// owner's ways that hold no locked line, or -1 when there is none. With no
+// way mask and no locked way in the set it takes the plain Victim path,
+// which picks the same way as VictimMasked over every way
+// (TestPolicyVictimMaskedRespectsMask pins that law).
+func (c *SetAssoc) victim(base, owner int) int {
 	stamps := c.stamps[base : base+c.ways]
+	allowed := ^uint64(0)
+	if c.ownerWays != nil {
+		allowed = c.allowedWays(owner)
+	}
+	if c.locked > 0 {
+		for w, m := range c.meta[base : base+c.ways] {
+			if m&metaLocked != 0 {
+				allowed &^= 1 << uint(w)
+			}
+		}
+	}
+	if allowed != ^uint64(0) {
+		return c.policy.VictimMasked(stamps, allowed)
+	}
 	if c.isLRU {
 		best := 0
 		for w := 1; w < len(stamps); w++ {
@@ -189,7 +265,11 @@ func (c *SetAssoc) victim(base int) int {
 	return c.policy.Victim(stamps)
 }
 
-// Fill implements Cache.
+// Fill implements Cache. A fill with opts.Lock sets the line's lock bit
+// (PLcache's locking load), and a locked line is never chosen as a victim.
+// A fill that finds neither an empty way nor an evictable one among its
+// owner's ways is refused: it installs nothing, counts FillRefused and
+// returns Victim{Refused: true}.
 func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 	base := c.base(c.SetIndex(l))
 	c.tick++
@@ -199,26 +279,25 @@ func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 			c.meta[base+w] |= metaDirty
 		}
 		if opts.Lock {
+			if c.meta[base+w]&metaLocked == 0 {
+				c.locked++
+			}
 			c.meta[base+w] |= metaLocked
 			c.owners[base+w] = opts.Owner
 		}
 		c.touch(base, w, true)
 		return Victim{}
 	}
-	c.stats.Fills++
-	// Prefer an invalid way.
-	w := -1
-	for i := 0; i < c.ways; i++ {
-		if c.tags[base+i] == invalidTag {
-			w = i
-			break
-		}
-	}
+	w := c.emptyWay(base, opts.Owner)
 	var v Victim
 	if w < 0 {
-		w = c.victim(base)
+		if w = c.victim(base, opts.Owner); w < 0 {
+			c.stats.FillRefused++
+			return Victim{Refused: true}
+		}
 		v = c.evict(base, w)
 	}
+	c.stats.Fills++
 	i := base + w
 	c.tags[i] = l
 	m := uint8(0)
@@ -227,6 +306,7 @@ func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 	}
 	if opts.Lock {
 		m |= metaLocked
+		c.locked++
 	}
 	c.meta[i] = m
 	c.owners[i] = opts.Owner
@@ -252,6 +332,9 @@ func (c *SetAssoc) evict(base, w int) Victim {
 	c.stats.Evictions++
 	if v.Dirty {
 		c.stats.Writebacks++
+	}
+	if c.meta[i]&metaLocked != 0 {
+		c.locked--
 	}
 	if c.onEv != nil {
 		c.onEv(v)

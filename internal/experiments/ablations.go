@@ -170,7 +170,7 @@ func AblationL2RandomFill(sc Scale) *Table {
 
 	variants := []sim.Config{
 		{Seed: sc.Seed},
-		{Seed: sc.Seed, L2Window: w},
+		{Seed: sc.Seed, Levels: []sim.LevelConfig{{Window: w}}},
 	}
 	ipcs := parexp.Map(sc.engine(), len(variants), func(i int) float64 {
 		return sim.New(variants[i]).RunTrace(sim.ThreadConfig{

@@ -10,7 +10,7 @@ import (
 
 // nm builds a 4-way cache with 1 way reserved per each of 2 threads
 // (NoMo-1, 2 ways shared).
-func nm() *NoMo { return New(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 1) }
+func nm() *cache.SetAssoc { return New(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 1) }
 
 func TestBasicHitMiss(t *testing.T) {
 	c := nm()
@@ -106,6 +106,9 @@ func TestFullReservationRefusal(t *testing.T) {
 	}
 	if c.Stats().FillRefused != 1 {
 		t.Errorf("FillRefused = %d", c.Stats().FillRefused)
+	}
+	if c.Stats().Fills != 0 {
+		t.Errorf("Fills = %d after a refused fill, want 0", c.Stats().Fills)
 	}
 }
 

@@ -7,7 +7,18 @@ import (
 	"randfill/internal/mem"
 )
 
-func pl() *PLcache { return NewWithPolicy(cache.Geometry{SizeBytes: 512, Ways: 2}, nil) } // 4 sets x 2 ways
+func pl() *cache.SetAssoc { return NewWithPolicy(cache.Geometry{SizeBytes: 512, Ways: 2}, nil) } // 4 sets x 2 ways
+
+// lockedLines returns the number of locked lines in c.
+func lockedLines(c *cache.SetAssoc) int {
+	n := 0
+	for _, l := range c.Contents() {
+		if c.IsLocked(l) {
+			n++
+		}
+	}
+	return n
+}
 
 func TestBasicHitMiss(t *testing.T) {
 	c := pl()
@@ -68,11 +79,11 @@ func TestLRUAmongUnlocked(t *testing.T) {
 func TestPreloadLocksRegion(t *testing.T) {
 	c := NewWithPolicy(cache.Geometry{SizeBytes: 8 * 1024, Ways: 4}, nil)
 	region := mem.Region{Base: 0x10000, Size: 1024} // 16 lines
-	if failed := c.Preload(1, region); failed != 0 {
+	if failed := Preload(c, 1, region); failed != 0 {
 		t.Fatalf("preload failed to lock %d lines", failed)
 	}
-	if c.LockedLines() != 16 {
-		t.Errorf("LockedLines = %d, want 16", c.LockedLines())
+	if n := lockedLines(c); n != 16 {
+		t.Errorf("lockedLines = %d, want 16", n)
 	}
 	for _, l := range region.Lines() {
 		if !c.Probe(l) || !c.IsLocked(l) {
@@ -85,12 +96,12 @@ func TestPreloadOverflowReported(t *testing.T) {
 	// A tiny 2-way cache cannot lock a region with >2 lines per set.
 	c := pl()                                    // 4 sets x 2 ways = 8 lines
 	region := mem.Region{Base: 0, Size: 3 * 512} // 24 lines over 4 sets → 6 per set
-	failed := c.Preload(1, region)
+	failed := Preload(c, 1, region)
 	if failed != 24-8 {
 		t.Errorf("failed = %d, want 16", failed)
 	}
-	if c.LockedLines() != 8 {
-		t.Errorf("LockedLines = %d, want 8", c.LockedLines())
+	if n := lockedLines(c); n != 8 {
+		t.Errorf("lockedLines = %d, want 8", n)
 	}
 }
 
@@ -131,19 +142,9 @@ func TestFlushAndDrain(t *testing.T) {
 	if n != 2 {
 		t.Errorf("flush observer count %d", n)
 	}
-	if len(contents(c)) != 0 {
+	if len(c.Contents()) != 0 {
 		t.Error("flush left lines")
 	}
-}
-
-func contents(c *PLcache) []mem.Line {
-	var out []mem.Line
-	for l := mem.Line(0); l < 1000; l++ {
-		if c.Probe(l) {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 func TestDemandFillStillWorksAroundLocks(t *testing.T) {

@@ -81,19 +81,13 @@ type Config struct {
 	// bursts of back-to-back misses.
 	FillQueueCap int
 
-	// L2Window, when non-zero, applies the random fill policy at the L2
-	// as well: an L2 miss forwards the line upward without installing it
-	// and installs a random neighbor within the window instead (the
-	// "both L1 and L2 are random fill caches" variant of Section VI).
-	// Ignored when Levels is set.
-	L2Window rng.Window
-
 	// Levels, when non-empty, replaces the single L2 with an explicit
 	// stack of cache levels below the L1 (nearest the L1 first), each a
 	// set-associative LRU cache with its own hit latency and optional
-	// random fill window. When empty, the classic L2/L2HitLat/L2Window
-	// fields define a single below-L1 level, which keeps the historical
-	// two-level RNG stream layout byte-identical.
+	// random fill window. A window at the L2 is the "both L1 and L2 are
+	// random fill caches" variant of Section VI. When empty, the classic
+	// L2/L2HitLat fields define a single demand-fill L2, which keeps the
+	// historical two-level RNG stream layout byte-identical.
 	Levels []LevelConfig
 
 	// IssueWidth is the processor issue width (Table IV: 4-way OoO).
@@ -190,7 +184,7 @@ func (c Config) belowL1() []LevelConfig {
 	if len(c.Levels) > 0 {
 		return c.Levels
 	}
-	return []LevelConfig{{Geom: c.L2, HitLat: c.L2HitLat, Window: c.L2Window}}
+	return []LevelConfig{{Geom: c.L2, HitLat: c.L2HitLat}}
 }
 
 // buildL1 constructs the configured L1 cache. Stream rules: the SA cache

@@ -55,7 +55,7 @@ func TestHierarchyMatchesPreRefactorMachine(t *testing.T) {
 	tiny.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
 	tiny.Seed = 7
 	l2rf := tiny
-	l2rf.L2Window = rng.Window{A: 4, B: 3}
+	l2rf.Levels = []LevelConfig{{Geom: tiny.L2, HitLat: tiny.L2HitLat, Window: rng.Window{A: 4, B: 3}}}
 
 	cases := []struct {
 		name string
@@ -87,15 +87,10 @@ func TestExplicitLevelsMatchClassicL2(t *testing.T) {
 	classic := DefaultConfig()
 	classic.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
 	classic.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
-	classic.L2Window = rng.Window{A: 4, B: 3}
 	classic.Seed = 7
 
 	explicit := classic
-	explicit.Levels = []LevelConfig{{
-		Geom:   classic.L2,
-		HitLat: classic.L2HitLat,
-		Window: classic.L2Window,
-	}}
+	explicit.Levels = []LevelConfig{{Geom: classic.L2, HitLat: classic.L2HitLat}}
 
 	tc := ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 8, B: 7}}
 	if a, b := compatSummary(classic, tc), compatSummary(explicit, tc); a != b {
@@ -113,14 +108,14 @@ func TestL2RandomFillDropStats(t *testing.T) {
 	cfg.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
 	cfg.L2 = cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}
 	// A window reaching far below the trace's low lines forces clamps.
-	cfg.L2Window = rng.Window{A: 600, B: 0}
+	cfg.Levels = []LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: rng.Window{A: 600, B: 0}}}
 	cfg.Seed = 7
 	m := New(cfg)
 	m.RunTrace(ThreadConfig{}, recordedTrace())
 
 	fs := m.Hierarchy().Level(1).FillStats()
 	if fs == nil {
-		t.Fatal("L2 FillStats nil with L2Window set")
+		t.Fatal("L2 FillStats nil with an L2 window set")
 	}
 	l2 := m.Hierarchy().Level(1).Stats()
 	if fs.NoFills != l2.Misses {
@@ -150,7 +145,7 @@ func TestL2RandomFillDropStats(t *testing.T) {
 
 	// A demand-fill machine surfaces no fill stats.
 	if New(Config{Seed: 1}).Hierarchy().Level(1).FillStats() != nil {
-		t.Error("L2 FillStats non-nil without L2Window")
+		t.Error("L2 FillStats non-nil without an L2 window")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/hierarchy"
 	"randfill/internal/mem"
-	"randfill/internal/plcache"
 	"randfill/internal/prefetch"
 	"randfill/internal/rng"
 	"randfill/internal/trace"
@@ -98,8 +97,7 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 		t.engine.SetRR(tc.Window.A, tc.Window.B)
 	}
 	if tc.Mode == ModePreload {
-		pl, ok := m.L1().(*plcache.PLcache)
-		if !ok {
+		if m.cfg.L1Kind != KindPLcache {
 			panic("sim: ModePreload requires L1Kind == KindPLcache")
 		}
 		for _, r := range tc.SecretRegions {
@@ -107,7 +105,7 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 				// Preload traffic goes through the L2 like any
 				// other fill and costs the thread time up front.
 				t.cycle += float64(m.fetchBelow(l, false))
-				pl.Fill(l, cache.FillOpts{Lock: true, Owner: tc.Owner})
+				m.L1().Fill(l, cache.FillOpts{Lock: true, Owner: tc.Owner})
 			}
 		}
 	}

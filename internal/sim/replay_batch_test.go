@@ -67,7 +67,7 @@ func TestBatchReplayMatchesStep(t *testing.T) {
 	oneMSHR := tiny
 	oneMSHR.MissQueue = 1
 	l2rf := tiny
-	l2rf.L2Window = rng.Window{A: 4, B: 3}
+	l2rf.Levels = []LevelConfig{{Geom: tiny.L2, HitLat: tiny.L2HitLat, Window: rng.Window{A: 4, B: 3}}}
 	three := tiny
 	three.Levels = []LevelConfig{
 		{Geom: cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}, HitLat: 12, Window: rng.Window{A: 8, B: 7}},

@@ -114,7 +114,7 @@ func TestInformingTrapCostsCycles(t *testing.T) {
 
 func TestL2RandomFillDecorrelates(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.L2Window = rng.Window{A: 8, B: 7}
+	cfg.Levels = []LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: rng.Window{A: 8, B: 7}}}
 	m := New(cfg)
 	th := m.NewThread(ThreadConfig{})
 	selfFilled := 0

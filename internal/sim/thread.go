@@ -373,7 +373,9 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 
 // hitProbe returns the L1's devirtualized hit probe (cache.SetAssoc.TryHit),
 // the replay loop's single fast hit case, or nil when the L1 is another
-// design or a prefetcher is attached (it must observe every L1 hit).
+// design or a prefetcher is attached (it must observe every L1 hit). The
+// SA, PLcache and NoMo L1s are all *cache.SetAssoc: lock bits and way masks
+// constrain fills, never hits.
 func (t *Thread) hitProbe() *cache.SetAssoc {
 	if t.machine.Prefetcher != nil {
 		return nil

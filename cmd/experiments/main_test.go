@@ -102,3 +102,12 @@ func TestFigure8Golden(t *testing.T) {
 		sc.CBCBytes = 2 * 1024
 	})
 }
+
+// Figure10 pins the window sweep: each SPEC-like program replayed warm
+// through the demand-fetch baseline and ten random fill windows, at
+// Figure 8's benchmark budget.
+func TestFigure10Golden(t *testing.T) {
+	testQuickGolden(t, "Figure10", "figure10_budget.golden", func(sc *experiments.Scale) {
+		sc.SpecAccesses = 8000
+	})
+}

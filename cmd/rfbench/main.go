@@ -49,7 +49,42 @@ type Report struct {
 	Schema  string   `json:"schema"`
 	Commit  string   `json:"commit"`
 	Go      string   `json:"go"`
+	Host    Host     `json:"host"`
 	Kernels []Kernel `json:"kernels"`
+}
+
+// Host is the machine a report was measured on. The field is additive to
+// the v1 schema: a baseline recorded before it reads as the zero Host.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// thisHost describes the running machine.
+func thisHost() Host {
+	return Host{CPU: cpuModel(), NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+func (h Host) String() string {
+	if h == (Host{}) {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d", h.CPU, h.NumCPU, h.GOMAXPROCS)
 }
 
 // Kernel is one measured kernel.
@@ -192,6 +227,18 @@ func kernels() []kernelDef {
 			},
 		},
 		{
+			name: "l1-miss",
+			desc: "demand L1 misses that hit the L2: a warm replay of 32,768 reads over 16,384 lines (they fit the 2 MB L2, not the 32 KB L1)",
+			run:  func(_ bool, b *testing.B) { l1Miss(b, sim.ThreadConfig{}) },
+		},
+		{
+			name: "l1-miss-randfill",
+			desc: "l1-miss under random fill [-16,+15]",
+			run: func(_ bool, b *testing.B) {
+				l1Miss(b, sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15}})
+			},
+		},
+		{
 			name: "occupancy-probe",
 			desc: "cache-occupancy attack round loop: prime, victim sweep, probe-miss count (scattercache)",
 			run: func(short bool, b *testing.B) {
@@ -287,6 +334,27 @@ func kernels() []kernelDef {
 	}
 }
 
+// l1Miss times one L1 miss path: each op replays, on a default machine
+// warmed by one unmeasured pass, a compiled trace of 32,768 reads whose
+// lines are drawn from 16,384 lines. Nearly every read misses the 32 KB L1
+// and hits the 2 MB L2, and NonMem 99 spaces the reads so the miss queue
+// never fills: ns/op / 32,768 is the cost of one miss under tc.
+func l1Miss(b *testing.B, tc sim.ThreadConfig) {
+	const reads, lines = 32_768, 16_384
+	src := rng.New(23)
+	tr := make(mem.Trace, reads)
+	for i := range tr {
+		tr[i] = mem.Access{Addr: 0x1000000 + mem.AddrOf(mem.Line(src.Intn(lines))), NonMem: 99}
+	}
+	ct := trace.Compile(tr)
+	thread := sim.New(sim.DefaultConfig()).NewThread(tc)
+	thread.RunCompiled(ct)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		thread.RunCompiled(ct)
+	}
+}
+
 // aesTrace builds the shared AES-CBC replay workload: an 8 KB (short: 2 KB)
 // encryption traced at the default table layout, seeded deterministically.
 func aesTrace(b *testing.B, seed uint64, short bool) mem.Trace {
@@ -339,7 +407,7 @@ func main() {
 		defs = selectKernels(defs, strings.Split(*names, ","))
 	}
 
-	rep := Report{Schema: Schema, Commit: commitHash(*commit), Go: runtime.Version()}
+	rep := Report{Schema: Schema, Commit: commitHash(*commit), Go: runtime.Version(), Host: thisHost()}
 	for _, k := range defs {
 		def := k
 		fmt.Fprintf(os.Stderr, "running %s...\n", def.name)
@@ -428,7 +496,9 @@ func emit(rep Report, path string) error {
 // over the kernels both runs measured — and reports whether every kernel is
 // within the ns/op regression threshold. Kernels present on only one side are
 // reported but never fail the gate (adding a kernel must not require
-// regenerating history first).
+// regenerating history first). It prints both hosts and says when they
+// differ, but gates either way: CI compares a hosted runner against a
+// baseline recorded on another machine.
 func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -447,6 +517,11 @@ func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error
 	}
 
 	fmt.Printf("comparing against %s (commit %s)\n", path, base.Commit)
+	fmt.Printf("baseline host: %v\n", base.Host)
+	fmt.Printf("this host:     %v\n", rep.Host)
+	if base.Host != rep.Host {
+		fmt.Println("hosts differ: ns/op deltas include the change of host")
+	}
 	fmt.Printf("%-18s %14s %14s %8s %10s %10s %8s\n",
 		"kernel", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	ok := true

@@ -12,6 +12,7 @@ func sampleReport(ns float64) Report {
 		Schema: Schema,
 		Commit: "deadbeef",
 		Go:     "go1.22",
+		Host:   Host{CPU: "Example CPU", NumCPU: 2, GOMAXPROCS: 2},
 		Kernels: []Kernel{
 			{Name: "table3-cell", Iterations: 3, NsPerOp: ns, BytesPerOp: 64, AllocsPerOp: 1},
 			{Name: "sim-replay", Iterations: 100, NsPerOp: 1000, BytesPerOp: 0, AllocsPerOp: 0},
@@ -48,6 +49,17 @@ func TestCompareFlagsRegression(t *testing.T) {
 	}
 	if ok {
 		t.Error("50% slowdown passed the 20% gate")
+	}
+}
+
+// A baseline from another host still gates: CI compares a hosted runner
+// against a baseline recorded elsewhere.
+func TestCompareGatesAcrossHosts(t *testing.T) {
+	path := writeReport(t, sampleReport(1000))
+	rep := sampleReport(1500)
+	rep.Host = Host{CPU: "Other CPU", NumCPU: 4, GOMAXPROCS: 4}
+	if ok, err := compareBaseline(rep, path, 20); err != nil || ok {
+		t.Errorf("50%% slowdown on another host: ok=%v err=%v, want a failed gate", ok, err)
 	}
 }
 
@@ -92,7 +104,7 @@ func TestEmitRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != Schema || len(rep.Kernels) != 2 || rep.Kernels[0].NsPerOp != 42 {
+	if rep.Schema != Schema || rep.Host != sampleReport(42).Host || len(rep.Kernels) != 2 || rep.Kernels[0].NsPerOp != 42 {
 		t.Fatalf("round trip lost data: %+v", rep)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/traceio"
 	"randfill/internal/workloads"
 )
@@ -121,13 +122,13 @@ func main() {
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
 
-	var trace mem.Trace
+	var tr mem.Trace
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			fatal(err)
 		}
-		trace, err = traceio.Read(f)
+		tr, err = traceio.Read(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -137,7 +138,7 @@ func main() {
 		*workload = *traceFile
 	} else {
 		var err error
-		trace, err = buildTrace(*workload, *accesses, *bytes, *seed)
+		tr, err = buildTrace(*workload, *accesses, *bytes, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -147,15 +148,16 @@ func main() {
 	if *tagged {
 		m.Prefetcher = prefetch.NewTagged()
 	}
+	ct := trace.Compile(tr)
 	var res sim.Result
 	if *steady {
-		res = m.RunTraceSteady(tc, trace)
+		res = m.RunTraceSteady(tc, ct)
 	} else {
-		res = m.RunTrace(tc, trace)
+		res = m.RunTrace(tc, ct)
 	}
 
 	fmt.Printf("workload:       %s (%d accesses, %d instructions)\n",
-		*workload, len(trace), trace.Instructions())
+		*workload, len(tr), tr.Instructions())
 	fmt.Printf("L1:             %v %s, window %v, mode %v\n", cfg.L1, cfg.L1Kind, w, tc.Mode)
 	fmt.Printf("cycles:         %.0f\n", res.Cycles)
 	fmt.Printf("IPC:            %.3f\n", res.IPC())

@@ -16,6 +16,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
@@ -23,12 +24,13 @@ func main() {
 	const phase = 100000
 	lq, _ := workloads.ByName("libquantum")
 	h264, _ := workloads.ByName("h264ref")
-	var trace mem.Trace
+	var tr mem.Trace
 	for p := 0; p < 2; p++ {
-		trace = append(trace, lq.Gen(phase, uint64(p+1))...)
-		trace = append(trace, h264.Gen(2*phase, uint64(p+1))...)
+		tr = append(tr, lq.Gen(phase, uint64(p+1))...)
+		tr = append(tr, h264.Gen(2*phase, uint64(p+1))...)
 	}
-	fmt.Printf("workload: %d accesses alternating libquantum and h264ref phases\n\n", len(trace))
+	fmt.Printf("workload: %d accesses alternating libquantum and h264ref phases\n\n", len(tr))
+	ct := trace.Compile(tr) // the static runs replay one compiled copy
 
 	static := func(name string, w rng.Window) float64 {
 		m := sim.New(sim.Config{Seed: 1})
@@ -36,7 +38,7 @@ func main() {
 		if !w.Zero() {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 		}
-		ipc := m.RunTrace(tc, trace).IPC()
+		ipc := m.RunTrace(tc, ct).IPC()
 		fmt.Printf("%-32s IPC %.3f\n", name, ipc)
 		return ipc
 	}
@@ -47,7 +49,7 @@ func main() {
 	m := sim.New(sim.Config{Seed: 1})
 	th := m.NewThread(sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 1}})
 	ctl := adaptive.New(th, adaptive.Config{Epoch: phase / 10, ExploitEpochs: 6})
-	ipc := ctl.Run(trace).IPC()
+	ipc := ctl.Run(tr).IPC()
 	fmt.Printf("%-32s IPC %.3f (%d set_RR calls, %.1f%% of the oracle static)\n",
 		"adaptive controller", ipc, ctl.Switches, 100*ipc/best)
 

@@ -11,12 +11,14 @@ import (
 	"randfill/internal/prefetch"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
 func main() {
 	bench, _ := workloads.ByName("libquantum")
-	trace := bench.Gen(300000, 1)
+	// Compile the trace once; every configuration replays it.
+	ct := trace.Compile(bench.Gen(300000, 1))
 	fmt.Printf("workload: %s — %s\n\n", bench.Name, bench.Class)
 
 	type variant struct {
@@ -26,22 +28,22 @@ func main() {
 	var baseIPC float64
 	variants := []variant{
 		{"demand fetch", func() sim.Result {
-			return sim.New(sim.Config{Seed: 1}).RunTraceSteady(sim.ThreadConfig{}, trace)
+			return sim.New(sim.Config{Seed: 1}).RunTraceSteady(sim.ThreadConfig{}, ct)
 		}},
 		{"tagged next-line prefetcher", func() sim.Result {
 			m := sim.New(sim.Config{Seed: 1})
 			m.Prefetcher = prefetch.NewTagged()
-			return m.RunTraceSteady(sim.ThreadConfig{}, trace)
+			return m.RunTraceSteady(sim.ThreadConfig{}, ct)
 		}},
 		{"random fill, forward window [0,15]", func() sim.Result {
 			return sim.New(sim.Config{Seed: 1}).RunTraceSteady(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
-			}, trace)
+			}, ct)
 		}},
 		{"random fill, bidirectional [-16,+15]", func() sim.Result {
 			return sim.New(sim.Config{Seed: 1}).RunTraceSteady(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-			}, trace)
+			}, ct)
 		}},
 	}
 

@@ -6,6 +6,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
@@ -90,7 +91,8 @@ func TestAdaptiveBeatsWorstStaticOnPhasedWorkload(t *testing.T) {
 	// (a) at least close to the better static choice and (b) clearly
 	// better than the worse static choice.
 	const n = 40000
-	trace := phasedTrace(n, 2)
+	tr := phasedTrace(n, 2)
+	ct := trace.Compile(tr)
 
 	static := func(w rng.Window) float64 {
 		m := sim.New(sim.Config{Seed: 1})
@@ -98,14 +100,14 @@ func TestAdaptiveBeatsWorstStaticOnPhasedWorkload(t *testing.T) {
 		if !w.Zero() {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 		}
-		return m.RunTrace(tc, trace).IPC()
+		return m.RunTrace(tc, ct).IPC()
 	}
 	demand := static(rng.Window{})
 	fwd := static(rng.Window{A: 0, B: 15})
 
 	_, th := newThread()
 	c := New(th, Config{Epoch: 5000, ExploitEpochs: 4})
-	adaptiveIPC := c.Run(trace).IPC()
+	adaptiveIPC := c.Run(tr).IPC()
 
 	worst, best := demand, fwd
 	if worst > best {

@@ -42,7 +42,6 @@ type SetAssoc struct {
 	ways    int
 	tags    []mem.Line // sets*ways, row-major by set; invalidTag = empty way
 	meta    []uint8    // dirty/referenced/locked bits, parallel to tags
-	owners  []int      // owning process ids, parallel to tags
 	offsets []int8     // fill-offset tags, parallel to tags
 	stamps  []uint64   // replacement-policy state, parallel to tags
 	policy  Policy
@@ -90,7 +89,6 @@ func NewSetAssoc(geom Geometry, policy Policy) *SetAssoc {
 		ways:    geom.Ways,
 		tags:    tags,
 		meta:    make([]uint8, n),
-		owners:  make([]int, n),
 		offsets: make([]int8, n),
 		stamps:  make([]uint64, n),
 		policy:  policy,
@@ -151,11 +149,8 @@ func (c *SetAssoc) find(base int, l mem.Line) int {
 // TryHit performs Lookup's hit path iff line l is present: replacement
 // state, reference/dirty bits and the hit counter update exactly as Lookup's
 // hit path does, and TryHit returns true. On a miss it changes nothing — not
-// even the miss counter — and returns false, so batch replay loops can probe
-// the common all-hits case first and fall back to the full per-access path
-// (which re-runs the lookup and does the miss accounting) only when needed.
-// Lookup itself is TryHit plus the miss accounting, keeping the two paths
-// identical by construction.
+// even the miss counter — and returns false. Lookup is TryHit plus the miss
+// count, so the two hit paths are identical by construction.
 func (c *SetAssoc) TryHit(l mem.Line, write bool) bool {
 	base := int(uint64(l)&uint64(c.sets-1)) * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -283,7 +278,6 @@ func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 				c.locked++
 			}
 			c.meta[base+w] |= metaLocked
-			c.owners[base+w] = opts.Owner
 		}
 		c.touch(base, w, true)
 		return Victim{}
@@ -309,7 +303,6 @@ func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 		c.locked++
 	}
 	c.meta[i] = m
-	c.owners[i] = opts.Owner
 	c.offsets[i] = opts.Offset
 	// The way's stamp word is deliberately NOT cleared here: the fill event
 	// below rewrites whatever the policy needs, and for PLRU the per-set
@@ -417,17 +410,6 @@ func (c *SetAssoc) IsLocked(l mem.Line) bool {
 	base := c.base(c.SetIndex(l))
 	w := c.find(base, l)
 	return w >= 0 && c.meta[base+w]&metaLocked != 0
-}
-
-// Owner returns the owner id of line l, or NoOwner if absent or unowned.
-//
-//lint:ignore unused test support: the cache tests read the owner id, which no production path exposes
-func (c *SetAssoc) Owner(l mem.Line) int {
-	base := c.base(c.SetIndex(l))
-	if w := c.find(base, l); w >= 0 {
-		return c.owners[base+w]
-	}
-	return NoOwner
 }
 
 func (c *SetAssoc) String() string {

@@ -8,6 +8,7 @@ import (
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
@@ -30,8 +31,8 @@ func AblationWindowShape(sc Scale) *Table {
 		{"bidirectional [-8,7]", rng.Window{A: 8, B: 7}},
 	}
 	bench, _ := workloads.ByName("libquantum")
-	trace := bench.Gen(sc.SpecAccesses, sc.Seed)
-	base := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, trace)
+	ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
+	base := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, ct)
 
 	type shapeResult struct {
 		diff float64
@@ -47,7 +48,7 @@ func AblationWindowShape(sc Scale) *Table {
 		})
 		res := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: shapes[i].w,
-		}, trace)
+		}, ct)
 		return shapeResult{mc.Diff(), res.IPC()}
 	})
 	for i, r := range results {
@@ -67,8 +68,8 @@ func AblationFillQueue(sc Scale) *Table {
 		Title:   "Ablation: random fill queue depth (AES-CBC, window [-16,+15], 2-entry miss queue)",
 		Headers: []string{"queue depth", "random fills landed", "IPC vs demand"},
 	}
-	trace := aesCBCTrace(sc)
-	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, trace)
+	victim := aesCBCTrace(sc)
+	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, victim)
 	depths := []int{1, 4, 16, 64}
 	results := parexp.Map(sc.engine(), len(depths), func(i int) sim.Result {
 		cfg := sim.DefaultConfig()
@@ -77,7 +78,7 @@ func AblationFillQueue(sc Scale) *Table {
 		cfg.FillQueueCap = depths[i]
 		return sim.New(cfg).RunTrace(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, trace)
+		}, victim)
 	})
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%d", depths[i]),
@@ -96,7 +97,7 @@ func AblationMissQueue(sc Scale) *Table {
 		Title:   "Ablation: miss queue entries (AES-CBC, demand fetch)",
 		Headers: []string{"entries", "IPC", "vs 4 entries"},
 	}
-	trace := aesCBCTrace(sc)
+	victim := aesCBCTrace(sc)
 	sizes := []int{1, 2, 4, 8}
 	// Each size is simulated once; the "vs 4 entries" column is computed
 	// from the collected IPCs rather than re-running every configuration.
@@ -104,7 +105,7 @@ func AblationMissQueue(sc Scale) *Table {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
 		cfg.MissQueue = sizes[i]
-		return sim.New(cfg).RunTrace(sim.ThreadConfig{}, trace).IPC()
+		return sim.New(cfg).RunTrace(sim.ThreadConfig{}, victim).IPC()
 	})
 	var base float64
 	for i, n := range sizes {
@@ -127,9 +128,9 @@ func AblationDropOnHit(sc Scale) *Table {
 		Title:   "Ablation: drop-if-present tag check (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand", "L2 accesses vs demand"},
 	}
-	trace := aesCBCTrace(sc)
+	victim := aesCBCTrace(sc)
 	mBase := sim.New(sim.Config{Seed: sc.Seed})
-	base := mBase.RunTrace(sim.ThreadConfig{}, trace)
+	base := mBase.RunTrace(sim.ThreadConfig{}, victim)
 
 	keeps := []bool{false, true}
 	type dropResult struct {
@@ -142,7 +143,7 @@ func AblationDropOnHit(sc Scale) *Table {
 			Mode:               sim.ModeRandomFill,
 			Window:             rng.Window{A: 16, B: 15},
 			KeepRedundantFills: keeps[i],
-		}, trace)
+		}, victim)
 		return dropResult{res.IPC(), m.L2Accesses()}
 	})
 	for i, r := range results {
@@ -164,8 +165,8 @@ func AblationL2RandomFill(sc Scale) *Table {
 		Title:   "Ablation: random fill at L1 only vs L1+L2 (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand"},
 	}
-	trace := aesCBCTrace(sc)
-	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, trace)
+	victim := aesCBCTrace(sc)
+	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, victim)
 	w := rng.Window{A: 16, B: 15}
 
 	variants := []sim.Config{
@@ -175,7 +176,7 @@ func AblationL2RandomFill(sc Scale) *Table {
 	ipcs := parexp.Map(sc.engine(), len(variants), func(i int) float64 {
 		return sim.New(variants[i]).RunTrace(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: w,
-		}, trace).IPC()
+		}, victim).IPC()
 	})
 
 	t.AddRow("L1 random fill", pct(ipcs[0]/base.IPC()))

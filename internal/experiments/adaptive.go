@@ -7,6 +7,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/workloads"
 )
 
@@ -24,11 +25,12 @@ func AdaptiveWindow(sc Scale) *Table {
 	phase := sc.SpecAccesses / 2
 	lq, _ := workloads.ByName("libquantum")
 	h264, _ := workloads.ByName("h264ref")
-	var trace mem.Trace
+	var tr mem.Trace
 	for p := 0; p < 2; p++ {
-		trace = append(trace, lq.Gen(phase, sc.Seed+uint64(p))...)
-		trace = append(trace, h264.Gen(2*phase, sc.Seed+uint64(p))...)
+		tr = append(tr, lq.Gen(phase, sc.Seed+uint64(p))...)
+		tr = append(tr, h264.Gen(2*phase, sc.Seed+uint64(p))...)
 	}
+	ct := trace.Compile(tr)
 
 	static := func(w rng.Window) float64 {
 		m := sim.New(sim.Config{Seed: sc.Seed})
@@ -36,7 +38,7 @@ func AdaptiveWindow(sc Scale) *Table {
 		if !w.Zero() {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 		}
-		return m.RunTrace(tc, trace).IPC()
+		return m.RunTrace(tc, ct).IPC()
 	}
 
 	rows := []struct {
@@ -60,7 +62,7 @@ func AdaptiveWindow(sc Scale) *Table {
 		Epoch:         phase / 10,
 		ExploitEpochs: 6,
 	})
-	adaptiveIPC := ctl.Run(trace).IPC()
+	adaptiveIPC := ctl.Run(tr).IPC()
 	rows = append(rows, struct {
 		name string
 		ipc  float64

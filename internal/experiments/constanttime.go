@@ -7,6 +7,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // ConstantTime compares the constant-execution-time defenses the paper
@@ -21,7 +22,7 @@ func ConstantTime(sc Scale) *Table {
 		Headers: []string{"defense", "IPC vs baseline", "handler traps",
 			"notes"},
 	}
-	trace := aesCBCTrace(sc)
+	victim := aesCBCTrace(sc)
 
 	// An 8 KB 2-way L1: the tables do not fit comfortably, so eviction
 	// pressure is real and the preloading strategies' costs show (a big
@@ -33,31 +34,31 @@ func ConstantTime(sc Scale) *Table {
 		cfg.Seed = sc.Seed
 		return cfg
 	}
-	baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, trace)
+	baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, victim)
 
 	disable := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
 		Mode: sim.ModeDisableSecret,
-	}, trace)
+	}, victim)
 	t.AddRow("disable cache", pct(disable.IPC()/baseline.IPC()), "-",
 		"every secret access goes to L2")
 
 	informing := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
 		Mode:          sim.ModeInforming,
 		SecretRegions: encTables(),
-	}, trace)
+	}, victim)
 	t.AddRow("informing loads", pct(informing.IPC()/baseline.IPC()),
 		fmt.Sprintf("%d", informing.InformingTraps),
 		"handler reloads all tables per secret miss")
 
 	preload := sim.New(base(sim.KindPLcache)).RunTrace(sim.ThreadConfig{
 		Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
-	}, trace)
+	}, victim)
 	t.AddRow("PLcache+preload", pct(preload.IPC()/baseline.IPC()), "-",
 		"tables locked once, at thread start")
 
 	rf := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
 		Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-	}, trace)
+	}, victim)
 	t.AddRow("random fill [-16,+15]", pct(rf.IPC()/baseline.IPC()), "-",
 		"no preloading, no locking")
 
@@ -74,10 +75,10 @@ func InformingDoS(sc Scale) *Table {
 		Title:   "Section VIII: informing-loads DoS amplification under an evicting co-runner",
 		Headers: []string{"victim defense", "solo IPC", "co-run IPC", "slowdown", "traps"},
 	}
-	trace := aesCBCTrace(sc)
+	victim := aesCBCTrace(sc)
 	// The attacker streams over a large buffer, evicting the victim's
 	// tables from the shared L1 as fast as it can.
-	attacker := streamingEvictTrace(sc)
+	attacker := trace.Compile(streamingEvictTrace(sc))
 
 	// A 16 KB DM shared L1: the attacker's streaming sweep actually
 	// displaces the victim's tables.
@@ -94,9 +95,8 @@ func InformingDoS(sc Scale) *Table {
 		{"informing loads", sim.ThreadConfig{Mode: sim.ModeInforming, SecretRegions: encTables()}},
 		{"random fill [-16,+15]", sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15}}},
 	} {
-		solo := sim.New(mkCfg()).RunTrace(cfg.tc, trace)
-		m := sim.New(mkCfg())
-		co := m.RunSMT(cfg.tc, trace, sim.ThreadConfig{Owner: 1}, attacker)
+		solo := sim.New(mkCfg()).RunTrace(cfg.tc, victim)
+		co := sim.New(mkCfg()).RunSMTCompiled(cfg.tc, victim, sim.ThreadConfig{Owner: 1}, attacker)
 		t.AddRow(cfg.name,
 			fmt.Sprintf("%.3f", solo.IPC()),
 			fmt.Sprintf("%.3f", co.IPC()),

@@ -21,7 +21,7 @@ func Hierarchy3(sc Scale) *Table {
 		Title:   "3-level hierarchy: random fill placement (AES-CBC, window [-8,+7], L1 32K/L2 256K/L3 2M)",
 		Headers: []string{"random fill at", "IPC vs demand", "mem traffic vs demand", "rf issued L1/L2/L3"},
 	}
-	trace := aesCBCTrace(sc)
+	victim := aesCBCTrace(sc)
 	w := rng.Window{A: 8, B: 7}
 
 	placements := []struct {
@@ -62,7 +62,7 @@ func Hierarchy3(sc Scale) *Table {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 		}
 		m := sim.New(cfg)
-		res := m.RunTrace(tc, trace)
+		res := m.RunTrace(tc, victim)
 		r := placeResult{ipc: res.IPC(), mem: m.MemAccesses()}
 		r.rf[0] = res.RandomFills
 		for k := 1; k <= 2; k++ {

@@ -95,7 +95,7 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Co
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, victim)
+	res := sim.New(cfg).RunTrace(tc, victim)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,

@@ -13,9 +13,9 @@ import (
 	"randfill/internal/trace"
 )
 
-// aesCBCTrace builds the Figure 6/7 workload: AES-CBC encryption of
-// sc.CBCBytes of random input (the paper uses 32 KB).
-func aesCBCTrace(sc Scale) mem.Trace {
+// aesCBCTrace builds and compiles the Figure 6/7 workload: AES-CBC
+// encryption of sc.CBCBytes of random input (the paper uses 32 KB).
+func aesCBCTrace(sc Scale) *trace.Compiled {
 	src := rng.New(sc.Seed ^ 0xcbc)
 	var key, iv [16]byte
 	src.Bytes(key[:])
@@ -31,12 +31,12 @@ func aesCBCTrace(sc Scale) mem.Trace {
 	if err != nil {
 		panic(err)
 	}
-	return tr
+	return trace.Compile(tr)
 }
 
-// aesEncDecTrace builds the Figure 8 crypto workload: continuous AES
-// encryption and decryption (touching all ten tables).
-func aesEncDecTrace(sc Scale) mem.Trace {
+// aesEncDecTrace builds and compiles the Figure 8 crypto workload:
+// continuous AES encryption and decryption (touching all ten tables).
+func aesEncDecTrace(sc Scale) *trace.Compiled {
 	src := rng.New(sc.Seed ^ 0xdec)
 	var key, iv [16]byte
 	src.Bytes(key[:])
@@ -57,7 +57,7 @@ func aesEncDecTrace(sc Scale) mem.Trace {
 		panic(err)
 	}
 	out := make(mem.Trace, 0, len(encTrace)+len(decTrace))
-	return append(append(out, encTrace...), decTrace...)
+	return trace.Compile(append(append(out, encTrace...), decTrace...))
 }
 
 // lazyVictim returns the compiled Figure 6 AES-CBC victim trace of sc,
@@ -67,13 +67,7 @@ func aesEncDecTrace(sc Scale) mem.Trace {
 // each unit a pure function of (Scale, index) because the trace depends
 // only on Seed and CBCBytes, which the config hash binds.
 func lazyVictim(sc Scale) func() *trace.Compiled {
-	return sync.OnceValue(func() *trace.Compiled { return trace.Compile(aesCBCTrace(sc)) })
-}
-
-// runAES replays the compiled victim trace on one machine/thread
-// configuration and returns the thread result.
-func runAES(cfg sim.Config, tc sim.ThreadConfig, victim *trace.Compiled) sim.Result {
-	return sim.New(cfg).NewThread(tc).RunCompiled(victim)
+	return sync.OnceValue(func() *trace.Compiled { return aesCBCTrace(sc) })
 }
 
 // encTables returns the five encryption-table regions (the Figure 6
@@ -99,7 +93,7 @@ func figure6Geometries() []cache.Geometry {
 // geometry, the IPC of PLcache+preload, disable-cache and random fill
 // [-16,+15], normalized to the demand-fetch baseline of the same geometry.
 func Figure6(sc Scale) *Table {
-	victim := trace.Compile(aesCBCTrace(sc))
+	victim := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
 		Headers: []string{"L1 geometry", "baseline", "PLcache+preload", "disable cache", "random fill"},
@@ -115,12 +109,12 @@ func Figure6(sc Scale) *Table {
 			cfg.Seed = sc.Seed
 			return cfg
 		}
-		baseline := runAES(base(sim.KindSA), sim.ThreadConfig{}, victim)
-		preload := runAES(base(sim.KindPLcache), sim.ThreadConfig{
+		baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, victim)
+		preload := sim.New(base(sim.KindPLcache)).RunTrace(sim.ThreadConfig{
 			Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
 		}, victim)
-		disable := runAES(base(sim.KindSA), sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim)
-		rf := runAES(base(sim.KindSA), sim.ThreadConfig{
+		disable := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim)
+		rf := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
 		}, victim)
 		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}
@@ -137,7 +131,7 @@ func Figure6(sc Scale) *Table {
 // normalized to the same cache with demand fetch, for the SA cache (8 KB DM
 // and 32 KB 4-way) and Newcache (8 KB and 32 KB).
 func Figure7(sc Scale) *Table {
-	victim := trace.Compile(aesCBCTrace(sc))
+	victim := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 7: normalized IPC of AES vs random fill window size",
 		Headers: []string{"window", "8KB DM SA", "32KB 4-way SA", "8KB Newcache", "32KB Newcache"},
@@ -157,7 +151,7 @@ func Figure7(sc Scale) *Table {
 		cfg.L1 = configs[i].geom
 		cfg.L1Kind = configs[i].kind
 		cfg.Seed = sc.Seed
-		return runAES(cfg, sim.ThreadConfig{}, victim).IPC()
+		return sim.New(cfg).RunTrace(sim.ThreadConfig{}, victim).IPC()
 	})
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	// One work item per (size, config) cell, index-ordered back into rows.
@@ -171,7 +165,7 @@ func Figure7(sc Scale) *Table {
 		if size > 1 {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 		}
-		return runAES(cfg, tc, victim).IPC()
+		return sim.New(cfg).RunTrace(tc, victim).IPC()
 	})
 	for si, size := range sizes {
 		row := []string{fmt.Sprintf("%d", size)}

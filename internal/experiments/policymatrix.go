@@ -56,7 +56,7 @@ func policyCell(sc Scale, pol string, d securecache.Design, seed uint64, victim 
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, victim)
+	res := sim.New(cfg).RunTrace(tc, victim)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,

@@ -35,23 +35,22 @@ func Figure8(sc Scale) *Table {
 		Headers: []string{"L1", "benchmark", "baseline", "PLcache+preload",
 			"Randomfill+SA", "Newcache", "Randomfill+Newcache"},
 	}
-	// The crypto trace is compiled once per run and shared read-only; each
-	// benchmark is generated and compiled once per work item.
-	crypto := trace.Compile(aesEncDecTrace(sc))
+	// The crypto trace is compiled once per run and shared read-only.
+	crypto := aesEncDecTrace(sc)
 	w := rng.Symmetric(32) // bidirectional window of 32 lines (Section VI)
 	geoms := []cache.Geometry{
 		{SizeBytes: 16 * 1024, Ways: 1},
 		{SizeBytes: 32 * 1024, Ways: 4},
 	}
 	benches := workloads.All()
-	eng := sc.engine()
-	for _, g := range geoms {
-		g := g
-		// One work item per benchmark: five co-runs against this geometry.
-		rows := parexp.Map(eng, len(benches), func(i int) [5]float64 {
-			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
+	// One work item per benchmark: it generates and compiles the benchmark
+	// once and runs its five co-runs at every geometry.
+	rows := parexp.Map(sc.engine(), len(benches), func(i int) [][5]float64 {
+		bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
+		out := make([][5]float64, len(geoms))
+		for gi, g := range geoms {
 			base := smtRun(sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
-			return [5]float64{
+			out[gi] = [5]float64{
 				1,
 				smtRun(sc, g, sim.KindPLcache, sim.ThreadConfig{
 					Mode: sim.ModePreload, SecretRegions: allTables(), Owner: 1,
@@ -64,11 +63,14 @@ func Figure8(sc Scale) *Table {
 					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
 				}, bench, crypto) / base,
 			}
-		})
+		}
+		return out
+	})
+	for gi, g := range geoms {
 		var sums [5]float64
-		for bi, vals := range rows {
+		for bi, perGeom := range rows {
 			row := []string{g.String(), benches[bi].Name}
-			for i, v := range vals {
+			for i, v := range perGeom[gi] {
 				sums[i] += v
 				row = append(row, pct(v))
 			}
@@ -135,11 +137,12 @@ func Figure10(sc Scale) *Table {
 		Headers: headers,
 	}
 	benches := workloads.All()
-	// One work item per benchmark: its full window sweep (the [0,0] column
-	// is the in-item baseline, so items stay self-contained).
+	// One work item per benchmark: it compiles the benchmark once and runs
+	// its full window sweep (the [0,0] column is the in-item baseline, so
+	// items stay self-contained).
 	rows := parexp.Map(sc.engine(), len(benches), func(bi int) [2][]string {
 		bench := benches[bi]
-		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
+		ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
 		mpkiRow := []string{bench.Name, "MPKI"}
 		ipcRow := []string{bench.Name, "IPC"}
 		var baseIPC float64
@@ -150,7 +153,7 @@ func Figure10(sc Scale) *Table {
 			if !w.Zero() {
 				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 			}
-			res := sim.New(cfg).RunTraceSteady(tc, trace)
+			res := sim.New(cfg).RunTraceSteady(tc, ct)
 			if i == 0 {
 				baseIPC = res.IPC()
 			}
@@ -178,15 +181,15 @@ func Traffic(sc Scale) *Table {
 	names := []string{"lbm", "libquantum"}
 	rows := parexp.Map(sc.engine(), len(names), func(i int) [2]float64 {
 		bench, _ := workloads.ByName(names[i])
-		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
+		ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
 
 		mBase := sim.New(sim.Config{Seed: sc.Seed})
-		mBase.RunTraceSteady(sim.ThreadConfig{}, trace)
+		mBase.RunTraceSteady(sim.ThreadConfig{}, ct)
 
 		mRF := sim.New(sim.Config{Seed: sc.Seed})
 		mRF.RunTraceSteady(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
-		}, trace)
+		}, ct)
 
 		return [2]float64{
 			float64(mRF.L2Accesses())/float64(mBase.L2Accesses()) - 1,
@@ -211,17 +214,17 @@ func PrefetchComparison(sc Scale) *Table {
 	names := []string{"lbm", "libquantum"}
 	rows := parexp.Map(sc.engine(), len(names), func(i int) [3]float64 {
 		bench, _ := workloads.ByName(names[i])
-		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
+		ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
 
-		base := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, trace)
+		base := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, ct)
 
 		mPf := sim.New(sim.Config{Seed: sc.Seed})
 		mPf.Prefetcher = prefetch.NewTagged()
-		pf := mPf.RunTraceSteady(sim.ThreadConfig{}, trace)
+		pf := mPf.RunTraceSteady(sim.ThreadConfig{}, ct)
 
 		rf := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
-		}, trace)
+		}, ct)
 
 		return [3]float64{base.IPC(), pf.IPC(), rf.IPC()}
 	})

@@ -19,6 +19,7 @@ import (
 	"randfill/internal/rng"
 	"randfill/internal/rpcache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/traceio"
 )
 
@@ -81,13 +82,13 @@ func TestTraceSerializeReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := &aes.Tracer{Cipher: c, Layout: aes.DefaultLayout()}
-	_, trace, err := tracer.EncryptCBC(pt, iv[:])
+	_, recorded, err := tracer.EncryptCBC(pt, iv[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := traceio.Write(&buf, trace); err != nil {
+	if err := traceio.Write(&buf, recorded); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := traceio.Read(&buf)
@@ -100,9 +101,9 @@ func TestTraceSerializeReplayEquivalence(t *testing.T) {
 		cfg.Seed = 9
 		return sim.New(cfg).RunTrace(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, tr)
+		}, trace.Compile(tr))
 	}
-	a, b := run(trace), run(replayed)
+	a, b := run(recorded), run(replayed)
 	if a != b {
 		t.Errorf("replayed trace diverged:\n%+v\n%+v", a, b)
 	}

@@ -27,7 +27,6 @@ type mgLine struct {
 	valid      bool
 	dirty      bool
 	referenced bool
-	owner      int
 	offset     int8
 }
 
@@ -152,7 +151,6 @@ func (c *Mirage) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
 		tag:    l,
 		valid:  true,
 		dirty:  opts.Dirty,
-		owner:  opts.Owner,
 		offset: opts.Offset,
 	}
 	if !c.noState {

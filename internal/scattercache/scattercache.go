@@ -26,7 +26,6 @@ type scLine struct {
 	valid      bool
 	dirty      bool
 	referenced bool
-	owner      int
 	offset     int8
 }
 
@@ -231,7 +230,6 @@ func (c *ScatterCache) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
 		tag:    l,
 		valid:  true,
 		dirty:  opts.Dirty,
-		owner:  opts.Owner,
 		offset: opts.Offset,
 	}
 	if !c.noState {

@@ -7,6 +7,7 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 // This file pins the hierarchy refactor to the pre-refactor machine,
@@ -43,7 +44,7 @@ func recordedTrace() mem.Trace {
 
 func compatSummary(cfg Config, tc ThreadConfig) string {
 	m := New(cfg)
-	res := m.RunTrace(tc, recordedTrace())
+	res := m.RunTrace(tc, trace.Compile(recordedTrace()))
 	return fmt.Sprintf("cycles=%.2f instr=%d hits=%d misses=%d merged=%d rf=%d stall=%.2f l2=%d mem=%d wb=%d",
 		res.Cycles, res.Instructions, res.Hits, res.Misses, res.Merged,
 		res.RandomFills, res.StallCycles, m.L2Accesses(), m.MemAccesses(), m.Hierarchy().Level(1).Stats().WritebacksIn)
@@ -111,7 +112,7 @@ func TestL2RandomFillDropStats(t *testing.T) {
 	cfg.Levels = []LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: rng.Window{A: 600, B: 0}}}
 	cfg.Seed = 7
 	m := New(cfg)
-	m.RunTrace(ThreadConfig{}, recordedTrace())
+	m.RunTrace(ThreadConfig{}, trace.Compile(recordedTrace()))
 
 	fs := m.Hierarchy().Level(1).FillStats()
 	if fs == nil {
@@ -163,7 +164,7 @@ func TestThreeLevelMachine(t *testing.T) {
 	if m.Hierarchy().Depth() != 3 {
 		t.Fatalf("depth = %d", m.Hierarchy().Depth())
 	}
-	res := m.RunTrace(ThreadConfig{}, recordedTrace())
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(recordedTrace()))
 	if res.Instructions == 0 || res.Misses == 0 {
 		t.Fatalf("degenerate run: %+v", res)
 	}
@@ -187,7 +188,7 @@ func TestThreeLevelMachine(t *testing.T) {
 	}
 	// Determinism across reconstruction.
 	m2 := New(cfg)
-	res2 := m2.RunTrace(ThreadConfig{}, recordedTrace())
+	res2 := m2.RunTrace(ThreadConfig{}, trace.Compile(recordedTrace()))
 	if res != res2 {
 		t.Errorf("3-level machine not deterministic:\n%+v\n%+v", res, res2)
 	}

@@ -27,11 +27,6 @@ type Machine struct {
 	// Prefetcher, if set, observes L1 demand traffic and injects
 	// prefetch fills (Section VII's tagged-prefetcher comparison).
 	Prefetcher prefetch.Prefetcher
-
-	// ctScratch is the machine's reusable trace-compilation buffer, so
-	// repeated RunTrace calls (Table III sweeps replay the same few traces
-	// against many configurations) recompile without allocating.
-	ctScratch trace.Compiled
 }
 
 // New builds a machine from cfg (zero fields take Table IV defaults).
@@ -113,29 +108,24 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 	return t
 }
 
-// RunTrace is the single-thread convenience: create a demand-fetch or
-// configured thread, run the trace to completion, and return its result.
-// The trace is compiled once and replayed batched; every RunTrace golden in
-// the test suite therefore doubles as an identity pin of batched vs.
-// per-access replay (ReplayBatch documents why the two are the same
-// computation).
-func (m *Machine) RunTrace(tc ThreadConfig, tr mem.Trace) Result {
-	t := m.NewThread(tc)
-	t.ReplayBatch(trace.CompileInto(&m.ctScratch, tr))
-	t.Drain()
-	return t.Result()
+// RunTrace is the single-thread convenience: create a thread configured by
+// tc, replay the compiled trace to completion, drain it, and return its
+// result. The machine never compiles: a caller compiles each trace once
+// (trace.Compile) and may replay it on any number of machines, since replay
+// only reads it. Replay is batched, so every RunTrace golden in the test
+// suite doubles as an identity pin of batched vs. per-access replay
+// (ReplayBatch documents why the two are the same computation).
+func (m *Machine) RunTrace(tc ThreadConfig, ct *trace.Compiled) Result {
+	return m.NewThread(tc).RunCompiled(ct)
 }
 
-// RunTraceSteady measures steady-state behaviour: the trace runs once to
-// warm the caches, then runs again; the returned result covers only the
-// measured second pass.
-func (m *Machine) RunTraceSteady(tc ThreadConfig, tr mem.Trace) Result {
+// RunTraceSteady measures steady-state behaviour: the compiled trace runs
+// once to warm the caches, then runs again; the returned result covers only
+// the measured second pass.
+func (m *Machine) RunTraceSteady(tc ThreadConfig, ct *trace.Compiled) Result {
 	t := m.NewThread(tc)
-	ct := trace.CompileInto(&m.ctScratch, tr)
-	t.RunCompiled(ct)
-	warm := t.Result()
-	t.RunCompiled(ct)
-	return t.Result().Sub(warm)
+	warm := t.RunCompiled(ct)
+	return t.RunCompiled(ct).Sub(warm)
 }
 
 // smtPass interleaves the two threads until the main thread has executed
@@ -169,16 +159,11 @@ func (m *Machine) smtPass(main, bg *Thread, mainCT, bgCT *trace.Compiled, bi int
 	return bi
 }
 
-// RunSMT co-runs two threads: the main thread executes its trace once; the
-// background thread loops over its trace until the main thread finishes
-// (the paper's Figure 8 setup, where AES enc+dec runs continuously next to
-// a SPEC workload). It returns the main thread's result.
-func (m *Machine) RunSMT(mainCfg ThreadConfig, mainTrace mem.Trace, bgCfg ThreadConfig, bgTrace mem.Trace) Result {
-	return m.RunSMTCompiled(mainCfg, trace.Compile(mainTrace), bgCfg, trace.Compile(bgTrace))
-}
-
-// RunSMTCompiled is RunSMT over precompiled traces, which callers replaying
-// one trace against many configurations compile once and share.
+// RunSMTCompiled co-runs two threads over compiled traces: the main thread
+// executes its trace once; the background thread loops over its trace until
+// the main thread finishes (the paper's Figure 8 setup, where AES enc+dec
+// runs continuously next to a SPEC workload). It returns the main thread's
+// result.
 func (m *Machine) RunSMTCompiled(mainCfg ThreadConfig, mainCT *trace.Compiled, bgCfg ThreadConfig, bgCT *trace.Compiled) Result {
 	main := m.NewThread(mainCfg)
 	bg := m.NewThread(bgCfg)

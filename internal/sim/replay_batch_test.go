@@ -105,7 +105,7 @@ func TestBatchReplayMatchesStep(t *testing.T) {
 		{name: "rpcache-fallback", cfg: rpKind, tc: rf},
 		{name: "prefetch-fallback", cfg: tiny, tc: ThreadConfig{}, prefetch: true},
 		// Per-policy state-diff pins: the devirtualized SetAssoc batch path
-		// goes through TryHit/Lookup/Fill only, so every stateful policy
+		// goes through Lookup/Fill only, so every stateful policy
 		// (tree bits, RRIP counters, BRRIP draws) must land in exactly the
 		// per-set state the Step loop produces — under random fill too, so
 		// the policy sees out-of-window fills the same way in both paths.

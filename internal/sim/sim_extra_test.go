@@ -7,13 +7,14 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 func TestRPcacheKindRuns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.L1Kind = KindRPcache
 	m := New(cfg)
-	res := m.RunTrace(ThreadConfig{Owner: 1}, seqTrace(500, 1, 2))
+	res := m.RunTrace(ThreadConfig{Owner: 1}, trace.Compile(seqTrace(500, 1, 2)))
 	if res.Misses == 0 || res.Instructions == 0 {
 		t.Fatalf("rpcache run produced no activity: %+v", res)
 	}
@@ -25,7 +26,7 @@ func TestNoMoKindRuns(t *testing.T) {
 	cfg.NoMoThreads = 2
 	cfg.NoMoReserved = 1
 	m := New(cfg)
-	res := m.RunTrace(ThreadConfig{Owner: 0}, seqTrace(500, 1, 2))
+	res := m.RunTrace(ThreadConfig{Owner: 0}, trace.Compile(seqTrace(500, 1, 2)))
 	if res.Misses == 0 {
 		t.Fatal("nomo run produced no misses")
 	}
@@ -45,9 +46,9 @@ func TestDomainSwitchingInSMT(t *testing.T) {
 		}
 		return tr
 	}
-	res := m.RunSMT(
-		ThreadConfig{Owner: 0}, mk(1<<20),
-		ThreadConfig{Owner: 1}, mk(2<<20),
+	res := m.RunSMTCompiled(
+		ThreadConfig{Owner: 0}, trace.Compile(mk(1<<20)),
+		ThreadConfig{Owner: 1}, trace.Compile(mk(2<<20)),
 	)
 	// A 4-line working set must hit most of the time once warm (RPcache
 	// deflections invalidate some of the active domain's lines on
@@ -165,10 +166,10 @@ func TestWritebackTraffic(t *testing.T) {
 
 func TestResultSubSteadyState(t *testing.T) {
 	m := New(tinyConfig())
-	trace := seqTrace(2000, 1, 2)
-	res := m.RunTraceSteady(ThreadConfig{}, trace)
-	if res.Instructions != trace.Instructions() {
-		t.Errorf("steady pass instructions %d, want %d", res.Instructions, trace.Instructions())
+	tr := seqTrace(2000, 1, 2)
+	res := m.RunTraceSteady(ThreadConfig{}, trace.Compile(tr))
+	if res.Instructions != tr.Instructions() {
+		t.Errorf("steady pass instructions %d, want %d", res.Instructions, tr.Instructions())
 	}
 	if res.Cycles <= 0 {
 		t.Error("steady pass measured no cycles")
@@ -182,7 +183,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		m := New(cfg)
 		return m.RunTrace(ThreadConfig{
 			Mode: ModeRandomFill, Window: rng.Window{A: 4, B: 3},
-		}, seqTrace(5000, 2, 3))
+		}, trace.Compile(seqTrace(5000, 2, 3)))
 	}
 	a, b := run(), run()
 	if a != b {
@@ -205,7 +206,7 @@ func TestIPCNeverExceedsIssueWidth(t *testing.T) {
 		}()},
 		{"stream", seqTrace(3000, 1, 1)},
 	} {
-		res := New(DefaultConfig()).RunTrace(ThreadConfig{}, g.trace)
+		res := New(DefaultConfig()).RunTrace(ThreadConfig{}, trace.Compile(g.trace))
 		if res.IPC() > 4.0001 {
 			t.Errorf("%s: IPC %v exceeds issue width", g.name, res.IPC())
 		}
@@ -220,8 +221,8 @@ func TestAESTraceTimingSanity(t *testing.T) {
 	src.Bytes(key[:])
 	c, _ := aes.New(key[:])
 	tr := &aes.Tracer{Cipher: c, Layout: aes.DefaultLayout()}
-	_, trace := tr.EncryptBlock(make([]byte, 16), 0)
-	res := New(DefaultConfig()).RunTrace(ThreadConfig{}, trace)
+	_, block := tr.EncryptBlock(make([]byte, 16), 0)
+	res := New(DefaultConfig()).RunTrace(ThreadConfig{}, trace.Compile(block))
 	if res.Cycles < 500 || res.Cycles > 50000 {
 		t.Errorf("cold AES block took %v cycles", res.Cycles)
 	}
@@ -233,13 +234,13 @@ func TestAESTraceTimingSanity(t *testing.T) {
 func TestGeometryKindMatrixRuns(t *testing.T) {
 	// Every cache kind runs a mixed trace without panicking and with
 	// conserved accesses.
-	trace := seqTrace(1000, 3, 2)
+	ct := trace.Compile(seqTrace(1000, 3, 2))
 	for _, kind := range []CacheKind{KindSA, KindNewcache, KindPLcache, KindRPcache, KindNoMo} {
 		cfg := DefaultConfig()
 		cfg.L1 = cache.Geometry{SizeBytes: 8 * 1024, Ways: 2}
 		cfg.L1Kind = kind
-		res := New(cfg).RunTrace(ThreadConfig{Owner: 1}, trace)
-		if res.Hits+res.Misses+res.Merged != uint64(len(trace)) {
+		res := New(cfg).RunTrace(ThreadConfig{Owner: 1}, ct)
+		if res.Hits+res.Misses+res.Merged != uint64(ct.Len()) {
 			t.Errorf("%s: access conservation broken: %+v", kind, res)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/prefetch"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 func tinyConfig() Config {
@@ -65,7 +66,7 @@ func TestRepeatedColdAccessesMerge(t *testing.T) {
 	for i := range tr {
 		tr[i] = mem.Access{Addr: 0, NonMem: 0}
 	}
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	if res.Misses != 1 || res.Merged != 9 {
 		t.Fatalf("misses %d merged %d, want 1/9", res.Misses, res.Merged)
 	}
@@ -80,7 +81,7 @@ func TestMissLatencyExposedByDependence(t *testing.T) {
 		{Addr: 0, NonMem: 0},
 		{Addr: mem.AddrOf(100), NonMem: 0, Dependent: true},
 	}
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	missLat := float64(cfg.L2HitLat + cfg.MemLat)
 	if res.Cycles < 2*missLat {
 		t.Errorf("cycles %v < two serialized miss latencies %v", res.Cycles, 2*missLat)
@@ -98,7 +99,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 		{Addr: mem.AddrOf(30)},
 		{Addr: mem.AddrOf(40)},
 	}
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	missLat := float64(cfg.L2HitLat + cfg.MemLat)
 	if res.Cycles > missLat+10 {
 		t.Errorf("4 independent misses took %v cycles; no overlap (miss lat %v)", res.Cycles, missLat)
@@ -115,7 +116,7 @@ func TestMSHRFullStalls(t *testing.T) {
 		{Addr: mem.AddrOf(30)},
 		{Addr: mem.AddrOf(40)},
 	}
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	missLat := float64(cfg.L2HitLat + cfg.MemLat)
 	// With one MSHR, the 2nd..4th misses each wait for the previous.
 	if res.Cycles < 3*missLat {
@@ -133,7 +134,7 @@ func TestMergingMissesSameLine(t *testing.T) {
 	tr := mem.Trace{
 		{Addr: 0}, {Addr: 8}, {Addr: 16}, {Addr: 24},
 	}
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	if res.Misses != 1 {
 		t.Errorf("misses = %d, want 1", res.Misses)
 	}
@@ -148,7 +149,7 @@ func TestL2HitFasterThanMem(t *testing.T) {
 	// measure that a re-miss is served at L2 latency.
 	m := New(cfg)
 	tr := mem.Trace{{Addr: 0, Dependent: true}}
-	m.RunTrace(ThreadConfig{}, tr)
+	m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	if m.L2Accesses() != 1 || m.MemAccesses() != 1 {
 		t.Fatalf("L2 %d mem %d", m.L2Accesses(), m.MemAccesses())
 	}
@@ -283,10 +284,11 @@ func TestSMTSharedCacheInterference(t *testing.T) {
 		}
 		return tr
 	}
-	alone := New(cfg).RunTrace(ThreadConfig{}, mkMain())
-	shared := New(cfg).RunSMT(
-		ThreadConfig{}, mkMain(),
-		ThreadConfig{Owner: 1}, seqTrace(4096, 1, 2),
+	mainCT := trace.Compile(mkMain())
+	alone := New(cfg).RunTrace(ThreadConfig{}, mainCT)
+	shared := New(cfg).RunSMTCompiled(
+		ThreadConfig{}, mainCT,
+		ThreadConfig{Owner: 1}, trace.Compile(seqTrace(4096, 1, 2)),
 	)
 	if shared.IPC() >= alone.IPC() {
 		t.Errorf("SMT co-run IPC %.3f not below solo IPC %.3f", shared.IPC(), alone.IPC())
@@ -304,10 +306,11 @@ func TestTaggedPrefetcherHelpsStream(t *testing.T) {
 		}
 		return tr
 	}
-	base := New(cfg).RunTrace(ThreadConfig{}, mk())
+	ct := trace.Compile(mk())
+	base := New(cfg).RunTrace(ThreadConfig{}, ct)
 	mPf := New(cfg)
 	mPf.Prefetcher = prefetch.NewTagged()
-	pf := mPf.RunTrace(ThreadConfig{}, mk())
+	pf := mPf.RunTrace(ThreadConfig{}, ct)
 	if pf.IPC() <= base.IPC() {
 		t.Errorf("tagged prefetcher IPC %.3f not above baseline %.3f", pf.IPC(), base.IPC())
 	}
@@ -368,7 +371,7 @@ func TestNewcacheL1Kind(t *testing.T) {
 	cfg.L1Kind = KindNewcache
 	m := New(cfg)
 	tr := seqTrace(100, 1, 1)
-	res := m.RunTrace(ThreadConfig{}, tr)
+	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
 	if res.Misses == 0 {
 		t.Error("no misses on cold Newcache")
 	}

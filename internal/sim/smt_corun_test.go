@@ -161,16 +161,15 @@ func TestSMTCompiledMatchesStepInterleave(t *testing.T) {
 						t.Fatalf("compiled co-run diverges from the step interleave:\n compiled %s\n stepped  %s", s, want)
 					}
 
-					// The mem.Trace entry points are wrappers over the
-					// compiled ones.
-					if r := New(cfg).RunSMTSteadyCompiled(mainTC, trace.Compile(tr.main), d.bg, trace.Compile(tr.bg)); r != rm.Result().Sub(rWarm) {
+					// The entry points run exactly these passes.
+					if r := New(cfg).RunSMTSteadyCompiled(mainTC, mainCT, d.bg, bgCT); r != rm.Result().Sub(rWarm) {
 						t.Errorf("RunSMTSteadyCompiled = %+v, want %+v", r, rm.Result().Sub(rWarm))
 					}
 					once := New(cfg)
 					om, ob := once.NewThread(mainTC), once.NewThread(d.bg)
 					refSMTPass(om, ob, tr.main, tr.bg, 0)
-					if r := New(cfg).RunSMT(mainTC, tr.main, d.bg, tr.bg); r != om.Result() {
-						t.Errorf("RunSMT = %+v, want %+v", r, om.Result())
+					if r := New(cfg).RunSMTCompiled(mainTC, mainCT, d.bg, bgCT); r != om.Result() {
+						t.Errorf("RunSMTCompiled = %+v, want %+v", r, om.Result())
 					}
 				})
 			}

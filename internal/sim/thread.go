@@ -336,14 +336,15 @@ func (t *Thread) Step(a mem.Access) {
 // step is the one per-access body behind every replay path (Step, Run,
 // ReplayBatch/RunCompiled and the SMT co-run): the prologue (trust-domain
 // switch, instruction accounting, retirement, dependence stall) plus the
-// access itself. sa is the L1's devirtualized hit probe, chosen once per
+// access itself. sa is the L1's devirtualized SetAssoc, chosen once per
 // replay call by hitProbe, or nil to take the full access dispatch.
 //
-// The probe changes cost, never behaviour: a TryHit hit is exactly access's
-// hit path, and a TryHit miss mutates nothing, so access re-runs the lookup
-// and adds exactly the one miss count. The retirement call is skipped while
-// no entry is due and the fill-queue call while no fill is queued, where
-// both are no-ops.
+// The fast path changes cost, never behaviour: its Lookup is the very call
+// access makes through the cache interface, a hit then runs access's hit
+// path and a miss continues in miss, the part of access after its lookup.
+// So the access searches the L1 set once. The retirement call is skipped
+// while no entry is due and the fill-queue call while no fill is queued,
+// where both are no-ops.
 func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool, sa *cache.SetAssoc) {
 	if t.domainL1 != nil {
 		t.domainL1.SetActiveDomain(t.cfg.Owner)
@@ -358,24 +359,28 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 		t.waitData()
 	}
 
-	if sa != nil && !(secret && t.cfg.Mode == ModeDisableSecret) && sa.TryHit(line, write) {
-		t.res.Hits++
-		if !write {
-			t.dataReady = t.cycle + t.hitLat
-		}
-		if t.fillPending() != 0 {
-			t.serviceFills()
-		}
+	if sa == nil || (secret && t.cfg.Mode == ModeDisableSecret) {
+		t.access(line, write, secret)
 		return
 	}
-	t.access(line, write, secret)
+	if !sa.Lookup(line, write) {
+		t.miss(line, write, secret)
+		return
+	}
+	t.res.Hits++
+	if !write {
+		t.dataReady = t.cycle + t.hitLat
+	}
+	if t.fillPending() != 0 {
+		t.serviceFills()
+	}
 }
 
-// hitProbe returns the L1's devirtualized hit probe (cache.SetAssoc.TryHit),
-// the replay loop's single fast hit case, or nil when the L1 is another
-// design or a prefetcher is attached (it must observe every L1 hit). The
-// SA, PLcache and NoMo L1s are all *cache.SetAssoc: lock bits and way masks
-// constrain fills, never hits.
+// hitProbe returns the L1 as a *cache.SetAssoc, whose devirtualized Lookup
+// is the replay loop's fast path, or nil when the L1 is another design or a
+// prefetcher is attached (it must observe every L1 hit). The SA, PLcache
+// and NoMo L1s are all *cache.SetAssoc: lock bits and way masks constrain
+// fills, never hits.
 func (t *Thread) hitProbe() *cache.SetAssoc {
 	if t.machine.Prefetcher != nil {
 		return nil
@@ -385,7 +390,7 @@ func (t *Thread) hitProbe() *cache.SetAssoc {
 }
 
 // access performs one demand access against the L1: the mode dispatch, the
-// lookup, and the full miss path. It is Step without the prologue.
+// lookup, and on a miss the miss path. It is Step without the prologue.
 func (t *Thread) access(line mem.Line, write, secret bool) {
 	if t.cfg.Mode == ModeDisableSecret && secret {
 		// Security-critical access with the cache disabled: straight
@@ -406,8 +411,6 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 		return
 	}
 
-	informing := t.cfg.Mode == ModeInforming && secret
-
 	if t.engine.Cache().Lookup(line, write) {
 		t.res.Hits++
 		if !write {
@@ -421,9 +424,15 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 		t.serviceFills()
 		return
 	}
+	t.miss(line, write, secret)
+}
 
-	// Demand miss. A miss to a line already in flight merges with the
-	// outstanding entry (no new request, excluded from MPKI).
+// miss is a demand access's path after its L1 lookup missed: the merge with
+// an outstanding entry, the informing-load trap, or the fill engine's
+// requests, then the prefetcher and the fill queue.
+func (t *Thread) miss(line mem.Line, write, secret bool) {
+	// A miss to a line already in flight merges with the outstanding entry
+	// (no new request, excluded from MPKI).
 	if p := t.pending(line); p >= 0 {
 		t.res.Merged++
 		if !write && t.mshr[p].done > t.dataReady {
@@ -434,7 +443,7 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 	}
 
 	t.res.Misses++
-	if informing {
+	if t.cfg.Mode == ModeInforming && secret {
 		// Informing load: the miss traps to the user-level handler,
 		// which reloads the whole security-critical data set before
 		// execution resumes. The trap overhead plus the reload misses

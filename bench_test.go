@@ -326,7 +326,7 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkRPcacheFill measures the RPcache fill path including the
 // deflected-eviction protocol.
 func BenchmarkRPcacheFill(b *testing.B) {
-	c := rpcache.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, rng.New(1))
+	c := rpcache.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, rng.New(1), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SetActiveDomain(i & 1)
@@ -336,7 +336,7 @@ func BenchmarkRPcacheFill(b *testing.B) {
 
 // BenchmarkNoMoFill measures the NoMo reservation-aware fill path.
 func BenchmarkNoMoFill(b *testing.B) {
-	c := nomo.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, 2, 1)
+	c := nomo.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, 2, 1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Fill(mem.Line(i), cache.FillOpts{Owner: i & 1})

@@ -32,22 +32,25 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 	"randfill/internal/modexp"
-	"randfill/internal/newcache"
 	"randfill/internal/profiling"
 	"randfill/internal/rng"
+	"randfill/internal/securecache"
 	"randfill/internal/sim"
 )
 
 func main() {
 	attack := flag.String("attack", "collision", "collision, collision-first, flushreload, primeprobe, evicttime, modexp")
 	window := flag.String("window", "0,0", "victim's random fill window as 'a,b'")
-	l1kind := flag.String("l1kind", "sa", "L1 architecture: sa, newcache")
+	l1kind := flag.String("l1kind", "sa", "L1 architecture: sa, newcache, plcache, rpcache, nomo, scattercache, mirage")
 	samples := flag.Int("samples", 100000, "measurement budget")
 	batch := flag.Int("batch", 4000, "collision attack success-check interval")
 	seed := flag.Uint64("seed", 42, "random seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
+	if err := securecache.CheckKind(*l1kind); err != nil {
+		fatal(err)
+	}
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -124,17 +127,15 @@ func runCollision(ctx context.Context, kind string, w rng.Window, l1 sim.CacheKi
 	}
 }
 
+// mkCache returns the attacks' cache factory: a 32 KB 4-way L1 of the
+// given (already checked) kind under its own default policy.
 func mkCache(l1kind string) func(src *rng.Source) cache.Cache {
-	switch l1kind {
-	case "sa":
-		return func(src *rng.Source) cache.Cache {
-			return cache.NewSetAssoc(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, cache.LRU{})
+	return func(src *rng.Source) cache.Cache {
+		c, err := securecache.NewLineStore(l1kind, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, nil, src)
+		if err != nil {
+			fatal(err)
 		}
-	case "newcache":
-		return func(src *rng.Source) cache.Cache { return newcache.New(32*1024, 4, src) }
-	default:
-		fatal(fmt.Errorf("unknown l1kind %q", l1kind))
-		return nil
+		return c
 	}
 }
 

@@ -6,10 +6,10 @@
 //	rfsim -workload aes                          # demand-fetch baseline
 //	rfsim -workload aes -window -16,15           # random fill cache
 //	rfsim -workload libquantum -window 0,15      # streaming speedup
-//	rfsim -workload aes -l1kind plcache -mode preload
+//	rfsim -workload aes -design plcache -mode preload
 //	rfsim -workload sjeng -l1 8192 -ways 1 -mode disable
-//	rfsim -workload aes -design scattercache        # registry design by name
-//	rfsim -workload aes -design randfill            # SA + the paper's window
+//	rfsim -workload aes -design scattercache     # registry design by name
+//	rfsim -workload aes -design randfill         # SA + the paper's window
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 	traceFile := flag.String("trace", "", "replay a trace file (see cmd/rftrace) instead of generating a workload")
 	l1size := flag.Int("l1", 32*1024, "L1 data cache size in bytes")
 	ways := flag.Int("ways", 4, "L1 associativity")
-	l1kind := flag.String("l1kind", "sa", "L1 architecture: sa, newcache, plcache, rpcache, nomo, scattercache, mirage")
-	design := flag.String("design", "", "secure-cache design from the registry: "+strings.Join(securecache.Names(), ", "))
+	design := flag.String("design", "sa", "L1 design: sa (the Table IV cache) or a registry design: "+strings.Join(securecache.Names(), ", "))
 	policy := flag.String("policy", "", "L1 replacement policy override ("+strings.Join(cache.PolicyNames(), ", ")+"; default: the architecture's own)")
 	window := flag.String("window", "0,0", "random fill window as 'a,b' meaning [i-a, i+b]")
 	l2window := flag.String("l2window", "0,0", "random fill window at the L2 ('a,b'; 0,0 = demand fill)")
@@ -68,33 +67,24 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := sim.DefaultConfig()
-	cfg.L1 = cache.Geometry{SizeBytes: *l1size, Ways: *ways}
-	cfg.L1Kind = sim.CacheKind(*l1kind)
-	if *design != "" {
-		d, ok := securecache.ByName(*design)
-		if !ok {
-			fatal(fmt.Errorf("unknown design %q (have: %s)", *design, strings.Join(securecache.Names(), ", ")))
-		}
-		if d.Name == "randfill" {
-			// The paper's design is the SA cache plus the random fill
-			// policy; default to its evaluation window when none is given.
-			cfg.L1Kind = sim.KindSA
-			if w.Zero() && *mode == "" {
-				w = rng.Symmetric(32)
-			}
-		} else {
-			// Registry names deliberately match the simulator's kinds.
-			cfg.L1Kind = sim.CacheKind(d.Name)
-		}
+	kind, designTC := sim.DesignL1(*design)
+	if err := securecache.CheckKind(string(kind)); err != nil {
+		fatal(fmt.Errorf("%w, or randfill", err))
+	}
+	if w.Zero() && *mode == "" {
+		// randfill runs with the paper's window unless one is given.
+		w = designTC.Window
 	}
 	if !cache.KnownPolicy(*policy) {
 		fatal(fmt.Errorf("unknown policy %q (have: %s)", *policy, strings.Join(cache.PolicyNames(), ", ")))
 	}
+	cfg := sim.DefaultConfig()
+	cfg.L1 = cache.Geometry{SizeBytes: *l1size, Ways: *ways}
+	cfg.L1Kind = kind
 	cfg.L1Policy = *policy
 	cfg.MissQueue = *mshrs
 	cfg.Seed = *seed
-	cfg.Levels = []sim.LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: w2}}
+	cfg.Levels[0].Window = w2
 	if *l3size > 0 {
 		cfg.Levels = append(cfg.Levels,
 			sim.LevelConfig{Geom: cache.Geometry{SizeBytes: *l3size, Ways: *l3ways}, HitLat: *l3lat, Window: w3})

@@ -11,10 +11,12 @@ import (
 // internal/securecache are composition layers over cache.Cache,
 // hierarchy.Level and securecache.SecureCache, so concrete cache
 // architectures may only be constructed inside the designated builders
-// (functions named build* — the level builders in sim/levels.go and the
-// registry factories in securecache/registry.go). A constructor call
-// anywhere else re-hardwires a level the way the pre-hierarchy machine
-// hardwired its L2 — the exact coupling the refactor removed: code that
+// (functions named build* — securecache.buildLineStore, behind
+// securecache.NewLineStore, which builds every design's line store and the
+// simulator's L1, and sim/levels.go's buildLevels, which builds only the
+// levels below the L1). A constructor call anywhere else re-hardwires a
+// level the way the pre-hierarchy machine hardwired its L2 — the exact
+// coupling the refactor removed: code that
 // constructs a concrete cache inline cannot be retargeted to a different
 // architecture, level count, or registry entry by configuration.
 // Test files are exempt (tests pin concrete behaviour on purpose).
@@ -33,9 +35,7 @@ var simlayerConstructors = []struct{ pkgSuffix, fn string }{
 	{"internal/newcache", "New"},
 	{"internal/newcache", "NewWithPolicy"},
 	{"internal/plcache", "NewWithPolicy"},
-	{"internal/rpcache", "New"},
 	{"internal/rpcache", "NewWithPolicy"},
-	{"internal/nomo", "New"},
 	{"internal/nomo", "NewWithPolicy"},
 	{"internal/scattercache", "NewWithPolicy"},
 	{"internal/mirage", "NewWithPolicy"},

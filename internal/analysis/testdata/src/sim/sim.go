@@ -24,8 +24,6 @@ func buildSecureStack(geom cache.Geometry, src *rng.Source) []cache.Cache {
 	return []cache.Cache{
 		newcache.New(geom.SizeBytes, 4, src),
 		plcache.NewWithPolicy(geom, nil),
-		rpcache.New(geom, src),
-		nomo.New(geom, 2, 1),
 		scattercache.NewWithPolicy(geom, src, nil),
 		mirage.NewWithPolicy(geom, src, nil),
 	}
@@ -48,8 +46,6 @@ func wireMachine(geom cache.Geometry, src *rng.Source) cache.Cache {
 	l2 := cache.NewSetAssoc(geom, cache.LRU{})     // want "outside a level builder"
 	_ = newcache.New(geom.SizeBytes, 4, src)       // want "outside a level builder"
 	_ = plcache.NewWithPolicy(geom, nil)           // want "outside a level builder"
-	_ = rpcache.New(geom, src)                     // want "outside a level builder"
-	_ = nomo.New(geom, 2, 1)                       // want "outside a level builder"
 	_ = scattercache.NewWithPolicy(geom, src, nil) // want "outside a level builder"
 	_ = mirage.NewWithPolicy(geom, src, nil)       // want "outside a level builder"
 	return l2

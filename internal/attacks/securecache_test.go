@@ -11,11 +11,11 @@ import (
 )
 
 func rp32k(src *rng.Source) cache.Cache {
-	return rpcache.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src)
+	return rpcache.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src, nil)
 }
 
 func nomo32k(src *rng.Source) cache.Cache {
-	return nomo.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, 2, 1)
+	return nomo.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, 2, 1, nil)
 }
 
 func TestPrimeProbeDefeatedByRPcache(t *testing.T) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"randfill/internal/cache"
 	"randfill/internal/infotheory"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
@@ -40,7 +39,7 @@ func AblationWindowShape(sc Scale) *Table {
 	}
 	results := parexp.Map(sc.engine(), len(shapes), func(i int) shapeResult {
 		mc := infotheory.MonteCarloP1P2(infotheory.P1P2Config{
-			NewCache: sa32kFactory(),
+			NewCache: l1Factory("sa"),
 			Window:   shapes[i].w,
 			Trials:   sc.MonteCarloTrials / 2,
 			Region:   t4Region(),
@@ -183,11 +182,4 @@ func AblationL2RandomFill(sc Scale) *Table {
 	t.AddRow("L1+L2 random fill", pct(ipcs[1]/base.IPC()))
 	t.AddNote("paper Section VI: \"the performance impact is negligible since the L2 cache is large and can better tolerate the potential cache pollution\"")
 	return t
-}
-
-// sa32kFactory returns the standard Table III cache factory.
-func sa32kFactory() func(src *rng.Source) cache.Cache {
-	return func(src *rng.Source) cache.Cache {
-		return cache.NewSetAssoc(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, cache.LRU{})
-	}
 }

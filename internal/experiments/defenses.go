@@ -5,11 +5,8 @@ import (
 
 	"randfill/internal/attacks"
 	"randfill/internal/cache"
-	"randfill/internal/newcache"
-	"randfill/internal/nomo"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
-	"randfill/internal/rpcache"
 )
 
 // defenseRow is one cache configuration of the Section VIII comparison.
@@ -20,11 +17,7 @@ type defenseRow struct {
 }
 
 func defenseRows() []defenseRow {
-	geom := cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}
-	sa := func(src *rng.Source) cache.Cache { return cache.NewSetAssoc(geom, cache.LRU{}) }
-	nc := func(src *rng.Source) cache.Cache { return newcache.New(geom.SizeBytes, newcache.DefaultExtraBits, src) }
-	rp := func(src *rng.Source) cache.Cache { return rpcache.New(geom, src) }
-	nm := func(src *rng.Source) cache.Cache { return nomo.New(geom, 2, 1) }
+	sa, nc, rp, nm := l1Factory("sa"), l1Factory("newcache"), l1Factory("rpcache"), l1Factory("nomo")
 	w := rng.Symmetric(32)
 	return []defenseRow{
 		{"SA (demand fetch)", sa, rng.Window{}},

@@ -88,13 +88,8 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Co
 	// default window, every other design runs demand fill.
 	cfg := sim.DefaultConfig()
 	cfg.Seed = sc.Seed
-	tc := sim.ThreadConfig{}
-	if d.Name == "randfill" {
-		cfg.L1Kind = sim.KindSA
-		tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(32)}
-	} else {
-		cfg.L1Kind = sim.CacheKind(d.Name)
-	}
+	kind, tc := sim.DesignL1(d.Name)
+	cfg.L1Kind = kind
 	res := sim.New(cfg).RunTrace(tc, victim)
 
 	return occCell{

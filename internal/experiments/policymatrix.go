@@ -49,13 +49,8 @@ func policyCell(sc Scale, pol string, d securecache.Design, seed uint64, victim 
 	cfg := sim.DefaultConfig()
 	cfg.Seed = sc.Seed
 	cfg.L1Policy = pol
-	tc := sim.ThreadConfig{}
-	if d.Name == "randfill" {
-		cfg.L1Kind = sim.KindSA
-		tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(32)}
-	} else {
-		cfg.L1Kind = sim.CacheKind(d.Name)
-	}
+	kind, tc := sim.DesignL1(d.Name)
+	cfg.L1Kind = kind
 	res := sim.New(cfg).RunTrace(tc, victim)
 
 	return occCell{

@@ -9,9 +9,9 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/infotheory"
 	"randfill/internal/mem"
-	"randfill/internal/newcache"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
+	"randfill/internal/securecache"
 	"randfill/internal/sim"
 )
 
@@ -26,6 +26,20 @@ func attackerSim() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.MissQueue = 2
 	return cfg
+}
+
+// l1Factory returns an attack cache factory for the Table IV L1 (32 KB, 4
+// ways) of the given kind under its own default policy, built by
+// securecache.NewLineStore with structure randomness from the attack's
+// stream.
+func l1Factory(kind string) func(src *rng.Source) cache.Cache {
+	return func(src *rng.Source) cache.Cache {
+		c, err := securecache.NewLineStore(kind, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, nil, src)
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
 }
 
 // t4Region is the final-round table T4 under the default layout (table id 4).
@@ -142,11 +156,12 @@ func (c *t3cell) UnmarshalBinary(data []byte) error {
 	return c.res.UnmarshalBinary(data[t3cellSplit:])
 }
 
-// table3Cell runs one Table III cell: Monte Carlo P1-P2 plus the empirical
-// measurements-to-success search under the cap, both sharded on eng.
-func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, mk func(src *rng.Source) cache.Cache, kind sim.CacheKind, size int) (t3cell, error) {
+// table3Cell runs one Table III cell, the random fill cache over an L1 of
+// the given kind: Monte Carlo P1-P2 plus the empirical measurements-to-
+// success search under the cap, both sharded on eng.
+func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, kind sim.CacheKind, size int) (t3cell, error) {
 	mc, err := infotheory.MonteCarloP1P2ShardedCtx(ctx, eng, infotheory.P1P2Config{
-		NewCache: mk,
+		NewCache: l1Factory(string(kind)),
 		Window:   rng.Symmetric(size),
 		Trials:   sc.MonteCarloTrials,
 		Region:   t4Region(),
@@ -171,19 +186,13 @@ func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, mk func(src *
 func table3Bases() []struct {
 	name string
 	kind sim.CacheKind
-	mk   func(src *rng.Source) cache.Cache
 } {
 	return []struct {
 		name string
 		kind sim.CacheKind
-		mk   func(src *rng.Source) cache.Cache
 	}{
-		{"RandomFill+4-way SA", sim.KindSA, func(src *rng.Source) cache.Cache {
-			return cache.NewSetAssoc(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, cache.LRU{})
-		}},
-		{"RandomFill+Newcache", sim.KindNewcache, func(src *rng.Source) cache.Cache {
-			return newcache.New(32*1024, 4, src)
-		}},
+		{"RandomFill+4-way SA", sim.KindSA},
+		{"RandomFill+Newcache", sim.KindNewcache},
 	}
 }
 
@@ -208,7 +217,7 @@ func table3Plan(sc Scale) unitPlan[t3cell] {
 		seed: func(int) uint64 { return sc.Seed },
 		run: func(ctx context.Context, i int) (t3cell, error) {
 			base := bases[i/len(sizes)]
-			return table3Cell(ctx, sc, eng, base.mk, base.kind, sizes[i%len(sizes)])
+			return table3Cell(ctx, sc, eng, base.kind, sizes[i%len(sizes)])
 		},
 		marshal: func(c t3cell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (t3cell, error) {
@@ -267,10 +276,7 @@ func Table3Ctx(ctx context.Context, sc Scale) (*Table, error) {
 // Carlo + measurements-to-success search) across worker counts without
 // paying for the other eleven cells.
 func Table3Cell(sc Scale, size int) *Table {
-	mk := func(src *rng.Source) cache.Cache {
-		return cache.NewSetAssoc(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, cache.LRU{})
-	}
-	c, err := table3Cell(context.Background(), sc, sc.engine(), mk, sim.KindSA, size)
+	c, err := table3Cell(context.Background(), sc, sc.engine(), sim.KindSA, size)
 	if err != nil {
 		panic(err)
 	}

@@ -117,7 +117,7 @@ func TestDefenseCompositionEndToEnd(t *testing.T) {
 	region := aes.DefaultLayout().TableRegion(aes.TableTe4)
 	mkNC := func(src *rng.Source) cache.Cache { return newcache.New(32*1024, 4, src) }
 	mkRP := func(src *rng.Source) cache.Cache {
-		return rpcache.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src)
+		return rpcache.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src, nil)
 	}
 	for _, tc := range []struct {
 		name string
@@ -170,7 +170,7 @@ func TestModexpSpyAcrossCaches(t *testing.T) {
 		{"sa", sa32k},
 		{"newcache", func(src *rng.Source) cache.Cache { return newcache.New(32*1024, 4, src) }},
 		{"rpcache", func(src *rng.Source) cache.Cache {
-			return rpcache.New(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src)
+			return rpcache.NewWithPolicy(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, src, nil)
 		}},
 	}
 	for _, tc := range caches {

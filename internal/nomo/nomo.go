@@ -7,8 +7,8 @@
 // constrains replacement, not lookup.
 //
 // A NoMo cache is a cache.SetAssoc whose per-owner way masks
-// (SetAssoc.RestrictWays) encode the reservation; New and NewWithPolicy
-// build one.
+// (SetAssoc.RestrictWays) encode the reservation; NewWithPolicy builds
+// one.
 //
 // As the paper notes (Section III.A), NoMo "only works for the case when
 // the victim and the attacker processes are executing simultaneously in an
@@ -22,13 +22,6 @@ import (
 	"randfill/internal/cache"
 )
 
-// New builds a NoMo cache reserving `reserved` ways of each set for each of
-// `threads` hardware threads. It panics if the reservation exceeds the
-// associativity (a hardware configuration error).
-func New(geom cache.Geometry, threads, reserved int) *cache.SetAssoc {
-	return NewWithPolicy(geom, threads, reserved, nil)
-}
-
 // NewWithPolicy builds a NoMo cache whose victim selection among a thread's
 // eligible ways follows pol (nil selects the historical LRU default). The
 // first threads*reserved ways of each set are partitioned, `reserved` per
@@ -36,7 +29,8 @@ func New(geom cache.Geometry, threads, reserved int) *cache.SetAssoc {
 // cache.FillOpts.Owner) may fill its own reserved ways and the shared pool;
 // any other owner only the shared pool. Way reservation is enforced through
 // the policy's masked victim path, so the associativity must not exceed 64
-// ways.
+// ways. It panics if the reservation exceeds the associativity (a hardware
+// configuration error).
 func NewWithPolicy(geom cache.Geometry, threads, reserved int, pol cache.Policy) *cache.SetAssoc {
 	cache.ValidateGeometry(geom)
 	if threads < 1 || reserved < 0 || threads*reserved > geom.Ways {

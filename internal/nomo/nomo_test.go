@@ -10,7 +10,7 @@ import (
 
 // nm builds a 4-way cache with 1 way reserved per each of 2 threads
 // (NoMo-1, 2 ways shared).
-func nm() *cache.SetAssoc { return New(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 1) }
+func nm() *cache.SetAssoc { return NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 1, nil) }
 
 func TestBasicHitMiss(t *testing.T) {
 	c := nm()
@@ -99,7 +99,7 @@ func TestUnknownThreadUsesSharedOnly(t *testing.T) {
 func TestFullReservationRefusal(t *testing.T) {
 	// 2 threads x 2 reserved ways = the whole 4-way set: an unknown
 	// thread has no shared pool and its fills are refused.
-	c := New(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 2)
+	c := NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 2, nil)
 	v := c.Fill(0, cache.FillOpts{Owner: 5})
 	if !v.Refused {
 		t.Fatalf("fill by shared-only thread returned %+v, want refusal", v)
@@ -118,7 +118,7 @@ func TestNewValidation(t *testing.T) {
 			t.Error("over-reservation did not panic")
 		}
 	}()
-	New(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 3)
+	NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 3, nil)
 }
 
 func TestCapacityInvariant(t *testing.T) {

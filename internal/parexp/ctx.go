@@ -10,8 +10,8 @@ import (
 
 // PanicError is a shard panic converted to an error by ForEachCtx: the
 // shard index attributes the failure to one work item of the fixed shard
-// plan, and Stack preserves the goroutine stack at the panic site (the
-// re-panic in ForEach cannot).
+// plan, and Stack preserves the goroutine stack at the panic site (Map's
+// re-panic cannot).
 type PanicError struct {
 	// Shard is the work-item index whose fn panicked.
 	Shard int
@@ -25,8 +25,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parexp: shard %d panicked: %v", e.Shard, e.Value)
 }
 
-// ForEachCtx is the context-aware ForEach: it runs fn(ctx, i) once for every
-// i in [0, n) across the worker pool, with three additions over ForEach:
+// ForEachCtx is the engine's one worker-pool loop: it runs fn(ctx, i) once
+// for every i in [0, n) across the pool, claiming items from an atomic
+// counter (workers == 1 runs them inline, in order), with three duties:
 //
 //   - Cooperative cancellation. Workers stop claiming new items as soon as
 //     ctx is cancelled (or its deadline expires); items already executing
@@ -42,10 +43,9 @@ func (e *PanicError) Error() string {
 //
 // The ctx handed to fn is derived from the caller's: long-running shards
 // should poll it (or pass it down) so cancellation is prompt rather than
-// shard-granular. Item claiming is identical to ForEach — an atomic
-// counter — so for an error-free fn and an uncancelled ctx the set of
-// executed items, the per-item inputs, and therefore every result are
-// byte-identical to ForEach's.
+// shard-granular. For an error-free fn and an uncancelled ctx every item
+// runs once with the same inputs, so every result is independent of the
+// worker count.
 func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -124,9 +124,7 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Cont
 
 // MapCtx is the context-aware Map: fn(ctx, i) for every i in [0, n), results
 // in index order. On cancellation, error, or panic the partial results are
-// discarded and only the error is returned; with a background ctx and an
-// error-free fn it is byte-identical to Map (the property the cancellation
-// test suite pins).
+// discarded and only the error is returned.
 func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := e.ForEachCtx(ctx, n, func(ctx context.Context, i int) error {

@@ -26,9 +26,8 @@
 package parexp
 
 import (
+	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"randfill/internal/rng"
 )
@@ -59,61 +58,21 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// ForEach runs fn(i) once for every i in [0, n), distributing items across
-// the worker pool. It returns when all items are done. Items are claimed
-// from an atomic counter, so the i -> goroutine assignment is scheduling
-// dependent; fn must therefore be self-contained per item (own rng stream,
-// own simulator, writes only to slot i of any shared slice). A panic in fn
-// is re-panicked in the caller after the pool drains.
-func (e *Engine) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
 // Map runs fn(i) for every i in [0, n) across the pool and returns the
 // results in index order. Because the returned slice is ordered by shard
 // index, folding it left-to-right gives a deterministic merge regardless of
-// which worker finished first.
+// which worker finished first. Items are claimed from an atomic counter, so
+// the i -> goroutine assignment is scheduling dependent; fn must therefore
+// be self-contained per item (own rng stream, own simulator). Map is
+// MapCtx under a background context: a panic in fn stops the pool and is
+// re-panicked in the caller with its original value.
 func Map[T any](e *Engine, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	e.ForEach(n, func(i int) { out[i] = fn(i) })
+	out, err := MapCtx(e, context.Background(), n, func(_ context.Context, i int) (T, error) {
+		return fn(i), nil
+	})
+	if err != nil {
+		panic(err.(*PanicError).Value) // fn returns no error and the ctx never ends
+	}
 	return out
 }
 

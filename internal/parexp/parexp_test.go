@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
+func TestMapCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 32} {
 		e := New(workers)
 		const n = 1000
 		var counts [n]atomic.Int64
-		e.ForEach(n, func(i int) { counts[i].Add(1) })
+		Map(e, n, func(i int) struct{} { counts[i].Add(1); return struct{}{} })
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, got)
@@ -67,27 +67,32 @@ func TestNewClampsWorkers(t *testing.T) {
 	}
 }
 
-func TestForEachZeroAndNegative(t *testing.T) {
-	e := New(4)
+func TestMapZeroItems(t *testing.T) {
 	ran := false
-	e.ForEach(0, func(int) { ran = true })
-	e.ForEach(-5, func(int) { ran = true })
-	if ran {
-		t.Fatal("fn ran for empty range")
+	out := Map(New(4), 0, func(int) int { ran = true; return 1 })
+	if ran || len(out) != 0 {
+		t.Fatalf("fn ran %v, out %v for an empty range", ran, out)
 	}
 }
 
-func TestForEachPropagatesPanic(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic did not propagate")
-		}
-	}()
-	New(4).ForEach(100, func(i int) {
-		if i == 37 {
-			panic("boom")
-		}
-	})
+// TestMapPropagatesPanic: a panic in fn reaches Map's caller with its
+// original value, on the inline serial path and across the pool alike.
+func TestMapPropagatesPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want the original panic value", workers, r)
+				}
+			}()
+			Map(New(workers), 100, func(i int) int {
+				if i == 37 {
+					panic("boom")
+				}
+				return i
+			})
+		}()
+	}
 }
 
 func TestShardSeedsDeterministicAndDistinct(t *testing.T) {

@@ -55,16 +55,11 @@ type RPcache struct {
 
 var _ cache.Cache = (*RPcache)(nil)
 
-// New builds an RPcache. All domains start with the identity permutation;
-// deflected evictions randomize them over time.
-func New(geom cache.Geometry, src *rng.Source) *RPcache {
-	return NewWithPolicy(geom, src, nil)
-}
-
 // NewWithPolicy builds an RPcache whose within-set victim selection follows
-// pol (nil selects the historical LRU default). The deflection protocol —
-// random alternate set and way, permutation swap — is untouched by the
-// policy; only the same-domain replacement pick changes.
+// pol (nil selects the historical LRU default). All domains start with the
+// identity permutation; deflected evictions randomize them over time. The
+// deflection protocol — random alternate set and way, permutation swap — is
+// untouched by the policy; only the same-domain replacement pick changes.
 func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *RPcache {
 	cache.ValidateGeometry(geom)
 	if src == nil {

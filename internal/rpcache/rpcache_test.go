@@ -10,7 +10,7 @@ import (
 )
 
 func rp() *RPcache {
-	return New(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(1)) // 16 sets x 2 ways
+	return NewWithPolicy(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(1), nil) // 16 sets x 2 ways
 }
 
 func TestMissFillHit(t *testing.T) {
@@ -49,7 +49,7 @@ func TestCrossDomainEvictionDeflected(t *testing.T) {
 	// contended one.
 	evictedSets := make(map[int]bool)
 	for trial := 0; trial < 200; trial++ {
-		c := New(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(uint64(trial+1)))
+		c := NewWithPolicy(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(uint64(trial+1)), nil)
 		c.SetActiveDomain(0)
 		// Attacker fills every set, both ways.
 		for w := 0; w < 2; w++ {
@@ -124,7 +124,7 @@ func TestDomainsSeeOwnMappings(t *testing.T) {
 
 func TestCapacityInvariant(t *testing.T) {
 	f := func(ops []uint16, domains []uint8) bool {
-		c := New(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(7))
+		c := NewWithPolicy(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(7), nil)
 		for i, op := range ops {
 			if len(domains) > 0 {
 				c.SetActiveDomain(int(domains[i%len(domains)]) % 3)
@@ -141,7 +141,7 @@ func TestCapacityInvariant(t *testing.T) {
 func TestProbeConsistentWithFill(t *testing.T) {
 	// Within a single domain, a just-filled line always probes.
 	f := func(lines []uint16) bool {
-		c := New(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(3))
+		c := NewWithPolicy(cache.Geometry{SizeBytes: 2048, Ways: 2}, rng.New(3), nil)
 		for _, l := range lines {
 			c.Fill(mem.Line(l), cache.FillOpts{})
 			if !c.Probe(mem.Line(l)) {

@@ -2,6 +2,8 @@ package securecache
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"randfill/internal/cache"
 	"randfill/internal/core"
@@ -14,22 +16,12 @@ import (
 	"randfill/internal/scattercache"
 )
 
-// Config sizes a design instance. The zero value selects the Table IV
-// defaults, scaled per field by withDefaults; designs ignore the fields
-// that do not apply to them.
+// Config sizes a design instance. The zero value selects the Table IV L1:
+// 32 KB, 4 ways, each design's own replacement policy.
 type Config struct {
 	// Geom is the cache geometry (default 32 KB, 4 ways). Mirage uses
 	// only its capacity.
 	Geom cache.Geometry
-	// Window is the random fill window (randfill only; default the
-	// paper's [-16,15]).
-	Window rng.Window
-	// ExtraBits is Newcache's number of extra index bits k (default 4).
-	ExtraBits int
-	// Threads and Reserved configure NoMo's way reservation (defaults:
-	// 2 threads, 1 reserved way each).
-	Threads  int
-	Reserved int
 	// Policy names the replacement policy (see cache.PolicyNames). ""
 	// selects each design's historical default — LRU for randfill,
 	// plcache, rpcache and nomo; uniform random for newcache,
@@ -39,38 +31,12 @@ type Config struct {
 	Policy string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Geom.SizeBytes == 0 {
-		c.Geom = cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}
-	}
-	if c.Geom.Ways == 0 {
-		c.Geom.Ways = 4
-	}
-	if c.Window.Zero() {
-		c.Window = rng.Symmetric(32) // the paper's [-16,+15] evaluation window
-	}
-	if c.ExtraBits == 0 {
-		c.ExtraBits = 4
-	}
-	if c.Threads == 0 {
-		c.Threads = 2
-	}
-	if c.Reserved == 0 {
-		c.Reserved = 1
-	}
-	return c
-}
-
-// Design is one registry entry: a named, documented SecureCache factory.
+// Design is one registry entry: a named, documented secure-cache design.
 type Design struct {
 	// Name is the registry key, also accepted by `rfsim -design`.
 	Name string
 	// Description is a one-line summary of the protection mechanism.
 	Description string
-	// New builds a fresh instance. All randomness (index keys,
-	// permutations, replacement, fill windows) derives from src: same
-	// seed, same behaviour.
-	New func(cfg Config, src *rng.Source) SecureCache
 }
 
 // All returns the design registry in evaluation order: the paper's design
@@ -79,13 +45,13 @@ type Design struct {
 // experiment's byte-identity contract — do not reorder casually.
 func All() []Design {
 	return []Design{
-		{"randfill", "random fill: demand misses fill a random neighbor from the window, never the missing line", buildRandfill},
-		{"newcache", "Newcache: dynamically remapped logical direct-mapped cache with random replacement", buildNewcache},
-		{"plcache", "PLcache: per-line lock bits; locked lines are never evicted by other processes", buildPLcache},
-		{"rpcache", "RPcache: per-domain set permutation with deflected cross-domain evictions", buildRPcache},
-		{"nomo", "NoMo: static per-thread way reservation on an SMT core", buildNoMo},
-		{"scattercache", "ScatterCache-style: per-way keyed skewed indexing, random-way replacement", buildScatterCache},
-		{"mirage", "MIRAGE-style: fully-associative store with uniform global random eviction", buildMirage},
+		{"randfill", "random fill: demand misses fill a random neighbor from the window, never the missing line"},
+		{"newcache", "Newcache: dynamically remapped logical direct-mapped cache with random replacement"},
+		{"plcache", "PLcache: per-line lock bits; locked lines are never evicted by other processes"},
+		{"rpcache", "RPcache: per-domain set permutation with deflected cross-domain evictions"},
+		{"nomo", "NoMo: static per-thread way reservation on an SMT core"},
+		{"scattercache", "ScatterCache-style: per-way keyed skewed indexing, random-way replacement"},
+		{"mirage", "MIRAGE-style: fully-associative store with uniform global random eviction"},
 	}
 }
 
@@ -124,77 +90,101 @@ func New(name string, cfg Config, src *rng.Source) (SecureCache, error) {
 	return d.New(cfg, src), nil
 }
 
-// The factories below are the only places the registry constructs concrete
-// designs; the rflint simlayer checker enforces that (build* functions in
-// this package and internal/sim are the allowed construction sites). The
-// RNG split discipline matches the attacks' historical layout: cache
-// structure draws from src.Split(1), the random fill engine from
-// src.Split(2) — so a design built here behaves identically to one built
-// by hand with those splits. A non-default RNG-backed replacement policy
-// (random, brrip) additionally consumes src.Split(3), which no historical
-// configuration touches; ""/draw-free policies split nothing, keeping every
-// default draw sequence byte-identical.
+// New builds a fresh instance of d. All randomness (index keys,
+// permutations, replacement, fill windows) derives from src: same seed,
+// same behaviour. The split layout matches the attacks' historical one: a
+// non-default RNG-backed policy (random, brrip) draws from src.Split(3),
+// taken first and only then, so ""/draw-free policies leave every default
+// draw sequence byte-identical; the random fill engine draws from
+// src.Split(2); every other design's structure from src.Split(1). A bad
+// cfg.Policy panics (New validates it first).
+func (d Design) New(cfg Config, src *rng.Source) SecureCache {
+	if cfg.Geom.SizeBytes == 0 {
+		cfg.Geom = cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}
+	}
+	if cfg.Geom.Ways == 0 {
+		cfg.Geom.Ways = 4
+	}
+	var pol cache.Policy
+	if cfg.Policy != "" {
+		var psrc *rng.Source
+		if cache.PolicyNeedsRNG(cfg.Policy) {
+			psrc = src.Split(3)
+		}
+		p, err := cache.PolicyByName(cfg.Policy, psrc)
+		if err != nil {
+			panic(err)
+		}
+		pol = p
+	}
+	if d.Name == "randfill" {
+		c := buildLineStore("sa", cfg.Geom, pol, nil)
+		eng := core.NewEngine(c, src.Split(2))
+		eng.SetRR(16, 15) // the paper's [-16,+15] evaluation window
+		return &randfill{LineStore: c, eng: eng}
+	}
+	return &demand{LineStore: buildLineStore(d.Name, cfg.Geom, pol, src.Split(1))}
+}
 
-// policyFor resolves cfg.Policy into a policy instance, or nil for "" (the
-// design's default). New already validated the name, so an error here is a
-// registry bug and panics.
-func policyFor(cfg Config, src *rng.Source) cache.Policy {
-	if cfg.Policy == "" {
+// kinds lists the line store kinds NewLineStore builds: the plain
+// set-associative cache, then every registry design but randfill (which is
+// "sa" behind the random fill engine), in registry order.
+func kinds() []string {
+	out := []string{"sa"}
+	for _, d := range All() {
+		if d.Name != "randfill" {
+			out = append(out, d.Name)
+		}
+	}
+	return out
+}
+
+// CheckKind returns nil if NewLineStore builds kind, and otherwise an error
+// that names every kind it does. CLIs call it to reject a bad name before
+// building anything.
+func CheckKind(kind string) error {
+	if slices.Contains(kinds(), kind) {
 		return nil
 	}
-	var psrc *rng.Source
-	if cache.PolicyNeedsRNG(cfg.Policy) {
-		psrc = src.Split(3)
+	return fmt.Errorf("securecache: unknown cache kind %q (have %s)", kind, strings.Join(kinds(), ", "))
+}
+
+// NewLineStore builds the line store of the given kind — "sa", the plain
+// set-associative cache, or a registry design other than randfill — over
+// geom, with replacement policy pol (nil: the kind's own default) and its
+// structure randomness (index keys, permutations, default random
+// replacement) drawn from src. It is the one place a line store is built
+// by name: the registry's designs, the simulator's L1 and the experiments'
+// attack caches all come from here, each resolving pol from its own
+// stream. An unknown kind errors (see CheckKind).
+func NewLineStore(kind string, geom cache.Geometry, pol cache.Policy, src *rng.Source) (LineStore, error) {
+	if c := buildLineStore(kind, geom, pol, src); c != nil {
+		return c, nil
 	}
-	pol, err := cache.PolicyByName(cfg.Policy, psrc)
-	if err != nil {
-		panic(err)
+	return nil, CheckKind(kind)
+}
+
+// buildLineStore is NewLineStore's construction switch, nil for an unknown
+// kind; the rflint simlayer checker allows concrete construction only in
+// build* functions. Newcache's extra index bits and NoMo's reservation
+// (two SMT threads, one reserved way each) are fixed here: no experiment
+// varies them.
+func buildLineStore(kind string, geom cache.Geometry, pol cache.Policy, src *rng.Source) LineStore {
+	switch kind {
+	case "sa":
+		return cache.NewSetAssoc(geom, pol)
+	case "newcache":
+		return newcache.NewWithPolicy(geom.SizeBytes, newcache.DefaultExtraBits, src, pol)
+	case "plcache":
+		return plcache.NewWithPolicy(geom, pol)
+	case "rpcache":
+		return rpcache.NewWithPolicy(geom, src, pol)
+	case "nomo":
+		return nomo.NewWithPolicy(geom, 2, 1, pol)
+	case "scattercache":
+		return scattercache.NewWithPolicy(geom, src, pol)
+	case "mirage":
+		return mirage.NewWithPolicy(geom, src, pol)
 	}
-	return pol
-}
-
-func buildRandfill(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	pol := policyFor(cfg, src)
-	if pol == nil {
-		pol = cache.LRU{}
-	}
-	c := cache.NewSetAssoc(cfg.Geom, pol)
-	eng := core.NewEngine(c, src.Split(2))
-	eng.SetRR(cfg.Window.A, cfg.Window.B)
-	return &randfill{design: c, eng: eng}
-}
-
-func buildNewcache(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	pol := policyFor(cfg, src)
-	return &demand{design: newcache.NewWithPolicy(cfg.Geom.SizeBytes, cfg.ExtraBits, src.Split(1), pol)}
-}
-
-func buildPLcache(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	return &demand{design: plcache.NewWithPolicy(cfg.Geom, policyFor(cfg, src))}
-}
-
-func buildRPcache(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	pol := policyFor(cfg, src)
-	return &demand{design: rpcache.NewWithPolicy(cfg.Geom, src.Split(1), pol)}
-}
-
-func buildNoMo(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	return &demand{design: nomo.NewWithPolicy(cfg.Geom, cfg.Threads, cfg.Reserved, policyFor(cfg, src))}
-}
-
-func buildScatterCache(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	pol := policyFor(cfg, src)
-	return &demand{design: scattercache.NewWithPolicy(cfg.Geom, src.Split(1), pol)}
-}
-
-func buildMirage(cfg Config, src *rng.Source) SecureCache {
-	cfg = cfg.withDefaults()
-	pol := policyFor(cfg, src)
-	return &demand{design: mirage.NewWithPolicy(cfg.Geom, src.Split(1), pol)}
+	return nil
 }

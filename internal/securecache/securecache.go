@@ -7,8 +7,10 @@
 // (ScatterCache-style skewed indexing, MIRAGE-style global random
 // eviction). See DESIGN.md §11.
 //
-// The port is purely additive: each registered design wraps the existing
-// implementation in a thin adapter that supplies the design's own demand
+// NewLineStore is the one place a line store is built by name: the
+// registry's designs, the simulator's L1 (internal/sim) and the
+// experiments' attack caches all call it. Each registered design wraps its
+// line store in a thin adapter that supplies the design's own demand
 // access path, and consumes no RNG draws beyond what direct construction
 // did — which is what keeps the pre-refactor goldens byte-identical.
 package securecache
@@ -19,13 +21,11 @@ import (
 	"randfill/internal/mem"
 )
 
-// SecureCache is the design-zoo contract: the line-granular cache.Cache
-// operations plus the design's own demand-access path (which applies its
-// fill policy on a miss), an eviction observer hook, and an occupancy
-// observer — the two observables the conformance suite and the occupancy
-// battery are built on.
+// SecureCache is the design-zoo contract: a design's line store plus its
+// own demand-access path (which applies its fill policy on a miss) and the
+// party it runs as.
 type SecureCache interface {
-	cache.Cache
+	LineStore
 
 	// Access performs one demand access under the design's fill policy:
 	// a Lookup, plus — on a miss — whatever fills the design performs
@@ -34,14 +34,6 @@ type SecureCache interface {
 	// Exactly one hit or miss is counted per call.
 	Access(l mem.Line, write bool) bool
 
-	// SetEvictionObserver registers fn to receive every displaced valid
-	// line exactly once (fills, invalidates and flushes alike).
-	SetEvictionObserver(fn cache.EvictionObserver)
-
-	// Occupancy returns the number of resident lines without perturbing
-	// any state — the ground truth behind the occupancy channel.
-	Occupancy() int
-
 	// SetParty switches the identity (trust domain, fill owner) under
 	// which subsequent Access calls run, for designs that distinguish
 	// one: Newcache/RPcache domains, NoMo way reservations, the random
@@ -49,11 +41,19 @@ type SecureCache interface {
 	SetParty(id int)
 }
 
-// design is the method set every concrete implementation already provides;
-// the adapters add Access and SetParty on top of it.
-type design interface {
+// LineStore is the method set every concrete design provides, and what
+// NewLineStore builds: the line-granular cache.Cache operations plus an
+// eviction observer hook and an occupancy observer — the two observables
+// the conformance suite and the occupancy battery are built on.
+type LineStore interface {
 	cache.Cache
+
+	// SetEvictionObserver registers fn to receive every displaced valid
+	// line exactly once (fills, invalidates and flushes alike).
 	SetEvictionObserver(fn cache.EvictionObserver)
+
+	// Occupancy returns the number of resident lines without perturbing
+	// any state — the ground truth behind the occupancy channel.
 	Occupancy() int
 }
 
@@ -67,21 +67,21 @@ type domainAware interface {
 // lookup/replacement path, conventional demand fetch) to SecureCache:
 // Access is Lookup plus fill-on-miss under the current party's owner id.
 type demand struct {
-	design
+	LineStore
 	owner int
 }
 
 func (d *demand) Access(l mem.Line, write bool) bool {
-	if d.design.Lookup(l, write) {
+	if d.LineStore.Lookup(l, write) {
 		return true
 	}
-	d.design.Fill(l, cache.FillOpts{Dirty: write, Owner: d.owner})
+	d.LineStore.Fill(l, cache.FillOpts{Dirty: write, Owner: d.owner})
 	return false
 }
 
 func (d *demand) SetParty(id int) {
 	d.owner = id
-	if dc, ok := d.design.(domainAware); ok {
+	if dc, ok := d.LineStore.(domainAware); ok {
 		dc.SetActiveDomain(id)
 	}
 }
@@ -91,7 +91,7 @@ func (d *demand) SetParty(id int) {
 // through core.Engine (no-fill on miss, random neighbor fills from the
 // window).
 type randfill struct {
-	design
+	LineStore
 	eng *core.Engine
 }
 

@@ -1,6 +1,8 @@
 package securecache_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"randfill/internal/cache"
@@ -8,6 +10,8 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/mirage"
 	"randfill/internal/newcache"
+	"randfill/internal/nomo"
+	"randfill/internal/plcache"
 	"randfill/internal/rng"
 	"randfill/internal/rpcache"
 	"randfill/internal/scattercache"
@@ -30,8 +34,8 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, d := range securecache.All() {
-		if d.Description == "" || d.New == nil {
-			t.Errorf("design %q missing description or factory", d.Name)
+		if d.Description == "" {
+			t.Errorf("design %q missing description", d.Name)
 		}
 		if _, ok := securecache.ByName(d.Name); !ok {
 			t.Errorf("ByName(%q) did not find the design", d.Name)
@@ -42,6 +46,49 @@ func TestRegistry(t *testing.T) {
 	}
 	if c, err := securecache.New("mirage", smallCfg(), rng.New(1)); err != nil || c == nil {
 		t.Errorf("New(mirage) = %v, %v", c, err)
+	}
+}
+
+// TestNewLineStoreKinds: NewLineStore builds "sa" and every registry design
+// but randfill, and rejects any other kind with an error that names each
+// kind it builds, in that order.
+func TestNewLineStoreKinds(t *testing.T) {
+	want := []string{"sa"}
+	for _, n := range securecache.Names() {
+		if n != "randfill" {
+			want = append(want, n)
+		}
+	}
+	geom := smallCfg().Geom
+	for _, k := range want {
+		if err := securecache.CheckKind(k); err != nil {
+			t.Errorf("CheckKind(%q) = %v", k, err)
+		}
+		c, err := securecache.NewLineStore(k, geom, nil, rng.New(1))
+		if err != nil || c == nil {
+			t.Fatalf("NewLineStore(%q) = %v, %v", k, c, err)
+		}
+		if c.NumLines() != 64 {
+			t.Errorf("%s: %d lines, want 64", k, c.NumLines())
+		}
+	}
+	for _, bad := range []string{"bogus", "randfill", ""} {
+		_, err := securecache.NewLineStore(bad, geom, nil, rng.New(1))
+		if err == nil {
+			t.Errorf("NewLineStore(%q) accepted an unknown kind", bad)
+			continue
+		}
+		if cerr := securecache.CheckKind(bad); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("CheckKind(%q) = %v, NewLineStore says %v", bad, cerr, err)
+		}
+		msg := err.Error()
+		i, j := strings.Index(msg, "(have "), strings.LastIndex(msg, ")")
+		if i < 0 || j < i || !strings.Contains(msg, `"`+bad+`"`) {
+			t.Fatalf("error %q does not name the kind and list the known ones", msg)
+		}
+		if got := strings.Split(msg[i+len("(have "):j], ", "); !reflect.DeepEqual(got, want) {
+			t.Errorf("error lists %v, want %v", got, want)
+		}
 	}
 }
 
@@ -100,7 +147,9 @@ func access(c cache.Cache, l mem.Line) bool {
 // TestPortIdentity proves the port consumed no extra RNG draws: a design
 // built through the registry behaves bit-identically to the same
 // architecture built by hand with the historical split discipline
-// (structure from Split(1), fill engine from Split(2)).
+// (structure from Split(1), fill engine from Split(2)). PLcache and NoMo
+// take no structure stream: the registry's Split(1) for them is a draw
+// from src that nothing after construction reads.
 func TestPortIdentity(t *testing.T) {
 	const seed = 11
 	geom := smallCfg().Geom
@@ -133,9 +182,19 @@ func TestPortIdentity(t *testing.T) {
 		c := newcache.New(geom.SizeBytes, 4, rng.New(seed).Split(1))
 		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
 	})
+	t.Run("plcache", func(t *testing.T) {
+		ported, _ := securecache.New("plcache", smallCfg(), rng.New(seed))
+		c := plcache.NewWithPolicy(geom, nil)
+		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
+	})
 	t.Run("rpcache", func(t *testing.T) {
 		ported, _ := securecache.New("rpcache", smallCfg(), rng.New(seed))
-		c := rpcache.New(geom, rng.New(seed).Split(1))
+		c := rpcache.NewWithPolicy(geom, rng.New(seed).Split(1), nil)
+		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
+	})
+	t.Run("nomo", func(t *testing.T) {
+		ported, _ := securecache.New("nomo", smallCfg(), rng.New(seed))
+		c := nomo.NewWithPolicy(geom, 2, 1, nil)
 		replay(t, ported, func(l mem.Line) bool { return access(c, l) }, c.Stats())
 	})
 	t.Run("scattercache", func(t *testing.T) {
@@ -195,7 +254,7 @@ func TestDefaultPolicyIdentity(t *testing.T) {
 // fill owner and — for domain-aware designs — as the active trust domain.
 func TestSetPartyForwarding(t *testing.T) {
 	ported, _ := securecache.New("rpcache", smallCfg(), rng.New(5))
-	direct := rpcache.New(smallCfg().Geom, rng.New(5).Split(1))
+	direct := rpcache.NewWithPolicy(smallCfg().Geom, rng.New(5).Split(1), nil)
 	src := rng.New(77)
 	for i := 0; i < 2048; i++ {
 		p := src.Intn(2)

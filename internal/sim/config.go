@@ -21,9 +21,13 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/securecache"
 )
 
-// CacheKind selects the L1 data cache architecture.
+// CacheKind selects the L1 data cache architecture: "sa", the Table IV
+// set-associative baseline, or a securecache registry design other than
+// randfill (see securecache.NewLineStore). DesignL1 maps every registry
+// design, randfill included, onto a kind.
 type CacheKind string
 
 const (
@@ -33,16 +37,18 @@ const (
 	KindNewcache CacheKind = "newcache"
 	// KindPLcache is the PLcache partition-locked cache.
 	KindPLcache CacheKind = "plcache"
-	// KindRPcache is the RPcache permutation-randomized cache.
-	KindRPcache CacheKind = "rpcache"
-	// KindNoMo is the NoMo statically way-partitioned SMT cache.
-	KindNoMo CacheKind = "nomo"
-	// KindScatter is the ScatterCache-style skewed-index cache.
-	KindScatter CacheKind = "scattercache"
-	// KindMirage is the MIRAGE-style fully-associative random-eviction
-	// cache.
-	KindMirage CacheKind = "mirage"
 )
+
+// DesignL1 maps a securecache registry design, or "sa", onto the
+// simulator: the L1 kind it runs as and the fill policy of a thread on it.
+// randfill is the SA cache filling from the paper's [-16,+15] window; every
+// other name is its own L1 kind under demand fill.
+func DesignL1(name string) (CacheKind, ThreadConfig) {
+	if name == "randfill" {
+		return KindSA, ThreadConfig{Mode: ModeRandomFill, Window: rng.Symmetric(32)}
+	}
+	return CacheKind(name), ThreadConfig{}
+}
 
 // Config mirrors the paper's Table IV simulator configuration.
 type Config struct {
@@ -56,38 +62,26 @@ type Config struct {
 	// and any explicit name overrides the design's victim selection — the
 	// Peters et al. policy × design axis PolicyMatrix sweeps.
 	L1Policy string
-	// ExtraBits is Newcache's number of extra index bits k.
-	ExtraBits int
-
-	// L2 unified cache geometry (always set-associative LRU).
-	L2 cache.Geometry
 
 	// Latencies in cycles.
 	L1HitLat uint64 // L1 hit (Table IV: 1)
-	L2HitLat uint64 // L1 miss, L2 hit (Table IV: 20)
-	MemLat   uint64 // additional DRAM latency on L2 miss
+	MemLat   uint64 // additional DRAM latency on a miss in every level
 
 	// MissQueue is the number of miss-queue (MSHR) entries per thread
 	// (Table IV: 4; the security evaluation also uses 1).
 	MissQueue int
-
-	// NoMoThreads and NoMoReserved configure the NoMo partitioning
-	// (defaults: 2 threads, 1 reserved way each).
-	NoMoThreads  int
-	NoMoReserved int
 
 	// FillQueueCap bounds the random fill queue (Figure 3's FIFO;
 	// default 64). An ablation knob: a tiny queue drops fills under
 	// bursts of back-to-back misses.
 	FillQueueCap int
 
-	// Levels, when non-empty, replaces the single L2 with an explicit
-	// stack of cache levels below the L1 (nearest the L1 first), each a
-	// set-associative LRU cache with its own hit latency and optional
-	// random fill window. A window at the L2 is the "both L1 and L2 are
-	// random fill caches" variant of Section VI. When empty, the classic
-	// L2/L2HitLat fields define a single demand-fill L2, which keeps the
-	// historical two-level RNG stream layout byte-identical.
+	// Levels is the stack of cache levels below the L1, nearest the L1
+	// first, each a set-associative cache with its own hit latency,
+	// replacement policy and optional random fill window. A window at the
+	// L2 is the "both L1 and L2 are random fill caches" variant of Section
+	// VI. Empty selects DefaultConfig's single demand-fill L2, and a level
+	// with a zero Geom or HitLat takes that L2's.
 	Levels []LevelConfig
 
 	// IssueWidth is the processor issue width (Table IV: 4-way OoO).
@@ -102,13 +96,13 @@ type Config struct {
 // 4 miss queue entries, 4-wide issue.
 func DefaultConfig() Config {
 	return Config{
-		L1:         cache.Geometry{SizeBytes: 32 * 1024, Ways: 4},
-		L1Kind:     KindSA,
-		L1Policy:   "", // kind default: LRU for KindSA (Table IV)
-		ExtraBits:  4,
-		L2:         cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8},
+		L1:       cache.Geometry{SizeBytes: 32 * 1024, Ways: 4},
+		L1Kind:   KindSA,
+		L1Policy: "", // kind default: LRU for KindSA (Table IV)
+		Levels: []LevelConfig{
+			{Geom: cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8}, HitLat: 20},
+		},
 		L1HitLat:   1,
-		L2HitLat:   20,
 		MemLat:     160,
 		MissQueue:  4,
 		IssueWidth: 4,
@@ -124,14 +118,8 @@ func (c Config) withDefaults() Config {
 	if c.L1Kind == "" {
 		c.L1Kind = KindSA
 	}
-	if c.L2.SizeBytes == 0 {
-		c.L2 = d.L2
-	}
 	if c.L1HitLat == 0 {
 		c.L1HitLat = d.L1HitLat
-	}
-	if c.L2HitLat == 0 {
-		c.L2HitLat = d.L2HitLat
 	}
 	if c.MemLat == 0 {
 		c.MemLat = d.MemLat
@@ -145,26 +133,31 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.ExtraBits == 0 {
-		c.ExtraBits = d.ExtraBits
-	}
 	if c.FillQueueCap == 0 {
 		c.FillQueueCap = 64
 	}
-	for i := range c.Levels {
-		if c.Levels[i].Geom.SizeBytes == 0 {
-			c.Levels[i].Geom = d.L2
+	// Fill the levels' zero fields in a fresh array: copies of a Config
+	// share one Levels backing array, which must stay the caller's.
+	levels := c.Levels
+	if len(levels) == 0 {
+		levels = d.Levels
+	}
+	c.Levels = make([]LevelConfig, len(levels))
+	for i, lc := range levels {
+		if lc.Geom.SizeBytes == 0 {
+			lc.Geom = d.Levels[0].Geom
 		}
-		if c.Levels[i].HitLat == 0 {
-			c.Levels[i].HitLat = d.L2HitLat
+		if lc.HitLat == 0 {
+			lc.HitLat = d.Levels[0].HitLat
 		}
+		c.Levels[i] = lc
 	}
 	return c
 }
 
 // LevelConfig describes one cache level below the L1 (see Config.Levels).
 type LevelConfig struct {
-	// Geom is the level's set-associative geometry (LRU replacement).
+	// Geom is the level's set-associative geometry.
 	Geom cache.Geometry
 	// HitLat is the latency charged when a request reaches this level.
 	HitLat uint64
@@ -178,63 +171,37 @@ type LevelConfig struct {
 	Policy string
 }
 
-// belowL1 returns the configured below-L1 level stack: Levels when set,
-// otherwise the classic single L2.
-func (c Config) belowL1() []LevelConfig {
-	if len(c.Levels) > 0 {
-		return c.Levels
-	}
-	return []LevelConfig{{Geom: c.L2, HitLat: c.L2HitLat}}
-}
-
-// buildL1 constructs the configured L1 cache. Stream rules: the SA cache
-// keeps its historical shape (the random policy draws from src itself, no
-// split); for the secure designs a non-default RNG-backed policy derives a
-// dedicated stream via src.Split(9) before the design consumes src, while
-// ""/draw-free policies split nothing — so every default configuration's
-// draw sequence is byte-identical to the pre-policy-parameterization layout.
+// buildL1 constructs the configured L1 cache through
+// securecache.NewLineStore and panics on an unknown kind or policy. Stream
+// rules: the SA cache keeps its historical shape (the random policy draws
+// from src itself, no split); for the secure designs a non-default
+// RNG-backed policy derives a dedicated stream via src.Split(9) before the
+// design consumes src, while ""/draw-free policies split nothing — so
+// every default configuration's draw sequence is byte-identical to the
+// pre-policy-parameterization layout.
 func (c Config) buildL1(src *rng.Source) cache.Cache {
 	var pol cache.Policy
-	if c.L1Kind != KindSA && c.L1Policy != "" {
+	var err error
+	structure := src
+	if c.L1Kind == KindSA {
+		// The SA cache has no structure randomness to draw.
+		pol, err = cache.PolicyByName(c.L1Policy, src)
+		structure = nil
+	} else if c.L1Policy != "" {
 		var psrc *rng.Source
 		if cache.PolicyNeedsRNG(c.L1Policy) {
 			psrc = src.Split(9)
 		}
-		p, err := cache.PolicyByName(c.L1Policy, psrc)
-		if err != nil {
-			panic(err)
-		}
-		pol = p
+		pol, err = cache.PolicyByName(c.L1Policy, psrc)
 	}
-	switch c.L1Kind {
-	case KindSA:
-		sp, err := cache.PolicyByName(c.L1Policy, src)
-		if err != nil {
-			panic(err)
-		}
-		return cache.NewSetAssoc(c.L1, sp)
-	case KindNewcache:
-		return buildNewcache(c.L1.SizeBytes, c.ExtraBits, src, pol)
-	case KindPLcache:
-		return buildPLcache(c.L1, pol)
-	case KindRPcache:
-		return buildRPcache(c.L1, src, pol)
-	case KindNoMo:
-		threads, reserved := c.NoMoThreads, c.NoMoReserved
-		if threads == 0 {
-			threads = 2
-		}
-		if reserved == 0 {
-			reserved = 1
-		}
-		return buildNoMo(c.L1, threads, reserved, pol)
-	case KindScatter:
-		return buildScatterCache(c.L1, src, pol)
-	case KindMirage:
-		return buildMirage(c.L1, src, pol)
-	default:
-		panic(fmt.Sprintf("sim: unknown L1 cache kind %q", c.L1Kind))
+	if err != nil {
+		panic(err)
 	}
+	l1, err := securecache.NewLineStore(string(c.L1Kind), c.L1, pol, structure)
+	if err != nil {
+		panic(err)
+	}
+	return l1
 }
 
 // FillMode selects a thread's cache fill policy (the axis the paper's

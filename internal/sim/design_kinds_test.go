@@ -12,7 +12,7 @@ import (
 // end on the simulator — deterministic per seed, demand-filling, and with
 // working sets beyond one set's reach on the skewed/associative stores.
 func TestScatterAndMirageKinds(t *testing.T) {
-	for _, kind := range []CacheKind{KindScatter, KindMirage} {
+	for _, kind := range []CacheKind{"scattercache", "mirage"} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			run := func(seed uint64) Result {
@@ -55,11 +55,11 @@ func TestScatterAndMirageKinds(t *testing.T) {
 func TestBuildL1NewKinds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1 = cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}
-	cfg.L1Kind = KindScatter
+	cfg.L1Kind = "scattercache"
 	if c := cfg.buildL1(rng.New(1)); c.NumLines() != 64 {
 		t.Errorf("scattercache L1 has %d lines, want 64", c.NumLines())
 	}
-	cfg.L1Kind = KindMirage
+	cfg.L1Kind = "mirage"
 	if c := cfg.buildL1(rng.New(1)); c.NumLines() != 64 {
 		t.Errorf("mirage L1 has %d lines, want 64", c.NumLines())
 	}

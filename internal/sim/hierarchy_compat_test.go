@@ -53,10 +53,10 @@ func compatSummary(cfg Config, tc ThreadConfig) string {
 func TestHierarchyMatchesPreRefactorMachine(t *testing.T) {
 	tiny := DefaultConfig()
 	tiny.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-	tiny.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
+	tiny.Levels[0].Geom = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
 	tiny.Seed = 7
 	l2rf := tiny
-	l2rf.Levels = []LevelConfig{{Geom: tiny.L2, HitLat: tiny.L2HitLat, Window: rng.Window{A: 4, B: 3}}}
+	l2rf.Levels = []LevelConfig{{Geom: tiny.Levels[0].Geom, Window: rng.Window{A: 4, B: 3}}}
 
 	cases := []struct {
 		name string
@@ -82,23 +82,6 @@ func TestHierarchyMatchesPreRefactorMachine(t *testing.T) {
 	}
 }
 
-// TestExplicitLevelsMatchClassicL2 pins the Levels-based configuration to
-// the classic L2 fields: a one-entry Levels stack is the same machine.
-func TestExplicitLevelsMatchClassicL2(t *testing.T) {
-	classic := DefaultConfig()
-	classic.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-	classic.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
-	classic.Seed = 7
-
-	explicit := classic
-	explicit.Levels = []LevelConfig{{Geom: classic.L2, HitLat: classic.L2HitLat}}
-
-	tc := ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 8, B: 7}}
-	if a, b := compatSummary(classic, tc), compatSummary(explicit, tc); a != b {
-		t.Errorf("explicit Levels diverges from classic L2 config:\n classic  %s\n explicit %s", a, b)
-	}
-}
-
 // TestL2RandomFillDropStats is the accounting fix: the old accessL2
 // silently skipped out-of-range and already-present L2 random fills; the
 // engine-backed level surfaces them. Every L2 demand miss must be accounted
@@ -107,9 +90,9 @@ func TestExplicitLevelsMatchClassicL2(t *testing.T) {
 func TestL2RandomFillDropStats(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-	cfg.L2 = cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}
+	cfg.Levels[0].Geom = cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}
 	// A window reaching far below the trace's low lines forces clamps.
-	cfg.Levels = []LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: rng.Window{A: 600, B: 0}}}
+	cfg.Levels[0].Window = rng.Window{A: 600, B: 0}
 	cfg.Seed = 7
 	m := New(cfg)
 	m.RunTrace(ThreadConfig{}, trace.Compile(recordedTrace()))

@@ -4,44 +4,14 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/core"
 	"randfill/internal/hierarchy"
-	"randfill/internal/mirage"
-	"randfill/internal/newcache"
-	"randfill/internal/nomo"
-	"randfill/internal/plcache"
 	"randfill/internal/rng"
-	"randfill/internal/rpcache"
-	"randfill/internal/scattercache"
 )
 
-// This file is the only place internal/sim may construct concrete caches:
-// the rflint "simlayer" checker rejects direct constructor calls outside
-// functions named build*, keeping the rest of the simulator programmed
-// against cache.Cache and hierarchy.Level. It also keeps the build graph
-// one-way: sim depends on the cache architectures, never the reverse.
-
-func buildNewcache(size, extraBits int, src *rng.Source, pol cache.Policy) cache.Cache {
-	return newcache.NewWithPolicy(size, extraBits, src, pol)
-}
-
-func buildPLcache(geom cache.Geometry, pol cache.Policy) cache.Cache {
-	return plcache.NewWithPolicy(geom, pol)
-}
-
-func buildRPcache(geom cache.Geometry, src *rng.Source, pol cache.Policy) cache.Cache {
-	return rpcache.NewWithPolicy(geom, src, pol)
-}
-
-func buildNoMo(geom cache.Geometry, threads, reserved int, pol cache.Policy) cache.Cache {
-	return nomo.NewWithPolicy(geom, threads, reserved, pol)
-}
-
-func buildScatterCache(geom cache.Geometry, src *rng.Source, pol cache.Policy) cache.Cache {
-	return scattercache.NewWithPolicy(geom, src, pol)
-}
-
-func buildMirage(geom cache.Geometry, src *rng.Source, pol cache.Policy) cache.Cache {
-	return mirage.NewWithPolicy(geom, src, pol)
-}
+// This file builds the levels below the L1, the only caches internal/sim
+// constructs itself; the L1 comes from securecache.NewLineStore (see
+// Config.buildL1). The rflint "simlayer" checker rejects direct constructor
+// calls outside functions named build*, keeping the rest of the simulator
+// programmed against cache.Cache and hierarchy.Level.
 
 // buildLevels constructs the machine's full level stack from cfg, drawing
 // per-level randomness from root. Stream-compatibility rule (DESIGN.md §8):
@@ -58,7 +28,7 @@ func buildLevels(cfg Config, root *rng.Source) []*hierarchy.Level {
 	levels := []*hierarchy.Level{
 		hierarchy.NewLevel(cfg.buildL1(root.Split(1)), cfg.L1HitLat),
 	}
-	for k, lc := range cfg.belowL1() {
+	for k, lc := range cfg.Levels {
 		var pol cache.Policy = cache.LRU{}
 		if lc.Policy != "" {
 			var psrc *rng.Source

@@ -62,7 +62,7 @@ func TestMissQueueBookkeeping(t *testing.T) {
 			name := fmt.Sprintf("%s/mq%d", c.name, mq)
 			cfg := DefaultConfig()
 			cfg.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-			cfg.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
+			cfg.Levels[0].Geom = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
 			cfg.L1Kind = c.kind
 			cfg.MissQueue = mq
 			cfg.Seed = uint64(mq)

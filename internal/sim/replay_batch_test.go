@@ -62,12 +62,12 @@ func TestBatchReplayMatchesStep(t *testing.T) {
 
 	tiny := DefaultConfig()
 	tiny.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-	tiny.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
+	tiny.Levels[0].Geom = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
 	tiny.Seed = 7
 	oneMSHR := tiny
 	oneMSHR.MissQueue = 1
 	l2rf := tiny
-	l2rf.Levels = []LevelConfig{{Geom: tiny.L2, HitLat: tiny.L2HitLat, Window: rng.Window{A: 4, B: 3}}}
+	l2rf.Levels = []LevelConfig{{Geom: tiny.Levels[0].Geom, Window: rng.Window{A: 4, B: 3}}}
 	three := tiny
 	three.Levels = []LevelConfig{
 		{Geom: cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}, HitLat: 12, Window: rng.Window{A: 8, B: 7}},
@@ -76,7 +76,7 @@ func TestBatchReplayMatchesStep(t *testing.T) {
 	plKind := tiny
 	plKind.L1Kind = KindPLcache
 	rpKind := tiny
-	rpKind.L1Kind = KindRPcache
+	rpKind.L1Kind = "rpcache"
 	withPolicy := func(name string) Config {
 		c := tiny
 		c.L1Policy = name

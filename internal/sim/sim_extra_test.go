@@ -12,7 +12,7 @@ import (
 
 func TestRPcacheKindRuns(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.L1Kind = KindRPcache
+	cfg.L1Kind = "rpcache"
 	m := New(cfg)
 	res := m.RunTrace(ThreadConfig{Owner: 1}, trace.Compile(seqTrace(500, 1, 2)))
 	if res.Misses == 0 || res.Instructions == 0 {
@@ -22,9 +22,7 @@ func TestRPcacheKindRuns(t *testing.T) {
 
 func TestNoMoKindRuns(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.L1Kind = KindNoMo
-	cfg.NoMoThreads = 2
-	cfg.NoMoReserved = 1
+	cfg.L1Kind = "nomo"
 	m := New(cfg)
 	res := m.RunTrace(ThreadConfig{Owner: 0}, trace.Compile(seqTrace(500, 1, 2)))
 	if res.Misses == 0 {
@@ -37,7 +35,7 @@ func TestDomainSwitchingInSMT(t *testing.T) {
 	// finding its own lines despite interleaving (the domain is switched
 	// per access).
 	cfg := tinyConfig()
-	cfg.L1Kind = KindRPcache
+	cfg.L1Kind = "rpcache"
 	m := New(cfg)
 	mk := func(base mem.Line) mem.Trace {
 		tr := make(mem.Trace, 2000)
@@ -115,7 +113,7 @@ func TestInformingTrapCostsCycles(t *testing.T) {
 
 func TestL2RandomFillDecorrelates(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Levels = []LevelConfig{{Geom: cfg.L2, HitLat: cfg.L2HitLat, Window: rng.Window{A: 8, B: 7}}}
+	cfg.Levels[0].Window = rng.Window{A: 8, B: 7}
 	m := New(cfg)
 	th := m.NewThread(ThreadConfig{})
 	selfFilled := 0
@@ -235,7 +233,7 @@ func TestGeometryKindMatrixRuns(t *testing.T) {
 	// Every cache kind runs a mixed trace without panicking and with
 	// conserved accesses.
 	ct := trace.Compile(seqTrace(1000, 3, 2))
-	for _, kind := range []CacheKind{KindSA, KindNewcache, KindPLcache, KindRPcache, KindNoMo} {
+	for _, kind := range []CacheKind{KindSA, KindNewcache, KindPLcache, "rpcache", "nomo"} {
 		cfg := DefaultConfig()
 		cfg.L1 = cache.Geometry{SizeBytes: 8 * 1024, Ways: 2}
 		cfg.L1Kind = kind

@@ -13,7 +13,7 @@ import (
 func tinyConfig() Config {
 	cfg := DefaultConfig()
 	cfg.L1 = cache.Geometry{SizeBytes: 1024, Ways: 2}
-	cfg.L2 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
+	cfg.Levels[0].Geom = cache.Geometry{SizeBytes: 16 * 1024, Ways: 4}
 	return cfg
 }
 
@@ -82,7 +82,7 @@ func TestMissLatencyExposedByDependence(t *testing.T) {
 		{Addr: mem.AddrOf(100), NonMem: 0, Dependent: true},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.L2HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
 	if res.Cycles < 2*missLat {
 		t.Errorf("cycles %v < two serialized miss latencies %v", res.Cycles, 2*missLat)
 	}
@@ -100,7 +100,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 		{Addr: mem.AddrOf(40)},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.L2HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
 	if res.Cycles > missLat+10 {
 		t.Errorf("4 independent misses took %v cycles; no overlap (miss lat %v)", res.Cycles, missLat)
 	}
@@ -117,7 +117,7 @@ func TestMSHRFullStalls(t *testing.T) {
 		{Addr: mem.AddrOf(40)},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.L2HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
 	// With one MSHR, the 2nd..4th misses each wait for the previous.
 	if res.Cycles < 3*missLat {
 		t.Errorf("1-MSHR run took %v cycles, want ≥ %v", res.Cycles, 3*missLat)
@@ -163,8 +163,8 @@ func TestL2HitFasterThanMem(t *testing.T) {
 	t2.Step(mem.Access{Addr: 0, Dependent: true})
 	t2.Drain()
 	elapsed := t2.Cycle() - start
-	if elapsed > float64(cfg.L2HitLat)+5 {
-		t.Errorf("L2 hit took %v cycles, want ≈ %d", elapsed, cfg.L2HitLat)
+	if elapsed > float64(cfg.Levels[0].HitLat)+5 {
+		t.Errorf("L2 hit took %v cycles, want ≈ %d", elapsed, cfg.Levels[0].HitLat)
 	}
 	if m.MemAccesses() != 1+4 {
 		t.Errorf("mem accesses = %d (L2 should have served the re-miss)", m.MemAccesses())
@@ -358,11 +358,27 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.L1.SizeBytes != 32*1024 || cfg.L1.Ways != 4 {
 		t.Errorf("default L1 %v", cfg.L1)
 	}
-	if cfg.L2.SizeBytes != 2*1024*1024 || cfg.L2.Ways != 8 {
-		t.Errorf("default L2 %v", cfg.L2)
+	if cfg.Levels[0].Geom != (cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8}) || cfg.Levels[0].HitLat != 20 {
+		t.Errorf("default L2 %+v", cfg.Levels)
 	}
 	if cfg.MissQueue != 4 || cfg.IssueWidth != 4 {
 		t.Errorf("defaults %+v", cfg)
+	}
+}
+
+// TestConfigDefaultsLeaveCallerLevels: withDefaults fills a level's zero
+// fields in its own copy, so the caller's Levels array, which copies of a
+// Config share, keeps its zeros.
+func TestConfigDefaultsLeaveCallerLevels(t *testing.T) {
+	w := rng.Window{A: 4, B: 3}
+	levels := []LevelConfig{{Window: w}}
+	got := New(Config{Levels: levels}).cfg.Levels
+	if levels[0] != (LevelConfig{Window: w}) {
+		t.Errorf("withDefaults wrote into the caller's Levels: %+v", levels[0])
+	}
+	def := DefaultConfig().Levels[0]
+	if len(got) != 1 || got[0] != (LevelConfig{Geom: def.Geom, HitLat: def.HitLat, Window: w}) {
+		t.Errorf("zero level fields not defaulted: %+v", got)
 	}
 }
 

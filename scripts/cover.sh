@@ -4,13 +4,14 @@
 # gate are the ones whose miss-path and fill-policy semantics every
 # experiment number depends on: a refactor that silently un-tests them
 # invalidates the goldens' meaning even while the goldens still pass. The
-# design packages added for the occupancy matrix (scattercache, mirage) and
-# the conformance suite that pins every design's contract sit under the same
-# gate for the same reason.
+# design packages added for the occupancy matrix (scattercache, mirage), the
+# conformance suite that pins every design's contract, and internal/
+# securecache, the one place every design and every simulated L1 is built,
+# sit under the same gate for the same reason.
 set -eu
 
 THRESHOLD=80
-PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache/conformance"
+PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache randfill/internal/securecache/conformance"
 
 fail=0
 for pkg in $PKGS; do

@@ -114,6 +114,9 @@ func runCollision(ctx context.Context, kind string, w rng.Window, l1 sim.CacheKi
 	fmt.Printf("cache collision attack (%s round) vs %s, victim window %v\n",
 		map[bool]string{true: "first", false: "final"}[kind == "collision-first"], l1, w)
 	res, err := attacks.MeasurementsToSuccessCtx(ctx, cfg, batch, samples)
+	if err != nil && ctx.Err() == nil {
+		fatal(err) // a budget the search cannot run
+	}
 	if res.Success {
 		fmt.Printf("SUCCESS: full key XOR relations recovered after %d measurements\n", res.Measurements)
 	} else {

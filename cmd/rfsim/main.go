@@ -99,10 +99,16 @@ func main() {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 		}
 	case "randomfill":
+		if w.Zero() {
+			fatal(fmt.Errorf("-mode randomfill needs a nonzero -window (the zero window is demand fetch)"))
+		}
 		tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 	case "disable":
 		tc = sim.ThreadConfig{Mode: sim.ModeDisableSecret}
 	case "preload":
+		if kind != sim.KindPLcache {
+			fatal(fmt.Errorf("-mode preload needs -design plcache, which locks the preloaded lines (have -design %s)", *design))
+		}
 		tc = sim.ThreadConfig{
 			Mode:          sim.ModePreload,
 			SecretRegions: aes.DefaultLayout().EncTableRegions(),

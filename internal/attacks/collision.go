@@ -411,6 +411,19 @@ type SearchResult struct {
 	SigmaT float64
 }
 
+// checkSearchBudget rejects a measurements-to-success budget that never
+// ends: a batch must collect at least one sample and the cap must not be
+// negative. A zero cap is an empty search.
+func checkSearchBudget(batch, maxSamples int) error {
+	if batch <= 0 {
+		return fmt.Errorf("attacks: search batch %d: must be at least 1", batch)
+	}
+	if maxSamples < 0 {
+		return fmt.Errorf("attacks: sample cap %d: must not be negative", maxSamples)
+	}
+	return nil
+}
+
 // MeasurementsToSuccessCtx collects samples in batches until the attack
 // recovers every XOR relation or maxSamples is reached — the procedure
 // behind Table III's "# measurements" row — with cooperative cancellation
@@ -418,8 +431,12 @@ type SearchResult struct {
 // serial search still returns the partial result alongside ctx's error, so
 // an interactive caller (rfattack) can report how far the attack got before
 // the interrupt; batches already collected are reflected in the result. The
-// returned error is nil iff the search ran to completion or success.
+// returned error is nil iff the search ran to completion or success; a
+// budget checkSearchBudget rejects returns its error and an empty result.
 func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, maxSamples int) (SearchResult, error) {
+	if err := checkSearchBudget(batch, maxSamples); err != nil {
+		return SearchResult{}, err
+	}
 	a := NewCollision(cfg)
 	best := 0
 	for a.Samples() < uint64(maxSamples) {

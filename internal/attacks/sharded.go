@@ -85,11 +85,15 @@ func MergeStats(states []*CollisionStats) *CollisionStats {
 // attack.
 //
 // Cancellation is checked between rounds and between shard collections; a
-// cancelled search returns ctx's error and no result. The search's
+// cancelled search, like a budget checkSearchBudget rejects, returns an
+// error and no result. The search's
 // round-by-round early exit is why it checkpoints as one unit rather than
 // per shard: a shard's stopping point depends on every other shard's
 // measurements at each round boundary.
 func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) (SearchResult, error) {
+	if err := checkSearchBudget(batch, maxSamples); err != nil {
+		return SearchResult{}, err
+	}
 	atks := NewShards(cfg, shards)
 	best := 0
 	collected := 0

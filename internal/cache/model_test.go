@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"randfill/internal/mem"
+	"randfill/internal/rng"
 )
 
 // refCache is an obviously-correct reference model of a set-associative
@@ -129,80 +130,87 @@ type op struct {
 // same random operation sequence and checks every observable result:
 // lookup hits, probe results, fill victims and refusals, invalidation
 // results, and the final contents and lock bits. One fill in four is a
-// locking fill.
+// locking fill. The SetAssoc side runs twice: as a new cache, and as one
+// that first ran a random prefix (usedThenReset) and was then Reset.
 func TestSetAssocMatchesReferenceModel(t *testing.T) {
-	f := func(ops []op) bool {
-		// 8 sets x 2 ways.
-		c := NewSetAssoc(Geometry{SizeBytes: 1024, Ways: 2}, LRU{})
-		r := newRef(8, 2)
-		for _, o := range ops {
-			l := mem.Line(o.Line % 64)
-			switch o.Kind % 4 {
-			case 0:
-				if c.Lookup(l, o.Bit) != r.lookup(l, o.Bit) {
-					t.Logf("lookup(%d) diverged", l)
-					return false
-				}
-			case 1:
-				lock := o.Kind/4%4 == 0
-				v := c.Fill(l, FillOpts{Dirty: o.Bit, Lock: lock})
-				rv, _, rev, rref := r.fill(l, o.Bit, lock)
-				if v.Refused != rref {
-					t.Logf("fill(%d): refusal diverged (%v vs %v)", l, v.Refused, rref)
-					return false
-				}
-				if v.Valid != rev {
-					t.Logf("fill(%d): eviction presence diverged (%v vs %v)", l, v.Valid, rev)
-					return false
-				}
-				if rev && v.Line != rv {
-					t.Logf("fill(%d): victim diverged (%d vs %d)", l, v.Line, rv)
-					return false
-				}
-			case 2:
-				if c.Probe(l) != r.probe(l) {
-					t.Logf("probe(%d) diverged", l)
-					return false
-				}
-			case 3:
-				if c.Invalidate(l) != r.invalidate(l) {
-					t.Logf("invalidate(%d) diverged", l)
-					return false
-				}
-			}
-		}
-		// Final contents must agree exactly.
-		want := map[mem.Line]bool{}
-		for _, s := range r.order {
-			for _, l := range s {
-				want[l] = true
-			}
-		}
-		got := c.Contents()
-		if len(got) != len(want) {
-			t.Logf("contents size diverged: %d vs %d", len(got), len(want))
-			return false
-		}
-		for _, l := range got {
-			if !want[l] {
-				t.Logf("contents diverged at line %d", l)
-				return false
-			}
-			if c.IsLocked(l) != r.locked[l] {
-				t.Logf("lock bit of line %d diverged", l)
-				return false
-			}
-		}
-		if c.locked != len(r.locked) {
-			t.Logf("locked-line count %d, want %d", c.locked, len(r.locked))
-			return false
-		}
-		return true
+	g := Geometry{SizeBytes: 1024, Ways: 2} // 8 sets x 2 ways
+	f := func(prefix, ops []op) bool {
+		return matchesRef(t, NewSetAssoc(g, LRU{}), ops) &&
+			matchesRef(t, usedThenReset(g, Random{Src: rng.New(3)}, prefix, LRU{}), ops)
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// matchesRef runs ops on c, an empty 8-set 2-way LRU cache, and on a new
+// reference model, and reports whether every observable result agreed.
+func matchesRef(t *testing.T, c *SetAssoc, ops []op) bool {
+	r := newRef(8, 2)
+	for _, o := range ops {
+		l := mem.Line(o.Line % 64)
+		switch o.Kind % 4 {
+		case 0:
+			if c.Lookup(l, o.Bit) != r.lookup(l, o.Bit) {
+				t.Logf("lookup(%d) diverged", l)
+				return false
+			}
+		case 1:
+			lock := o.Kind/4%4 == 0
+			v := c.Fill(l, FillOpts{Dirty: o.Bit, Lock: lock})
+			rv, _, rev, rref := r.fill(l, o.Bit, lock)
+			if v.Refused != rref {
+				t.Logf("fill(%d): refusal diverged (%v vs %v)", l, v.Refused, rref)
+				return false
+			}
+			if v.Valid != rev {
+				t.Logf("fill(%d): eviction presence diverged (%v vs %v)", l, v.Valid, rev)
+				return false
+			}
+			if rev && v.Line != rv {
+				t.Logf("fill(%d): victim diverged (%d vs %d)", l, v.Line, rv)
+				return false
+			}
+		case 2:
+			if c.Probe(l) != r.probe(l) {
+				t.Logf("probe(%d) diverged", l)
+				return false
+			}
+		case 3:
+			if c.Invalidate(l) != r.invalidate(l) {
+				t.Logf("invalidate(%d) diverged", l)
+				return false
+			}
+		}
+	}
+	// Final contents must agree exactly.
+	want := map[mem.Line]bool{}
+	for _, s := range r.order {
+		for _, l := range s {
+			want[l] = true
+		}
+	}
+	got := c.Contents()
+	if len(got) != len(want) {
+		t.Logf("contents size diverged: %d vs %d", len(got), len(want))
+		return false
+	}
+	for _, l := range got {
+		if !want[l] {
+			t.Logf("contents diverged at line %d", l)
+			return false
+		}
+		if c.IsLocked(l) != r.locked[l] {
+			t.Logf("lock bit of line %d diverged", l)
+			return false
+		}
+	}
+	if c.locked != len(r.locked) {
+		t.Logf("locked-line count %d, want %d", c.locked, len(r.locked))
+		return false
+	}
+	return true
 }
 
 // TestSetAssocDirtyMatchesReference checks write-back state: victims'

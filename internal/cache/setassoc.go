@@ -68,29 +68,52 @@ var _ Cache = (*SetAssoc)(nil)
 // NewSetAssoc builds a cache with the given geometry and replacement
 // policy. It panics on invalid geometry (sizes must be line-multiple,
 // power-of-two set counts), mirroring a hardware configuration error.
+// A new cache is a Reset of freshly allocated arrays.
 func NewSetAssoc(geom Geometry, policy Policy) *SetAssoc {
 	geom.check()
+	sets := geom.Sets()
+	n := sets * geom.Ways
+	c := &SetAssoc{
+		geom:    geom,
+		sets:    sets,
+		ways:    geom.Ways,
+		tags:    make([]mem.Line, n),
+		meta:    make([]uint8, n),
+		offsets: make([]int8, n),
+		stamps:  make([]uint64, n),
+	}
+	c.Reset(policy)
+	return c
+}
+
+// Reset empties the cache in place and replaces its policy (nil selects
+// LRU), leaving exactly the state NewSetAssoc(geometry, policy) builds:
+// every way invalid, the metadata, offset and stamp words zero, the tick,
+// statistics and lock count zero, and no way masks or eviction observer.
+// The geometry and the line arrays are kept, so a caller that rebuilds a
+// cache of the same shape allocates nothing.
+func (c *SetAssoc) Reset(policy Policy) {
 	if policy == nil {
 		policy = LRU{}
 	}
 	if err := PolicyValid(policy); err != nil {
 		panic(err)
 	}
-	sets := geom.Sets()
-	_, isLRU := policy.(LRU)
-	n := sets * geom.Ways
-	tags := make([]mem.Line, n)
-	for i := range tags {
-		tags[i] = invalidTag
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
-	return &SetAssoc{
-		geom:    geom,
-		sets:    sets,
-		ways:    geom.Ways,
-		tags:    tags,
-		meta:    make([]uint8, n),
-		offsets: make([]int8, n),
-		stamps:  make([]uint64, n),
+	clear(c.meta)
+	clear(c.offsets)
+	clear(c.stamps)
+	_, isLRU := policy.(LRU)
+	*c = SetAssoc{
+		geom:    c.geom,
+		sets:    c.sets,
+		ways:    c.ways,
+		tags:    c.tags,
+		meta:    c.meta,
+		offsets: c.offsets,
+		stamps:  c.stamps,
 		policy:  policy,
 		isLRU:   isLRU,
 	}

@@ -12,14 +12,15 @@ import (
 	"randfill/internal/workloads"
 )
 
-// smtRun co-runs one compiled benchmark trace with the continuous AES
-// enc+dec thread and returns the benchmark's IPC.
-func smtRun(sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.ThreadConfig, bench, crypto *trace.Compiled) float64 {
+// smtRun resets m to the co-run's configuration, co-runs one compiled
+// benchmark trace with the continuous AES enc+dec thread, and returns the
+// benchmark's IPC.
+func smtRun(m *sim.Machine, sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.ThreadConfig, bench, crypto *trace.Compiled) float64 {
 	cfg := sim.DefaultConfig()
 	cfg.L1 = g
 	cfg.L1Kind = kind
 	cfg.Seed = sc.Seed
-	m := sim.New(cfg)
+	m.Reset(cfg)
 	main := sim.ThreadConfig{Owner: 0}
 	res := m.RunSMTSteadyCompiled(main, bench, cryptoCfg, crypto)
 	return res.IPC()
@@ -44,22 +45,24 @@ func Figure8(sc Scale) *Table {
 	}
 	benches := workloads.All()
 	// One work item per benchmark: it generates and compiles the benchmark
-	// once and runs its five co-runs at every geometry.
+	// once and runs its five co-runs at every geometry on one machine,
+	// which each co-run resets.
 	rows := parexp.Map(sc.engine(), len(benches), func(i int) [][5]float64 {
 		bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
+		m := new(sim.Machine)
 		out := make([][5]float64, len(geoms))
 		for gi, g := range geoms {
-			base := smtRun(sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
+			base := smtRun(m, sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
 			out[gi] = [5]float64{
 				1,
-				smtRun(sc, g, sim.KindPLcache, sim.ThreadConfig{
+				smtRun(m, sc, g, sim.KindPLcache, sim.ThreadConfig{
 					Mode: sim.ModePreload, SecretRegions: allTables(), Owner: 1,
 				}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindSA, sim.ThreadConfig{
+				smtRun(m, sc, g, sim.KindSA, sim.ThreadConfig{
 					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
 				}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindNewcache, sim.ThreadConfig{Owner: 1}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindNewcache, sim.ThreadConfig{
+				smtRun(m, sc, g, sim.KindNewcache, sim.ThreadConfig{Owner: 1}, bench, crypto) / base,
+				smtRun(m, sc, g, sim.KindNewcache, sim.ThreadConfig{
 					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
 				}, bench, crypto) / base,
 			}
@@ -138,11 +141,12 @@ func Figure10(sc Scale) *Table {
 	}
 	benches := workloads.All()
 	// One work item per benchmark: it compiles the benchmark once and runs
-	// its full window sweep (the [0,0] column is the in-item baseline, so
-	// items stay self-contained).
+	// its full window sweep on one machine, reset per window (the [0,0]
+	// column is the in-item baseline, so items stay self-contained).
 	rows := parexp.Map(sc.engine(), len(benches), func(bi int) [2][]string {
 		bench := benches[bi]
 		ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
+		m := new(sim.Machine)
 		mpkiRow := []string{bench.Name, "MPKI"}
 		ipcRow := []string{bench.Name, "IPC"}
 		var baseIPC float64
@@ -153,7 +157,8 @@ func Figure10(sc Scale) *Table {
 			if !w.Zero() {
 				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 			}
-			res := sim.New(cfg).RunTraceSteady(tc, ct)
+			m.Reset(cfg)
+			res := m.RunTraceSteady(tc, ct)
 			if i == 0 {
 				baseIPC = res.IPC()
 			}

@@ -24,10 +24,17 @@ import (
 // hierarchy refactor. A below-L1 level with an RNG-backed replacement policy
 // additionally consumes root.Split(32+k) — a range no historical
 // configuration touches, so ""/draw-free policies leave the layout intact.
-func buildLevels(cfg Config, root *rng.Source) []*hierarchy.Level {
+//
+// prev and stores are a machine's previous below-L1 levels and their
+// stores (empty for a new machine). Level k reuses stores[k], cleared by
+// SetAssoc.Reset, when prev[k] has the same geometry, and allocates a store
+// otherwise; either way the level starts empty under a fresh policy. It
+// returns the levels and the below-L1 stores they use.
+func buildLevels(cfg Config, root *rng.Source, prev []LevelConfig, stores []*cache.SetAssoc) ([]*hierarchy.Level, []*cache.SetAssoc) {
 	levels := []*hierarchy.Level{
 		hierarchy.NewLevel(cfg.buildL1(root.Split(1)), cfg.L1HitLat),
 	}
+	below := make([]*cache.SetAssoc, len(cfg.Levels))
 	for k, lc := range cfg.Levels {
 		var pol cache.Policy = cache.LRU{}
 		if lc.Policy != "" {
@@ -41,7 +48,14 @@ func buildLevels(cfg Config, root *rng.Source) []*hierarchy.Level {
 			}
 			pol = p
 		}
-		c := cache.NewSetAssoc(lc.Geom, pol)
+		var c *cache.SetAssoc
+		if k < len(stores) && prev[k].Geom == lc.Geom {
+			c = stores[k]
+			c.Reset(pol)
+		} else {
+			c = cache.NewSetAssoc(lc.Geom, pol)
+		}
+		below[k] = c
 		lvl := hierarchy.NewLevel(c, lc.HitLat)
 		if !lc.Window.Zero() {
 			e := core.NewEngine(c, root.Split(uint64(2+k)))
@@ -50,5 +64,5 @@ func buildLevels(cfg Config, root *rng.Source) []*hierarchy.Level {
 		}
 		levels = append(levels, lvl)
 	}
-	return levels
+	return levels, below
 }

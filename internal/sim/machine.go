@@ -23,20 +23,40 @@ type Machine struct {
 	root    *rng.Source
 	hier    *hierarchy.Hierarchy
 	threads []*Thread
+	// below holds the store of each level below the L1 (below[k] backs
+	// cfg.Levels[k]), for Reset to clear in place.
+	below []*cache.SetAssoc
 
 	// Prefetcher, if set, observes L1 demand traffic and injects
 	// prefetch fills (Section VII's tagged-prefetcher comparison).
 	Prefetcher prefetch.Prefetcher
 }
 
-// New builds a machine from cfg (zero fields take Table IV defaults).
+// New builds a machine from cfg (zero fields take Table IV defaults). It is
+// Reset of a zero machine, so New and Reset share one construction path.
 func New(cfg Config) *Machine {
+	m := new(Machine)
+	m.Reset(cfg)
+	return m
+}
+
+// Reset rebuilds m in place as exactly the machine New(cfg) returns: a
+// fresh root stream split in the same order, a fresh L1, hierarchy, fill
+// engines and counters, and no threads or prefetcher. The one thing it
+// reuses is storage: a level below the L1 whose geometry is unchanged is
+// cleared in place (cache.SetAssoc.Reset) rather than reallocated, so a
+// sweep that resets one machine per configuration allocates its L2 once.
+// Threads made before Reset must not be used after it: they still point
+// at the cleared stores.
+func (m *Machine) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	root := rng.New(cfg.Seed)
-	return &Machine{
-		cfg:  cfg,
-		root: root,
-		hier: hierarchy.New(cfg.MemLat, buildLevels(cfg, root)...),
+	levels, below := buildLevels(cfg, root, m.cfg.Levels, m.below)
+	*m = Machine{
+		cfg:   cfg,
+		root:  root,
+		hier:  hierarchy.New(cfg.MemLat, levels...),
+		below: below,
 	}
 }
 

@@ -47,12 +47,17 @@ func replayPinTrace() (mem.Trace, mem.Region) {
 }
 
 // machineState summarizes every observable layer of a machine after a replay:
-// the thread result, the L1 cache counters, and the per-level and memory
-// traffic below it.
+// the thread result, the L1 cache counters, and for each level below it the
+// level's traffic, its cache counters and its random fill decisions, then
+// the memory traffic.
 func machineState(m *Machine, res Result) string {
 	s := fmt.Sprintf("%+v l1=%+v", res, *m.L1().Stats())
 	for k := 1; k < m.Hierarchy().Depth(); k++ {
-		s += fmt.Sprintf(" lvl%d=%+v", k, *m.Hierarchy().Level(k).Stats())
+		lvl := m.Hierarchy().Level(k)
+		s += fmt.Sprintf(" lvl%d=%+v cache=%+v", k, *lvl.Stats(), *lvl.Cache.Stats())
+		if fs := lvl.FillStats(); fs != nil {
+			s += fmt.Sprintf(" fill=%+v", *fs)
+		}
 	}
 	return s + fmt.Sprintf(" mem=%d memwb=%d", m.MemAccesses(), m.Hierarchy().MemWritebacks())
 }

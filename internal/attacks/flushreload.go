@@ -52,84 +52,89 @@ func FlushReload(cfg FlushReloadConfig) FlushReloadResult {
 // TestFlushReloadProberZeroAlloc). The first Run of a fresh prober is
 // byte-identical to FlushReload(cfg); later Runs continue the prober's RNG
 // stream with fresh trials over the same channel.
-type FlushReloadProber struct {
-	cfg          FlushReloadConfig
-	src          *rng.Source
-	c            cache.Cache
-	eng          *core.Engine
-	m            int
-	first        mem.Line
-	obsLo, obsHi int64
-	obsNone      int
-
-	joint  [][]uint64
-	rowSum []float64
-	colSum []float64
-}
+type FlushReloadProber struct{ loop *reuseLoop }
 
 // NewFlushReloadProber builds the shared cache, the victim's fill engine and
-// the measurement scratch for repeated Runs.
+// the measurement scratch for repeated Runs. The attacker observes the
+// region extended by the window on both sides; the engine always fills as
+// the victim.
 func NewFlushReloadProber(cfg FlushReloadConfig) *FlushReloadProber {
 	src := rng.New(cfg.Seed ^ 0xf1e5)
 	c := cfg.NewCache(src.Split(1))
 	eng := core.NewEngine(c, src.Split(2))
 	eng.SetOwner(victimDomain)
 	eng.SetRR(cfg.Window.A, cfg.Window.B)
-
-	m := cfg.Region.NumLines()
-	first := cfg.Region.FirstLine()
-
-	// Observable lines: the region extended by the window on both sides,
-	// plus the "nothing cached" symbol at index obsNone.
-	obsLo := int64(first) - int64(cfg.Window.A)
-	if obsLo < 0 {
-		obsLo = 0
-	}
-	obsHi := int64(first) + int64(m-1) + int64(cfg.Window.B)
-	obsCount := int(obsHi-obsLo+1) + 1
-
-	return &FlushReloadProber{
-		cfg:     cfg,
-		src:     src,
-		c:       c,
-		eng:     eng,
-		m:       m,
-		first:   first,
-		obsLo:   obsLo,
-		obsHi:   obsHi,
-		obsNone: obsCount - 1,
-		joint:   makeHist(m, obsCount),
-		rowSum:  make([]float64, m),
-		colSum:  make([]float64, obsCount),
-	}
+	setDomain := func(id int) { asDomain(c, id) }
+	return &FlushReloadProber{newReuseLoop(c, eng.Access, setDomain, src, cfg.Region, cfg.Window.A, cfg.Window.B, cfg.Trials)}
 }
 
 // Run executes one full experiment (Trials flush → access → reload rounds)
 // and returns its result.
-func (p *FlushReloadProber) Run() FlushReloadResult {
-	c, eng, src := p.c, p.eng, p.src
-	zeroHist(p.joint)
+func (p *FlushReloadProber) Run() FlushReloadResult { return p.loop.run() }
 
+// reuseLoop is the flush → victim-access → reload measurement FlushReload
+// and Reuse share, with its histogram scratch allocated once.
+type reuseLoop struct {
+	c        cache.Cache
+	access   func(l mem.Line, write bool) bool
+	setParty func(id int)
+	src      *rng.Source
+	first    mem.Line
+	m        int
+	trials   int
+	obsLo    int64
+	obsHi    int64
+
+	joint  [][]uint64
+	rowSum []float64
+	colSum []float64
+}
+
+// newReuseLoop measures trials rounds in which the attacker flushes and
+// probes c over region widened by padA lines below and padB above, and the
+// victim makes one access through access, its secret drawn from src.
+// setParty selects the party (trust domain) of the operations that follow.
+func newReuseLoop(c cache.Cache, access func(mem.Line, bool) bool, setParty func(int), src *rng.Source,
+	region mem.Region, padA, padB, trials int) *reuseLoop {
+	m := region.NumLines()
+	first := region.FirstLine()
+	obsLo := max(int64(first)-int64(padA), 0)
+	obsHi := int64(first) + int64(m-1) + int64(padB)
+	// The observable lines, plus the "nothing cached" symbol.
+	obsCount := int(obsHi-obsLo+1) + 1
+	return &reuseLoop{
+		c: c, access: access, setParty: setParty, src: src,
+		first: first, m: m, trials: trials, obsLo: obsLo, obsHi: obsHi,
+		joint:  makeHist(m, obsCount),
+		rowSum: make([]float64, m),
+		colSum: make([]float64, obsCount),
+	}
+}
+
+// run performs the trials and returns their result.
+func (p *reuseLoop) run() FlushReloadResult {
+	zeroHist(p.joint)
+	obsNone := len(p.colSum) - 1
 	hits := 0
-	for trial := 0; trial < p.cfg.Trials; trial++ {
+	for trial := 0; trial < p.trials; trial++ {
 		// Flush: evict the whole observable range (clflush loop).
-		asDomain(c, attackerDomain)
+		p.setParty(attackerDomain)
 		for l := p.obsLo; l <= p.obsHi; l++ {
-			c.Invalidate(mem.Line(l))
+			p.c.Invalidate(mem.Line(l))
 		}
-		// Victim: one uniform secret-dependent access. (The data is
-		// shared, so under a domain-aware cache the victim still sees
-		// its own mapping.)
-		asDomain(c, victimDomain)
-		s := src.Intn(p.m)
-		eng.Access(p.first+mem.Line(s), false)
+		// Victim: one uniform secret-dependent access under its fill
+		// policy. (The data is shared, so under a domain-aware cache the
+		// victim still sees its own mapping.)
+		p.setParty(victimDomain)
+		s := p.src.Intn(p.m)
+		p.access(p.first+mem.Line(s), false)
 		// Reload: time each observable line; a fast reload means the
-		// line is cached (Probe models the timing distinguisher).
-		asDomain(c, victimDomain)
-		obs := p.obsNone
+		// line is cached (Probe models the timing distinguisher without
+		// disturbing state).
+		obs := obsNone
 		victimObserved := false
 		for l := p.obsLo; l <= p.obsHi; l++ {
-			if c.Probe(mem.Line(l)) {
+			if p.c.Probe(mem.Line(l)) {
 				obs = int(l - p.obsLo)
 				if mem.Line(l) == p.first+mem.Line(s) {
 					victimObserved = true
@@ -143,9 +148,9 @@ func (p *FlushReloadProber) Run() FlushReloadResult {
 	}
 
 	return FlushReloadResult{
-		Accuracy:   float64(hits) / float64(p.cfg.Trials),
+		Accuracy:   float64(hits) / float64(p.trials),
 		MutualInfo: mutualInfoInto(p.joint, p.rowSum, p.colSum),
-		Trials:     p.cfg.Trials,
+		Trials:     p.trials,
 	}
 }
 
@@ -166,18 +171,9 @@ func zeroHist(h [][]uint64) {
 	}
 }
 
-// mutualInfo computes I(S;R) in bits from a joint count histogram.
-func mutualInfo(joint [][]uint64) float64 {
-	rows := len(joint)
-	if rows == 0 {
-		return 0
-	}
-	return mutualInfoInto(joint, make([]float64, rows), make([]float64, len(joint[0])))
-}
-
-// mutualInfoInto is mutualInfo with caller-provided marginal scratch (len
-// rows and len cols respectively), so repeated measurements can reuse one
-// pair of buffers.
+// mutualInfoInto computes I(S;R) in bits from a joint count histogram,
+// with caller-provided marginal scratch (len rows and len cols
+// respectively), so repeated measurements can reuse one pair of buffers.
 func mutualInfoInto(joint [][]uint64, rowSum, colSum []float64) float64 {
 	if len(joint) == 0 {
 		return 0

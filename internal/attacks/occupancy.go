@@ -41,14 +41,15 @@ type OccupancyConfig struct {
 	// channel's input alphabet. At least two distinct sizes are needed for
 	// a non-trivial channel.
 	VictimSizes []int
-	// Passes is how many sweeps the victim makes over its working set per
-	// round (default 2; the second pass re-touches lines the first pass
-	// may have self-evicted).
-	Passes int
 	// Trials is the number of rounds per victim size class.
 	Trials int
 	Seed   uint64
 }
+
+// victimPasses is how many sweeps the victim makes over its working set
+// per round: the second pass re-touches lines the first pass may have
+// self-evicted.
+const victimPasses = 2
 
 // victimBase places the victim's working set far from the attacker's prime
 // lines so the two parties share no addresses — the occupancy channel must
@@ -83,7 +84,6 @@ type OccupancyProber struct {
 	src    *rng.Source
 	c      securecache.SecureCache
 	n      int
-	passes int
 	k      int
 	rounds int
 
@@ -105,19 +105,14 @@ func NewOccupancyProber(cfg OccupancyConfig) *OccupancyProber {
 	if n <= 0 {
 		n = c.NumLines()
 	}
-	passes := cfg.Passes
-	if passes <= 0 {
-		passes = 2
-	}
 	k := len(cfg.VictimSizes)
 	p := &OccupancyProber{
-		cfg:    cfg,
-		src:    src,
-		c:      c,
-		n:      n,
-		passes: passes,
-		k:      k,
-		mean:   make([]float64, k),
+		cfg:  cfg,
+		src:  src,
+		c:    c,
+		n:    n,
+		k:    k,
+		mean: make([]float64, k),
 	}
 	if k == 0 || cfg.Trials <= 0 {
 		return p
@@ -157,7 +152,7 @@ func (p *OccupancyProber) Run() OccupancyResult {
 		}
 		// Victim: sweep a working set of secret size w.
 		c.SetParty(victimDomain)
-		for pass := 0; pass < p.passes; pass++ {
+		for pass := 0; pass < victimPasses; pass++ {
 			for i := 0; i < w; i++ {
 				c.Access(victimBase+mem.Line(i), false)
 			}
@@ -244,55 +239,5 @@ type ReuseConfig struct {
 func Reuse(cfg ReuseConfig) FlushReloadResult {
 	src := rng.New(cfg.Seed ^ 0x4e5e)
 	c := cfg.NewCache(src.Split(1))
-
-	m := cfg.Region.NumLines()
-	first := cfg.Region.FirstLine()
-
-	obsLo := int64(first) - int64(cfg.Pad)
-	if obsLo < 0 {
-		obsLo = 0
-	}
-	obsHi := int64(first) + int64(m-1) + int64(cfg.Pad)
-	obsCount := int(obsHi-obsLo+1) + 1
-	obsNone := obsCount - 1
-
-	joint := make([][]uint64, m)
-	for i := range joint {
-		joint[i] = make([]uint64, obsCount)
-	}
-
-	hits := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		// Flush the observable range (clflush loop).
-		c.SetParty(attackerDomain)
-		for l := obsLo; l <= obsHi; l++ {
-			c.Invalidate(mem.Line(l))
-		}
-		// Victim: one uniform secret-dependent access under the design's
-		// own fill policy.
-		c.SetParty(victimDomain)
-		s := src.Intn(m)
-		c.Access(first+mem.Line(s), false)
-		// Reload: probe each observable line without disturbing state.
-		obs := obsNone
-		victimObserved := false
-		for l := obsLo; l <= obsHi; l++ {
-			if c.Probe(mem.Line(l)) {
-				obs = int(l - obsLo)
-				if mem.Line(l) == first+mem.Line(s) {
-					victimObserved = true
-				}
-			}
-		}
-		if victimObserved {
-			hits++
-		}
-		joint[s][obs]++
-	}
-
-	return FlushReloadResult{
-		Accuracy:   float64(hits) / float64(cfg.Trials),
-		MutualInfo: mutualInfo(joint),
-		Trials:     cfg.Trials,
-	}
+	return newReuseLoop(c, c.Access, c.SetParty, src, cfg.Region, cfg.Pad, cfg.Pad, cfg.Trials).run()
 }

@@ -131,26 +131,38 @@ func (g Geometry) Sets() int {
 	return lines / g.Ways
 }
 
-// ValidateGeometry checks g the way NewSetAssoc does — size a positive
-// line multiple, lines divisible into ways, power-of-two set count — and
-// panics with the same diagnostics on violation. RPcache, the only design
-// package that manages its own line arrays, calls it instead of
-// constructing a throwaway SetAssoc just to trigger the checks; PLcache
-// and NoMo call it to check the geometry before their own arguments.
-func ValidateGeometry(g Geometry) { g.check() }
-
-func (g Geometry) check() {
+// CheckGeometry returns nil if g is a set-associative shape — size a
+// positive line multiple, lines divisible into ways, power-of-two set count
+// — and otherwise an error naming the rule g breaks. It is the one
+// statement of that rule: NewSetAssoc panics through it, the designs that
+// manage their own line arrays (RPcache, ScatterCache) call it, and
+// sim.Config.Validate reports it.
+func CheckGeometry(g Geometry) error {
 	lines := g.SizeBytes / mem.LineSize
 	if g.SizeBytes <= 0 || g.SizeBytes%mem.LineSize != 0 {
-		panic(fmt.Sprintf("cache: size %d not a positive multiple of line size", g.SizeBytes))
+		return fmt.Errorf("cache: size %d not a positive multiple of line size", g.SizeBytes)
 	}
 	if g.Ways <= 0 || lines%g.Ways != 0 {
-		panic(fmt.Sprintf("cache: %d lines not divisible into %d ways", lines, g.Ways))
+		return fmt.Errorf("cache: %d lines not divisible into %d ways", lines, g.Ways)
 	}
-	sets := lines / g.Ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
+	if sets := lines / g.Ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	return nil
+}
+
+// CheckMaskedGeometry is CheckGeometry for a SetAssoc whose victim choice
+// goes through the policy's masked path (PLcache's lock bits, NoMo's way
+// masks): an allowed-ways mask is one 64-bit word, so g may have at most 64
+// ways.
+func CheckMaskedGeometry(g Geometry) error {
+	if err := CheckGeometry(g); err != nil {
+		return err
+	}
+	if g.Ways > 64 {
+		return fmt.Errorf("cache: lock bits and way masks require <= 64 ways, have %d", g.Ways)
+	}
+	return nil
 }
 
 func (g Geometry) String() string {

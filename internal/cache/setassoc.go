@@ -27,8 +27,8 @@ const invalidTag = ^mem.Line(0)
 // SetAssoc whose lock bits keep a line from ever being chosen as a victim,
 // and NoMo one whose RestrictWays masks reserve ways per hardware thread.
 // Both constraints go through the policy's masked victim path, so lock bits
-// and way masks need Ways <= 64 (plcache.NewWithPolicy and RestrictWays
-// check).
+// and way masks need Ways <= 64 (CheckMaskedGeometry, which
+// plcache.NewWithPolicy and RestrictWays call).
 //
 // Per-way state is struct-of-arrays: the tags array is the only state the
 // hit fast path touches (one contiguous cache line per 8 ways), the meta
@@ -66,11 +66,13 @@ type SetAssoc struct {
 var _ Cache = (*SetAssoc)(nil)
 
 // NewSetAssoc builds a cache with the given geometry and replacement
-// policy. It panics on invalid geometry (sizes must be line-multiple,
-// power-of-two set counts), mirroring a hardware configuration error.
+// policy. It panics on a geometry CheckGeometry rejects, mirroring a
+// hardware configuration error.
 // A new cache is a Reset of freshly allocated arrays.
 func NewSetAssoc(geom Geometry, policy Policy) *SetAssoc {
-	geom.check()
+	if err := CheckGeometry(geom); err != nil {
+		panic(err)
+	}
 	sets := geom.Sets()
 	n := sets * geom.Ways
 	c := &SetAssoc{
@@ -133,8 +135,8 @@ func (c *SetAssoc) SetEvictionObserver(fn EvictionObserver) { c.onEv = fn }
 // perOwner. Lookups still hit in any way. It panics on caches of more than
 // 64 ways.
 func (c *SetAssoc) RestrictWays(perOwner []uint64, other uint64) {
-	if c.ways > 64 {
-		panic(fmt.Sprintf("cache: way masks require <= 64 ways, have %d", c.ways))
+	if err := CheckMaskedGeometry(c.geom); err != nil {
+		panic(err)
 	}
 	c.ownerWays = make([]uint64, len(perOwner)) // non-nil even when empty
 	copy(c.ownerWays, perOwner)

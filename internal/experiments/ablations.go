@@ -6,6 +6,7 @@ import (
 	"randfill/internal/infotheory"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
+	"randfill/internal/securecache"
 	"randfill/internal/sim"
 	"randfill/internal/trace"
 	"randfill/internal/workloads"
@@ -39,7 +40,7 @@ func AblationWindowShape(sc Scale) *Table {
 	}
 	results := parexp.Map(sc.engine(), len(shapes), func(i int) shapeResult {
 		mc := infotheory.MonteCarloP1P2(infotheory.P1P2Config{
-			NewCache: l1Factory("sa"),
+			NewCache: securecache.L1Factory("sa"),
 			Window:   shapes[i].w,
 			Trials:   sc.MonteCarloTrials / 2,
 			Region:   t4Region(),

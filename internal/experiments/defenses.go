@@ -7,6 +7,7 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
+	"randfill/internal/securecache"
 )
 
 // defenseRow is one cache configuration of the Section VIII comparison.
@@ -17,7 +18,8 @@ type defenseRow struct {
 }
 
 func defenseRows() []defenseRow {
-	sa, nc, rp, nm := l1Factory("sa"), l1Factory("newcache"), l1Factory("rpcache"), l1Factory("nomo")
+	sa, nc, rp, nm := securecache.L1Factory("sa"), securecache.L1Factory("newcache"),
+		securecache.L1Factory("rpcache"), securecache.L1Factory("nomo")
 	w := rng.Symmetric(32)
 	return []defenseRow{
 		{"SA (demand fetch)", sa, rng.Window{}},

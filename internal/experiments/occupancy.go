@@ -47,20 +47,33 @@ func (c *occCell) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// occupancyVictimSizes is the victim working-set sweep (in lines) of the
-// occupancy channel, against a 128-line cache with a 96-line attacker prime
-// (3/4 of capacity — a full prime self-thrashes on way-partitioned designs
-// and saturates the probe).
-var occupancyVictimSizes = []int{16, 32, 64, 96}
+// cellBudget is a matrix cell's attack budget: the reuse channel's trials,
+// the occupancy channel's trials per victim size, and the victim
+// working-set sizes (in lines) that form the occupancy channel's input.
+type cellBudget struct {
+	reuseTrials, occTrials int
+	victimSizes            []int
+}
 
-// occupancyCell evaluates one registered design: the reuse (flush + reload)
-// channel over the AES table region, the occupancy channel over the victim
-// size sweep, and the AES-CBC IPC/MPKI of the same architecture on the
-// timing simulator. victim is the run's shared compiled AES-CBC trace.
-func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Compiled) occCell {
+// occupancyBudget is OccupancyMatrix's budget. The victim sweep runs
+// against a 128-line cache with a 96-line attacker prime (3/4 of capacity —
+// a full prime self-thrashes on way-partitioned designs and saturates the
+// probe).
+func occupancyBudget(sc Scale) cellBudget {
+	return cellBudget{sc.MonteCarloTrials / 10, sc.MonteCarloTrials / 100, []int{16, 32, 64, 96}}
+}
+
+// matrixCell evaluates one (policy, design) pair: the reuse (flush +
+// reload) channel over the AES table region, the occupancy channel over
+// the victim size sweep, and the AES-CBC IPC/MPKI of the same architecture
+// on the timing simulator. pol overrides the replacement policy on both the
+// attack caches (securecache.Config.Policy) and the simulator L1
+// (Config.L1Policy); "" keeps each design's own. victim is the run's
+// shared compiled AES-CBC trace.
+func matrixCell(sc Scale, pol string, d securecache.Design, b cellBudget, seed uint64, victim *trace.Compiled) occCell {
 	mk := func(geom cache.Geometry) func(src *rng.Source) securecache.SecureCache {
 		return func(src *rng.Source) securecache.SecureCache {
-			return d.New(securecache.Config{Geom: geom}, src)
+			return d.New(securecache.Config{Geom: geom, Policy: pol}, src)
 		}
 	}
 
@@ -71,15 +84,15 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Co
 		NewCache: mk(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}),
 		Region:   t4Region(),
 		Pad:      16,
-		Trials:   sc.MonteCarloTrials / 10,
+		Trials:   b.reuseTrials,
 		Seed:     seed,
 	})
 
 	occ := attacks.Occupancy(attacks.OccupancyConfig{
 		NewCache:    mk(cache.Geometry{SizeBytes: 8 * 1024, Ways: 4}), // 128 lines
 		Lines:       96,
-		VictimSizes: occupancyVictimSizes,
-		Trials:      sc.MonteCarloTrials / 100,
+		VictimSizes: b.victimSizes,
+		Trials:      b.occTrials,
 		Seed:        seed,
 	})
 
@@ -88,6 +101,7 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Co
 	// default window, every other design runs demand fill.
 	cfg := sim.DefaultConfig()
 	cfg.Seed = sc.Seed
+	cfg.L1Policy = pol
 	kind, tc := sim.DesignL1(d.Name)
 	cfg.L1Kind = kind
 	res := sim.New(cfg).RunTrace(tc, victim)
@@ -99,22 +113,22 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64, victim *trace.Co
 	}
 }
 
-// occupancyPlan is OccupancyMatrix's work-unit plan: one registered
-// secure-cache design's full cell per unit. Per-unit seeds derive from the
-// master seed through a dedicated stream, so cells are independent pure
-// functions of (Scale, index).
-func occupancyPlan(sc Scale) unitPlan[occCell] {
+// matrixPlan is a matrix experiment's work-unit plan: one cell per unit,
+// policy-major over policies and in registry order over the designs. Each
+// experiment derives its per-unit seeds from the master seed through its
+// own salt, so cells are independent pure functions of (Scale, index).
+func matrixPlan(sc Scale, exp string, salt uint64, policies []string, b cellBudget) unitPlan[occCell] {
 	designs := securecache.All()
 	seedFor := func(i int) uint64 {
-		return rng.New(sc.Seed ^ 0x0cc9).SplitSeed(uint64(i + 1))
+		return rng.New(sc.Seed ^ salt).SplitSeed(uint64(i + 1))
 	}
 	victim := lazyVictim(sc)
 	return unitPlan[occCell]{
-		exp:  "OccupancyMatrix",
-		n:    len(designs),
+		exp:  exp,
+		n:    len(policies) * len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
-			return occupancyCell(sc, designs[i], seedFor(i), victim()), nil
+			return matrixCell(sc, policies[i/len(designs)], designs[i%len(designs)], b, seedFor(i), victim()), nil
 		},
 		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (occCell, error) {
@@ -123,6 +137,12 @@ func occupancyPlan(sc Scale) unitPlan[occCell] {
 			return c, err
 		},
 	}
+}
+
+// occupancyPlan is OccupancyMatrix's plan: every registered design under
+// its own policy, one design's full cell per unit.
+func occupancyPlan(sc Scale) unitPlan[occCell] {
+	return matrixPlan(sc, "OccupancyMatrix", 0x0cc9, []string{""}, occupancyBudget(sc))
 }
 
 // OccupancyMatrixCtx builds the security x performance matrix over every
@@ -149,10 +169,11 @@ func OccupancyMatrixCtx(ctx context.Context, sc Scale) (*Table, error) {
 			fmt.Sprintf("%.3f", c.occAcc), fmt.Sprintf("%.3f", c.occMI),
 			fmt.Sprintf("%.3f", c.ipc), fmt.Sprintf("%.2f", c.mpki))
 	}
+	b := occupancyBudget(sc)
 	t.AddNote("reuse: flush+reload over the %d-line AES table +/-16 lines, %d trials (chance acc 1/16, max MI 4 bits)",
-		t4Region().NumLines(), sc.MonteCarloTrials/10)
+		t4Region().NumLines(), b.reuseTrials)
 	t.AddNote("occupancy: 96-line prime on a 128-line cache, victim sweep %v, %d trials/size (chance acc 1/4, max MI 2 bits); no shared addresses",
-		occupancyVictimSizes, sc.MonteCarloTrials/100)
+		b.victimSizes, b.occTrials)
 	t.AddNote("performance: AES-CBC (%d bytes) as the simulator L1; randfill = SA + window [-16,+15], others demand fill",
 		sc.CBCBytes)
 	return t, nil

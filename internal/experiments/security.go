@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"randfill/internal/attacks"
-	"randfill/internal/cache"
 	"randfill/internal/infotheory"
 	"randfill/internal/mem"
 	"randfill/internal/parexp"
@@ -26,20 +25,6 @@ func attackerSim() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.MissQueue = 2
 	return cfg
-}
-
-// l1Factory returns an attack cache factory for the Table IV L1 (32 KB, 4
-// ways) of the given kind under its own default policy, built by
-// securecache.NewLineStore with structure randomness from the attack's
-// stream.
-func l1Factory(kind string) func(src *rng.Source) cache.Cache {
-	return func(src *rng.Source) cache.Cache {
-		c, err := securecache.NewLineStore(kind, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, nil, src)
-		if err != nil {
-			panic(err)
-		}
-		return c
-	}
 }
 
 // t4Region is the final-round table T4 under the default layout (table id 4).
@@ -161,7 +146,7 @@ func (c *t3cell) UnmarshalBinary(data []byte) error {
 // success search under the cap, both sharded on eng.
 func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, kind sim.CacheKind, size int) (t3cell, error) {
 	mc, err := infotheory.MonteCarloP1P2ShardedCtx(ctx, eng, infotheory.P1P2Config{
-		NewCache: l1Factory(string(kind)),
+		NewCache: securecache.L1Factory(string(kind)),
 		Window:   rng.Symmetric(size),
 		Trials:   sc.MonteCarloTrials,
 		Region:   t4Region(),

@@ -4,7 +4,7 @@
 // the L1, at the L2, at both, or at any subset of an arbitrarily deep stack
 // — each level is any cache.Cache paired with a fill policy (conventional
 // demand fetch, or a real core.Engine random-fill instance with its full
-// nofill/drop/clamp bookkeeping), a hit latency, and an optional prefetcher.
+// nofill/drop/clamp bookkeeping) and a hit latency.
 //
 // The miss-path contract (see DESIGN.md §8):
 //
@@ -20,8 +20,8 @@
 //     recursively; a dirty victim of the last level is written to memory.
 //     Write-backs always allocate — nofill applies to demand fetches, not to
 //     data being pushed down.
-//   - Background fetches (random fills, prefetches) count in each level's
-//     traffic statistics but never add latency to the demand access that
+//   - Background fetches (random fills) count in each level's traffic
+//     statistics but never add latency to the demand access that
 //     triggered them.
 //
 // Level 0 is special only by convention: the timing simulator's Thread owns
@@ -36,7 +36,6 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/core"
 	"randfill/internal/mem"
-	"randfill/internal/prefetch"
 )
 
 // LevelStats counts the traffic one level observes. Random-fill decision
@@ -44,8 +43,8 @@ import (
 // level's engine Stats — see Level.FillStats.
 type LevelStats struct {
 	// Accesses counts fetch requests arriving at this level: demand
-	// misses from above plus background (random fill, prefetch) fetches
-	// that consult this level on their way down.
+	// misses from above plus background (random fill) fetches that
+	// consult this level on their way down.
 	Accesses uint64
 	// Hits and Misses partition Accesses.
 	Hits   uint64
@@ -54,12 +53,9 @@ type LevelStats struct {
 	// this level; WritebackAllocs counts those that missed and allocated.
 	WritebacksIn    uint64
 	WritebackAllocs uint64
-	// Prefetches counts prefetcher-initiated fills installed at this level.
-	Prefetches uint64
 }
 
-// Level is one cache level: a cache, a fill policy, a hit latency, and an
-// optional prefetcher observing the level's demand traffic.
+// Level is one cache level: a cache, a fill policy and a hit latency.
 type Level struct {
 	// Cache holds the level's contents. Any cache.Cache works: the
 	// conventional set-associative cache or any of the secure-cache
@@ -72,9 +68,6 @@ type Level struct {
 	// level, hit or miss (the lookup itself costs the hit latency; a miss
 	// additionally pays the levels below).
 	HitLat uint64
-	// Prefetcher, when non-nil, observes this level's demand traffic and
-	// injects background prefetch fills at this level.
-	Prefetcher prefetch.Prefetcher
 
 	stats LevelStats
 }
@@ -151,18 +144,11 @@ func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 // memory.
 func (h *Hierarchy) MemWritebacks() uint64 { return h.memWritebacks }
 
-// Fetch services a miss raised above level from: it consults levels
-// from..Depth-1 and then memory, applies each missed level's fill policy on
-// the unwind, and returns the added latency. The timing simulator calls
-// Fetch(1, ...) on an L1 miss.
-func (h *Hierarchy) Fetch(from int, line mem.Line, write bool) uint64 {
-	return h.fetch(from, line, write, false)
-}
-
-// fetch is the uniform miss path. background marks fetches that carry no
-// demand data (random fills, prefetches): they still fill and count traffic
-// but never trigger prefetchers of the levels they traverse.
-func (h *Hierarchy) fetch(k int, line mem.Line, write, background bool) uint64 {
+// Fetch is the uniform miss path. It services a miss raised above level k:
+// it consults levels k..Depth-1 and then memory, applies each missed
+// level's fill policy on the unwind, and returns the added latency. The
+// timing simulator calls Fetch(1, ...) on an L1 miss.
+func (h *Hierarchy) Fetch(k int, line mem.Line, write bool) uint64 {
 	if k >= len(h.levels) {
 		h.memAccesses++
 		return h.memLat
@@ -172,22 +158,14 @@ func (h *Hierarchy) fetch(k int, line mem.Line, write, background bool) uint64 {
 	lat := lvl.HitLat
 	if lvl.Cache.Lookup(line, write) {
 		lvl.stats.Hits++
-		if lvl.Prefetcher != nil && !background {
-			for _, pl := range lvl.Prefetcher.OnHit(line) {
-				h.prefetchInto(k, line, pl)
-			}
-		}
 		return lat
 	}
 	lvl.stats.Misses++
-	lat += h.fetch(k+1, line, write, background)
+	lat += h.Fetch(k+1, line, write)
 
 	// Unwind: this level's fill policy decides what is installed here.
 	if lvl.Engine == nil {
 		h.Fill(k, line, cache.FillOpts{Dirty: write})
-		if lvl.Prefetcher != nil && !background {
-			lvl.Prefetcher.OnFill(line, false)
-		}
 	} else {
 		reqs := lvl.Engine.OnMiss(line)
 		for i := 0; i < reqs.Len(); i++ {
@@ -201,32 +179,12 @@ func (h *Hierarchy) fetch(k int, line mem.Line, write, background bool) uint64 {
 			case core.RandomFill:
 				// The random neighbor's data comes from the levels
 				// below as a zero-latency background fill.
-				h.fetch(k+1, r.Line, false, true)
+				h.Fetch(k+1, r.Line, false)
 				h.Fill(k, r.Line, cache.FillOpts{Offset: r.Offset})
 			}
 		}
 	}
-	if lvl.Prefetcher != nil && !background {
-		for _, pl := range lvl.Prefetcher.OnMiss(line) {
-			h.prefetchInto(k, line, pl)
-		}
-	}
 	return lat
-}
-
-// prefetchInto installs a background prefetch of pl at level k (triggered by
-// demand traffic to line), fetching its data from the levels below. Already
-// present targets are dropped, like random fill requests that hit the tag
-// array.
-func (h *Hierarchy) prefetchInto(k int, line, pl mem.Line) {
-	lvl := h.levels[k]
-	if lvl.Cache.Probe(pl) {
-		return
-	}
-	h.fetch(k+1, pl, false, true)
-	h.Fill(k, pl, cache.FillOpts{Offset: clampOffset(int64(pl) - int64(line))})
-	lvl.stats.Prefetches++
-	lvl.Prefetcher.OnFill(pl, true)
 }
 
 // Fill installs line into level k with the given metadata and writes any
@@ -266,18 +224,8 @@ func (h *Hierarchy) writeback(k int, v cache.Victim) {
 func (h *Hierarchy) Access(line mem.Line, write bool) (hit bool, lat uint64) {
 	l0 := h.levels[0]
 	hitsBefore := l0.stats.Hits
-	lat = h.fetch(0, line, write, false)
+	lat = h.Fetch(0, line, write)
 	return l0.stats.Hits > hitsBefore, lat
-}
-
-func clampOffset(off int64) int8 {
-	if off > 127 {
-		return 127
-	}
-	if off < -128 {
-		return -128
-	}
-	return int8(off)
 }
 
 func (h *Hierarchy) String() string {

@@ -237,63 +237,6 @@ func TestAccessWithDisabledL0EngineDemandFills(t *testing.T) {
 	}
 }
 
-// nextLine is a stub prefetcher: every demand miss prefetches line+1, every
-// demand hit prefetches line+2.
-type nextLine struct {
-	fills   []mem.Line
-	byPref  int
-	scratch [1]mem.Line
-}
-
-func (p *nextLine) OnFill(line mem.Line, byPrefetch bool) {
-	p.fills = append(p.fills, line)
-	if byPrefetch {
-		p.byPref++
-	}
-}
-func (p *nextLine) OnHit(line mem.Line) []mem.Line {
-	p.scratch[0] = line + 2
-	return p.scratch[:]
-}
-func (p *nextLine) OnMiss(line mem.Line) []mem.Line {
-	p.scratch[0] = line + 1
-	return p.scratch[:]
-}
-
-func TestLevelPrefetcher(t *testing.T) {
-	p := &nextLine{}
-	l2 := NewLevel(small(8), 10)
-	l2.Prefetcher = p
-	h := New(50, NewLevel(small(4), 1), l2)
-
-	h.Fetch(1, 100, false) // miss: demand-fills 100, prefetches 101
-	if !l2.Cache.Probe(101) {
-		t.Fatal("miss prefetch target not installed")
-	}
-	if l2.Stats().Prefetches != 1 {
-		t.Fatalf("prefetches = %d", l2.Stats().Prefetches)
-	}
-	if p.byPref != 1 {
-		t.Fatalf("OnFill(byPrefetch) calls = %d", p.byPref)
-	}
-	// The prefetch's own background fetch must not re-trigger prefetching.
-	if h.MemAccesses() != 2 {
-		t.Fatalf("mem accesses = %d, want demand + prefetch", h.MemAccesses())
-	}
-
-	h.Fetch(1, 100, false) // hit: prefetches 102
-	if !l2.Cache.Probe(102) {
-		t.Fatal("hit prefetch target not installed")
-	}
-	// Prefetching an already-present target is dropped.
-	pre := l2.Stats().Prefetches
-	h.Fetch(1, 101, false) // hit; OnHit wants 103... (101+2)
-	h.Fetch(1, 101, false) // hit again; 103 now present, dropped
-	if l2.Stats().Prefetches != pre+1 {
-		t.Fatalf("prefetches = %d, want %d (duplicate dropped)", l2.Stats().Prefetches, pre+1)
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	h := threeLevel()
 	if h.Depth() != 3 {

@@ -109,9 +109,6 @@ type P1P2Config struct {
 	// Trials is the number of Monte Carlo trials (the paper uses
 	// 100,000, each encrypting one block of random plaintext).
 	Trials int
-	// Lookups is the number of security-critical lookups per trial (16
-	// final-round lookups per block).
-	Lookups int
 	// Region is the security-critical table (16 lines for a 1 KB table).
 	Region mem.Region
 	// Seed drives plaintext/key randomness and the fill engine.
@@ -166,13 +163,11 @@ func MonteCarloP1P2(cfg P1P2Config) P1P2Result {
 	eng := core.NewEngine(c, engineSrc)
 	eng.SetRR(cfg.Window.A, cfg.Window.B)
 
-	lookups := cfg.Lookups
-	if lookups == 0 {
-		lookups = 16
-	}
-
-	var hit = make([]bool, lookups)
-	var lines = make([]mem.Line, lookups)
+	// Each trial's security-critical lookups: the 16 final-round lookups
+	// of one block.
+	const lookups = 16
+	var hit [lookups]bool
+	var lines [lookups]mem.Line
 
 	var res P1P2Result
 

@@ -126,7 +126,7 @@ func MeasureTimingSignal(cfg TimingSignalConfig) TimingSignalResult {
 		P2:     hits2 / n2,
 		Trials: cfg.Trials,
 	}
-	tmissMinusThit := float64(simCfg.Levels[0].HitLat - simCfg.L1HitLat)
+	tmissMinusThit := float64(simCfg.Levels[0].HitLat - sim.L1HitLat)
 	res.Predicted = (res.P1 - res.P2) * tmissMinusThit
 	res.Measured = res.Mu2 - res.Mu1
 	return res

@@ -27,18 +27,11 @@ import (
 // first threads*reserved ways of each set are partitioned, `reserved` per
 // thread in thread order, and the rest are shared. Thread t (the fill's
 // cache.FillOpts.Owner) may fill its own reserved ways and the shared pool;
-// any other owner only the shared pool. Way reservation is enforced through
-// the policy's masked victim path, so the associativity must not exceed 64
-// ways. It panics if the reservation exceeds the associativity (a hardware
-// configuration error).
+// any other owner only the shared pool. It panics on a shape Check rejects
+// (a hardware configuration error).
 func NewWithPolicy(geom cache.Geometry, threads, reserved int, pol cache.Policy) *cache.SetAssoc {
-	cache.ValidateGeometry(geom)
-	if threads < 1 || reserved < 0 || threads*reserved > geom.Ways {
-		panic(fmt.Sprintf("nomo: %d threads x %d reserved ways exceed %d-way sets",
-			threads, reserved, geom.Ways))
-	}
-	if geom.Ways > 64 {
-		panic(fmt.Sprintf("nomo: masked victim selection requires <= 64 ways, have %d", geom.Ways))
+	if err := Check(geom, threads, reserved); err != nil {
+		panic(err)
 	}
 	c := cache.NewSetAssoc(geom, pol)
 	shared := (uint64(1)<<uint(geom.Ways) - 1) &^ (uint64(1)<<uint(threads*reserved) - 1)
@@ -48,4 +41,19 @@ func NewWithPolicy(geom cache.Geometry, threads, reserved int, pol cache.Policy)
 	}
 	c.RestrictWays(perThread, shared)
 	return c
+}
+
+// Check returns nil if NewWithPolicy builds a NoMo cache of this shape, and
+// otherwise an error. Way reservation goes through the policy's masked
+// victim path, so geom must pass cache.CheckMaskedGeometry, and the
+// threads*reserved reserved ways must fit in one set.
+func Check(geom cache.Geometry, threads, reserved int) error {
+	if err := cache.CheckMaskedGeometry(geom); err != nil {
+		return err
+	}
+	if threads < 1 || reserved < 0 || threads*reserved > geom.Ways {
+		return fmt.Errorf("nomo: %d threads x %d reserved ways exceed %d-way sets",
+			threads, reserved, geom.Ways)
+	}
+	return nil
 }

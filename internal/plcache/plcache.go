@@ -21,20 +21,17 @@
 package plcache
 
 import (
-	"fmt"
-
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 )
 
 // NewWithPolicy builds a PLcache whose victim selection among unlocked
 // ways follows pol (nil selects the historical LRU default). Locking is
-// enforced through the policy's masked victim path, so the associativity
-// must not exceed 64 ways.
+// enforced through the policy's masked victim path, so it panics on a
+// geometry cache.CheckMaskedGeometry rejects.
 func NewWithPolicy(geom cache.Geometry, pol cache.Policy) *cache.SetAssoc {
-	cache.ValidateGeometry(geom)
-	if geom.Ways > 64 {
-		panic(fmt.Sprintf("plcache: masked victim selection requires <= 64 ways, have %d", geom.Ways))
+	if err := cache.CheckMaskedGeometry(geom); err != nil {
+		panic(err)
 	}
 	return cache.NewSetAssoc(geom, pol)
 }

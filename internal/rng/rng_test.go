@@ -260,3 +260,24 @@ func TestSetWindowPanicsOnInvalid(t *testing.T) {
 	}()
 	NewWindowGenerator(New(1)).SetWindow(Window{A: -1, B: 0})
 }
+
+func TestParseWindow(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Window
+	}{
+		{"0,0", Window{}},
+		{"16,15", Window{A: 16, B: 15}},
+		{"-16,15", Window{A: 16, B: 15}},
+		{" 4 , 3 ", Window{A: 4, B: 3}},
+	} {
+		if got, err := ParseWindow(c.in); err != nil || got != c.want {
+			t.Errorf("ParseWindow(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{"3,-2", "0,-1", "-9223372036854775808,1", "1", "1,2,3", "a,1", "1,"} {
+		if w, err := ParseWindow(in); err == nil {
+			t.Errorf("ParseWindow(%q) = %v, want an error", in, w)
+		}
+	}
+}

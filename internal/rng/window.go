@@ -1,6 +1,10 @@
 package rng
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Window is a neighborhood window [-A, +B] of line offsets around a demand
 // miss line i, as configured in the random fill engine's range registers RR1
@@ -23,6 +27,29 @@ func (w Window) Zero() bool { return w.A == 0 && w.B == 0 }
 func (w Window) Valid() bool { return w.A >= 0 && w.B >= 0 }
 
 func (w Window) String() string { return fmt.Sprintf("[-%d,+%d]", w.A, w.B) }
+
+// ParseWindow parses a window written "a,b", meaning [i-a, i+b], the form
+// the command-line tools take. The lower bound may carry its sign, as the
+// paper writes windows: "-16,15" is [-16,+15]. A negative upper bound is an
+// error.
+func ParseWindow(s string) (Window, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 2 {
+		return Window{}, fmt.Errorf("window %q: want 'a,b'", s)
+	}
+	a, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
+	b, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
+	if err1 != nil || err2 != nil {
+		return Window{}, fmt.Errorf("window %q: bad integers", s)
+	}
+	if a < 0 {
+		a = -a
+	}
+	if w := (Window{A: a, B: b}); w.Valid() {
+		return w, nil
+	}
+	return Window{}, fmt.Errorf("window %q: bound %d is negative", s, min(a, b))
+}
 
 // Symmetric returns the bidirectional window [-(size/2), +(size/2 - 1)] of
 // the given power-of-two size, the form [i-2^(n-1), i+2^(n-1)-1] the paper

@@ -61,7 +61,9 @@ var _ cache.Cache = (*RPcache)(nil)
 // deflection protocol — random alternate set and way, permutation swap — is
 // untouched by the policy; only the same-domain replacement pick changes.
 func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *RPcache {
-	cache.ValidateGeometry(geom)
+	if err := cache.CheckGeometry(geom); err != nil {
+		panic(err)
+	}
 	if src == nil {
 		panic("rpcache: nil rng source")
 	}

@@ -68,17 +68,10 @@ var _ cache.Cache = (*ScatterCache)(nil)
 // historical uniform-random default). The skewed indexing is untouched by
 // the policy; only which way's candidate slot is evicted changes.
 func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *ScatterCache {
-	lines := geom.SizeBytes / mem.LineSize
-	if geom.SizeBytes <= 0 || geom.SizeBytes%mem.LineSize != 0 {
-		panic(fmt.Sprintf("scattercache: size %d not a positive multiple of line size", geom.SizeBytes))
+	if err := cache.CheckGeometry(geom); err != nil {
+		panic(err)
 	}
-	if geom.Ways <= 0 || lines%geom.Ways != 0 {
-		panic(fmt.Sprintf("scattercache: %d lines not divisible into %d ways", lines, geom.Ways))
-	}
-	sets := lines / geom.Ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("scattercache: set count %d not a power of two", sets))
-	}
+	lines, sets := geom.SizeBytes/mem.LineSize, geom.Sets()
 	if pol == nil {
 		pol = cache.Random{Src: src}
 	}

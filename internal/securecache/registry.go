@@ -2,7 +2,6 @@ package securecache
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"randfill/internal/cache"
@@ -139,14 +138,46 @@ func kinds() []string {
 	return out
 }
 
-// CheckKind returns nil if NewLineStore builds kind, and otherwise an error
-// that names every kind it does. CLIs call it to reject a bad name before
-// building anything.
-func CheckKind(kind string) error {
-	if slices.Contains(kinds(), kind) {
-		return nil
+// Newcache's extra index bits and NoMo's reservation (two SMT threads, one
+// reserved way each) are fixed: no experiment varies them.
+const (
+	newcacheExtraBits = newcache.DefaultExtraBits
+	nomoThreads       = 2
+	nomoReserved      = 1
+)
+
+// CheckLineStore returns nil if NewLineStore builds kind over geom, and
+// otherwise an error. An unknown kind's error names every kind there is; a
+// geometry the kind's constructor would panic on gets the error of the
+// check that constructor panics through.
+func CheckLineStore(kind string, geom cache.Geometry) error {
+	switch kind {
+	case "sa", "rpcache", "scattercache":
+		return cache.CheckGeometry(geom)
+	case "plcache":
+		return cache.CheckMaskedGeometry(geom)
+	case "nomo":
+		return nomo.Check(geom, nomoThreads, nomoReserved)
+	case "newcache":
+		return newcache.Check(geom.SizeBytes, newcacheExtraBits)
+	case "mirage":
+		return mirage.Check(geom)
 	}
 	return fmt.Errorf("securecache: unknown cache kind %q (have %s)", kind, strings.Join(kinds(), ", "))
+}
+
+// L1Factory returns an attack cache factory for the Table IV L1 (32 KB, 4
+// ways) of the given kind under its own default policy, its structure
+// randomness drawn from the attack's stream. It panics on a kind
+// CheckLineStore rejects.
+func L1Factory(kind string) func(src *rng.Source) cache.Cache {
+	return func(src *rng.Source) cache.Cache {
+		c, err := NewLineStore(kind, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, nil, src)
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
 }
 
 // NewLineStore builds the line store of the given kind — "sa", the plain
@@ -156,31 +187,29 @@ func CheckKind(kind string) error {
 // replacement) drawn from src. It is the one place a line store is built
 // by name: the registry's designs, the simulator's L1 and the experiments'
 // attack caches all come from here, each resolving pol from its own
-// stream. An unknown kind errors (see CheckKind).
+// stream. A kind or geometry CheckLineStore rejects errors.
 func NewLineStore(kind string, geom cache.Geometry, pol cache.Policy, src *rng.Source) (LineStore, error) {
-	if c := buildLineStore(kind, geom, pol, src); c != nil {
-		return c, nil
+	if err := CheckLineStore(kind, geom); err != nil {
+		return nil, err
 	}
-	return nil, CheckKind(kind)
+	return buildLineStore(kind, geom, pol, src), nil
 }
 
-// buildLineStore is NewLineStore's construction switch, nil for an unknown
-// kind; the rflint simlayer checker allows concrete construction only in
-// build* functions. Newcache's extra index bits and NoMo's reservation
-// (two SMT threads, one reserved way each) are fixed here: no experiment
-// varies them.
+// buildLineStore is NewLineStore's construction switch, over a kind and
+// geometry CheckLineStore accepts; the rflint simlayer checker allows
+// concrete construction only in build* functions.
 func buildLineStore(kind string, geom cache.Geometry, pol cache.Policy, src *rng.Source) LineStore {
 	switch kind {
 	case "sa":
 		return cache.NewSetAssoc(geom, pol)
 	case "newcache":
-		return newcache.NewWithPolicy(geom.SizeBytes, newcache.DefaultExtraBits, src, pol)
+		return newcache.NewWithPolicy(geom.SizeBytes, newcacheExtraBits, src, pol)
 	case "plcache":
 		return plcache.NewWithPolicy(geom, pol)
 	case "rpcache":
 		return rpcache.NewWithPolicy(geom, src, pol)
 	case "nomo":
-		return nomo.NewWithPolicy(geom, 2, 1, pol)
+		return nomo.NewWithPolicy(geom, nomoThreads, nomoReserved, pol)
 	case "scattercache":
 		return scattercache.NewWithPolicy(geom, src, pol)
 	case "mirage":

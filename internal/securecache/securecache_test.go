@@ -61,8 +61,8 @@ func TestNewLineStoreKinds(t *testing.T) {
 	}
 	geom := smallCfg().Geom
 	for _, k := range want {
-		if err := securecache.CheckKind(k); err != nil {
-			t.Errorf("CheckKind(%q) = %v", k, err)
+		if err := securecache.CheckLineStore(k, geom); err != nil {
+			t.Errorf("CheckLineStore(%q) = %v", k, err)
 		}
 		c, err := securecache.NewLineStore(k, geom, nil, rng.New(1))
 		if err != nil || c == nil {
@@ -78,8 +78,8 @@ func TestNewLineStoreKinds(t *testing.T) {
 			t.Errorf("NewLineStore(%q) accepted an unknown kind", bad)
 			continue
 		}
-		if cerr := securecache.CheckKind(bad); cerr == nil || cerr.Error() != err.Error() {
-			t.Errorf("CheckKind(%q) = %v, NewLineStore says %v", bad, cerr, err)
+		if cerr := securecache.CheckLineStore(bad, geom); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("CheckLineStore(%q) = %v, NewLineStore says %v", bad, cerr, err)
 		}
 		msg := err.Error()
 		i, j := strings.Index(msg, "(have "), strings.LastIndex(msg, ")")
@@ -88,6 +88,12 @@ func TestNewLineStoreKinds(t *testing.T) {
 		}
 		if got := strings.Split(msg[i+len("(have "):j], ", "); !reflect.DeepEqual(got, want) {
 			t.Errorf("error lists %v, want %v", got, want)
+		}
+	}
+	// A geometry no kind builds is an error, not a constructor panic.
+	for _, k := range want {
+		if _, err := securecache.NewLineStore(k, cache.Geometry{SizeBytes: 1000, Ways: 4}, nil, rng.New(1)); err == nil {
+			t.Errorf("NewLineStore(%q) accepted a 1000-byte cache", k)
 		}
 	}
 }

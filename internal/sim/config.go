@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"randfill/internal/cache"
 	"randfill/internal/mem"
@@ -50,7 +51,22 @@ func DesignL1(name string) (CacheKind, ThreadConfig) {
 	return CacheKind(name), ThreadConfig{}
 }
 
-// Config mirrors the paper's Table IV simulator configuration.
+// Table IV's core. The paper evaluates this one core, so these are
+// constants, not Config fields.
+const (
+	// IssueWidth is the processor issue width (4-wide out-of-order):
+	// issuing an instruction costs 1/IssueWidth cycles.
+	IssueWidth = 4
+	// L1HitLat is the L1 hit latency in cycles.
+	L1HitLat = 1
+	// MemLat is the DRAM latency in cycles that a miss in every level
+	// adds.
+	MemLat = 160
+)
+
+// Config mirrors the paper's Table IV simulator configuration. A zero
+// field stands for DefaultConfig's value, and Validate decides whether New
+// builds the configuration.
 type Config struct {
 	// L1 data cache geometry and architecture.
 	L1     cache.Geometry
@@ -63,10 +79,6 @@ type Config struct {
 	// Peters et al. policy × design axis PolicyMatrix sweeps.
 	L1Policy string
 
-	// Latencies in cycles.
-	L1HitLat uint64 // L1 hit (Table IV: 1)
-	MemLat   uint64 // additional DRAM latency on a miss in every level
-
 	// MissQueue is the number of miss-queue (MSHR) entries per thread
 	// (Table IV: 4; the security evaluation also uses 1).
 	MissQueue int
@@ -77,82 +89,118 @@ type Config struct {
 	FillQueueCap int
 
 	// Levels is the stack of cache levels below the L1, nearest the L1
-	// first, each a set-associative cache with its own hit latency,
-	// replacement policy and optional random fill window. A window at the
-	// L2 is the "both L1 and L2 are random fill caches" variant of Section
-	// VI. Empty selects DefaultConfig's single demand-fill L2, and a level
-	// with a zero Geom or HitLat takes that L2's.
+	// first, each an LRU set-associative cache with its own hit latency
+	// and optional random fill window. A window at the L2 is the "both L1
+	// and L2 are random fill caches" variant of Section VI. Empty selects
+	// DefaultConfig's single demand-fill L2, and a level with a zero Geom
+	// or HitLat takes that L2's.
 	Levels []LevelConfig
-
-	// IssueWidth is the processor issue width (Table IV: 4-way OoO).
-	IssueWidth int
 
 	// Seed drives all simulator randomness (replacement, fill windows).
 	Seed uint64
 }
 
+// defaultL2 is Table IV's L2, which a level's zero fields stand for.
+var defaultL2 = LevelConfig{Geom: cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8}, HitLat: 20}
+
 // DefaultConfig returns the Table IV baseline: 32 KB 4-way L1D with LRU,
-// 2 MB 8-way L2, 1/20-cycle hit latencies, DDR3-1600-class memory latency,
-// 4 miss queue entries, 4-wide issue.
+// 2 MB 8-way L2 with a 20-cycle hit latency, 4 miss queue entries and a
+// 64-entry random fill queue, on the core the constants above describe.
 func DefaultConfig() Config {
-	return Config{
-		L1:       cache.Geometry{SizeBytes: 32 * 1024, Ways: 4},
-		L1Kind:   KindSA,
-		L1Policy: "", // kind default: LRU for KindSA (Table IV)
-		Levels: []LevelConfig{
-			{Geom: cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8}, HitLat: 20},
-		},
-		L1HitLat:   1,
-		MemLat:     160,
-		MissQueue:  4,
-		IssueWidth: 4,
-		Seed:       1,
-	}
+	return Config{Levels: []LevelConfig{defaultL2}}.withCoreDefaults()
 }
 
+// withDefaults returns c with every zero field set to DefaultConfig's
+// value. It fills the levels in a fresh array: copies of a Config share
+// one Levels backing array, which must stay the caller's.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
+	c = c.withCoreDefaults()
+	levels := c.Levels
+	if len(levels) == 0 {
+		levels = []LevelConfig{defaultL2}
+	}
+	c.Levels = make([]LevelConfig, len(levels))
+	for i, lc := range levels {
+		c.Levels[i] = lc.withDefaults()
+	}
+	return c
+}
+
+// withCoreDefaults is withDefaults for every field but Levels. It
+// allocates nothing, so Validate can call it.
+func (c Config) withCoreDefaults() Config {
 	if c.L1.SizeBytes == 0 {
-		c.L1 = d.L1
+		c.L1 = cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}
 	}
 	if c.L1Kind == "" {
-		c.L1Kind = KindSA
-	}
-	if c.L1HitLat == 0 {
-		c.L1HitLat = d.L1HitLat
-	}
-	if c.MemLat == 0 {
-		c.MemLat = d.MemLat
+		c.L1Kind = KindSA // LRU unless L1Policy says otherwise (Table IV)
 	}
 	if c.MissQueue == 0 {
-		c.MissQueue = d.MissQueue
-	}
-	if c.IssueWidth == 0 {
-		c.IssueWidth = d.IssueWidth
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
+		c.MissQueue = 4
 	}
 	if c.FillQueueCap == 0 {
 		c.FillQueueCap = 64
 	}
-	// Fill the levels' zero fields in a fresh array: copies of a Config
-	// share one Levels backing array, which must stay the caller's.
-	levels := c.Levels
-	if len(levels) == 0 {
-		levels = d.Levels
-	}
-	c.Levels = make([]LevelConfig, len(levels))
-	for i, lc := range levels {
-		if lc.Geom.SizeBytes == 0 {
-			lc.Geom = d.Levels[0].Geom
-		}
-		if lc.HitLat == 0 {
-			lc.HitLat = d.Levels[0].HitLat
-		}
-		c.Levels[i] = lc
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
 	return c
+}
+
+// Validate returns nil if New builds c, and otherwise an error naming the
+// first rule c breaks: the L1 kind and its geometry
+// (securecache.CheckLineStore), the L1 policy name, the miss and fill queue
+// sizes, and each lower level's geometry (cache.CheckGeometry) and window.
+// A zero field is checked as the default it stands for. Validate is the
+// one place a machine configuration is checked: New and Reset panic only
+// through it, and ValidateThread checks a thread against it. It allocates
+// nothing for a valid configuration.
+func (c Config) Validate() error {
+	c = c.withCoreDefaults()
+	if err := securecache.CheckLineStore(string(c.L1Kind), c.L1); err != nil {
+		return fmt.Errorf("sim: L1: %w", err)
+	}
+	if !cache.KnownPolicy(c.L1Policy) {
+		return fmt.Errorf("sim: unknown L1 policy %q (have %s)", c.L1Policy, strings.Join(cache.PolicyNames(), ", "))
+	}
+	if c.MissQueue < 1 {
+		return fmt.Errorf("sim: %d miss queue entries, want at least 1", c.MissQueue)
+	}
+	if c.FillQueueCap < 1 {
+		return fmt.Errorf("sim: %d fill queue entries, want at least 1", c.FillQueueCap)
+	}
+	for k, lc := range c.Levels {
+		lc = lc.withDefaults()
+		if err := cache.CheckGeometry(lc.Geom); err != nil {
+			return fmt.Errorf("sim: L%d: %w", k+2, err)
+		}
+		if !lc.Window.Valid() {
+			return fmt.Errorf("sim: L%d window %v has a negative bound", k+2, lc.Window)
+		}
+	}
+	return nil
+}
+
+// ValidateThread returns nil if a machine built from c runs a thread
+// configured by tc, and otherwise an error: the mode must be one of the
+// FillModes, a random fill thread needs a nonzero window with no negative
+// bound (the zero window is demand fetch), and a preload thread a PLcache
+// L1, which locks the preloaded lines. NewThread panics only through it.
+func (c Config) ValidateThread(tc ThreadConfig) error {
+	switch tc.Mode {
+	case ModeDemand, ModeDisableSecret, ModeInforming:
+	case ModeRandomFill:
+		if tc.Window.Zero() || !tc.Window.Valid() {
+			return fmt.Errorf("sim: random fill window %v: want a nonzero window with no negative bound (the zero window is demand fetch)", tc.Window)
+		}
+	case ModePreload:
+		if kind := c.withCoreDefaults().L1Kind; kind != KindPLcache {
+			return fmt.Errorf("sim: preload needs a plcache L1, which locks the preloaded lines (have %s)", kind)
+		}
+	default:
+		return fmt.Errorf("sim: unknown fill mode %v", tc.Mode)
+	}
+	return nil
 }
 
 // LevelConfig describes one cache level below the L1 (see Config.Levels).
@@ -165,42 +213,43 @@ type LevelConfig struct {
 	// through a full core.Engine (nofill forwarding, drop-if-present,
 	// underflow clamping, drop stats).
 	Window rng.Window
-	// Policy names the level's replacement policy; "" is LRU and keeps
-	// the historical RNG stream layout byte-identical (an RNG-backed
-	// policy opens a dedicated stream, see buildLevels).
-	Policy string
+}
+
+// withDefaults returns lc with a zero Geom or HitLat set to Table IV's L2.
+func (lc LevelConfig) withDefaults() LevelConfig {
+	if lc.Geom.SizeBytes == 0 {
+		lc.Geom = defaultL2.Geom
+	}
+	if lc.HitLat == 0 {
+		lc.HitLat = defaultL2.HitLat
+	}
+	return lc
 }
 
 // buildL1 constructs the configured L1 cache through
-// securecache.NewLineStore and panics on an unknown kind or policy. Stream
-// rules: the SA cache keeps its historical shape (the random policy draws
-// from src itself, no split); for the secure designs a non-default
-// RNG-backed policy derives a dedicated stream via src.Split(9) before the
-// design consumes src, while ""/draw-free policies split nothing — so
-// every default configuration's draw sequence is byte-identical to the
-// pre-policy-parameterization layout.
+// securecache.NewLineStore, from a configuration Validate accepts: it has
+// checked the kind, the geometry and the policy name, so neither lookup
+// below can fail. Stream rules: the SA cache keeps its historical shape
+// (the random policy draws from src itself, no split); for the secure
+// designs a non-default RNG-backed policy derives a dedicated stream via
+// src.Split(9) before the design consumes src, while ""/draw-free policies
+// split nothing — so every default configuration's draw sequence is
+// byte-identical to the pre-policy-parameterization layout.
 func (c Config) buildL1(src *rng.Source) cache.Cache {
 	var pol cache.Policy
-	var err error
 	structure := src
 	if c.L1Kind == KindSA {
 		// The SA cache has no structure randomness to draw.
-		pol, err = cache.PolicyByName(c.L1Policy, src)
+		pol, _ = cache.PolicyByName(c.L1Policy, src)
 		structure = nil
 	} else if c.L1Policy != "" {
 		var psrc *rng.Source
 		if cache.PolicyNeedsRNG(c.L1Policy) {
 			psrc = src.Split(9)
 		}
-		pol, err = cache.PolicyByName(c.L1Policy, psrc)
+		pol, _ = cache.PolicyByName(c.L1Policy, psrc)
 	}
-	if err != nil {
-		panic(err)
-	}
-	l1, err := securecache.NewLineStore(string(c.L1Kind), c.L1, pol, structure)
-	if err != nil {
-		panic(err)
-	}
+	l1, _ := securecache.NewLineStore(string(c.L1Kind), c.L1, pol, structure)
 	return l1
 }
 

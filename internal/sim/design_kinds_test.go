@@ -50,8 +50,8 @@ func TestScatterAndMirageKinds(t *testing.T) {
 	}
 }
 
-// TestBuildL1NewKinds: buildL1 constructs the right concrete types and
-// unknown kinds still panic.
+// TestBuildL1NewKinds: buildL1 constructs the right concrete types. An
+// unknown kind never reaches it: Validate rejects it (TestValidate).
 func TestBuildL1NewKinds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1 = cache.Geometry{SizeBytes: 4 * 1024, Ways: 4}
@@ -63,11 +63,4 @@ func TestBuildL1NewKinds(t *testing.T) {
 	if c := cfg.buildL1(rng.New(1)); c.NumLines() != 64 {
 		t.Errorf("mirage L1 has %d lines, want 64", c.NumLines())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind did not panic")
-		}
-	}()
-	cfg.L1Kind = "bogus"
-	cfg.buildL1(rng.New(1))
 }

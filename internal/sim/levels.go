@@ -21,39 +21,25 @@ import (
 // nothing. This reproduces the historical two-level stream layout exactly
 // (L1 = Split(1), L2 window generator = Split(2) only when configured), so
 // thread streams (Split(100+i)) land on the same root draws as before the
-// hierarchy refactor. A below-L1 level with an RNG-backed replacement policy
-// additionally consumes root.Split(32+k) — a range no historical
-// configuration touches, so ""/draw-free policies leave the layout intact.
+// hierarchy refactor. Levels below the L1 are LRU, which draws nothing.
 //
 // prev and stores are a machine's previous below-L1 levels and their
 // stores (empty for a new machine). Level k reuses stores[k], cleared by
 // SetAssoc.Reset, when prev[k] has the same geometry, and allocates a store
-// otherwise; either way the level starts empty under a fresh policy. It
-// returns the levels and the below-L1 stores they use.
+// otherwise; either way the level starts empty. It returns the levels and
+// the below-L1 stores they use.
 func buildLevels(cfg Config, root *rng.Source, prev []LevelConfig, stores []*cache.SetAssoc) ([]*hierarchy.Level, []*cache.SetAssoc) {
 	levels := []*hierarchy.Level{
-		hierarchy.NewLevel(cfg.buildL1(root.Split(1)), cfg.L1HitLat),
+		hierarchy.NewLevel(cfg.buildL1(root.Split(1)), L1HitLat),
 	}
 	below := make([]*cache.SetAssoc, len(cfg.Levels))
 	for k, lc := range cfg.Levels {
-		var pol cache.Policy = cache.LRU{}
-		if lc.Policy != "" {
-			var psrc *rng.Source
-			if cache.PolicyNeedsRNG(lc.Policy) {
-				psrc = root.Split(uint64(32 + k))
-			}
-			p, err := cache.PolicyByName(lc.Policy, psrc)
-			if err != nil {
-				panic(err)
-			}
-			pol = p
-		}
 		var c *cache.SetAssoc
 		if k < len(stores) && prev[k].Geom == lc.Geom {
 			c = stores[k]
-			c.Reset(pol)
+			c.Reset(cache.LRU{})
 		} else {
-			c = cache.NewSetAssoc(lc.Geom, pol)
+			c = cache.NewSetAssoc(lc.Geom, cache.LRU{})
 		}
 		below[k] = c
 		lvl := hierarchy.NewLevel(c, lc.HitLat)

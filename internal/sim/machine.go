@@ -33,7 +33,8 @@ type Machine struct {
 }
 
 // New builds a machine from cfg (zero fields take Table IV defaults). It is
-// Reset of a zero machine, so New and Reset share one construction path.
+// Reset of a zero machine, so New and Reset share one construction path,
+// and it panics on a configuration Validate rejects.
 func New(cfg Config) *Machine {
 	m := new(Machine)
 	m.Reset(cfg)
@@ -47,15 +48,19 @@ func New(cfg Config) *Machine {
 // cleared in place (cache.SetAssoc.Reset) rather than reallocated, so a
 // sweep that resets one machine per configuration allocates its L2 once.
 // Threads made before Reset must not be used after it: they still point
-// at the cleared stores.
+// at the cleared stores. It panics, leaving m as it was, on a
+// configuration Validate rejects.
 func (m *Machine) Reset(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	root := rng.New(cfg.Seed)
 	levels, below := buildLevels(cfg, root, m.cfg.Levels, m.below)
 	*m = Machine{
 		cfg:   cfg,
 		root:  root,
-		hier:  hierarchy.New(cfg.MemLat, levels...),
+		hier:  hierarchy.New(MemLat, levels...),
 		below: below,
 	}
 }
@@ -91,16 +96,17 @@ func (m *Machine) fetchBelow(line mem.Line, write bool) uint64 {
 // NewThread creates a hardware thread with the given fill policy. For
 // ModePreload the thread's SecretRegions are preloaded and locked in the
 // PLcache immediately (and the preload traffic is charged to the thread as
-// start-up cycles).
+// start-up cycles). It panics on a thread config ValidateThread rejects.
 func (m *Machine) NewThread(tc ThreadConfig) *Thread {
+	if err := m.cfg.ValidateThread(tc); err != nil {
+		panic(err)
+	}
 	t := &Thread{
-		machine:    m,
-		cfg:        tc,
-		engine:     nil,
-		mshr:       make([]mshrEntry, m.cfg.MissQueue),
-		earliest:   math.Inf(1),
-		issueWidth: float64(m.cfg.IssueWidth),
-		hitLat:     float64(m.cfg.L1HitLat),
+		machine:  m,
+		cfg:      tc,
+		engine:   nil,
+		mshr:     make([]mshrEntry, m.cfg.MissQueue),
+		earliest: math.Inf(1),
 	}
 	t.engine = coreEngine(m.L1(), m.root.Split(uint64(100+len(m.threads))))
 	t.engine.SetOwner(tc.Owner)
@@ -112,9 +118,6 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 		t.engine.SetRR(tc.Window.A, tc.Window.B)
 	}
 	if tc.Mode == ModePreload {
-		if m.cfg.L1Kind != KindPLcache {
-			panic("sim: ModePreload requires L1Kind == KindPLcache")
-		}
 		for _, r := range tc.SecretRegions {
 			for _, l := range r.Lines() {
 				// Preload traffic goes through the L2 like any

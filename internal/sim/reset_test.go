@@ -36,8 +36,6 @@ func TestResetMatchesNew(t *testing.T) {
 		{Geom: tiny.Levels[0].Geom, HitLat: 12, Window: rng.Window{A: 8, B: 7}},
 		{Geom: cache.Geometry{SizeBytes: 64 * 1024, Ways: 8}, HitLat: 40},
 	}
-	l2brrip := tiny
-	l2brrip.Levels = []LevelConfig{{Geom: tiny.Levels[0].Geom, Policy: "brrip"}}
 	resized := tiny
 	resized.Levels = []LevelConfig{{Geom: cache.Geometry{SizeBytes: 32 * 1024, Ways: 8}}}
 
@@ -54,7 +52,6 @@ func TestResetMatchesNew(t *testing.T) {
 		{"randomfill", tiny, rf, true},
 		{"l2window", l2rf, rf, true},
 		{"three-level", three, rf, true},
-		{"l2-brrip", l2brrip, ThreadConfig{}, true},
 		{"l2-resized", resized, ThreadConfig{}, false},
 	}
 	for i, c := range cases {

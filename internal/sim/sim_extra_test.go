@@ -205,7 +205,7 @@ func TestIPCNeverExceedsIssueWidth(t *testing.T) {
 		{"stream", seqTrace(3000, 1, 1)},
 	} {
 		res := New(DefaultConfig()).RunTrace(ThreadConfig{}, trace.Compile(g.trace))
-		if res.IPC() > 4.0001 {
+		if res.IPC() > IssueWidth+0.0001 {
 			t.Errorf("%s: IPC %v exceeds issue width", g.name, res.IPC())
 		}
 	}

@@ -82,7 +82,7 @@ func TestMissLatencyExposedByDependence(t *testing.T) {
 		{Addr: mem.AddrOf(100), NonMem: 0, Dependent: true},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + MemLat)
 	if res.Cycles < 2*missLat {
 		t.Errorf("cycles %v < two serialized miss latencies %v", res.Cycles, 2*missLat)
 	}
@@ -100,7 +100,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 		{Addr: mem.AddrOf(40)},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + MemLat)
 	if res.Cycles > missLat+10 {
 		t.Errorf("4 independent misses took %v cycles; no overlap (miss lat %v)", res.Cycles, missLat)
 	}
@@ -117,7 +117,7 @@ func TestMSHRFullStalls(t *testing.T) {
 		{Addr: mem.AddrOf(40)},
 	}
 	res := m.RunTrace(ThreadConfig{}, trace.Compile(tr))
-	missLat := float64(cfg.Levels[0].HitLat + cfg.MemLat)
+	missLat := float64(cfg.Levels[0].HitLat + MemLat)
 	// With one MSHR, the 2nd..4th misses each wait for the previous.
 	if res.Cycles < 3*missLat {
 		t.Errorf("1-MSHR run took %v cycles, want ≥ %v", res.Cycles, 3*missLat)
@@ -361,7 +361,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Levels[0].Geom != (cache.Geometry{SizeBytes: 2 * 1024 * 1024, Ways: 8}) || cfg.Levels[0].HitLat != 20 {
 		t.Errorf("default L2 %+v", cfg.Levels)
 	}
-	if cfg.MissQueue != 4 || cfg.IssueWidth != 4 {
+	if cfg.MissQueue != 4 || cfg.FillQueueCap != 64 || cfg.Seed != 1 {
 		t.Errorf("defaults %+v", cfg)
 	}
 }

@@ -138,9 +138,6 @@ type Thread struct {
 	fillQueue []core.Request
 	fillHead  int
 	res       Result
-	// issueWidth and hitLat are the machine's issue width and L1 hit
-	// latency, converted to float64 once for the per-access arithmetic.
-	issueWidth, hitLat float64
 }
 
 // fillPending returns the number of queued background fills.
@@ -350,7 +347,7 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 		t.domainL1.SetActiveDomain(t.cfg.Owner)
 	}
 	t.res.Instructions += instr
-	t.cycle += float64(instr) / t.issueWidth
+	t.cycle += float64(instr) / IssueWidth
 	if t.cycle >= t.earliest {
 		t.retire(t.cycle)
 	}
@@ -369,7 +366,7 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 	}
 	t.res.Hits++
 	if !write {
-		t.dataReady = t.cycle + t.hitLat
+		t.dataReady = t.cycle + L1HitLat
 	}
 	if t.fillPending() != 0 {
 		t.serviceFills()
@@ -414,7 +411,7 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 	if t.engine.Cache().Lookup(line, write) {
 		t.res.Hits++
 		if !write {
-			t.dataReady = t.cycle + t.hitLat
+			t.dataReady = t.cycle + L1HitLat
 		}
 		if p := t.machine.Prefetcher; p != nil {
 			for _, pl := range p.OnHit(line) {

@@ -7,11 +7,14 @@
 # design packages added for the occupancy matrix (scattercache, mirage), the
 # conformance suite that pins every design's contract, and internal/
 # securecache, the one place every design and every simulated L1 is built,
-# sit under the same gate for the same reason.
+# sit under the same gate for the same reason. The two simulator CLIs,
+# rfsim and rfattack, are under it too: their tests pin every output byte
+# and every rejected flag value through run, and the gate keeps new flag
+# handling from going untested.
 set -eu
 
 THRESHOLD=80
-PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache randfill/internal/securecache/conformance"
+PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache randfill/internal/securecache/conformance randfill/cmd/rfsim randfill/cmd/rfattack"
 
 fail=0
 for pkg in $PKGS; do

@@ -83,11 +83,10 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The victim's machine: the -l1kind L1 with the attacker-favoring
-	// 2-entry miss queue (see DESIGN.md). Every attack runs on that L1 and
-	// window, so Validate and ValidateThread decide them for all attacks.
-	victim := attacks.CollisionConfig{Sim: sim.DefaultConfig(), Seed: *seed}
-	victim.Sim.MissQueue = 2
+	// The victim's machine: the attacker-favoring security configuration
+	// with the -l1kind L1. Every attack runs on that L1 and window, so
+	// Validate and ValidateThread decide them for all attacks.
+	victim := attacks.CollisionConfig{Sim: sim.AttackerConfig(), Seed: *seed}
 	victim.Sim.L1Kind = sim.CacheKind(*l1kind)
 	if !w.Zero() {
 		victim.Victim = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}

@@ -135,8 +135,7 @@ func kernels() []kernelDef {
 				if short {
 					batch = 500
 				}
-				cfg := attacks.CollisionConfig{Sim: sim.DefaultConfig(), Seed: 7}
-				cfg.Sim.MissQueue = 2
+				cfg := attacks.CollisionConfig{Sim: sim.AttackerConfig(), Seed: 7}
 				a := attacks.NewCollision(cfg)
 				a.Collect(8) // warm scratch buffers out of the timed region
 				b.ResetTimer()

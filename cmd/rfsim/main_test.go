@@ -81,6 +81,9 @@ func TestRejects(t *testing.T) {
 		"-l3 1000",
 		"-l3 4194304 -l3ways 0",
 		"-mshrs -1",
+		"-mshrs 1000000000",
+		"-l1 68719476736",
+		"-l3 68719476736",
 		"-window 3,-2",
 		"-l2window 1,-1",
 		"-l3window 1,x",

@@ -18,8 +18,7 @@ import (
 )
 
 func main() {
-	base := sim.DefaultConfig()
-	base.MissQueue = 2 // the attacker-favoring security configuration
+	base := sim.AttackerConfig()
 
 	fmt.Println("== phase 1: demand-fetch cache (conventional) ==")
 	demand := attacks.NewCollision(attacks.CollisionConfig{Sim: base, Seed: 7})

@@ -74,13 +74,13 @@ func newUnrelated() int { return localNew() }
 func localNew() int { return 1 }
 
 // Batch replay entry points (PR 8) are wiring code, not builders: the
-// devirtualizing level-0 type assertion and the TryHit fast probe are fine
+// devirtualizing level-0 type assertion and its Lookup fast probe are fine
 // anywhere, but a replay path may not construct its own cache inline — it
 // must replay whatever the configuration-driven builders assembled.
 func ReplayBatch(cs []cache.Cache) int {
 	hits := 0
 	for _, c := range cs {
-		if sa, ok := c.(*cache.SetAssoc); ok && sa.TryHit(1, false) {
+		if sa, ok := c.(*cache.SetAssoc); ok && sa.Lookup(1, false) {
 			hits++
 		}
 	}

@@ -13,16 +13,6 @@ import (
 	"randfill/internal/sim"
 )
 
-// attackerSim is the attacker-favoring configuration for the security
-// tests: a reduced miss queue (the paper used 1 entry; we use 2 so random
-// fill requests can still issue in the dense trace model — see
-// experiments.attackerSim and DESIGN.md).
-func attackerSim() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.MissQueue = 2
-	return cfg
-}
-
 func samples(t *testing.T, full int) int {
 	if testing.Short() {
 		return full / 8
@@ -34,7 +24,7 @@ func TestCollisionBreaksDemandFetch(t *testing.T) {
 	// Table III "size=1": the final-round collision attack recovers the
 	// full last-round key XOR relations against a demand-fetch cache.
 	res, _ := MeasurementsToSuccessCtx(context.Background(), CollisionConfig{
-		Sim:  attackerSim(),
+		Sim:  sim.AttackerConfig(),
 		Seed: 42,
 	}, 4000, samples(t, 260000))
 	if testing.Short() {
@@ -59,7 +49,7 @@ func TestCollisionDefeatedByCoveringWindow(t *testing.T) {
 	// Table III: with a window of 32 (covering the whole T4 table) the
 	// attack makes no progress.
 	res, _ := MeasurementsToSuccessCtx(context.Background(), CollisionConfig{
-		Sim:    attackerSim(),
+		Sim:    sim.AttackerConfig(),
 		Victim: sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(32)},
 		Seed:   42,
 	}, 10000, samples(t, 40000))
@@ -74,7 +64,7 @@ func TestCollisionDefeatedByCoveringWindow(t *testing.T) {
 func TestTimingChartShowsCollisionMinimum(t *testing.T) {
 	// Figure 2: the mean encryption time plotted against c0^c1 dips at
 	// c0^c1 = k10_0 ^ k10_1.
-	a := NewCollision(CollisionConfig{Sim: attackerSim(), Seed: 7})
+	a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Seed: 7})
 	a.Collect(samples(t, 120000))
 	chart := a.TimingChart(0) // pair (0,1)
 	truth := a.TrueXor(0)
@@ -114,7 +104,7 @@ func TestFirstRoundAttackSignal(t *testing.T) {
 	// The first-round variant recovers line-granular key-byte XORs; with
 	// a moderate budget it should recover far more of the 24 relations
 	// than the 1.5 expected by chance.
-	a := NewCollision(CollisionConfig{Sim: attackerSim(), Round: FirstRound, Seed: 9})
+	a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Round: FirstRound, Seed: 9})
 	a.Collect(samples(t, 80000))
 	if a.Pairs() != 24 {
 		t.Fatalf("first-round pairs = %d, want 24", a.Pairs())
@@ -136,7 +126,7 @@ func TestPreloadDefendsButCollisionlessly(t *testing.T) {
 	lay := layoutRegions()
 	cfg := CollisionConfig{
 		Sim: func() sim.Config {
-			c := attackerSim()
+			c := sim.AttackerConfig()
 			c.L1Kind = sim.KindPLcache
 			return c
 		}(),
@@ -152,7 +142,7 @@ func TestPreloadDefendsButCollisionlessly(t *testing.T) {
 
 func TestDisableCacheDefendsCollision(t *testing.T) {
 	a := NewCollision(CollisionConfig{
-		Sim:    attackerSim(),
+		Sim:    sim.AttackerConfig(),
 		Victim: sim.ThreadConfig{Mode: sim.ModeDisableSecret},
 		Seed:   13,
 	})
@@ -172,7 +162,7 @@ func layoutRegions() []mem.Region {
 }
 
 func TestCollisionSigmaTracked(t *testing.T) {
-	a := NewCollision(CollisionConfig{Sim: attackerSim(), Seed: 1})
+	a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Seed: 1})
 	a.Collect(500)
 	if a.Samples() != 500 {
 		t.Errorf("Samples = %d", a.Samples())
@@ -187,10 +177,10 @@ func TestCollisionSigmaTracked(t *testing.T) {
 
 func TestCollisionFixedKeyGroundTruth(t *testing.T) {
 	key := []byte("sixteen byte key")
-	a := NewCollision(CollisionConfig{Sim: attackerSim(), Key: key, Seed: 2})
+	a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Key: key, Seed: 2})
 	// Ground truth must be derived from the supplied key
 	// deterministically.
-	b := NewCollision(CollisionConfig{Sim: attackerSim(), Key: key, Seed: 3})
+	b := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Key: key, Seed: 3})
 	for p := 0; p < a.Pairs(); p++ {
 		if a.TrueXor(p) != b.TrueXor(p) {
 			t.Fatalf("pair %d ground truth differs across instances", p)
@@ -366,7 +356,7 @@ func TestEvictTimeDefeatedByNewcache(t *testing.T) {
 // sample reuses the tracer's recorder, the attack's trace buffer and the
 // thread's fill queue (see DESIGN.md §7).
 func TestCollectAllocFree(t *testing.T) {
-	a := NewCollision(CollisionConfig{Sim: attackerSim(), Seed: 7})
+	a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Seed: 7})
 	a.Collect(8) // warm the trace and fill-queue backing arrays
 	if got := testing.AllocsPerRun(50, func() {
 		a.Collect(1)

@@ -2,16 +2,11 @@ package attacks
 
 import "randfill/internal/cache"
 
-// domainCache is implemented by caches whose behaviour depends on the
-// accessing trust domain (RPcache). The functional attacks switch domains
-// between attacker and victim operations when the cache supports it.
-type domainCache interface {
-	SetActiveDomain(int)
-}
-
-// asDomain sets the active trust domain if the cache is domain-aware.
+// asDomain sets the active trust domain if the cache is domain-aware: the
+// functional attacks switch domains between attacker and victim operations
+// when the cache supports it.
 func asDomain(c cache.Cache, d int) {
-	if dc, ok := c.(domainCache); ok {
+	if dc, ok := c.(cache.DomainAware); ok {
 		dc.SetActiveDomain(d)
 	}
 }

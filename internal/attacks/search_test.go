@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"randfill/internal/parexp"
+	"randfill/internal/sim"
 )
 
 // search runs the serial or the sharded measurements-to-success search on
@@ -15,7 +16,7 @@ import (
 func search(sharded bool, batch, maxSamples int) (SearchResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cfg := CollisionConfig{Sim: attackerSim(), Seed: 1}
+	cfg := CollisionConfig{Sim: sim.AttackerConfig(), Seed: 1}
 	if sharded {
 		return MeasurementsToSuccessShardedCtx(ctx, parexp.New(1), cfg, batch, maxSamples, parexp.Shards)
 	}

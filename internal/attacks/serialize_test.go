@@ -9,8 +9,7 @@ import (
 
 func collectedStats(t *testing.T, seed uint64, n int) *CollisionStats {
 	t.Helper()
-	cfg := CollisionConfig{Sim: sim.DefaultConfig(), Seed: seed}
-	cfg.Sim.MissQueue = 2
+	cfg := CollisionConfig{Sim: sim.AttackerConfig(), Seed: seed}
 	a := NewCollision(cfg)
 	a.Collect(n)
 	return a.Stats()
@@ -35,7 +34,7 @@ func TestCollisionStatsRoundTripExact(t *testing.T) {
 // checkpoint-restored shard into a live one must give exactly the state an
 // uninterrupted run would have — down to the float bits TimingChart reads.
 func TestCollisionStatsRestoredMergeExact(t *testing.T) {
-	shards := NewShards(CollisionConfig{Sim: attackerCfg(), Seed: 3}, 3)
+	shards := NewShards(CollisionConfig{Sim: sim.AttackerConfig(), Seed: 3}, 3)
 	for _, a := range shards {
 		a.Collect(120)
 	}
@@ -56,12 +55,6 @@ func TestCollisionStatsRestoredMergeExact(t *testing.T) {
 	if !reflect.DeepEqual(restored, live) {
 		t.Fatal("merge of restored shards differs from merge of live shards")
 	}
-}
-
-func attackerCfg() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.MissQueue = 2
-	return cfg
 }
 
 func TestCollisionStatsUnmarshalRejectsCorrupt(t *testing.T) {

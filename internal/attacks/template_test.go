@@ -26,7 +26,7 @@ func TestBlockTemplateMatchesTrace(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			key := make([]byte, 16)
 			src.Bytes(key)
-			a := NewCollision(CollisionConfig{Sim: attackerCfg(), Key: key, Seed: uint64(k), TraceOpts: opts})
+			a := NewCollision(CollisionConfig{Sim: sim.AttackerConfig(), Key: key, Seed: uint64(k), TraceOpts: opts})
 			if opts.NonMem > 4094 && !trace.IsEscape(a.block.Words()[0]) {
 				t.Fatalf("%+v: block template holds no escape records", opts)
 			}

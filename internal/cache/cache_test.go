@@ -247,8 +247,8 @@ func TestRestrictWays(t *testing.T) {
 				c.Fill(f.line, FillOpts{Owner: f.owner, Lock: f.lock})
 			}
 			for w, l := range tc.want {
-				if c.tags[w] != l {
-					t.Fatalf("ways = %v, want %v", c.tags, tc.want)
+				if c.slots.tags[w] != l {
+					t.Fatalf("ways = %v, want %v", c.slots.tags, tc.want)
 				}
 			}
 			s := c.Stats()
@@ -276,15 +276,15 @@ func TestLockCount(t *testing.T) {
 	c.Fill(4, FillOpts{})
 	c.Fill(4, FillOpts{Lock: true, Owner: 1}) // locking refresh
 	c.Fill(1, FillOpts{Lock: true, Owner: 1})
-	if c.locked != 3 {
-		t.Fatalf("locked = %d, want 3", c.locked)
+	if c.slots.locked != 3 {
+		t.Fatalf("locked = %d, want 3", c.slots.locked)
 	}
 	if v := c.Fill(8, FillOpts{}); !v.Refused {
 		t.Fatalf("fill into a fully locked set returned %+v", v)
 	}
 	c.Invalidate(0)
-	if c.locked != 2 {
-		t.Fatalf("locked = %d after invalidating a locked line, want 2", c.locked)
+	if c.slots.locked != 2 {
+		t.Fatalf("locked = %d after invalidating a locked line, want 2", c.slots.locked)
 	}
 	if v := c.Fill(8, FillOpts{}); v.Valid || v.Refused {
 		t.Fatalf("fill into the invalidated way returned %+v", v)
@@ -293,8 +293,8 @@ func TestLockCount(t *testing.T) {
 		t.Fatalf("fill beside a locked line evicted %+v, want line 8", v)
 	}
 	c.Flush()
-	if c.locked != 0 {
-		t.Fatalf("locked = %d after Flush, want 0", c.locked)
+	if c.slots.locked != 0 {
+		t.Fatalf("locked = %d after Flush, want 0", c.slots.locked)
 	}
 	c.Fill(0, FillOpts{})
 	c.Fill(4, FillOpts{})

@@ -206,8 +206,8 @@ func matchesRef(t *testing.T, c *SetAssoc, ops []op) bool {
 			return false
 		}
 	}
-	if c.locked != len(r.locked) {
-		t.Logf("locked-line count %d, want %d", c.locked, len(r.locked))
+	if c.slots.locked != len(r.locked) {
+		t.Logf("locked-line count %d, want %d", c.slots.locked, len(r.locked))
 		return false
 	}
 	return true

@@ -9,9 +9,9 @@ import (
 )
 
 // Policy selects replacement victims within a set. Implementations keep
-// their state in the per-way stamp words managed by the set-associative
-// cache (one uint64 per way, handed over as a contiguous per-set subslice),
-// so a single policy instance serves all sets. How a policy interprets the
+// their state in the per-slot stamp words of Slots (one uint64 per way,
+// handed over as a contiguous per-set subslice), so a single policy
+// instance serves all sets. How a policy interprets the
 // words is its own business: LRU/FIFO store per-way access times, the RRIP
 // family stores per-way re-reference prediction values, and tree-PLRU packs
 // its tree bits into the subslice's bit space.
@@ -136,7 +136,11 @@ func (LRU) OnHit(stamps []uint64, w int, tick uint64) { stamps[w] = tick }
 func (LRU) OnFill(stamps []uint64, w int, tick uint64) { stamps[w] = tick }
 
 // Victim returns the way with the oldest access time.
-func (LRU) Victim(stamps []uint64) int {
+func (LRU) Victim(stamps []uint64) int { return oldest(stamps) }
+
+// oldest returns the first way with the smallest stamp: LRU's and FIFO's
+// victim, and Slots' LRU fast path.
+func oldest(stamps []uint64) int {
 	best := 0
 	for w := 1; w < len(stamps); w++ {
 		if stamps[w] < stamps[best] {
@@ -174,15 +178,7 @@ func (FIFO) OnHit(stamps []uint64, w int, tick uint64) {}
 func (FIFO) OnFill(stamps []uint64, w int, tick uint64) { stamps[w] = tick }
 
 // Victim returns the way with the oldest fill time.
-func (FIFO) Victim(stamps []uint64) int {
-	best := 0
-	for w := 1; w < len(stamps); w++ {
-		if stamps[w] < stamps[best] {
-			best = w
-		}
-	}
-	return best
-}
+func (FIFO) Victim(stamps []uint64) int { return oldest(stamps) }
 
 // VictimMasked returns the oldest-filled allowed way, or -1.
 func (FIFO) VictimMasked(stamps []uint64, allowed uint64) int {

@@ -90,7 +90,7 @@ func TestResetMatchesNew(t *testing.T) {
 						return false
 					}
 				}
-				return reset.locked == fresh.locked
+				return reset.slots.locked == fresh.slots.locked
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 				t.Fatal(err)

@@ -14,19 +14,6 @@ import (
 	"randfill/internal/sim"
 )
 
-// attackerSim is the security-evaluation machine: Table IV with a reduced
-// miss queue, the configuration the paper notes favors the attacker (it
-// used 1 entry). We use 2 entries — one serializing demand misses plus room
-// for a background fill — because in a trace-driven model a single shared
-// entry is always re-claimed by the next back-to-back demand miss, starving
-// the random fill queue entirely (gem5's instruction stream has pipeline
-// gaps that let fills slip in; see DESIGN.md).
-func attackerSim() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.MissQueue = 2
-	return cfg
-}
-
 // t4Region is the final-round table T4 under the default layout (table id 4).
 func t4Region() mem.Region {
 	return mem.Region{Base: 0x10000 + 4*1024, Size: 1024}
@@ -40,7 +27,7 @@ func t4Region() mem.Region {
 // another process's.
 func figure2Plan(sc Scale) unitPlan[*attacks.CollisionStats] {
 	cfg := attacks.CollisionConfig{
-		Sim:  attackerSim(),
+		Sim:  sim.AttackerConfig(),
 		Seed: sc.Seed,
 	}
 	counts := parexp.SplitCounts(sc.Figure2Samples, parexp.Shards)
@@ -155,7 +142,7 @@ func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, kind sim.Cach
 	if err != nil {
 		return t3cell{}, err
 	}
-	cfg := attacks.CollisionConfig{Sim: attackerSim(), Seed: sc.Seed}
+	cfg := attacks.CollisionConfig{Sim: sim.AttackerConfig(), Seed: sc.Seed}
 	cfg.Sim.L1Kind = kind
 	if size > 1 {
 		cfg.Victim = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}

@@ -21,35 +21,18 @@ import (
 	"randfill/internal/rng"
 )
 
-// mgLine is one slot of the fully-associative store.
-type mgLine struct {
-	tag        mem.Line
-	valid      bool
-	dirty      bool
-	referenced bool
-	offset     int8
-}
-
-// Mirage is the fully-associative random-global-eviction cache.
+// Mirage is the fully-associative random-global-eviction cache. Its lines
+// live in a cache.Slots store that the policy treats as one set, all.
 type Mirage struct {
-	lines []mgLine
+	slots cache.Slots
+	all   cache.Set
 	// index maps resident tags to slots; it is only ever looked up by
 	// key (never iterated), so map order cannot influence behaviour.
 	index map[mem.Line]int32
 	// free lists the invalid slots; placement draws uniformly from it
 	// with swap-remove, so free-slot choice is address-independent too.
 	free []int32
-	// stamps is the replacement-policy state, one word per slot; the
-	// policy treats the whole store as one fully-associative set.
-	stamps []uint64
-	policy cache.Policy
-	// noState devirtualizes the uniform-random default: Random keeps no
-	// per-access state, so OnHit/OnFill dispatch is skipped entirely.
-	noState bool
-	tick    uint64
-	src     *rng.Source
-	stats   cache.Stats
-	onEv    cache.EvictionObserver
+	src  *rng.Source
 }
 
 var _ cache.Cache = (*Mirage)(nil)
@@ -78,18 +61,13 @@ func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *Mira
 	if pol == nil {
 		pol = cache.Random{Src: src}
 	}
-	if err := cache.PolicyValid(pol); err != nil {
-		panic(err)
-	}
 	c := &Mirage{
-		lines:  make([]mgLine, n),
-		index:  make(map[mem.Line]int32, n),
-		free:   make([]int32, n),
-		stamps: make([]uint64, n),
-		policy: pol,
-		src:    src,
+		all:   cache.Range(0, n),
+		index: make(map[mem.Line]int32, n),
+		free:  make([]int32, n),
+		src:   src,
 	}
-	_, c.noState = pol.(cache.Random)
+	c.slots = cache.NewSlots(n, pol, c.unmap)
 	for i := range c.free {
 		c.free[i] = int32(i)
 	}
@@ -97,31 +75,25 @@ func NewWithPolicy(geom cache.Geometry, src *rng.Source, pol cache.Policy) *Mira
 }
 
 // NumLines returns the total line capacity.
-func (c *Mirage) NumLines() int { return len(c.lines) }
+func (c *Mirage) NumLines() int { return c.slots.NumLines() }
 
 // Stats returns the live statistics counters.
-func (c *Mirage) Stats() *cache.Stats { return &c.stats }
+func (c *Mirage) Stats() *cache.Stats { return c.slots.Stats() }
 
 // SetEvictionObserver registers fn to receive every displaced valid line.
-func (c *Mirage) SetEvictionObserver(fn cache.EvictionObserver) { c.onEv = fn }
+func (c *Mirage) SetEvictionObserver(fn cache.EvictionObserver) { c.slots.SetEvictionObserver(fn) }
+
+// locate returns the slot holding l, or -1.
+func (c *Mirage) locate(l mem.Line) int {
+	if p, ok := c.index[l]; ok {
+		return int(p)
+	}
+	return -1
+}
 
 // Lookup implements cache.Cache.
 func (c *Mirage) Lookup(l mem.Line, write bool) bool {
-	p, ok := c.index[l]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.stats.Hits++
-	c.tick++
-	c.lines[p].referenced = true
-	if !c.noState {
-		c.policy.OnHit(c.stamps, int(p), c.tick)
-	}
-	if write {
-		c.lines[p].dirty = true
-	}
-	return true
+	return c.slots.Access(c.all, c.locate(l), write)
 }
 
 // Probe implements cache.Cache.
@@ -135,89 +107,52 @@ func (c *Mirage) Probe(l mem.Line) bool {
 // resident lines. The victim can therefore never be the line being
 // installed (it is not resident), and is always a valid line.
 func (c *Mirage) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
-	c.tick++
-	if p, ok := c.index[l]; ok {
-		c.lines[p].dirty = c.lines[p].dirty || opts.Dirty
-		if !c.noState {
-			c.policy.OnFill(c.stamps, int(p), c.tick)
-		}
+	if p := c.locate(l); p >= 0 {
+		c.slots.Refresh(c.all, p, opts)
 		return cache.Victim{}
 	}
-	c.stats.Fills++
 	var v cache.Victim
-	var p int32
-	if len(c.free) > 0 {
-		j := c.src.Intn(len(c.free))
-		p = c.free[j]
-		c.free[j] = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
+	last := len(c.free) - 1
+	if last < 0 {
+		// A full store: the eviction's teardown frees the victim's slot,
+		// and the new line takes it without a placement draw.
+		v = c.slots.Evict(c.slots.Victim(c.all))
+		last = 0
 	} else {
-		p = int32(c.policy.Victim(c.stamps))
-		v = c.evict(p)
+		j := c.src.Intn(len(c.free))
+		c.free[j], c.free[last] = c.free[last], c.free[j]
 	}
-	c.lines[p] = mgLine{
-		tag:    l,
-		valid:  true,
-		dirty:  opts.Dirty,
-		offset: opts.Offset,
-	}
-	if !c.noState {
-		c.policy.OnFill(c.stamps, int(p), c.tick)
-	}
+	p := c.free[last]
+	c.free = c.free[:last]
+	c.slots.Install(c.all, int(p), l, opts)
 	c.index[l] = p
 	return v
 }
 
-// evict clears slot p and returns its victim record, after notifying the
-// eviction observer and bumping counters. The slot is NOT returned to the
-// free list: callers that leave it empty (Invalidate, Flush) do that.
-func (c *Mirage) evict(p int32) cache.Victim {
-	v := cache.Victim{
-		Valid:      true,
-		Line:       c.lines[p].tag,
-		Dirty:      c.lines[p].dirty,
-		Referenced: c.lines[p].referenced,
-		Offset:     c.lines[p].offset,
-	}
-	c.stats.Evictions++
-	if v.Dirty {
-		c.stats.Writebacks++
-	}
-	if c.onEv != nil {
-		c.onEv(v)
-	}
-	delete(c.index, c.lines[p].tag)
-	c.lines[p].valid = false
-	return v
+// unmap is the store's teardown: slot p is about to lose line l, so the
+// tag map forgets l and p joins the free list.
+func (c *Mirage) unmap(p int, l mem.Line) {
+	delete(c.index, l)
+	c.free = append(c.free, int32(p))
 }
 
 // Invalidate implements cache.Cache.
 func (c *Mirage) Invalidate(l mem.Line) bool {
-	p, ok := c.index[l]
-	if !ok {
+	p := c.locate(l)
+	if p < 0 {
 		return false
 	}
-	c.stats.Invalidates++
-	c.evict(p)
-	c.free = append(c.free, p)
+	c.slots.Invalidate(p)
 	return true
 }
 
 // Flush implements cache.Cache.
-func (c *Mirage) Flush() {
-	for p := range c.lines {
-		if c.lines[p].valid {
-			c.stats.Invalidates++
-			c.evict(int32(p))
-			c.free = append(c.free, int32(p))
-		}
-	}
-}
+func (c *Mirage) Flush() { c.slots.Flush() }
 
-// Occupancy returns the number of resident lines. It is a pure observer
-// used by the occupancy-channel attacks as footprint ground truth.
-func (c *Mirage) Occupancy() int { return len(c.index) }
+// Occupancy returns the number of resident lines (see
+// cache.Slots.Occupancy).
+func (c *Mirage) Occupancy() int { return c.slots.Occupancy() }
 
 func (c *Mirage) String() string {
-	return fmt.Sprintf("Mirage(%d lines, fully associative)", len(c.lines))
+	return fmt.Sprintf("Mirage(%d lines, fully associative)", c.slots.NumLines())
 }

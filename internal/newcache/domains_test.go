@@ -86,7 +86,7 @@ func TestCrossDomainEvictionTearsDownOwnerMapping(t *testing.T) {
 	// Consistency sweep: every line a domain can probe must be in
 	// Contents.
 	valid := make(map[mem.Line]bool)
-	for _, l := range c.Contents() {
+	for _, l := range c.slots.Contents() {
 		valid[l] = true
 	}
 	for d := 0; d < MaxDomains; d++ {

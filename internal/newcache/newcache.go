@@ -30,16 +30,6 @@ import (
 	"randfill/internal/rng"
 )
 
-type ncLine struct {
-	tag        mem.Line
-	lidx       int // logical index currently mapped to this physical line
-	domain     int // trust domain whose table maps this line
-	valid      bool
-	dirty      bool
-	referenced bool
-	offset     int8
-}
-
 // MaxDomains bounds the number of protected trust domains with private
 // remapping tables (Wang & Lee: "Protected processes have different
 // remapping tables, while all unprotected processes share the same
@@ -47,32 +37,26 @@ type ncLine struct {
 const MaxDomains = 4
 
 // Newcache is a logical direct-mapped secure cache with a remapping table.
+// Its physical lines live in a cache.Slots store that the replacement
+// policy treats as one set, all (the LDM store has no set structure of its
+// own).
 type Newcache struct {
-	physLines  int
-	extraBits  int
-	logicalCap int
-	lidxMask   uint64
+	extraBits int
+	lidxMask  uint64
 	// remaps[d] is trust domain d's remapping table: logical index ->
 	// physical line, or -1.
 	remaps [MaxDomains][]int32
+	// domain[p] is the trust domain whose table maps physical line p.
+	domain []uint8
 	active int
-	lines  []ncLine
-	// stamps is the replacement-policy state, one word per physical line;
-	// the policy treats the whole store as a single physLines-way set
-	// (the LDM store has no set structure of its own).
-	stamps []uint64
-	policy cache.Policy
-	// noState devirtualizes the uniform-random default: Random keeps no
-	// per-access state, so OnHit/OnFill dispatch is skipped entirely and
-	// the hit path stays as lean as before policy parameterization.
-	noState bool
-	tick    uint64
-	src     *rng.Source
-	stats   cache.Stats
-	onEv    cache.EvictionObserver
+	slots  cache.Slots
+	all    cache.Set
 }
 
-var _ cache.Cache = (*Newcache)(nil)
+var (
+	_ cache.Cache       = (*Newcache)(nil)
+	_ cache.DomainAware = (*Newcache)(nil)
+)
 
 // Check returns nil if NewWithPolicy builds a Newcache of sizeBytes with
 // extraBits extra index bits, and otherwise an error. The physical store is
@@ -116,21 +100,14 @@ func NewWithPolicy(sizeBytes, extraBits int, src *rng.Source, pol cache.Policy) 
 	if pol == nil {
 		pol = cache.Random{Src: src}
 	}
-	if err := cache.PolicyValid(pol); err != nil {
-		panic(err)
-	}
 	logical := phys << extraBits
 	c := &Newcache{
-		physLines:  phys,
-		extraBits:  extraBits,
-		logicalCap: logical,
-		lidxMask:   uint64(logical - 1),
-		lines:      make([]ncLine, phys),
-		stamps:     make([]uint64, phys),
-		policy:     pol,
-		src:        src,
+		extraBits: extraBits,
+		lidxMask:  uint64(logical - 1),
+		domain:    make([]uint8, phys),
+		all:       cache.Range(0, phys),
 	}
-	_, c.noState = pol.(cache.Random)
+	c.slots = cache.NewSlots(phys, pol, c.unmap)
 	for d := range c.remaps {
 		c.remaps[d] = make([]int32, logical)
 		for i := range c.remaps[d] {
@@ -154,19 +131,27 @@ func (c *Newcache) SetActiveDomain(d int) {
 func (c *Newcache) LogicalIndex(l mem.Line) int { return int(uint64(l) & c.lidxMask) }
 
 // NumLines returns the physical line capacity.
-func (c *Newcache) NumLines() int { return c.physLines }
+func (c *Newcache) NumLines() int { return c.slots.NumLines() }
 
 // Stats returns the live statistics counters.
-func (c *Newcache) Stats() *cache.Stats { return &c.stats }
+func (c *Newcache) Stats() *cache.Stats { return c.slots.Stats() }
 
 // SetEvictionObserver registers fn to receive every displaced valid line.
-func (c *Newcache) SetEvictionObserver(fn cache.EvictionObserver) { c.onEv = fn }
+func (c *Newcache) SetEvictionObserver(fn cache.EvictionObserver) { c.slots.SetEvictionObserver(fn) }
+
+// holds reports whether physical line p, a remapping table entry, holds l.
+func (c *Newcache) holds(p int32, l mem.Line) bool {
+	if p < 0 {
+		return false
+	}
+	t, ok := c.slots.Line(int(p))
+	return ok && t == l
+}
 
 // locate returns the physical line holding l under the active domain's
 // remapping table, or -1.
 func (c *Newcache) locate(l mem.Line) int {
-	p := c.remaps[c.active][c.LogicalIndex(l)]
-	if p >= 0 && c.lines[p].valid && c.lines[p].tag == l {
+	if p := c.remaps[c.active][c.LogicalIndex(l)]; c.holds(p, l) {
 		return int(p)
 	}
 	return -1
@@ -174,21 +159,7 @@ func (c *Newcache) locate(l mem.Line) int {
 
 // Lookup implements cache.Cache.
 func (c *Newcache) Lookup(l mem.Line, write bool) bool {
-	p := c.locate(l)
-	if p < 0 {
-		c.stats.Misses++
-		return false
-	}
-	c.stats.Hits++
-	c.tick++
-	c.lines[p].referenced = true
-	if !c.noState {
-		c.policy.OnHit(c.stamps, p, c.tick)
-	}
-	if write {
-		c.lines[p].dirty = true
-	}
-	return true
+	return c.slots.Access(c.all, c.locate(l), write)
 }
 
 // Probe implements cache.Cache.
@@ -197,68 +168,33 @@ func (c *Newcache) Probe(l mem.Line) bool { return c.locate(l) >= 0 }
 // Fill implements cache.Cache.
 func (c *Newcache) Fill(l mem.Line, opts cache.FillOpts) cache.Victim {
 	lidx := c.LogicalIndex(l)
-	c.tick++
 	if p := c.locate(l); p >= 0 {
-		c.lines[p].dirty = c.lines[p].dirty || opts.Dirty
-		if !c.noState {
-			c.policy.OnFill(c.stamps, p, c.tick)
-		}
+		c.slots.Refresh(c.all, p, opts)
 		return cache.Victim{}
 	}
-	c.stats.Fills++
-
-	var p int
-	if mapped := c.remaps[c.active][lidx]; mapped >= 0 && c.lines[mapped].valid {
-		// Tag miss: replace the conflicting line (LDM semantics).
-		p = int(mapped)
-	} else {
-		// Index miss: replacement-policy pick over the whole store
-		// (SecRAND under the default uniform-random policy).
-		p = c.policy.Victim(c.stamps)
+	// Tag miss: replace the conflicting line (LDM semantics). Index miss:
+	// replacement-policy pick over the whole store (SecRAND under the
+	// default uniform-random policy).
+	p := int(c.remaps[c.active][lidx])
+	if p < 0 || !c.slots.Valid(p) {
+		p = c.slots.Victim(c.all)
 	}
-
 	var v cache.Victim
-	if c.lines[p].valid {
-		v = c.evict(p)
+	if c.slots.Valid(p) {
+		v = c.slots.Evict(p)
 	}
-	c.lines[p] = ncLine{
-		tag:    l,
-		lidx:   lidx,
-		domain: c.active,
-		valid:  true,
-		dirty:  opts.Dirty,
-		offset: opts.Offset,
-	}
-	if !c.noState {
-		c.policy.OnFill(c.stamps, p, c.tick)
-	}
+	c.slots.Install(c.all, p, l, opts)
+	c.domain[p] = uint8(c.active)
 	c.remaps[c.active][lidx] = int32(p)
 	return v
 }
 
-// evict clears physical line p, tears down its mapping, and reports the
-// victim.
-func (c *Newcache) evict(p int) cache.Victim {
-	ln := &c.lines[p]
-	v := cache.Victim{
-		Valid:      true,
-		Line:       ln.tag,
-		Dirty:      ln.dirty,
-		Referenced: ln.referenced,
-		Offset:     ln.offset,
+// unmap is the store's teardown: it clears the remapping table entry that
+// maps physical line p, which is about to lose line l.
+func (c *Newcache) unmap(p int, l mem.Line) {
+	if m := &c.remaps[c.domain[p]][c.LogicalIndex(l)]; *m == int32(p) {
+		*m = -1
 	}
-	c.stats.Evictions++
-	if v.Dirty {
-		c.stats.Writebacks++
-	}
-	if c.onEv != nil {
-		c.onEv(v)
-	}
-	if c.remaps[ln.domain][ln.lidx] == int32(p) {
-		c.remaps[ln.domain][ln.lidx] = -1
-	}
-	ln.valid = false
-	return v
 }
 
 // Invalidate implements cache.Cache. Unlike Lookup, invalidation matches
@@ -271,54 +207,25 @@ func (c *Newcache) Invalidate(l mem.Line) bool {
 	lidx := c.LogicalIndex(l)
 	victim := -1
 	for d := range c.remaps {
-		p := int(c.remaps[d][lidx])
-		if p >= 0 && (victim < 0 || p < victim) && c.lines[p].valid && c.lines[p].tag == l {
-			victim = p
+		p := c.remaps[d][lidx]
+		if (victim < 0 || int(p) < victim) && c.holds(p, l) {
+			victim = int(p)
 		}
 	}
 	if victim < 0 {
 		return false
 	}
-	c.stats.Invalidates++
-	c.evict(victim)
+	c.slots.Invalidate(victim)
 	return true
 }
 
 // Flush implements cache.Cache.
-func (c *Newcache) Flush() {
-	for p := range c.lines {
-		if c.lines[p].valid {
-			c.stats.Invalidates++
-			c.evict(p)
-		}
-	}
-}
-
-// Contents returns the line numbers of all valid lines.
-//
-//lint:ignore unused test support: the Newcache tests list resident lines, which no production path exposes
-func (c *Newcache) Contents() []mem.Line {
-	var out []mem.Line
-	for p := range c.lines {
-		if c.lines[p].valid {
-			out = append(out, c.lines[p].tag)
-		}
-	}
-	return out
-}
+func (c *Newcache) Flush() { c.slots.Flush() }
 
 func (c *Newcache) String() string {
-	return fmt.Sprintf("Newcache(%dKB, k=%d)", c.physLines*mem.LineSize/1024, c.extraBits)
+	return fmt.Sprintf("Newcache(%dKB, k=%d)", c.slots.NumLines()*mem.LineSize/1024, c.extraBits)
 }
 
-// Occupancy returns the number of valid physical lines. It is a pure
-// observer used by the occupancy-channel attacks as footprint ground truth.
-func (c *Newcache) Occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+// Occupancy returns the number of valid physical lines (see
+// cache.Slots.Occupancy).
+func (c *Newcache) Occupancy() int { return c.slots.Occupancy() }

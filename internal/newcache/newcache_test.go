@@ -82,7 +82,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		for _, l := range lines {
 			c.Fill(mem.Line(l), cache.FillOpts{})
 		}
-		return len(c.Contents()) <= c.NumLines()
+		return len(c.slots.Contents()) <= c.NumLines()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestInvalidateAndFlush(t *testing.T) {
 		t.Error("invalidate semantics wrong")
 	}
 	c.Flush()
-	if len(c.Contents()) != 0 {
+	if len(c.slots.Contents()) != 0 {
 		t.Error("flush left lines behind")
 	}
 	if c.Probe(2) {
@@ -136,7 +136,7 @@ func TestRemapConsistency(t *testing.T) {
 		for _, l := range lines {
 			c.Fill(mem.Line(l), cache.FillOpts{})
 		}
-		for _, l := range c.Contents() {
+		for _, l := range c.slots.Contents() {
 			if !c.Probe(l) {
 				return false
 			}

@@ -131,7 +131,7 @@ func TestCapacityInvariant(t *testing.T) {
 			}
 			c.Fill(mem.Line(op), cache.FillOpts{Owner: c.active})
 		}
-		return len(c.Contents()) <= c.NumLines()
+		return len(c.slots.Contents()) <= c.NumLines()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestInvalidateAndFlush(t *testing.T) {
 		t.Error("invalidate semantics wrong")
 	}
 	c.Flush()
-	if len(c.Contents()) != 0 {
+	if len(c.slots.Contents()) != 0 {
 		t.Error("flush left lines behind")
 	}
 }

@@ -57,12 +57,6 @@ type LineStore interface {
 	Occupancy() int
 }
 
-// domainAware is implemented by designs with per-domain state (Newcache,
-// RPcache).
-type domainAware interface {
-	SetActiveDomain(int)
-}
-
 // demand adapts a structural design (randomization or partitioning in the
 // lookup/replacement path, conventional demand fetch) to SecureCache:
 // Access is Lookup plus fill-on-miss under the current party's owner id.
@@ -81,7 +75,7 @@ func (d *demand) Access(l mem.Line, write bool) bool {
 
 func (d *demand) SetParty(id int) {
 	d.owner = id
-	if dc, ok := d.LineStore.(domainAware); ok {
+	if dc, ok := d.LineStore.(cache.DomainAware); ok {
 		dc.SetActiveDomain(id)
 	}
 }

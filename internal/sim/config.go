@@ -110,6 +110,19 @@ func DefaultConfig() Config {
 	return Config{Levels: []LevelConfig{defaultL2}}.withCoreDefaults()
 }
 
+// AttackerConfig returns the security-evaluation machine: Table IV with a
+// reduced miss queue, the configuration the paper notes favors the attacker
+// (it used 1 entry). It uses 2 entries — one serializing demand misses plus
+// room for a background fill — because in a trace-driven model a single
+// shared entry is always re-claimed by the next back-to-back demand miss,
+// starving the random fill queue entirely (gem5's instruction stream has
+// pipeline gaps that let fills slip in; see DESIGN.md).
+func AttackerConfig() Config {
+	cfg := DefaultConfig()
+	cfg.MissQueue = 2
+	return cfg
+}
+
 // withDefaults returns c with every zero field set to DefaultConfig's
 // value. It fills the levels in a fresh array: copies of a Config share
 // one Levels backing array, which must stay the caller's.
@@ -147,6 +160,11 @@ func (c Config) withCoreDefaults() Config {
 	return c
 }
 
+// maxMissQueue bounds Config.MissQueue at 1024 entries, 128 times the
+// largest miss queue any experiment builds: NewThread allocates the queue
+// up front.
+const maxMissQueue = 1024
+
 // Validate returns nil if New builds c, and otherwise an error naming the
 // first rule c breaks: the L1 kind and its geometry
 // (securecache.CheckLineStore), the L1 policy name, the miss and fill queue
@@ -163,8 +181,8 @@ func (c Config) Validate() error {
 	if !cache.KnownPolicy(c.L1Policy) {
 		return fmt.Errorf("sim: unknown L1 policy %q (have %s)", c.L1Policy, strings.Join(cache.PolicyNames(), ", "))
 	}
-	if c.MissQueue < 1 {
-		return fmt.Errorf("sim: %d miss queue entries, want at least 1", c.MissQueue)
+	if c.MissQueue < 1 || c.MissQueue > maxMissQueue {
+		return fmt.Errorf("sim: %d miss queue entries, want 1 to %d", c.MissQueue, maxMissQueue)
 	}
 	if c.FillQueueCap < 1 {
 		return fmt.Errorf("sim: %d fill queue entries, want at least 1", c.FillQueueCap)

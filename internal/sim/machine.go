@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"randfill/internal/cache"
+	"randfill/internal/core"
 	"randfill/internal/hierarchy"
 	"randfill/internal/mem"
 	"randfill/internal/prefetch"
@@ -108,10 +109,10 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 		mshr:     make([]mshrEntry, m.cfg.MissQueue),
 		earliest: math.Inf(1),
 	}
-	t.engine = coreEngine(m.L1(), m.root.Split(uint64(100+len(m.threads))))
+	t.engine = core.NewEngine(m.L1(), m.root.Split(uint64(100+len(m.threads))))
 	t.engine.SetOwner(tc.Owner)
 	t.engine.SetDropOnHit(!tc.KeepRedundantFills)
-	if dc, ok := m.L1().(domainCache); ok {
+	if dc, ok := m.L1().(cache.DomainAware); ok {
 		t.domainL1 = dc
 	}
 	if tc.Mode == ModeRandomFill {

@@ -6,13 +6,8 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/core"
 	"randfill/internal/mem"
-	"randfill/internal/rng"
 	"randfill/internal/trace"
 )
-
-func coreEngine(c cache.Cache, src *rng.Source) *core.Engine {
-	return core.NewEngine(c, src)
-}
 
 // mshrEntry is one miss-queue slot: an outstanding request to the L2/DRAM.
 type mshrEntry struct {
@@ -100,12 +95,6 @@ func (r Result) HitRate() float64 {
 // load trap (pipeline flush + handler entry/exit).
 const informingTrapCycles = 50
 
-// domainCache is implemented by caches whose behaviour depends on the
-// accessing trust domain (RPcache's per-domain permutation tables).
-type domainCache interface {
-	SetActiveDomain(int)
-}
-
 // Thread is one hardware thread: a fill-policy engine over the shared L1,
 // a private miss queue, and a cycle clock.
 type Thread struct {
@@ -115,7 +104,7 @@ type Thread struct {
 	// domainL1 is non-nil when the L1 is domain-aware; the thread
 	// selects its trust domain before every access (part of switching
 	// the hardware thread context).
-	domainL1 domainCache
+	domainL1 cache.DomainAware
 	cycle    float64
 	// dataReady is when the most recent demand read's data becomes
 	// available; a Dependent access cannot issue before it.

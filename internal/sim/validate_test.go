@@ -63,8 +63,13 @@ func TestValidate(t *testing.T) {
 		{kind("scattercache", cache.Geometry{SizeBytes: 32 << 10, Ways: 3}), "into 3 ways"},
 		{with(func(c *Config) { c.L1Policy = "clock" }), `unknown L1 policy "clock"`},
 		{with(func(c *Config) { c.MissQueue = -1 }), "-1 miss queue entries"},
+		{with(func(c *Config) { c.MissQueue = 1_000_000_000 }), "1000000000 miss queue entries"},
+		{with(func(c *Config) { c.L1.SizeBytes = 64 << 30 }), "size 68719476736 exceeds"},
 		{with(func(c *Config) { c.FillQueueCap = -2 }), "-2 fill queue entries"},
 		{with(func(c *Config) { c.Levels[0].Geom.SizeBytes = 1000 }), "L2: cache: size 1000"},
+		{with(func(c *Config) {
+			c.Levels = append(c.Levels, LevelConfig{Geom: cache.Geometry{SizeBytes: 64 << 30, Ways: 16}})
+		}), "L3: cache: size 68719476736 exceeds"},
 		{with(func(c *Config) {
 			c.Levels = append(c.Levels, LevelConfig{Geom: cache.Geometry{SizeBytes: 4 << 20}})
 		}), "L3: cache: 65536 lines not divisible into 0 ways"},

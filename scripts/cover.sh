@@ -3,18 +3,19 @@
 # cache designs (make cover, and CI's coverage job). The packages under the
 # gate are the ones whose miss-path and fill-policy semantics every
 # experiment number depends on: a refactor that silently un-tests them
-# invalidates the goldens' meaning even while the goldens still pass. The
-# design packages added for the occupancy matrix (scattercache, mirage), the
-# conformance suite that pins every design's contract, and internal/
-# securecache, the one place every design and every simulated L1 is built,
-# sit under the same gate for the same reason. The two simulator CLIs,
-# rfsim and rfattack, are under it too: their tests pin every output byte
-# and every rejected flag value through run, and the gate keeps new flag
-# handling from going untested.
+# invalidates the goldens' meaning even while the goldens still pass. Every
+# line store sits under the same gate for the same reason — internal/cache
+# (the slot store and SetAssoc), newcache, rpcache, nomo, plcache,
+# scattercache and mirage — with the conformance suite that pins every
+# design's contract and internal/securecache, the one place every design
+# and every simulated L1 is built. The two simulator CLIs, rfsim and
+# rfattack, are under it too: their tests pin every output byte and every
+# rejected flag value through run, and the gate keeps new flag handling
+# from going untested.
 set -eu
 
 THRESHOLD=80
-PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache randfill/internal/securecache/conformance randfill/cmd/rfsim randfill/cmd/rfattack"
+PKGS="randfill/internal/cache randfill/internal/hierarchy randfill/internal/sim randfill/internal/core randfill/internal/trace randfill/internal/newcache randfill/internal/rpcache randfill/internal/nomo randfill/internal/plcache randfill/internal/scattercache randfill/internal/mirage randfill/internal/securecache randfill/internal/securecache/conformance randfill/cmd/rfsim randfill/cmd/rfattack"
 
 fail=0
 for pkg in $PKGS; do

@@ -60,14 +60,17 @@ bench:
 
 # Regenerate the committed perf baseline. The baseline uses the -short
 # kernel budgets because that is what CI's bench-smoke job re-measures;
-# ns/op is only comparable at identical budgets.
+# ns/op is only comparable at identical budgets. Each kernel records its
+# median of five interleaved rounds.
 bench-json:
-	$(GO) run ./cmd/rfbench -short -out BENCH.json -commit $$(git rev-parse HEAD)
+	$(GO) run ./cmd/rfbench -short -count 5 -out BENCH.json -commit $$(git rev-parse HEAD)
 
-# Re-measure and diff against the committed baseline; exits nonzero on a
-# >20% ns/op regression (see ci.yml bench-smoke).
+# Re-measure and diff against the committed baseline; exits nonzero when a
+# kernel's median of five rounds is >20% slower (see ci.yml bench-smoke).
+# The run's own report goes to .bench_build/.
 bench-compare:
-	$(GO) run ./cmd/rfbench -short -compare BENCH.json -out /dev/null
+	mkdir -p .bench_build
+	$(GO) run ./cmd/rfbench -short -count 5 -compare BENCH.json -out .bench_build/bench-compare.json
 
 # Capture CPU and heap profiles of one Table III cell (the repo's primary
 # hot path); inspect with `go tool pprof cpu.prof`.

@@ -6,18 +6,22 @@
 // Examples:
 //
 //	rfbench                          # run all kernels, JSON to stdout
-//	rfbench -short -out BENCH.json   # CI smoke set, write baseline
-//	rfbench -short -compare BENCH.json       # exit 1 on >20% ns/op regression
+//	rfbench -short -count 5 -out BENCH.json  # CI smoke set, write baseline
+//	rfbench -short -count 5 -compare BENCH.json  # exit 1 on >20% median ns/op regression
 //	rfbench -kernels table3-cell,sim-replay  # subset
 //	rfbench -list                            # enumerate kernels
 //
 // Timing is delegated to testing.Benchmark, so kernels auto-scale their
 // iteration counts and report allocations exactly like `go test -bench`.
+// With -count N the kernel list runs N times in interleaved rounds, so a
+// slow minute on a shared host lands on every kernel rather than on one,
+// and each kernel records its median round with the fastest and slowest.
 // Performance methodology, including how the kernels were chosen, is in
 // DESIGN.md §7.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,13 +92,38 @@ func (h Host) String() string {
 	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d", h.CPU, h.NumCPU, h.GOMAXPROCS)
 }
 
-// Kernel is one measured kernel.
+// Kernel is one measured kernel: its median round (the lower median for an
+// even count) and, in NsPerOpMin and NsPerOpMax, the spread of ns/op over
+// its Rounds rounds. A baseline recorded before rounds existed reads as
+// zero Rounds, min and max.
 type Kernel struct {
 	Name        string  `json:"name"`
+	Rounds      int     `json:"rounds"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// summarize returns the kernel record of rounds, one result per round: the
+// median round's iterations, ns/op and allocations, with the ns/op range.
+func summarize(name string, rounds []testing.BenchmarkResult) Kernel {
+	ns := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	sorted := slices.Clone(rounds)
+	slices.SortStableFunc(sorted, func(a, b testing.BenchmarkResult) int { return cmp.Compare(ns(a), ns(b)) })
+	med := sorted[(len(sorted)-1)/2]
+	return Kernel{
+		Name:        name,
+		Rounds:      len(rounds),
+		Iterations:  med.N,
+		NsPerOp:     ns(med),
+		NsPerOpMin:  ns(sorted[0]),
+		NsPerOpMax:  ns(sorted[len(sorted)-1]),
+		BytesPerOp:  med.AllocedBytesPerOp(),
+		AllocsPerOp: med.AllocsPerOp(),
+	}
 }
 
 // kernelDef names a benchmark kernel. The short flag selects the reduced
@@ -389,7 +419,8 @@ func main() {
 	short := flag.Bool("short", false, "run the reduced CI smoke budgets")
 	out := flag.String("out", "", "write BENCH.json to this file (default stdout)")
 	compare := flag.String("compare", "", "baseline BENCH.json to diff against; regressions beyond -threshold exit nonzero")
-	threshold := flag.Float64("threshold", 20, "ns/op regression tolerance for -compare, in percent")
+	threshold := flag.Float64("threshold", 20, "median ns/op regression tolerance for -compare, in percent")
+	count := flag.Int("count", 1, "interleaved rounds over the kernel list; each kernel records its median round")
 	names := flag.String("kernels", "", "comma-separated kernel subset (default all)")
 	list := flag.Bool("list", false, "list kernels and exit")
 	commit := flag.String("commit", "", "commit hash to record (default from build info)")
@@ -405,22 +436,23 @@ func main() {
 	if *names != "" {
 		defs = selectKernels(defs, strings.Split(*names, ","))
 	}
+	if *count < 1 {
+		fatal(fmt.Errorf("-count %d: need at least one round", *count))
+	}
 
 	rep := Report{Schema: Schema, Commit: commitHash(*commit), Go: runtime.Version(), Host: thisHost()}
-	for _, k := range defs {
-		def := k
-		fmt.Fprintf(os.Stderr, "running %s...\n", def.name)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			def.run(*short, b)
-		})
-		rep.Kernels = append(rep.Kernels, Kernel{
-			Name:        def.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
+	rounds := make([][]testing.BenchmarkResult, len(defs))
+	for round := 1; round <= *count; round++ {
+		for i, def := range defs {
+			fmt.Fprintf(os.Stderr, "running %s (round %d/%d)...\n", def.name, round, *count)
+			rounds[i] = append(rounds[i], testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				def.run(*short, b)
+			}))
+		}
+	}
+	for i, def := range defs {
+		rep.Kernels = append(rep.Kernels, summarize(def.name, rounds[i]))
 	}
 
 	if err := emit(rep, *out); err != nil {
@@ -491,9 +523,9 @@ func emit(rep Report, path string) error {
 }
 
 // compareBaseline prints a benchstat-style delta table of rep against the
-// baseline file — ns/op and allocs/op side by side, with a geomean speedup
-// over the kernels both runs measured — and reports whether every kernel is
-// within the ns/op regression threshold. Kernels present on only one side are
+// baseline file — median ns/op and allocs/op side by side, with a geomean
+// speedup over the kernels both runs measured — and reports whether every
+// kernel's median is within the ns/op regression threshold. Kernels present on only one side are
 // reported but never fail the gate (adding a kernel must not require
 // regenerating history first). It prints both hosts and says when they
 // differ, but gates either way: CI compares a hosted runner against a

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func sampleReport(ns float64) Report {
@@ -106,5 +107,26 @@ func TestEmitRoundTrips(t *testing.T) {
 	}
 	if rep.Schema != Schema || rep.Host != sampleReport(42).Host || len(rep.Kernels) != 2 || rep.Kernels[0].NsPerOp != 42 {
 		t.Fatalf("round trip lost data: %+v", rep)
+	}
+}
+
+// TestSummarizeTakesMedianRound: a kernel records its median round's
+// ns/op, iterations and allocations (the lower median for an even count),
+// with the fastest and slowest rounds' ns/op as its range.
+func TestSummarizeTakesMedianRound(t *testing.T) {
+	round := func(n int, ns int64, allocs uint64) testing.BenchmarkResult {
+		return testing.BenchmarkResult{N: n, T: time.Duration(ns * int64(n)), MemAllocs: allocs * uint64(n), MemBytes: 8 * allocs * uint64(n)}
+	}
+	rounds := []testing.BenchmarkResult{round(10, 500, 1), round(20, 300, 2), round(40, 900, 3), round(30, 400, 4), round(50, 700, 5)}
+	k := summarize("l1-miss", rounds)
+	want := Kernel{Name: "l1-miss", Rounds: 5, Iterations: 10, NsPerOp: 500, NsPerOpMin: 300, NsPerOpMax: 900, BytesPerOp: 8, AllocsPerOp: 1}
+	if k != want {
+		t.Fatalf("summarize = %+v, want %+v", k, want)
+	}
+	if k := summarize("l1-miss", rounds[:4]); k.NsPerOp != 400 || k.Iterations != 30 || k.NsPerOpMax != 900 {
+		t.Fatalf("even count: %+v, want the lower median round (400 ns/op, 30 iterations)", k)
+	}
+	if k := summarize("l1-miss", rounds[:1]); k.Rounds != 1 || k.NsPerOp != 500 || k.NsPerOpMin != 500 || k.NsPerOpMax != 500 {
+		t.Fatalf("one round: %+v", k)
 	}
 }

@@ -20,6 +20,7 @@ package atomicio
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -35,8 +36,15 @@ type File struct {
 }
 
 // Create starts an atomic write of dest. The returned File's Write methods
-// go to a temporary file in dest's directory.
+// go to a temporary file in dest's directory. It refuses a dest that exists
+// and is not a regular file — a symlink, device, FIFO or directory — since
+// the rename would replace that entry itself (say /dev/null or a symlink)
+// rather than write through it; the error names dest and satisfies
+// errors.Is(err, fs.ErrExist).
 func Create(dest string) (*File, error) {
+	if fi, err := os.Lstat(dest); err == nil && !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("atomicio: refusing to replace %s, which is not a regular file: %w", dest, fs.ErrExist)
+	}
 	dir := filepath.Dir(dest)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(dest)+".tmp*")
 	if err != nil {

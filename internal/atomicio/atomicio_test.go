@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"randfill/internal/atomicio"
@@ -165,5 +166,51 @@ func leftOver(t *testing.T, dir, keep string) {
 		if strings.HasPrefix(e.Name(), ".") {
 			t.Errorf("temp file %q survived", e.Name())
 		}
+	}
+}
+
+// TestCreateRefusesNonRegular: a destination that exists and is not a
+// regular file is refused by name, and neither the entry nor what a
+// symlink points at changes. A rename would replace the symlink or the
+// FIFO itself.
+func TestCreateRefusesNonRegular(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "target")
+	if err := os.WriteFile(target, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "link")
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	fifo := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dest string
+		mode fs.FileMode
+	}{{link, fs.ModeSymlink}, {fifo, fs.ModeNamedPipe}} {
+		if f, err := atomicio.Create(c.dest); err == nil {
+			f.Abort()
+			t.Fatalf("Create(%s) succeeded", c.dest)
+		} else if !strings.Contains(err.Error(), c.dest) || !errors.Is(err, fs.ErrExist) {
+			t.Fatalf("Create(%s): %v, want an fs.ErrExist naming the path", c.dest, err)
+		}
+		if err := atomicio.WriteFile(c.dest, []byte("new"), 0o644); err == nil {
+			t.Fatalf("WriteFile(%s) succeeded", c.dest)
+		}
+		if fi, err := os.Lstat(c.dest); err != nil {
+			t.Fatal(err)
+		} else if fi.Mode().Type() != c.mode {
+			t.Fatalf("%s is now %v, want %v", c.dest, fi.Mode().Type(), c.mode)
+		}
+	}
+	if got, err := os.ReadFile(target); err != nil || string(got) != "kept" {
+		t.Fatalf("symlink target holds %q (err %v), want %q", got, err, "kept")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("directory holds %d entries (err %v), want target, link and fifo only", len(entries), err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"randfill/internal/aes"
+	"randfill/internal/mem"
 	"randfill/internal/plcache"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
@@ -103,8 +104,11 @@ type Collision struct {
 // block's secret lookup words, in the cipher's emission order, with the
 // addresses of the sample's table lookups.
 type lookupPatch struct {
-	block  *trace.Compiled
-	layout aes.Layout
+	block *trace.Compiled
+	// tables holds the layout's table bases. Lookup indexes them itself:
+	// a call to the value-receiver aes.Layout.LookupAddr copies the whole
+	// Layout on each of a sample's 160 lookups.
+	tables [aes.NumTables]mem.Addr
 	// words holds the index of each secret lookup word in block; next is
 	// the lookup the cipher reports next.
 	words []int
@@ -113,7 +117,7 @@ type lookupPatch struct {
 
 // Lookup implements aes.Recorder.
 func (r *lookupPatch) Lookup(table int, index byte, round int, first bool) {
-	r.block.SetAddr(r.words[r.next], r.layout.LookupAddr(table, index))
+	r.block.SetAddr(r.words[r.next], r.tables[table]+mem.Addr(index)*4) // as Layout.LookupAddr
 	r.next++
 }
 
@@ -153,7 +157,7 @@ func NewCollision(cfg CollisionConfig) *Collision {
 	_, block := tracer.EncryptBlock(make([]byte, aes.BlockSize), 0)
 	trace.CompileInto(&a.block, block)
 	// The cipher looks up one table entry per state byte per round.
-	a.patch = lookupPatch{block: &a.block, layout: layout, words: make([]int, 0, aes.BlockSize*cipher.Rounds())}
+	a.patch = lookupPatch{block: &a.block, tables: layout.Tables, words: make([]int, 0, aes.BlockSize*cipher.Rounds())}
 	for i := range block {
 		if block[i].Secret {
 			a.patch.words = append(a.patch.words, i)

@@ -64,23 +64,39 @@ type FillOpts struct {
 }
 
 // Victim describes the line displaced by a Fill (or examined by eviction
-// observers).
+// observers). It is three fields and 16 bytes, so Go passes and returns it
+// in registers: a Fill's result reaches its caller without a copy through
+// memory.
 type Victim struct {
-	// Valid reports whether a valid line was actually displaced. A fill
-	// into an invalid way displaces nothing.
-	Valid bool
-	// Refused reports that the fill itself was rejected (no line was
-	// installed); only the lock bits (PLcache) and way masks (NoMo) of
-	// SetAssoc produce refused fills.
-	Refused bool
-	Line    mem.Line
-	Dirty   bool
-	// Referenced reports whether the victim was referenced by at least
-	// one Lookup after being filled.
-	Referenced bool
+	Line mem.Line
 	// Offset is the victim's fill-offset tag.
 	Offset int8
+	// flags holds the dirty and referenced bits in their Slots meta
+	// positions, plus victimValid and victimRefused.
+	flags uint8
 }
+
+// Victim flags beyond the dirty and referenced meta bits a record copies.
+const (
+	victimValid uint8 = 1 << (iota + 3)
+	victimRefused
+)
+
+// Valid reports whether a valid line was actually displaced. A fill into an
+// invalid way displaces nothing.
+func (v Victim) Valid() bool { return v.flags&victimValid != 0 }
+
+// Refused reports that the fill itself was rejected (no line was
+// installed); only the lock bits (PLcache) and way masks (NoMo) of SetAssoc
+// produce refused fills.
+func (v Victim) Refused() bool { return v.flags&victimRefused != 0 }
+
+// Dirty reports whether the victim was modified while cached.
+func (v Victim) Dirty() bool { return v.flags&metaDirty != 0 }
+
+// Referenced reports whether the victim was referenced by at least one
+// Lookup after being filled.
+func (v Victim) Referenced() bool { return v.flags&metaReferenced != 0 }
 
 // Cache is the contract every line store in this repository implements:
 // the set-associative cache and each secure design. All operations are

@@ -19,7 +19,7 @@ func TestMissThenFillThenHit(t *testing.T) {
 	if c.Lookup(l, false) {
 		t.Fatal("empty cache hit")
 	}
-	if v := c.Fill(l, FillOpts{}); v.Valid {
+	if v := c.Fill(l, FillOpts{}); v.Valid() {
 		t.Fatal("fill into empty cache displaced a line")
 	}
 	if !c.Lookup(l, false) {
@@ -65,7 +65,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Fill(4, FillOpts{})
 	c.Lookup(0, false)
 	v := c.Fill(8, FillOpts{})
-	if !v.Valid || v.Line != 4 {
+	if !v.Valid() || v.Line != 4 {
 		t.Fatalf("evicted %+v, want line 4", v)
 	}
 	if !c.Probe(0) || c.Probe(4) || !c.Probe(8) {
@@ -79,7 +79,7 @@ func TestFIFOEvictionIgnoresHits(t *testing.T) {
 	c.Fill(4, FillOpts{})
 	c.Lookup(0, false) // would save line 0 under LRU
 	v := c.Fill(8, FillOpts{})
-	if !v.Valid || v.Line != 0 {
+	if !v.Valid() || v.Line != 0 {
 		t.Fatalf("FIFO evicted %+v, want line 0", v)
 	}
 }
@@ -94,7 +94,7 @@ func TestRandomPolicyEvictsAllWays(t *testing.T) {
 	next := mem.Line(16)
 	for i := 0; i < 400; i++ {
 		v := c.Fill(next, FillOpts{})
-		if !v.Valid {
+		if !v.Valid() {
 			t.Fatal("full set produced no victim")
 		}
 		seen[v.Line] = true
@@ -110,7 +110,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c.Fill(0, FillOpts{Dirty: true})
 	c.Fill(4, FillOpts{})
 	v := c.Fill(8, FillOpts{}) // evicts dirty line 0 (LRU)
-	if !v.Valid || v.Line != 0 || !v.Dirty {
+	if !v.Valid() || v.Line != 0 || !v.Dirty() {
 		t.Fatalf("victim = %+v", v)
 	}
 	if c.Stats().Writebacks != 1 {
@@ -124,7 +124,7 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	c.Lookup(0, true) // write hit
 	c.Fill(4, FillOpts{})
 	v := c.Fill(8, FillOpts{})
-	if !v.Dirty {
+	if !v.Dirty() {
 		t.Error("write hit did not mark line dirty")
 	}
 }
@@ -134,7 +134,7 @@ func TestFillExistingLineDisplacesNothing(t *testing.T) {
 	c.Fill(0, FillOpts{})
 	c.Fill(4, FillOpts{})
 	v := c.Fill(0, FillOpts{Dirty: true})
-	if v.Valid || v.Refused {
+	if v.Valid() || v.Refused() {
 		t.Errorf("refresh fill displaced %+v", v)
 	}
 	if c.Stats().Fills != 2 {
@@ -178,14 +178,14 @@ func TestEvictionObserver(t *testing.T) {
 	if len(victims) != 1 {
 		t.Fatalf("observer saw %d victims, want 1", len(victims))
 	}
-	if victims[0].Line != 4 || victims[0].Referenced {
+	if victims[0].Line != 4 || victims[0].Referenced() {
 		t.Errorf("victim = %+v", victims[0])
 	}
 	c.Invalidate(0)
 	if len(victims) != 2 {
 		t.Fatalf("observer missed invalidation")
 	}
-	if victims[1].Line != 0 || !victims[1].Referenced || victims[1].Offset != 3 {
+	if victims[1].Line != 0 || !victims[1].Referenced() || victims[1].Offset != 3 {
 		t.Errorf("invalidated victim = %+v", victims[1])
 	}
 }
@@ -261,7 +261,7 @@ func TestRestrictWays(t *testing.T) {
 	c := NewSetAssoc(Geometry{SizeBytes: 4 * mem.LineSize, Ways: 4}, LRU{})
 	c.RestrictWays(nil, 0b0001)
 	c.Fill(1, FillOpts{Owner: 0})
-	if v := c.Fill(2, FillOpts{Owner: 0}); !v.Valid || v.Line != 1 {
+	if v := c.Fill(2, FillOpts{Owner: 0}); !v.Valid() || v.Line != 1 {
 		t.Errorf("second fill into a one-way mask evicted %+v, want line 1", v)
 	}
 }
@@ -279,17 +279,17 @@ func TestLockCount(t *testing.T) {
 	if c.slots.locked != 3 {
 		t.Fatalf("locked = %d, want 3", c.slots.locked)
 	}
-	if v := c.Fill(8, FillOpts{}); !v.Refused {
+	if v := c.Fill(8, FillOpts{}); !v.Refused() {
 		t.Fatalf("fill into a fully locked set returned %+v", v)
 	}
 	c.Invalidate(0)
 	if c.slots.locked != 2 {
 		t.Fatalf("locked = %d after invalidating a locked line, want 2", c.slots.locked)
 	}
-	if v := c.Fill(8, FillOpts{}); v.Valid || v.Refused {
+	if v := c.Fill(8, FillOpts{}); v.Valid() || v.Refused() {
 		t.Fatalf("fill into the invalidated way returned %+v", v)
 	}
-	if v := c.Fill(12, FillOpts{}); !v.Valid || v.Line != 8 {
+	if v := c.Fill(12, FillOpts{}); !v.Valid() || v.Line != 8 {
 		t.Fatalf("fill beside a locked line evicted %+v, want line 8", v)
 	}
 	c.Flush()
@@ -298,7 +298,7 @@ func TestLockCount(t *testing.T) {
 	}
 	c.Fill(0, FillOpts{})
 	c.Fill(4, FillOpts{})
-	if v := c.Fill(8, FillOpts{}); !v.Valid || v.Line != 0 {
+	if v := c.Fill(8, FillOpts{}); !v.Valid() || v.Line != 0 {
 		t.Fatalf("fill after Flush evicted %+v, want LRU line 0", v)
 	}
 }
@@ -327,7 +327,7 @@ func TestFillLookupAgree(t *testing.T) {
 			if !c.Probe(l) {
 				return false
 			}
-			if v.Valid && c.Probe(v.Line) {
+			if v.Valid() && c.Probe(v.Line) {
 				return false
 			}
 		}

@@ -160,12 +160,12 @@ func matchesRef(t *testing.T, c *SetAssoc, ops []op) bool {
 			lock := o.Kind/4%4 == 0
 			v := c.Fill(l, FillOpts{Dirty: o.Bit, Lock: lock})
 			rv, _, rev, rref := r.fill(l, o.Bit, lock)
-			if v.Refused != rref {
-				t.Logf("fill(%d): refusal diverged (%v vs %v)", l, v.Refused, rref)
+			if v.Refused() != rref {
+				t.Logf("fill(%d): refusal diverged (%v vs %v)", l, v.Refused(), rref)
 				return false
 			}
-			if v.Valid != rev {
-				t.Logf("fill(%d): eviction presence diverged (%v vs %v)", l, v.Valid, rev)
+			if v.Valid() != rev {
+				t.Logf("fill(%d): eviction presence diverged (%v vs %v)", l, v.Valid(), rev)
 				return false
 			}
 			if rev && v.Line != rv {
@@ -230,11 +230,11 @@ func TestSetAssocDirtyMatchesReference(t *testing.T) {
 			case 1:
 				v := c.Fill(l, FillOpts{Dirty: o.Bit})
 				rv, rdirty, rev, _ := r.fill(l, o.Bit, false)
-				if v.Valid != rev {
+				if v.Valid() != rev {
 					return false
 				}
-				if rev && (v.Line != rv || v.Dirty != rdirty) {
-					t.Logf("victim %d dirty=%v, want %d dirty=%v", v.Line, v.Dirty, rv, rdirty)
+				if rev && (v.Line != rv || v.Dirty() != rdirty) {
+					t.Logf("victim %d dirty=%v, want %d dirty=%v", v.Line, v.Dirty(), rv, rdirty)
 					return false
 				}
 			}

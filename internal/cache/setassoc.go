@@ -150,7 +150,7 @@ func (c *SetAssoc) victim(set Set, owner int) int {
 // (PLcache's locking load), and a locked line is never chosen as a victim.
 // A fill that finds neither an empty way nor an evictable one among its
 // owner's ways is refused: it installs nothing, counts FillRefused and
-// returns Victim{Refused: true}.
+// returns a Victim whose Refused reports true.
 func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 	set := c.set(l)
 	if w := c.slots.findIn(set.lo, set.n, l); w >= 0 {
@@ -164,7 +164,7 @@ func (c *SetAssoc) Fill(l mem.Line, opts FillOpts) Victim {
 			w = c.slots.Victim(set)
 		} else if w = c.victim(set, opts.Owner); w < 0 {
 			c.slots.stats.FillRefused++
-			return Victim{Refused: true}
+			return Victim{flags: victimRefused}
 		}
 		v = c.slots.Evict(set.lo + w)
 	}

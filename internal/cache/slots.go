@@ -244,9 +244,9 @@ func (s *Slots) Refresh(set Set, w int, opts FillOpts) {
 // Install puts line l into way w of set, whose slot must be empty, with
 // opts' dirty and lock bits and fill offset: it counts in Fills and is the
 // policy's fill event. A design that evicts to make room calls Evict
-// itself and returns its record: a Victim passed up through one more call
-// costs the fill path two store-forwarding stalls, since Go copies the
-// six-field struct through memory with wide moves.
+// first and returns its record; the two calls stay separate because some
+// designs do index work between them (MIRAGE's free list takes the evicted
+// slot, RPcache deflects into another set and invalidates there).
 func (s *Slots) Install(set Set, w int, l mem.Line, opts FillOpts) {
 	i := s.Slot(set, w)
 	s.stats.Fills++
@@ -331,15 +331,13 @@ func (s *Slots) writeBack(set Set, st []uint64) {
 	}
 }
 
-// record returns slot i's line as an eviction reports it.
+// record returns slot i's line as an eviction reports it: the meta byte's
+// dirty and referenced bits are the Victim's, under one mask.
 func (s *Slots) record(i int) Victim {
-	m := s.meta[i]
 	return Victim{
-		Valid:      true,
-		Line:       s.tags[i],
-		Dirty:      m&metaDirty != 0,
-		Referenced: m&metaReferenced != 0,
-		Offset:     s.offsets[i],
+		Line:   s.tags[i],
+		Offset: s.offsets[i],
+		flags:  s.meta[i]&(metaDirty|metaReferenced) | victimValid,
 	}
 }
 
@@ -350,7 +348,7 @@ func (s *Slots) record(i int) Victim {
 func (s *Slots) Evict(i int) Victim {
 	v := s.record(i)
 	s.stats.Evictions++
-	if v.Dirty {
+	if v.Dirty() {
 		s.stats.Writebacks++
 	}
 	if s.meta[i]&metaLocked != 0 {

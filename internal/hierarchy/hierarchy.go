@@ -199,7 +199,7 @@ func (h *Hierarchy) Fill(k int, line mem.Line, opts cache.FillOpts) {
 // Clean victims simply vanish; dirty victims of the last level are written
 // to memory. Iterative, because each fill can displace at most one victim.
 func (h *Hierarchy) writeback(k int, v cache.Victim) {
-	for v.Valid && v.Dirty {
+	for v.Valid() && v.Dirty() {
 		if k >= len(h.levels) {
 			h.memWritebacks++
 			return

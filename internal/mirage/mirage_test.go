@@ -21,7 +21,7 @@ func TestBasicOperations(t *testing.T) {
 	if c.Lookup(5, false) {
 		t.Fatal("cold lookup hit")
 	}
-	if v := c.Fill(5, cache.FillOpts{Dirty: true}); v.Valid {
+	if v := c.Fill(5, cache.FillOpts{Dirty: true}); v.Valid() {
 		t.Fatalf("fill into empty cache displaced %+v", v)
 	}
 	if !c.Probe(5) || !c.Lookup(5, false) {
@@ -30,7 +30,7 @@ func TestBasicOperations(t *testing.T) {
 	if c.Occupancy() != 1 {
 		t.Fatalf("occupancy = %d, want 1", c.Occupancy())
 	}
-	if v := c.Fill(5, cache.FillOpts{}); v.Valid {
+	if v := c.Fill(5, cache.FillOpts{}); v.Valid() {
 		t.Fatal("refresh displaced a line")
 	}
 	if !c.Invalidate(5) || c.Probe(5) || c.Occupancy() != 0 {
@@ -49,7 +49,7 @@ func TestFullAssociativity(t *testing.T) {
 	c := small(2)
 	// 16 lines all congruent mod anything: addresses 0, 1<<20, 2<<20, ...
 	for i := 0; i < 16; i++ {
-		if v := c.Fill(mem.Line(i)<<20, cache.FillOpts{}); v.Valid {
+		if v := c.Fill(mem.Line(i)<<20, cache.FillOpts{}); v.Valid() {
 			t.Fatalf("fill %d evicted %+v below capacity", i, v)
 		}
 	}
@@ -76,7 +76,7 @@ func TestGlobalRandomEviction(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		v := c.Fill(next, cache.FillOpts{})
 		next++
-		if !v.Valid {
+		if !v.Valid() {
 			t.Fatalf("fill %d into a full store displaced nothing", i)
 		}
 		victims[v.Line] = true
@@ -132,12 +132,12 @@ func FuzzMirageEvict(f *testing.F) {
 			full := c.Occupancy() == c.NumLines()
 			v := c.Fill(l, cache.FillOpts{Dirty: b&0x40 != 0})
 			switch {
-			case present && v.Valid:
+			case present && v.Valid():
 				t.Fatalf("op %d: refresh of %d evicted %+v", i, l, v)
-			case !present && full && !v.Valid:
+			case !present && full && !v.Valid():
 				t.Fatalf("op %d: fill of %d into a full store evicted nothing", i, l)
 			}
-			if v.Valid {
+			if v.Valid() {
 				if v.Line == l {
 					t.Fatalf("op %d: evicted the just-filled line %d", i, l)
 				}

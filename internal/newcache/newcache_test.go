@@ -51,7 +51,7 @@ func TestTagConflictReplacesMappedLine(t *testing.T) {
 	c := nc()
 	c.Fill(5, cache.FillOpts{})
 	v := c.Fill(5+32, cache.FillOpts{})
-	if !v.Valid || v.Line != 5 {
+	if !v.Valid() || v.Line != 5 {
 		t.Fatalf("tag conflict victim %+v, want line 5", v)
 	}
 	if c.Probe(5) || !c.Probe(5+32) {
@@ -67,7 +67,7 @@ func TestIndexMissUsesRandomVictim(t *testing.T) {
 	victims := make(map[mem.Line]bool)
 	for i := 0; i < 200; i++ {
 		v := c.Fill(mem.Line(i), cache.FillOpts{})
-		if v.Valid {
+		if v.Valid() {
 			victims[v.Line] = true
 		}
 	}
@@ -92,7 +92,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 func TestFillRefreshDisplacesNothing(t *testing.T) {
 	c := nc()
 	c.Fill(3, cache.FillOpts{})
-	if v := c.Fill(3, cache.FillOpts{Dirty: true}); v.Valid {
+	if v := c.Fill(3, cache.FillOpts{Dirty: true}); v.Valid() {
 		t.Errorf("refresh displaced %+v", v)
 	}
 }
@@ -120,7 +120,7 @@ func TestEvictionObserverAndWriteback(t *testing.T) {
 	c.Fill(5, cache.FillOpts{Dirty: true})
 	c.Lookup(5, false)
 	c.Fill(5+32, cache.FillOpts{}) // deterministic tag conflict
-	if len(victims) != 1 || victims[0].Line != 5 || !victims[0].Dirty || !victims[0].Referenced {
+	if len(victims) != 1 || victims[0].Line != 5 || !victims[0].Dirty() || !victims[0].Referenced() {
 		t.Errorf("victims = %+v", victims)
 	}
 	if c.Stats().Writebacks != 1 {

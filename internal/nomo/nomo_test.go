@@ -101,7 +101,7 @@ func TestFullReservationRefusal(t *testing.T) {
 	// thread has no shared pool and its fills are refused.
 	c := NewWithPolicy(cache.Geometry{SizeBytes: 1024, Ways: 4}, 2, 2, nil)
 	v := c.Fill(0, cache.FillOpts{Owner: 5})
-	if !v.Refused {
+	if !v.Refused() {
 		t.Fatalf("fill by shared-only thread returned %+v, want refusal", v)
 	}
 	if c.Stats().FillRefused != 1 {

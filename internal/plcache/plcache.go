@@ -46,7 +46,7 @@ func NewWithPolicy(geom cache.Geometry, pol cache.Policy) *cache.SetAssoc {
 func Preload(c cache.Cache, owner int, regions ...mem.Region) (unlockable int) {
 	for _, r := range regions {
 		for _, l := range r.Lines() {
-			if c.Fill(l, cache.FillOpts{Lock: true, Owner: owner}).Refused {
+			if c.Fill(l, cache.FillOpts{Lock: true, Owner: owner}).Refused() {
 				unlockable++
 			}
 		}

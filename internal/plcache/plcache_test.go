@@ -52,7 +52,7 @@ func TestAllWaysLockedRefusesFill(t *testing.T) {
 	c.Fill(0, cache.FillOpts{Lock: true, Owner: 1})
 	c.Fill(4, cache.FillOpts{Lock: true, Owner: 1})
 	v := c.Fill(8, cache.FillOpts{})
-	if !v.Refused {
+	if !v.Refused() {
 		t.Fatalf("fill into fully locked set returned %+v, want refusal", v)
 	}
 	if c.Probe(8) {
@@ -71,7 +71,7 @@ func TestLRUAmongUnlocked(t *testing.T) {
 	c.Fill(12, cache.FillOpts{})
 	c.Lookup(4, false) // 8 becomes LRU among unlocked
 	v := c.Fill(16, cache.FillOpts{})
-	if !v.Valid || v.Line != 8 {
+	if !v.Valid() || v.Line != 8 {
 		t.Fatalf("victim %+v, want line 8", v)
 	}
 }
@@ -154,7 +154,7 @@ func TestDemandFillStillWorksAroundLocks(t *testing.T) {
 	c.Fill(0, cache.FillOpts{Lock: true, Owner: 1})
 	c.Fill(4, cache.FillOpts{})
 	v := c.Fill(8, cache.FillOpts{})
-	if !v.Valid || v.Line != 4 {
+	if !v.Valid() || v.Line != 4 {
 		t.Fatalf("victim %+v, want 4", v)
 	}
 	if !c.Probe(0) || !c.Probe(8) {

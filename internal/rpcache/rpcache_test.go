@@ -34,7 +34,7 @@ func TestSameDomainEvictionIsPlainLRU(t *testing.T) {
 	c.Fill(16, cache.FillOpts{}) // same logical set (16 sets)
 	c.Lookup(0, false)
 	v := c.Fill(32, cache.FillOpts{})
-	if !v.Valid || v.Line != 16 {
+	if !v.Valid() || v.Line != 16 {
 		t.Fatalf("victim %+v, want line 16", v)
 	}
 	if !c.Probe(0) || !c.Probe(32) {

@@ -21,7 +21,7 @@ func TestBasicOperations(t *testing.T) {
 	if c.Lookup(5, false) {
 		t.Fatal("cold lookup hit")
 	}
-	if v := c.Fill(5, cache.FillOpts{}); v.Valid {
+	if v := c.Fill(5, cache.FillOpts{}); v.Valid() {
 		t.Fatalf("fill into empty cache displaced %+v", v)
 	}
 	if !c.Probe(5) || !c.Lookup(5, true) {
@@ -31,7 +31,7 @@ func TestBasicOperations(t *testing.T) {
 		t.Fatalf("occupancy = %d, want 1", c.Occupancy())
 	}
 	// Refreshing a present line displaces nothing and keeps one copy.
-	if v := c.Fill(5, cache.FillOpts{}); v.Valid {
+	if v := c.Fill(5, cache.FillOpts{}); v.Valid() {
 		t.Fatal("refresh displaced a line")
 	}
 	if c.Occupancy() != 1 {
@@ -113,7 +113,7 @@ func TestEvictionOnConflict(t *testing.T) {
 	c := small(5)
 	evicted := 0
 	c.SetEvictionObserver(func(v cache.Victim) {
-		if !v.Valid {
+		if !v.Valid() {
 			t.Fatal("observer got an invalid victim")
 		}
 		evicted++

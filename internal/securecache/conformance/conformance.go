@@ -162,7 +162,7 @@ func RunConformance(t *testing.T, f Factory) {
 			t.Fatalf("%d eviction callbacks for %d counted evictions", got, want)
 		}
 		for i, v := range observed {
-			if !v.Valid {
+			if !v.Valid() {
 				t.Fatalf("callback %d delivered an invalid victim: %+v", i, v)
 			}
 		}

@@ -30,7 +30,7 @@ func opsDigest(d securecache.Design, pol string) string {
 	c := d.New(cfg, rng.New(factorySeed))
 	h := sha256.New()
 	c.SetEvictionObserver(func(v cache.Victim) {
-		fmt.Fprintf(h, "v %t %t %d %t %t %d\n", v.Valid, v.Refused, v.Line, v.Dirty, v.Referenced, v.Offset)
+		fmt.Fprintf(h, "v %t %t %d %t %t %d\n", v.Valid(), v.Refused(), v.Line, v.Dirty(), v.Referenced(), v.Offset)
 	})
 	run := func() {
 		trace, _ := drive(c, driveOps)

@@ -107,7 +107,7 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 		cfg:      tc,
 		engine:   nil,
 		mshr:     make([]mshrEntry, m.cfg.MissQueue),
-		earliest: math.Inf(1),
+		earliest: math.MaxInt64,
 	}
 	t.engine = core.NewEngine(m.L1(), m.root.Split(uint64(100+len(m.threads))))
 	t.engine.SetOwner(tc.Owner)
@@ -123,7 +123,7 @@ func (m *Machine) NewThread(tc ThreadConfig) *Thread {
 			for _, l := range r.Lines() {
 				// Preload traffic goes through the L2 like any
 				// other fill and costs the thread time up front.
-				t.cycle += float64(m.fetchBelow(l, false))
+				t.cycle += ticks(m.fetchBelow(l, false))
 				m.L1().Fill(l, cache.FillOpts{Lock: true, Owner: tc.Owner})
 			}
 		}
@@ -164,11 +164,11 @@ func (m *Machine) RunTraceSteady(tc ThreadConfig, ct *trace.Compiled) Result {
 func (m *Machine) smtPass(main, bg *Thread, mainCT, bgCT *trace.Compiled, bi int) int {
 	sa := main.hitProbe() // the threads share the L1
 	for mi := 0; mi < mainCT.Len(); {
-		bound := math.Inf(1)
+		bound := int64(math.MaxInt64)
 		if bgCT.Len() > 0 {
-			// bg.cycle <= main.cycle, as a strict bound: no float lies
-			// strictly between main.cycle and its successor.
-			bgBound := math.Nextafter(main.cycle, math.Inf(1))
+			// bg.cycle <= main.cycle, as a strict bound on the integer
+			// clock.
+			bgBound := main.cycle + 1
 			for {
 				if bi = bg.replay(bgCT, bi, bgBound, sa); bi < bgCT.Len() {
 					break

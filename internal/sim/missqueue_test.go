@@ -13,20 +13,20 @@ import (
 
 // checkMissQueue fails unless the thread's miss-queue bookkeeping matches a
 // recount of its entries: inflight valid entries, earliest the smallest
-// done among them (+Inf when none), background those that are background
-// fills. It returns the recounted background entries.
+// done among them (math.MaxInt64 when none), background those that are
+// background fills. It returns the recounted background entries.
 func checkMissQueue(t *testing.T, th *Thread, where string) int {
 	t.Helper()
-	n, bg, earliest := 0, 0, math.Inf(1)
+	n, bg, earliest := 0, 0, int64(math.MaxInt64)
 	for _, e := range th.mshr {
-		if !e.valid {
+		if !e.valid() {
 			continue
 		}
 		n++
-		if e.background {
+		if e.flags&mshrBackground != 0 {
 			bg++
 		}
-		earliest = math.Min(earliest, e.done)
+		earliest = min(earliest, e.done)
 	}
 	if th.inflight != n || th.background != bg || th.earliest != earliest {
 		t.Fatalf("%s: inflight %d, background %d, earliest %v; recount gives %d, %d, %v",

@@ -9,21 +9,48 @@ import (
 	"randfill/internal/trace"
 )
 
+// ticksPerCycle is the clock's resolution: a thread counts time in
+// quarter-cycle ticks. Every simulated time is a whole number of ticks —
+// issuing an instruction costs 1/IssueWidth cycles, latencies are whole
+// cycles and the informing-load handler halves them — so the integer clock
+// is exact, and ticks become cycles only in Cycle and Result.
+const ticksPerCycle = 4
+
+// The tick scale must be a multiple of IssueWidth and of 2, or the clock
+// would round; a negative constant does not convert to uint, so this line
+// fails to compile otherwise.
+const _ uint = -(ticksPerCycle%IssueWidth + ticksPerCycle%2)
+
+// ticks converts a latency in cycles to clock ticks.
+func ticks(cycles uint64) int64 { return int64(cycles) * ticksPerCycle }
+
+// cycles converts a tick count to cycles; the conversion is exact.
+func cycles(t int64) float64 { return float64(t) / ticksPerCycle }
+
 // mshrEntry is one miss-queue slot: an outstanding request to the L2/DRAM.
+// It is four fields and 24 bytes, so issue receives it in registers.
 type mshrEntry struct {
-	valid bool
-	line  mem.Line
-	done  float64
-	// fillL1 applies the line to the L1 on completion (normal demand
-	// fill, random fill, prefetch). NoFill demand entries have it false.
-	fillL1 bool
-	// background marks random-fill/prefetch entries, which produce no
-	// data for the processor: dependent accesses do not wait on them.
-	background bool
-	dirty      bool
-	offset     int8
-	prefetch   bool
+	line   mem.Line
+	done   int64 // completion time, in ticks
+	offset int8
+	flags  uint8
 }
+
+// mshrEntry flags.
+const (
+	mshrValid uint8 = 1 << iota
+	// mshrFillL1 applies the line to the L1 on completion (normal demand
+	// fill, random fill, prefetch). NoFill demand entries have it clear.
+	mshrFillL1
+	// mshrBackground marks random-fill/prefetch entries, which produce no
+	// data for the processor: dependent accesses do not wait on them.
+	mshrBackground
+	mshrDirty
+	mshrPrefetch
+)
+
+// valid reports whether the entry is outstanding.
+func (e *mshrEntry) valid() bool { return e.flags&mshrValid != 0 }
 
 // Result summarizes a thread's execution.
 type Result struct {
@@ -105,18 +132,23 @@ type Thread struct {
 	// selects its trust domain before every access (part of switching
 	// the hardware thread context).
 	domainL1 cache.DomainAware
-	cycle    float64
+	// cycle is the thread's clock, in ticks (ticksPerCycle to a cycle).
+	cycle int64
 	// dataReady is when the most recent demand read's data becomes
 	// available; a Dependent access cannot issue before it.
-	dataReady float64
-	mshr      []mshrEntry
+	dataReady int64
+	// stall sums the ticks spent waiting for a free miss-queue entry or
+	// for dependence resolution (Result.StallCycles).
+	stall int64
+	mshr  []mshrEntry
 	// inflight counts valid miss-queue entries, earliest is the smallest
-	// done among them (+Inf when none) and background counts those that
-	// are background fills. issue maintains all three on insert and retire
-	// on removal, so the per-access retire returns at once while nothing is
-	// due and serviceFills reads the reservation count without a rescan.
+	// done among them (math.MaxInt64 when none) and background counts
+	// those that are background fills. issue maintains all three on insert
+	// and retire on removal, so the per-access retire returns at once while
+	// nothing is due and serviceFills reads the reservation count without a
+	// rescan.
 	inflight   int
-	earliest   float64
+	earliest   int64
 	background int
 	// fillQueue holds random-fill/prefetch requests waiting for a free
 	// miss-queue slot (the "random fill queue" of Figure 3, which waits
@@ -137,12 +169,14 @@ func (t *Thread) fillPending() int { return len(t.fillQueue) - t.fillHead }
 func (t *Thread) Engine() *core.Engine { return t.engine }
 
 // Cycle returns the thread's current cycle.
-func (t *Thread) Cycle() float64 { return t.cycle }
+func (t *Thread) Cycle() float64 { return cycles(t.cycle) }
 
-// Result returns the thread's statistics with the clock snapshot.
+// Result returns the thread's statistics with the clock and stall
+// snapshots.
 func (t *Thread) Result() Result {
 	r := t.res
-	r.Cycles = t.cycle
+	r.Cycles = cycles(t.cycle)
+	r.StallCycles = cycles(t.stall)
 	return r
 }
 
@@ -154,21 +188,21 @@ func (t *Thread) issue(slot int, e mshrEntry) {
 	if e.done < t.earliest {
 		t.earliest = e.done
 	}
-	if e.background {
+	if e.flags&mshrBackground != 0 {
 		t.background++
 	}
 }
 
 // retire completes every miss-queue entry finished by time now, applying
 // its L1 fill. It returns at once while no entry is due (now < earliest).
-func (t *Thread) retire(now float64) {
+func (t *Thread) retire(now int64) {
 	if now < t.earliest {
 		return
 	}
-	t.earliest = math.Inf(1)
+	t.earliest = math.MaxInt64
 	for i := range t.mshr {
 		e := &t.mshr[i]
-		if !e.valid {
+		if !e.valid() {
 			continue
 		}
 		if e.done > now {
@@ -177,26 +211,26 @@ func (t *Thread) retire(now float64) {
 			}
 			continue
 		}
-		if e.fillL1 {
+		if e.flags&mshrFillL1 != 0 {
 			t.machine.fillL1(e.line, cache.FillOpts{
-				Dirty:  e.dirty,
+				Dirty:  e.flags&mshrDirty != 0,
 				Owner:  t.cfg.Owner,
 				Offset: e.offset,
 			})
-			if e.background {
-				if e.prefetch {
+			if e.flags&mshrBackground != 0 {
+				if e.flags&mshrPrefetch != 0 {
 					t.res.Prefetches++
 				} else {
 					t.res.RandomFills++
 				}
 			}
 			if p := t.machine.Prefetcher; p != nil {
-				p.OnFill(e.line, e.prefetch)
+				p.OnFill(e.line, e.flags&mshrPrefetch != 0)
 			}
 		}
-		e.valid = false
+		e.flags &^= mshrValid
 		t.inflight--
-		if e.background {
+		if e.flags&mshrBackground != 0 {
 			t.background--
 		}
 	}
@@ -208,7 +242,7 @@ func (t *Thread) retire(now float64) {
 // exactly the previous load, not the whole miss queue.
 func (t *Thread) waitData() {
 	if t.dataReady > t.cycle {
-		t.res.StallCycles += t.dataReady - t.cycle
+		t.stall += t.dataReady - t.cycle
 		t.cycle = t.dataReady
 	}
 	t.retire(t.cycle)
@@ -224,13 +258,11 @@ func (t *Thread) waitData() {
 func (t *Thread) freeSlot() int {
 	for {
 		t.serviceFills()
-		for i := range t.mshr {
-			if !t.mshr[i].valid {
-				return i
-			}
+		if i := t.trySlot(); i >= 0 {
+			return i
 		}
 		// Queue full: wait for the earliest completion.
-		t.res.StallCycles += t.earliest - t.cycle
+		t.stall += t.earliest - t.cycle
 		t.cycle = t.earliest
 		t.retire(t.cycle)
 	}
@@ -238,8 +270,11 @@ func (t *Thread) freeSlot() int {
 
 // trySlot returns a free slot without stalling, or -1.
 func (t *Thread) trySlot() int {
+	if t.inflight == len(t.mshr) {
+		return -1
+	}
 	for i := range t.mshr {
-		if !t.mshr[i].valid {
+		if !t.mshr[i].valid() {
 			return i
 		}
 	}
@@ -253,7 +288,7 @@ func (t *Thread) pending(line mem.Line) int {
 		return -1
 	}
 	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].line == line {
+		if t.mshr[i].valid() && t.mshr[i].line == line {
 			return i
 		}
 	}
@@ -293,16 +328,12 @@ func (t *Thread) serviceFills() {
 		if t.pending(r.Line) >= 0 {
 			continue
 		}
+		flags := mshrValid | mshrFillL1 | mshrBackground
+		if r.Type == prefetchRequest {
+			flags |= mshrPrefetch
+		}
 		lat := t.machine.fetchBelow(r.Line, false)
-		t.issue(slot, mshrEntry{
-			valid:      true,
-			line:       r.Line,
-			done:       t.cycle + float64(lat),
-			fillL1:     true,
-			background: true,
-			offset:     r.Offset,
-			prefetch:   r.Type == prefetchRequest,
-		})
+		t.issue(slot, mshrEntry{line: r.Line, done: t.cycle + ticks(lat), offset: r.Offset, flags: flags})
 	}
 	// Drained: rewind the ring so the backing array is reused.
 	t.fillQueue = t.fillQueue[:0]
@@ -336,7 +367,7 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 		t.domainL1.SetActiveDomain(t.cfg.Owner)
 	}
 	t.res.Instructions += instr
-	t.cycle += float64(instr) / IssueWidth
+	t.cycle += int64(instr) * (ticksPerCycle / IssueWidth)
 	if t.cycle >= t.earliest {
 		t.retire(t.cycle)
 	}
@@ -355,7 +386,7 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 	}
 	t.res.Hits++
 	if !write {
-		t.dataReady = t.cycle + L1HitLat
+		t.dataReady = t.cycle + L1HitLat*ticksPerCycle
 	}
 	if t.fillPending() != 0 {
 		t.serviceFills()
@@ -384,14 +415,10 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 		// miss-queue entry (it is a demand fetch).
 		t.res.SecretBypass++
 		slot := t.freeSlot()
-		lat := t.machine.fetchBelow(line, write)
-		t.issue(slot, mshrEntry{
-			valid: true,
-			line:  line,
-			done:  t.cycle + float64(lat),
-		})
+		done := t.cycle + ticks(t.machine.fetchBelow(line, write))
+		t.issue(slot, mshrEntry{line: line, done: done, flags: mshrValid})
 		if !write {
-			t.dataReady = t.mshr[slot].done
+			t.dataReady = done
 		}
 		t.serviceFills()
 		return
@@ -400,7 +427,7 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 	if t.engine.Cache().Lookup(line, write) {
 		t.res.Hits++
 		if !write {
-			t.dataReady = t.cycle + L1HitLat
+			t.dataReady = t.cycle + L1HitLat*ticksPerCycle
 		}
 		if p := t.machine.Prefetcher; p != nil {
 			for _, pl := range p.OnHit(line) {
@@ -434,7 +461,7 @@ func (t *Thread) miss(line mem.Line, write, secret bool) {
 		// which reloads the whole security-critical data set before
 		// execution resumes. The trap overhead plus the reload misses
 		// are fully exposed (the handler runs in program order).
-		t.cycle += informingTrapCycles
+		t.cycle += informingTrapCycles * ticksPerCycle
 		for _, reg := range t.cfg.SecretRegions {
 			for _, l := range reg.Lines() {
 				if t.engine.Cache().Probe(l) {
@@ -442,7 +469,7 @@ func (t *Thread) miss(line mem.Line, write, secret bool) {
 				}
 				lat := t.machine.fetchBelow(l, false)
 				// Handler loads overlap pairwise at best.
-				t.cycle += float64(lat) / 2
+				t.cycle += ticks(lat) / 2
 				t.machine.fillL1(l, cache.FillOpts{Owner: t.cfg.Owner})
 			}
 		}
@@ -457,17 +484,18 @@ func (t *Thread) miss(line mem.Line, write, secret bool) {
 		r := reqs.At(k)
 		switch r.Type {
 		case core.Normal, core.NoFill:
+			flags := mshrValid
+			if r.Type == core.Normal {
+				flags |= mshrFillL1
+			}
+			if write {
+				flags |= mshrDirty
+			}
 			slot := t.freeSlot()
-			lat := t.machine.fetchBelow(line, write)
-			t.issue(slot, mshrEntry{
-				valid:  true,
-				line:   line,
-				done:   t.cycle + float64(lat),
-				fillL1: r.Type == core.Normal,
-				dirty:  write,
-			})
+			done := t.cycle + ticks(t.machine.fetchBelow(line, write))
+			t.issue(slot, mshrEntry{line: line, done: done, flags: flags})
 			if !write {
-				t.dataReady = t.mshr[slot].done
+				t.dataReady = done
 			}
 		case core.RandomFill:
 			t.enqueueFill(r)
@@ -489,13 +517,13 @@ func (t *Thread) miss(line mem.Line, write, secret bool) {
 // L1 answers hits through its devirtualized probe (see step). Every L1 design
 // replays the words; escape records decode through Compiled.At.
 func (t *Thread) ReplayBatch(ct *trace.Compiled) {
-	t.replay(ct, 0, math.Inf(1), t.hitProbe())
+	t.replay(ct, 0, math.MaxInt64, t.hitProbe())
 }
 
 // replay runs ct's words from index i through the per-access body until the
 // end of the trace or until the thread's clock reaches bound, and returns
-// the index of the next word to run.
-func (t *Thread) replay(ct *trace.Compiled, i int, bound float64, sa *cache.SetAssoc) int {
+// the index of the next word to run. bound is in ticks.
+func (t *Thread) replay(ct *trace.Compiled, i int, bound int64, sa *cache.SetAssoc) int {
 	words := ct.Words()
 	for ; i < len(words) && t.cycle < bound; i++ {
 		if w := words[i]; trace.IsEscape(w) {
@@ -525,7 +553,7 @@ func (t *Thread) RunCompiled(ct *trace.Compiled) Result {
 func (t *Thread) Drain() {
 	maxDone := t.cycle
 	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].done > maxDone {
+		if t.mshr[i].valid() && t.mshr[i].done > maxDone {
 			maxDone = t.mshr[i].done
 		}
 	}
@@ -536,7 +564,7 @@ func (t *Thread) Drain() {
 	// that stay queued: Drain can return with fillPending() > 0.
 	t.serviceFills()
 	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].done > t.cycle {
+		if t.mshr[i].valid() && t.mshr[i].done > t.cycle {
 			t.cycle = t.mshr[i].done
 		}
 	}

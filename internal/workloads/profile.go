@@ -40,7 +40,7 @@ func SpatialProfile(trace mem.Trace, geom cache.Geometry, maxD int, seed uint64)
 	c.SetEvictionObserver(func(v cache.Victim) {
 		d := int(v.Offset)
 		p.Fetched[d]++
-		if v.Referenced {
+		if v.Referenced() {
 			p.Referenced[d]++
 		}
 	})

@@ -386,7 +386,7 @@ func (t *Thread) step(instr uint64, line mem.Line, write, dependent, secret bool
 	}
 	t.res.Hits++
 	if !write {
-		t.dataReady = t.cycle + L1HitLat*ticksPerCycle
+		t.dataReady = t.cycle + ticks(L1HitLat)
 	}
 	if t.fillPending() != 0 {
 		t.serviceFills()
@@ -427,7 +427,7 @@ func (t *Thread) access(line mem.Line, write, secret bool) {
 	if t.engine.Cache().Lookup(line, write) {
 		t.res.Hits++
 		if !write {
-			t.dataReady = t.cycle + L1HitLat*ticksPerCycle
+			t.dataReady = t.cycle + ticks(L1HitLat)
 		}
 		if p := t.machine.Prefetcher; p != nil {
 			for _, pl := range p.OnHit(line) {
@@ -461,7 +461,7 @@ func (t *Thread) miss(line mem.Line, write, secret bool) {
 		// which reloads the whole security-critical data set before
 		// execution resumes. The trap overhead plus the reload misses
 		// are fully exposed (the handler runs in program order).
-		t.cycle += informingTrapCycles * ticksPerCycle
+		t.cycle += ticks(informingTrapCycles)
 		for _, reg := range t.cfg.SecretRegions {
 			for _, l := range reg.Lines() {
 				if t.engine.Cache().Probe(l) {

@@ -525,9 +525,9 @@ func emit(rep Report, path string) error {
 // compareBaseline prints a benchstat-style delta table of rep against the
 // baseline file — median ns/op and allocs/op side by side, with a geomean
 // speedup over the kernels both runs measured — and reports whether every
-// kernel's median is within the ns/op regression threshold. Kernels present on only one side are
-// reported but never fail the gate (adding a kernel must not require
-// regenerating history first). It prints both hosts and says when they
+// kernel's median is within the ns/op regression threshold. Kernels present
+// on only one side are reported but never fail the gate (adding a kernel
+// must not require regenerating history first). It prints both hosts and says when they
 // differ, but gates either way: CI compares a hosted runner against a
 // baseline recorded on another machine.
 func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error) {

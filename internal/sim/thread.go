@@ -22,7 +22,7 @@ const ticksPerCycle = 4
 const _ uint = -(ticksPerCycle%IssueWidth + ticksPerCycle%2)
 
 // ticks converts a latency in cycles to clock ticks.
-func ticks(cycles uint64) int64 { return int64(cycles) * ticksPerCycle }
+func ticks(lat uint64) int64 { return int64(lat) * ticksPerCycle }
 
 // cycles converts a tick count to cycles; the conversion is exact.
 func cycles(t int64) float64 { return float64(t) / ticksPerCycle }

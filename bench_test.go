@@ -1,24 +1,17 @@
-// Package randfill's top-level benchmarks regenerate the experiments that
-// no other benchmark surface times, at a trimmed QuickScale, plus
-// micro-benchmarks of the substrates. Table III and Figures 8 and 10 are
-// timed end to end by the _perfbench workloads (security, spec) and the
-// collision and SMT loops by cmd/rfbench's kernels, so they have no
-// benchmark here; BenchmarkTable3CellWorkers stays as the record of how one
-// Table III cell scales with workers. Run with:
+// Package randfill's top-level benchmarks are micro-benchmarks of the
+// substrates plus BenchmarkTable3CellWorkers, the record of how one Table
+// III cell scales with workers (make profile runs it). Whole experiments
+// are timed elsewhere: cmd/experiments prints each one's wall time, the
+// _perfbench workloads time Table III and Figures 8 and 10 end to end, and
+// cmd/rfbench's kernels time the collision and SMT loops. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// Most experiment benchmarks report the headline measured value of their
-// experiment as a custom metric so `go test -bench` output doubles as a
-// compact reproduction record; cmd/experiments prints the full tables.
 package randfill_test
 
 import (
 	"bytes"
-	"context"
 	"math/big"
 	"strconv"
-	"strings"
 	"testing"
 
 	"randfill/internal/aes"
@@ -37,42 +30,6 @@ import (
 	"randfill/internal/traceio"
 	"randfill/internal/workloads"
 )
-
-// benchScale trims the quick scale a little further so the full -bench=.
-// sweep stays in the minutes range.
-func benchScale() experiments.Scale {
-	sc := experiments.QuickScale()
-	sc.Figure2Samples = 1 << 13
-	sc.AttackMaxSamples = 1 << 13
-	sc.AttackBatch = 1 << 12
-	sc.MonteCarloTrials = 10000
-	sc.SpecAccesses = 100000
-	return sc
-}
-
-func pctCell(b *testing.B, cell string) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-	if err != nil {
-		b.Fatalf("bad cell %q", cell)
-	}
-	return v
-}
-
-// BenchmarkFigure2 regenerates the final-round collision attack timing
-// characteristic chart.
-func BenchmarkFigure2(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Figure2Ctx(context.Background(), sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
 
 // BenchmarkTable3CellWorkers measures one full-scale-representative Table 3
 // cell (the window-2 SA cell: Monte Carlo P1-P2 plus the sharded
@@ -93,81 +50,6 @@ func BenchmarkTable3CellWorkers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFigure5 regenerates the channel-capacity chart.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure5()
-		// M=16 at window 2M (paper: >10x reduction).
-		v, _ := strconv.ParseFloat(tb.Rows[3][2], 64)
-		b.ReportMetric(v, "normcap/M16-w2M")
-	}
-}
-
-// BenchmarkFigure6 regenerates the AES-CBC defense comparison.
-func BenchmarkFigure6(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure6(sc)
-		// Random fill on 32KB 4-way (paper: ~100%).
-		b.ReportMetric(pctCell(b, tb.Rows[8][4]), "rf-ipc-%/32KB-4way")
-		// Disable cache (paper: ~55%).
-		b.ReportMetric(pctCell(b, tb.Rows[8][3]), "disable-ipc-%")
-	}
-}
-
-// BenchmarkFigure7 regenerates the window-size sensitivity sweep.
-func BenchmarkFigure7(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure7(sc)
-		// 8KB Newcache at window 32 (paper: max degradation, -9%).
-		b.ReportMetric(pctCell(b, tb.Rows[5][3]), "ipc-%/8KB-newcache-w32")
-	}
-}
-
-// BenchmarkFigure9 regenerates the spatial-locality profiles.
-func BenchmarkFigure9(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure9(sc)
-		if len(tb.Rows) != 8 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-// BenchmarkTraffic regenerates the L2/memory traffic comparison.
-func BenchmarkTraffic(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := experiments.Traffic(sc); len(tb.Rows) != 2 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-// BenchmarkPrefetcherComparison regenerates the Section VII tagged-
-// prefetcher-vs-random-fill comparison.
-func BenchmarkPrefetcherComparison(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.PrefetchComparison(sc)
-		b.ReportMetric(pctCell(b, tb.Rows[1][3]), "libquantum-rf-%")
-		b.ReportMetric(pctCell(b, tb.Rows[1][2]), "libquantum-tagged-%")
-	}
-}
-
-// BenchmarkDefenseMatrix regenerates the Section VIII defense-vs-attack
-// comparison matrix.
-func BenchmarkDefenseMatrix(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := experiments.DefenseMatrix(sc); len(tb.Rows) != 7 {
-			b.Fatal("bad table")
-		}
 	}
 }
 
@@ -271,55 +153,6 @@ func BenchmarkMonteCarloP1P2(b *testing.B) {
 			Seed:   uint64(i + 1),
 		})
 		b.ReportMetric(res.Diff(), "P1-P2")
-	}
-}
-
-// BenchmarkConstantTime regenerates the constant-time defense comparison.
-func BenchmarkConstantTime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.ConstantTime(sc)
-		b.ReportMetric(pctCell(b, tb.Rows[1][1]), "informing-ipc-%")
-		b.ReportMetric(pctCell(b, tb.Rows[3][1]), "randomfill-ipc-%")
-	}
-}
-
-// BenchmarkAdaptiveWindow regenerates the phase-adaptive window experiment
-// (the paper's Section VII future work, implemented).
-func BenchmarkAdaptiveWindow(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb := experiments.AdaptiveWindow(sc)
-		b.ReportMetric(pctCell(b, tb.Rows[3][2]), "adaptive-vs-best-static-%")
-	}
-}
-
-// BenchmarkEquation4 regenerates the analytical-vs-simulated timing model
-// validation.
-func BenchmarkEquation4(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := experiments.Equation4(sc); len(tb.Rows) != 6 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-// BenchmarkAblations regenerates the five design-choice ablations.
-func BenchmarkAblations(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		for _, run := range []func(experiments.Scale) *experiments.Table{
-			experiments.AblationWindowShape,
-			experiments.AblationFillQueue,
-			experiments.AblationMissQueue,
-			experiments.AblationDropOnHit,
-			experiments.AblationL2RandomFill,
-		} {
-			if tb := run(sc); len(tb.Rows) == 0 {
-				b.Fatal("empty ablation table")
-			}
-		}
 	}
 }
 

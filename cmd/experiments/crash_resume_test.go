@@ -149,43 +149,49 @@ func copyDir(t *testing.T, src string) string {
 }
 
 // TestCrashResumeKillAndResume is the headline acceptance test: kill a real
-// run after 3 of Figure2's 8 shard checkpoints, then resume at workers 1,
-// 2, and 8 — every resumed stdout must equal the uninterrupted run's bytes.
+// run after 3 of its 8 unit checkpoints, then resume at workers 1, 2, and 8
+// — every resumed stdout must equal the uninterrupted run's bytes. Figure2's
+// units are attack shards; Figure10's are benchmark window sweeps, each
+// resetting one machine per window.
 func TestCrashResumeKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill-and-resume runs")
 	}
-	clean := runBin(t, "-run", "Figure2", "-scale", "quick", "-workers", "1")
-	if clean.code != 0 {
-		t.Fatalf("clean run exited %d:\n%s", clean.code, clean.stderr)
-	}
+	for _, name := range []string{"Figure2", "Figure10"} {
+		t.Run(name, func(t *testing.T) {
+			clean := runBin(t, "-run", name, "-scale", "quick", "-workers", "1")
+			if clean.code != 0 {
+				t.Fatalf("clean run exited %d:\n%s", clean.code, clean.stderr)
+			}
 
-	crashDir := t.TempDir()
-	saveArtifacts(t, crashDir)
-	killed := runBin(t, "-run", "Figure2", "-scale", "quick",
-		"-checkpoint-dir", crashDir, "-fault-plan", "kill-after-puts=3")
-	if killed.code != faultinject.KillExitCode {
-		t.Fatalf("killed run exited %d, want %d:\n%s", killed.code, faultinject.KillExitCode, killed.stderr)
-	}
-	if n := len(ckpts(t, crashDir)); n != 3 {
-		t.Fatalf("killed run left %d checkpoints, want 3", n)
-	}
+			crashDir := t.TempDir()
+			saveArtifacts(t, crashDir)
+			killed := runBin(t, "-run", name, "-scale", "quick",
+				"-checkpoint-dir", crashDir, "-fault-plan", "kill-after-puts=3")
+			if killed.code != faultinject.KillExitCode {
+				t.Fatalf("killed run exited %d, want %d:\n%s", killed.code, faultinject.KillExitCode, killed.stderr)
+			}
+			if n := len(ckpts(t, crashDir)); n != 3 {
+				t.Fatalf("killed run left %d checkpoints, want 3", n)
+			}
 
-	for _, workers := range []string{"1", "2", "8"} {
-		dir := copyDir(t, crashDir)
-		saveArtifacts(t, dir)
-		resumed := runBin(t, "-run", "Figure2", "-scale", "quick",
-			"-checkpoint-dir", dir, "-resume", "-workers", workers)
-		if resumed.code != 0 {
-			t.Fatalf("workers=%s: resume exited %d:\n%s", workers, resumed.code, resumed.stderr)
-		}
-		if resumed.stdout != clean.stdout {
-			t.Errorf("workers=%s: resumed stdout differs from uninterrupted run\n--- resumed ---\n%s--- clean ---\n%s",
-				workers, resumed.stdout, clean.stdout)
-		}
-		if n := len(ckpts(t, dir)); n != 8 {
-			t.Errorf("workers=%s: resumed run holds %d checkpoints, want all 8", workers, n)
-		}
+			for _, workers := range []string{"1", "2", "8"} {
+				dir := copyDir(t, crashDir)
+				saveArtifacts(t, dir)
+				resumed := runBin(t, "-run", name, "-scale", "quick",
+					"-checkpoint-dir", dir, "-resume", "-workers", workers)
+				if resumed.code != 0 {
+					t.Fatalf("workers=%s: resume exited %d:\n%s", workers, resumed.code, resumed.stderr)
+				}
+				if resumed.stdout != clean.stdout {
+					t.Errorf("workers=%s: resumed stdout differs from uninterrupted run\n--- resumed ---\n%s--- clean ---\n%s",
+						workers, resumed.stdout, clean.stdout)
+				}
+				if n := len(ckpts(t, dir)); n != 8 {
+					t.Errorf("workers=%s: resumed run holds %d checkpoints, want all 8", workers, n)
+				}
+			}
+		})
 	}
 }
 
@@ -412,7 +418,9 @@ func TestInterruptExit(t *testing.T) {
 	}
 }
 
-// TestUsageErrors pins the usage exit code for the new flag combinations.
+// TestUsageErrors pins the usage exit code, and a one-line diagnostic, for
+// flag combinations and out-of-range budgets; each is refused before any
+// experiment runs or any worker spawns.
 func TestUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess runs")
@@ -422,9 +430,21 @@ func TestUsageErrors(t *testing.T) {
 		{"-fault-plan", "kill-after-puts=1"},
 		{"-checkpoint-dir", t.TempDir(), "-fault-plan", "bogus"},
 		{"-run", "NoSuchExperiment"},
+		{"-run", "Table3", "-mc-trials", "-5"},
+		{"-run", "Figure5", "-workers", "-3"},
+		{"-run", "Table3", "-attack-cap", "-7"},
+		{"-role", "worker", "-fabric-dir", t.TempDir(), "-run", "Figure2", "-lease-ttl", "2ns"},
+		{"-role", "worker", "-fabric-dir", t.TempDir(), "-run", "Figure2", "-fabric-poll", "0s"},
+		// Traffic has 2 units: one past the bound, so a broken check
+		// forks only a handful of workers.
+		{"-role", "coordinator", "-fabric-dir", t.TempDir(), "-run", "Traffic", "-fabric-spawn", "3"},
 	} {
-		if res := runBin(t, args...); res.code != 2 {
+		res := runBin(t, args...)
+		if res.code != 2 {
 			t.Errorf("%v exited %d, want 2", args, res.code)
+		}
+		if n := strings.Count(res.stderr, "\n"); n != 1 {
+			t.Errorf("%v printed %d stderr lines, want 1:\n%s", args, n, res.stderr)
 		}
 	}
 }

@@ -102,15 +102,15 @@ func fabricRun(t *testing.T, name string, n int, workerFaults map[int]string) (r
 }
 
 // TestFabricByteIdenticalAcrossTopologies is the headline distributed
-// acceptance test: for an attack experiment and the policy matrix, a
-// single-process 8-worker run, a 4-worker-process fabric run, and a
-// 4-worker fabric run with 2 workers fault-killed mid-run all print the
-// same bytes.
+// acceptance test: for an attack experiment, the policy matrix and a SPEC
+// window sweep, a single-process 8-worker run, a 4-worker-process fabric
+// run, and a 4-worker fabric run with 2 workers fault-killed mid-run all
+// print the same bytes.
 func TestFabricByteIdenticalAcrossTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fabric runs")
 	}
-	for _, name := range []string{"Figure2", "PolicyMatrix"} {
+	for _, name := range []string{"Figure2", "PolicyMatrix", "Figure10"} {
 		t.Run(name, func(t *testing.T) {
 			clean := runBin(t, "-run", name, "-scale", "quick", "-workers", "8")
 			if clean.code != 0 {
@@ -403,9 +403,8 @@ func TestFabricUsageErrors(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-role", "worker"}, // no -fabric-dir
-		{"-role", "conductor", "-fabric-dir", t.TempDir()},                 // unknown role
-		{"-role", "worker", "-fabric-dir", t.TempDir()},                    // -run all is not resumable
-		{"-role", "worker", "-fabric-dir", t.TempDir(), "-run", "Figure5"}, // non-resumable experiment
+		{"-role", "conductor", "-fabric-dir", t.TempDir()}, // unknown role
+		{"-role", "worker", "-fabric-dir", t.TempDir()},    // -run all is not one experiment
 		{"-role", "coordinator", "-fabric-dir", t.TempDir(), "-run", "Figure2",
 			"-checkpoint-dir", t.TempDir()}, // role owns its store
 		{"-join", t.TempDir()}, // -join needs a destination

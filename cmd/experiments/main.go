@@ -8,9 +8,12 @@
 // paper reports. See DESIGN.md for the experiment index and EXPERIMENTS.md
 // for recorded paper-vs-measured results.
 //
+// -list prints the registered experiments. Every one is a fixed plan of
+// independent work units, so every one runs the same way in each mode
+// below.
+//
 // Long runs are crash-safe: with -checkpoint-dir every completed work unit
-// of the resumable experiments (Figure2, Table3, MissQueueSecurity) is
-// flushed to disk the moment it finishes, and -resume loads those units
+// is flushed to disk the moment it finishes, and -resume loads those units
 // instead of re-running them — the resumed output is byte-identical to an
 // uninterrupted run at any -workers value. The store keeps the first frame
 // written for a unit: rerunning without -resume into a store that holds
@@ -19,8 +22,8 @@
 // and flush); a second exits immediately, leaving best-effort aborted
 // markers so fabric workers take the units that were in flight first.
 //
-// Multi-process runs distribute one resumable experiment's work units
-// across worker processes over a shared fabric directory (internal/fabric;
+// Multi-process runs distribute one experiment's work units across worker
+// processes over a shared fabric directory (internal/fabric;
 // no network — the filesystem is the bus):
 //
 //	experiments -role coordinator -fabric-dir F -run PolicyMatrix -fabric-spawn 4
@@ -72,7 +75,7 @@ func usage(format string, args ...any) int {
 }
 
 func run() int {
-	runFlag := flag.String("run", "all", "experiment to run (Figure2, Table3, Figure5..Figure10, Traffic, Prefetch) or 'all'")
+	runFlag := flag.String("run", "all", "experiment to run (-list shows the registry) or 'all'")
 	scale := flag.String("scale", "quick", "budget scale: quick or full")
 	seed := flag.Uint64("seed", 0, "override the random seed (0 = scale default)")
 	attackCap := flag.Int("attack-cap", 0, "override the Table3 measurements-to-success cap")
@@ -81,14 +84,14 @@ func run() int {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	ckptDir := flag.String("checkpoint-dir", "", "flush each completed work unit of the resumable experiments to this directory")
+	ckptDir := flag.String("checkpoint-dir", "", "flush each completed work unit to this directory")
 	resume := flag.Bool("resume", false, "load completed units from -checkpoint-dir instead of re-running them")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the run (0 = none); on expiry completed units are already flushed")
 	faultPlan := flag.String("fault-plan", "", "fault-injection plan for crash testing, e.g. 'kill-after-puts=3' (see internal/faultinject)")
-	role := flag.String("role", "", "fabric role: coordinator or worker (requires -fabric-dir and a single resumable -run)")
+	role := flag.String("role", "", "fabric role: coordinator or worker (requires -fabric-dir and a single -run experiment)")
 	fabricDir := flag.String("fabric-dir", "", "shared fabric directory for multi-process runs (see internal/fabric)")
 	workerID := flag.String("worker-id", "", "this worker's id (default worker-<pid>)")
-	fabricSpawn := flag.Int("fabric-spawn", 0, "coordinator convenience: spawn this many worker subprocesses of this binary")
+	fabricSpawn := flag.Int("fabric-spawn", 0, "coordinator convenience: spawn this many worker subprocesses of this binary (at most the experiment's unit count)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fabric claim and lease duration; a worker silent this long is presumed dead")
 	fabricPoll := flag.Duration("fabric-poll", 200*time.Millisecond, "fabric scan/claim interval")
 	idleExit := flag.Duration("worker-idle-exit", time.Minute, "worker exits cleanly after this long with every unfinished unit claimed by others (0 = wait forever)")
@@ -107,6 +110,20 @@ func run() int {
 			fmt.Printf("%-10s %s\n", e.Name, e.Description)
 		}
 		return 0
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"mc-trials", *mcTrials}, {"attack-cap", *attackCap}, {"workers", *workers}, {"fabric-spawn", *fabricSpawn}} {
+		if f.v < 0 {
+			return usage("-%s %d: must not be negative", f.name, f.v)
+		}
+	}
+	if *leaseTTL < fabric.MinTTL {
+		return usage("-lease-ttl %v: must be at least %v (claims renew every TTL/3)", *leaseTTL, fabric.MinTTL)
+	}
+	if *fabricPoll <= 0 {
+		return usage("-fabric-poll %v: must be positive", *fabricPoll)
 	}
 
 	var sc experiments.Scale
@@ -150,8 +167,12 @@ func run() int {
 		if *ckptDir != "" || *resume || *joinSrcs != "" {
 			return usage("-role uses <fabric-dir>/ckpt as its store; -checkpoint-dir, -resume, and -join do not combine with it")
 		}
-		if _, ok := experiments.PlanFor(*runFlag, sc); !ok {
-			return usage("-role requires a single resumable -run experiment (Figure2, Table3, MissQueueSecurity, OccupancyMatrix, PolicyMatrix); got %q", *runFlag)
+		p, ok := experiments.PlanFor(*runFlag, sc)
+		if !ok {
+			return usage("-role requires a single -run experiment (-list shows the registry); got %q", *runFlag)
+		}
+		if *fabricSpawn > p.Units {
+			return usage("-fabric-spawn %d: %s has only %d work units", *fabricSpawn, p.Name, p.Units)
 		}
 	}
 	if *ckptDir == "" {
@@ -310,8 +331,8 @@ func orSolo(role string) string {
 	return role
 }
 
-// fabricPlan adapts an experiment's exported work-unit plan to the fabric's
-// type-erased form and opens the fabric's shared checkpoint store.
+// fabricPlan returns the experiment's work-unit plan and opens the fabric's
+// shared checkpoint store.
 func fabricPlan(name string, sc experiments.Scale, dir string) (fabric.Plan, *checkpoint.Store, error) {
 	layout := fabric.Layout{Root: dir}
 	if err := layout.Prepare(); err != nil {
@@ -321,11 +342,11 @@ func fabricPlan(name string, sc experiments.Scale, dir string) (fabric.Plan, *ch
 	if err != nil {
 		return fabric.Plan{}, nil, err
 	}
-	wp, ok := experiments.PlanFor(name, sc)
+	p, ok := experiments.PlanFor(name, sc)
 	if !ok {
 		return fabric.Plan{}, nil, fmt.Errorf("no work-unit plan for %q", name)
 	}
-	return fabric.Plan{Name: wp.Name, Units: wp.Units, Meta: wp.Meta, RunUnit: wp.RunUnit}, store, nil
+	return p, store, nil
 }
 
 // runFabricWorker claims and executes units until every unit is

@@ -410,7 +410,7 @@ type SearchResult struct {
 	Measurements uint64
 	Success      bool
 	// CorrectPairs is the best pair count reached.
-	CorrectPairs int
+	CorrectPairs int64
 	// SigmaT is the observed timing standard deviation.
 	SigmaT float64
 }
@@ -448,7 +448,7 @@ func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, m
 			return SearchResult{
 				Measurements: a.Samples(),
 				Success:      false,
-				CorrectPairs: best,
+				CorrectPairs: int64(best),
 				SigmaT:       a.SigmaT(),
 			}, err
 		}
@@ -464,7 +464,7 @@ func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, m
 			return SearchResult{
 				Measurements: a.Samples(),
 				Success:      true,
-				CorrectPairs: a.Pairs(),
+				CorrectPairs: int64(a.Pairs()),
 				SigmaT:       a.SigmaT(),
 			}, nil
 		}
@@ -472,7 +472,7 @@ func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, m
 	return SearchResult{
 		Measurements: a.Samples(),
 		Success:      false,
-		CorrectPairs: best,
+		CorrectPairs: int64(best),
 		SigmaT:       a.SigmaT(),
 	}, nil
 }

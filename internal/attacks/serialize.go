@@ -3,7 +3,6 @@ package attacks
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 
 	"randfill/internal/stats"
 )
@@ -79,33 +78,5 @@ func (s *CollisionStats) UnmarshalBinary(data []byte) error {
 		return ErrCorrupt
 	}
 	s.n = binary.LittleEndian.Uint64(data)
-	return nil
-}
-
-// searchResultSize is the encoded size of a SearchResult.
-const searchResultSize = 8 + 1 + 8 + 8
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r SearchResult) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, searchResultSize)
-	out = binary.LittleEndian.AppendUint64(out, r.Measurements)
-	b := byte(0)
-	if r.Success {
-		b = 1
-	}
-	out = append(out, b)
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(r.CorrectPairs)))
-	return binary.LittleEndian.AppendUint64(out, math.Float64bits(r.SigmaT)), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (r *SearchResult) UnmarshalBinary(data []byte) error {
-	if len(data) != searchResultSize {
-		return ErrCorrupt
-	}
-	r.Measurements = binary.LittleEndian.Uint64(data[0:8])
-	r.Success = data[8] == 1
-	r.CorrectPairs = int(int64(binary.LittleEndian.Uint64(data[9:17])))
-	r.SigmaT = math.Float64frombits(binary.LittleEndian.Uint64(data[17:25]))
 	return nil
 }

@@ -76,27 +76,3 @@ func TestCollisionStatsUnmarshalRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchResultRoundTrip(t *testing.T) {
-	for _, r := range []SearchResult{
-		{},
-		{Measurements: 123456, Success: true, CorrectPairs: 120, SigmaT: 3.25},
-		{Measurements: 1 << 40, Success: false, CorrectPairs: -1, SigmaT: 0.0625},
-	} {
-		data, err := r.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got SearchResult
-		if err := got.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-		if got != r {
-			t.Fatalf("round trip: got %+v, want %+v", got, r)
-		}
-	}
-	var got SearchResult
-	if err := got.UnmarshalBinary(make([]byte, searchResultSize-1)); err == nil {
-		t.Fatal("short payload: want error")
-	}
-}

@@ -120,7 +120,7 @@ func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cf
 			return SearchResult{
 				Measurements: agg.Samples(),
 				Success:      true,
-				CorrectPairs: agg.Pairs(),
+				CorrectPairs: int64(agg.Pairs()),
 				SigmaT:       agg.SigmaT(),
 			}, nil
 		}
@@ -128,7 +128,7 @@ func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cf
 	return SearchResult{
 		Measurements: agg.Samples(),
 		Success:      false,
-		CorrectPairs: best,
+		CorrectPairs: int64(best),
 		SigmaT:       agg.SigmaT(),
 	}, nil
 }

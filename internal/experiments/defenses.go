@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/attacks"
 	"randfill/internal/cache"
-	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 )
@@ -32,56 +32,55 @@ func defenseRows() []defenseRow {
 	}
 }
 
-// DefenseMatrix reproduces the Section VIII comparison as a measured
+// defensesPlan reproduces the Section VIII comparison as a measured
 // matrix: each cache architecture (with and without the random fill engine)
 // against one contention based attack (Prime-Probe) and one reuse based
 // attack (Flush-Reload). The paper's argument is visible in the pattern:
 // partitioning/randomization defenses close the contention column but not
 // the reuse column; random fill closes the reuse column but not the
-// contention column; only the composition closes both.
-func DefenseMatrix(sc Scale) *Table {
-	t := &Table{
-		Title: "Section VIII: defenses vs attack classes (32KB 4-way L1)",
-		Headers: []string{"cache", "prime-probe set accuracy",
-			"flush-reload accuracy", "flush-reload bits/access"},
-	}
-	trials := sc.MonteCarloTrials / 4
-	if trials < 1000 {
-		trials = 1000
-	}
+// contention column; only the composition closes both. A unit is one
+// row's {prime-probe accuracy, flush-reload accuracy, flush-reload MI}.
+func defensesPlan(sc Scale) unitPlan[[3]float64] {
+	trials := max(sc.MonteCarloTrials/4, 1000)
 	region := t4Region()
 	rows := defenseRows()
-	type matrixCell struct {
-		pp attacks.PrimeProbeResult
-		fr attacks.FlushReloadResult
+	return unitPlan[[3]float64]{
+		n: len(rows),
+		run: func(_ context.Context, i int) ([3]float64, error) {
+			row := rows[i]
+			pp := attacks.PrimeProbe(attacks.PrimeProbeConfig{
+				NewCache:     row.mk,
+				Sets:         128,
+				Ways:         4,
+				Window:       row.window,
+				VictimRegion: region,
+				AttackerBase: 0x100000,
+				Trials:       min(trials, 500),
+				Seed:         sc.Seed,
+			})
+			fr := attacks.FlushReload(attacks.FlushReloadConfig{
+				NewCache: row.mk,
+				Window:   row.window,
+				Region:   region,
+				Trials:   trials,
+				Seed:     sc.Seed,
+			})
+			return [3]float64{pp.ExactAccuracy, fr.Accuracy, fr.MutualInfo}, nil
+		},
+		render: func(cells [][3]float64) *Table {
+			t := &Table{
+				Title: "Section VIII: defenses vs attack classes (32KB 4-way L1)",
+				Headers: []string{"cache", "prime-probe set accuracy",
+					"flush-reload accuracy", "flush-reload bits/access"},
+			}
+			for i, c := range cells {
+				t.AddRow(rows[i].name,
+					fmt.Sprintf("%.1f%%", 100*c[0]),
+					fmt.Sprintf("%.1f%%", 100*c[1]),
+					fmt.Sprintf("%.3f", c[2]))
+			}
+			t.AddNote("paper Section VIII: partition/randomization designs stop contention attacks only; random fill stops reuse attacks only; composing them covers all known cache side channel attacks")
+			return t
+		},
 	}
-	cells := parexp.Map(sc.engine(), len(rows), func(i int) matrixCell {
-		row := rows[i]
-		pp := attacks.PrimeProbe(attacks.PrimeProbeConfig{
-			NewCache:     row.mk,
-			Sets:         128,
-			Ways:         4,
-			Window:       row.window,
-			VictimRegion: region,
-			AttackerBase: 0x100000,
-			Trials:       min(trials, 500),
-			Seed:         sc.Seed,
-		})
-		fr := attacks.FlushReload(attacks.FlushReloadConfig{
-			NewCache: row.mk,
-			Window:   row.window,
-			Region:   region,
-			Trials:   trials,
-			Seed:     sc.Seed,
-		})
-		return matrixCell{pp, fr}
-	})
-	for i, c := range cells {
-		t.AddRow(rows[i].name,
-			fmt.Sprintf("%.1f%%", 100*c.pp.ExactAccuracy),
-			fmt.Sprintf("%.1f%%", 100*c.fr.Accuracy),
-			fmt.Sprintf("%.3f", c.fr.MutualInfo))
-	}
-	t.AddNote("paper Section VIII: partition/randomization designs stop contention attacks only; random fill stops reuse attacks only; composing them covers all known cache side channel attacks")
-	return t
 }

@@ -1,45 +1,47 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/infotheory"
-	"randfill/internal/parexp"
 	"randfill/internal/rng"
 )
 
-// Equation4 validates the paper's analytical timing-channel model against
-// the timing simulator: for the two-access microbenchmark of Section V.A,
-// the measured expected-time difference mu2 - mu1 must equal
-// (P1 - P2)(tmiss - thit) — Equation 4 — at every window size.
-func Equation4(sc Scale) *Table {
-	t := &Table{
-		Title: "Equation 4 validation: measured mu2-mu1 vs (P1-P2)(tmiss-thit)",
-		Headers: []string{"window", "P1", "P2", "predicted (cycles)",
-			"measured (cycles)"},
-	}
-	trials := sc.MonteCarloTrials / 8
-	if trials < 1000 {
-		trials = 1000
-	}
+// equation4Plan validates the paper's analytical timing-channel model
+// against the timing simulator: for the two-access microbenchmark of
+// Section V.A, the measured expected-time difference mu2 - mu1 must equal
+// (P1 - P2)(tmiss - thit) — Equation 4 — at every window size. A unit is
+// one window size's {P1, P2, predicted, measured}.
+func equation4Plan(sc Scale) unitPlan[[4]float64] {
+	trials := max(sc.MonteCarloTrials/8, 1000)
 	sizes := []int{1, 2, 4, 8, 16, 32}
-	// One self-contained measurement per window size; Map keeps row order
-	// fixed no matter which size finishes first.
-	results := parexp.Map(sc.engine(), len(sizes), func(i int) infotheory.TimingSignalResult {
-		return infotheory.MeasureTimingSignal(infotheory.TimingSignalConfig{
-			Window: rng.Symmetric(sizes[i]),
-			Region: t4Region(),
-			Trials: trials,
-			Seed:   sc.Seed + uint64(sizes[i]),
-		})
-	})
-	for i, res := range results {
-		t.AddRow(fmt.Sprintf("%d", sizes[i]),
-			fmt.Sprintf("%.3f", res.P1),
-			fmt.Sprintf("%.3f", res.P2),
-			fmt.Sprintf("%.2f", res.Predicted),
-			fmt.Sprintf("%.2f", res.Measured))
+	return unitPlan[[4]float64]{
+		n: len(sizes),
+		run: func(_ context.Context, i int) ([4]float64, error) {
+			res := infotheory.MeasureTimingSignal(infotheory.TimingSignalConfig{
+				Window: rng.Symmetric(sizes[i]),
+				Region: t4Region(),
+				Trials: trials,
+				Seed:   sc.Seed + uint64(sizes[i]),
+			})
+			return [4]float64{res.P1, res.P2, res.Predicted, res.Measured}, nil
+		},
+		render: func(results [][4]float64) *Table {
+			t := &Table{
+				Title: "Equation 4 validation: measured mu2-mu1 vs (P1-P2)(tmiss-thit)",
+				Headers: []string{"window", "P1", "P2", "predicted (cycles)",
+					"measured (cycles)"},
+			}
+			for i, r := range results {
+				t.AddRow(fmt.Sprintf("%d", sizes[i]),
+					fmt.Sprintf("%.3f", r[0]),
+					fmt.Sprintf("%.3f", r[1]),
+					fmt.Sprintf("%.2f", r[2]),
+					fmt.Sprintf("%.2f", r[3]))
+			}
+			t.AddNote("the analytical model and the simulator agree within Monte Carlo noise; at the covering window both sides vanish — the paper's 'completely closes the timing channel'")
+			return t
+		},
 	}
-	t.AddNote("the analytical model and the simulator agree within Monte Carlo noise; at the covering window both sides vanish — the paper's 'completely closes the timing channel'")
-	return t
 }

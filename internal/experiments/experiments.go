@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation: one function per experiment, each returning a formatted Table
-// whose rows mirror what the paper reports. cmd/experiments drives them from
-// the command line and bench_test.go wraps them as benchmarks.
+// evaluation. Each registered experiment is one unit plan: a fixed number
+// of independent work units, each a pure function of (Scale, unit index),
+// and a render from the unit results to a formatted Table whose rows mirror
+// what the paper reports. The same plan runs in process (Experiment.Run,
+// with optional checkpointing and resume) and across processes (PlanFor,
+// internal/fabric); cmd/experiments drives both from the command line.
 //
 // Each experiment takes a Scale that controls sample counts and input
 // sizes: FullScale approximates the paper's own budgets (hours of CPU for
@@ -15,6 +18,7 @@ import (
 	"strings"
 
 	"randfill/internal/checkpoint"
+	"randfill/internal/fabric"
 	"randfill/internal/parexp"
 )
 
@@ -102,12 +106,12 @@ type Scale struct {
 	// speed knob, never a results knob, which is why it lives in Scale
 	// next to the budget knobs rather than in each experiment's inputs.
 	Workers int
-	// Checkpoint, when non-nil, makes the resumable experiments flush each
+	// Checkpoint, when non-nil, makes the experiments flush each
 	// completed work unit through the store the moment it finishes, so an
 	// interrupted run can pick up where it left off. Nil disables
 	// checkpointing (the default; no I/O on the experiment path).
 	Checkpoint *checkpoint.Store
-	// Resume makes the resumable experiments load completed units from
+	// Resume makes the experiments load completed units from
 	// Checkpoint instead of re-running them. Because every unit is a pure
 	// function of (Scale, unit index) and its accumulator serializes
 	// exactly, a resumed run's output is byte-identical to an
@@ -156,59 +160,45 @@ func QuickScale() Scale {
 	}
 }
 
-// Experiment is a registry entry. Run honors cooperative cancellation: a
-// cancelled or expired ctx stops the experiment between work units and
-// surfaces ctx's error. The resumable experiments (Figure2, Table3,
-// MissQueueSecurity, OccupancyMatrix, PolicyMatrix — the long-running attack
-// searches and sweeps) additionally honor Scale.Checkpoint and Scale.Resume;
-// the rest
-// check ctx at unit boundaries only and never touch the checkpoint store.
+// Experiment is a registry entry. Every experiment is one unit plan (see
+// unitPlan), so Run honors cooperative cancellation between work units,
+// Scale.Checkpoint and Scale.Resume, and reports each executed unit to
+// Scale.Track; PlanFor hands the same plan to the multi-process fabric.
 type Experiment struct {
 	Name string
 	// What the experiment reproduces.
 	Description string
 	Run         func(ctx context.Context, sc Scale) (*Table, error)
-}
-
-// plain adapts a non-resumable experiment to the registry's context-aware
-// signature. These experiments run in one piece, so cancellation is honored
-// only before the run starts; checkpoint settings are ignored.
-func plain(f func(Scale) *Table) func(context.Context, Scale) (*Table, error) {
-	return func(ctx context.Context, sc Scale) (*Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return f(sc), nil
-	}
+	plan        func(sc Scale) fabric.Plan
 }
 
 // All returns the experiment registry in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"Figure2", "final-round collision attack timing characteristic chart", Figure2Ctx},
-		{"Table3", "P1-P2 and measurements-to-success vs window size", Table3Ctx},
-		{"Figure5", "storage channel capacity vs window size", plain(func(Scale) *Table { return Figure5() })},
-		{"Figure6", "AES-CBC IPC across cache geometries and defenses", plain(Figure6)},
-		{"Figure7", "AES-CBC IPC vs random fill window size", plain(Figure7)},
-		{"Figure8", "SMT co-run throughput of SPEC-like programs next to AES", plain(Figure8)},
-		{"Figure9", "spatial locality profiles Eff(d)", plain(Figure9)},
-		{"Figure10", "L1 MPKI and IPC vs random fill window per benchmark", plain(Figure10)},
-		{"Traffic", "L2/memory traffic increase for streaming benchmarks", plain(Traffic)},
-		{"Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", plain(PrefetchComparison)},
-		{"Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", plain(DefenseMatrix)},
-		{"AblationWindowShape", "window direction: security signal vs streaming speedup", plain(AblationWindowShape)},
-		{"AblationFillQueue", "random fill queue depth", plain(AblationFillQueue)},
-		{"AblationMissQueue", "miss queue (MSHR) entries", plain(AblationMissQueue)},
-		{"AblationDropOnHit", "drop-if-present tag check", plain(AblationDropOnHit)},
-		{"AblationL2RandomFill", "random fill at L1 only vs L1+L2", plain(AblationL2RandomFill)},
-		{"Hierarchy3", "3-level hierarchy: which levels run random fill", plain(Hierarchy3)},
-		{"ConstantTime", "constant-time defenses vs random fill on AES", plain(ConstantTime)},
-		{"InformingDoS", "informing-loads DoS amplification under an evicting co-runner", plain(InformingDoS)},
-		{"AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", plain(AdaptiveWindow)},
-		{"Equation4", "analytical timing-channel model vs simulator (Eq. 4)", plain(Equation4)},
-		{"MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", MissQueueSecurityCtx},
-		{"OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", OccupancyMatrixCtx},
-		{"PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", PolicyMatrixCtx},
+		experiment("Figure2", "final-round collision attack timing characteristic chart", figure2Plan),
+		experiment("Table3", "P1-P2 and measurements-to-success vs window size", table3Plan),
+		experiment("Figure5", "storage channel capacity vs window size", figure5Plan),
+		experiment("Figure6", "AES-CBC IPC across cache geometries and defenses", figure6Plan),
+		experiment("Figure7", "AES-CBC IPC vs random fill window size", figure7Plan),
+		experiment("Figure8", "SMT co-run throughput of SPEC-like programs next to AES", figure8Plan),
+		experiment("Figure9", "spatial locality profiles Eff(d)", figure9Plan),
+		experiment("Figure10", "L1 MPKI and IPC vs random fill window per benchmark", figure10Plan),
+		experiment("Traffic", "L2/memory traffic increase for streaming benchmarks", trafficPlan),
+		experiment("Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", prefetchPlan),
+		experiment("Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", defensesPlan),
+		experiment("AblationWindowShape", "window direction: security signal vs streaming speedup", windowShapePlan),
+		experiment("AblationFillQueue", "random fill queue depth", fillQueuePlan),
+		experiment("AblationMissQueue", "miss queue (MSHR) entries", missQueueAblationPlan),
+		experiment("AblationDropOnHit", "drop-if-present tag check", dropOnHitPlan),
+		experiment("AblationL2RandomFill", "random fill at L1 only vs L1+L2", l2RandomFillPlan),
+		experiment("Hierarchy3", "3-level hierarchy: which levels run random fill", hierarchy3Plan),
+		experiment("ConstantTime", "constant-time defenses vs random fill on AES", constantTimePlan),
+		experiment("InformingDoS", "informing-loads DoS amplification under an evicting co-runner", informingDoSPlan),
+		experiment("AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", adaptivePlan),
+		experiment("Equation4", "analytical timing-channel model vs simulator (Eq. 4)", equation4Plan),
+		experiment("MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", missQueuePlan),
+		experiment("OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", occupancyPlan),
+		experiment("PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", policyPlan),
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	tb := Figure5()
+	tb := mustTable(t, "Figure5", QuickScale())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -91,7 +91,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	tb := Figure6(QuickScale())
+	tb := mustTable(t, "Figure6", QuickScale())
 	if len(tb.Rows) != 9 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -123,7 +123,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	tb := Figure7(QuickScale())
+	tb := mustTable(t, "Figure7", QuickScale())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -148,7 +148,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	tb := Figure9(QuickScale())
+	tb := mustTable(t, "Figure9", QuickScale())
 	if len(tb.Rows) != 8 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -172,7 +172,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	tb := Figure10(QuickScale())
+	tb := mustTable(t, "Figure10", QuickScale())
 	if len(tb.Rows) != 16 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -230,7 +230,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestTrafficShape(t *testing.T) {
-	tb := Traffic(QuickScale())
+	tb := mustTable(t, "Traffic", QuickScale())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -249,7 +249,7 @@ func TestTrafficShape(t *testing.T) {
 }
 
 func TestPrefetchComparisonShape(t *testing.T) {
-	tb := PrefetchComparison(QuickScale())
+	tb := mustTable(t, "Prefetch", QuickScale())
 	for _, row := range tb.Rows {
 		tagged := parsePct(t, row[2])
 		rf := parsePct(t, row[3])
@@ -269,7 +269,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SMT sweep is slow")
 	}
-	tb := Figure8(QuickScale())
+	tb := mustTable(t, "Figure8", QuickScale())
 	// 2 geometries x (8 benchmarks + average) rows.
 	if len(tb.Rows) != 18 {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -295,7 +295,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing chart collection is slow")
 	}
-	tb := mustTable(t, Figure2Ctx, QuickScale())
+	tb := mustTable(t, "Figure2", QuickScale())
 	if len(tb.Rows) != 18 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -319,7 +319,7 @@ func TestTable3Shape(t *testing.T) {
 	sc.MonteCarloTrials = 20000
 	sc.AttackMaxSamples = 1 << 13 // keep the 12-cell sweep fast
 	sc.AttackBatch = 1 << 12
-	tb := mustTable(t, Table3Ctx, sc)
+	tb := mustTable(t, "Table3", sc)
 	if len(tb.Rows) != 12 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -346,7 +346,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestDefenseMatrixShape(t *testing.T) {
-	tb := DefenseMatrix(QuickScale())
+	tb := mustTable(t, "Defenses", QuickScale())
 	if len(tb.Rows) != 7 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}

@@ -17,11 +17,15 @@ func mustRun(t *testing.T, e Experiment, sc Scale) string {
 	return tbl.String()
 }
 
-// mustTable runs an experiment's Ctx form under a background ctx, failing
-// the test on error.
-func mustTable(t *testing.T, run func(context.Context, Scale) (*Table, error), sc Scale) *Table {
+// mustTable runs the named experiment under a background ctx, failing the
+// test on error.
+func mustTable(t *testing.T, name string, sc Scale) *Table {
 	t.Helper()
-	tbl, err := run(context.Background(), sc)
+	e, ok := ByName(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	tbl, err := e.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +99,9 @@ func TestTable3QuickWorkerInvariance(t *testing.T) {
 	}
 	sc := QuickScale()
 	sc.Workers = 1
-	serial := mustTable(t, Table3Ctx, sc).String()
+	serial := mustTable(t, "Table3", sc).String()
 	sc.Workers = 8
-	if parallel := mustTable(t, Table3Ctx, sc).String(); parallel != serial {
+	if parallel := mustTable(t, "Table3", sc).String(); parallel != serial {
 		t.Fatalf("quick-scale Table3 differs between workers=1 and workers=8\n--- workers=1 ---\n%s--- workers=8 ---\n%s",
 			serial, parallel)
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"randfill/internal/attacks"
 	"randfill/internal/cache"
@@ -16,35 +14,19 @@ import (
 
 // occCell is one design's row of the security x performance matrix: both
 // attack channels plus the AES-CBC performance of the same architecture.
-// All six fields checkpoint exactly (bit-patterns, not formatted strings).
 type occCell struct {
-	reuseAcc, reuseMI float64
-	occAcc, occMI     float64
-	ipc, mpki         float64
+	ReuseAcc, ReuseMI float64
+	OccAcc, OccMI     float64
+	IPC, MPKI         float64
 }
 
-// occCellSize is the fixed checkpoint payload size: six float64 bit
-// patterns.
-const occCellSize = 6 * 8
-
-func (c occCell) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, occCellSize)
-	for i, v := range [6]float64{c.reuseAcc, c.reuseMI, c.occAcc, c.occMI, c.ipc, c.mpki} {
-		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+// cells formats the row's six measured cells.
+func (c occCell) cells() []string {
+	return []string{
+		fmt.Sprintf("%.3f", c.ReuseAcc), fmt.Sprintf("%.3f", c.ReuseMI),
+		fmt.Sprintf("%.3f", c.OccAcc), fmt.Sprintf("%.3f", c.OccMI),
+		fmt.Sprintf("%.3f", c.IPC), fmt.Sprintf("%.2f", c.MPKI),
 	}
-	return buf, nil
-}
-
-func (c *occCell) UnmarshalBinary(data []byte) error {
-	if len(data) != occCellSize {
-		return attacks.ErrCorrupt
-	}
-	var v [6]float64
-	for i := range v {
-		v[i] = math.Float64frombits(binary.BigEndian.Uint64(data[8*i:]))
-	}
-	c.reuseAcc, c.reuseMI, c.occAcc, c.occMI, c.ipc, c.mpki = v[0], v[1], v[2], v[3], v[4], v[5]
-	return nil
 }
 
 // cellBudget is a matrix cell's attack budget: the reuse channel's trials,
@@ -107,9 +89,9 @@ func matrixCell(sc Scale, pol string, d securecache.Design, b cellBudget, seed u
 	res := sim.New(cfg).RunTrace(tc, victim)
 
 	return occCell{
-		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,
-		occAcc: occ.Accuracy, occMI: occ.MutualInfo,
-		ipc: res.IPC(), mpki: res.MPKI(),
+		ReuseAcc: reuse.Accuracy, ReuseMI: reuse.MutualInfo,
+		OccAcc: occ.Accuracy, OccMI: occ.MutualInfo,
+		IPC: res.IPC(), MPKI: res.MPKI(),
 	}
 }
 
@@ -117,64 +99,47 @@ func matrixCell(sc Scale, pol string, d securecache.Design, b cellBudget, seed u
 // policy-major over policies and in registry order over the designs. Each
 // experiment derives its per-unit seeds from the master seed through its
 // own salt, so cells are independent pure functions of (Scale, index).
-func matrixPlan(sc Scale, exp string, salt uint64, policies []string, b cellBudget) unitPlan[occCell] {
+func matrixPlan(sc Scale, salt uint64, policies []string, b cellBudget, render func([]occCell) *Table) unitPlan[occCell] {
 	designs := securecache.All()
 	seedFor := func(i int) uint64 {
 		return rng.New(sc.Seed ^ salt).SplitSeed(uint64(i + 1))
 	}
 	victim := lazyVictim(sc)
 	return unitPlan[occCell]{
-		exp:  exp,
 		n:    len(policies) * len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
 			return matrixCell(sc, policies[i/len(designs)], designs[i%len(designs)], b, seedFor(i), victim()), nil
 		},
-		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
-		unmarshal: func(data []byte) (occCell, error) {
-			var c occCell
-			err := c.UnmarshalBinary(data)
-			return c, err
-		},
+		render: render,
 	}
 }
 
-// occupancyPlan is OccupancyMatrix's plan: every registered design under
-// its own policy, one design's full cell per unit.
-func occupancyPlan(sc Scale) unitPlan[occCell] {
-	return matrixPlan(sc, "OccupancyMatrix", 0x0cc9, []string{""}, occupancyBudget(sc))
-}
-
-// OccupancyMatrixCtx builds the security x performance matrix over every
+// occupancyPlan builds the security x performance matrix over every
 // registered secure-cache design: the reuse (flush + reload) channel the
 // paper evaluates, the cache-occupancy channel that needs no shared memory,
 // and the AES-CBC IPC/MPKI of the same architecture. Its work unit is one
-// design's full cell, restored in registry order, so the emitted table is
-// byte-identical across worker counts and across kill/resume boundaries.
-func OccupancyMatrixCtx(ctx context.Context, sc Scale) (*Table, error) {
+// design's full cell under the design's own policy, in registry order, so
+// the emitted table is byte-identical across worker counts and across
+// kill/resume boundaries.
+func occupancyPlan(sc Scale) unitPlan[occCell] {
 	designs := securecache.All()
-	cells, err := runShards(ctx, sc, occupancyPlan(sc))
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		Title: "Occupancy matrix: attack channels vs performance per secure cache design",
-		Headers: []string{"design", "reuse acc", "reuse MI (bits)",
-			"occupancy acc", "occupancy MI (bits)", "AES IPC", "AES MPKI"},
-	}
-	for i, c := range cells {
-		t.AddRow(designs[i].Name,
-			fmt.Sprintf("%.3f", c.reuseAcc), fmt.Sprintf("%.3f", c.reuseMI),
-			fmt.Sprintf("%.3f", c.occAcc), fmt.Sprintf("%.3f", c.occMI),
-			fmt.Sprintf("%.3f", c.ipc), fmt.Sprintf("%.2f", c.mpki))
-	}
 	b := occupancyBudget(sc)
-	t.AddNote("reuse: flush+reload over the %d-line AES table +/-16 lines, %d trials (chance acc 1/16, max MI 4 bits)",
-		t4Region().NumLines(), b.reuseTrials)
-	t.AddNote("occupancy: 96-line prime on a 128-line cache, victim sweep %v, %d trials/size (chance acc 1/4, max MI 2 bits); no shared addresses",
-		b.victimSizes, b.occTrials)
-	t.AddNote("performance: AES-CBC (%d bytes) as the simulator L1; randfill = SA + window [-16,+15], others demand fill",
-		sc.CBCBytes)
-	return t, nil
+	return matrixPlan(sc, 0x0cc9, []string{""}, b, func(cells []occCell) *Table {
+		t := &Table{
+			Title: "Occupancy matrix: attack channels vs performance per secure cache design",
+			Headers: []string{"design", "reuse acc", "reuse MI (bits)",
+				"occupancy acc", "occupancy MI (bits)", "AES IPC", "AES MPKI"},
+		}
+		for i, c := range cells {
+			t.AddRow(append([]string{designs[i].Name}, c.cells()...)...)
+		}
+		t.AddNote("reuse: flush+reload over the %d-line AES table +/-16 lines, %d trials (chance acc 1/16, max MI 4 bits)",
+			t4Region().NumLines(), b.reuseTrials)
+		t.AddNote("occupancy: 96-line prime on a 128-line cache, victim sweep %v, %d trials/size (chance acc 1/4, max MI 2 bits); no shared addresses",
+			b.victimSizes, b.occTrials)
+		t.AddNote("performance: AES-CBC (%d bytes) as the simulator L1; randfill = SA + window [-16,+15], others demand fill",
+			sc.CBCBytes)
+		return t
+	})
 }

@@ -12,7 +12,7 @@ import (
 // TestOccupancyMatrixShape: one row per registered design, in registry
 // order, with every cell parseable and in range.
 func TestOccupancyMatrixShape(t *testing.T) {
-	tbl := mustTable(t, OccupancyMatrixCtx, tinyScale())
+	tbl := mustTable(t, "OccupancyMatrix", tinyScale())
 	designs := securecache.All()
 	if len(tbl.Rows) != len(designs) {
 		t.Fatalf("%d rows, want %d (one per design)", len(tbl.Rows), len(designs))
@@ -41,7 +41,7 @@ func TestOccupancyMatrixShape(t *testing.T) {
 // designs leak, while the occupancy channel stays open on the placement
 // randomizers.
 func TestOccupancyMatrixSeparatesChannels(t *testing.T) {
-	tbl := mustTable(t, OccupancyMatrixCtx, tinyScale())
+	tbl := mustTable(t, "OccupancyMatrix", tinyScale())
 	cell := func(design string, col int) float64 {
 		for _, row := range tbl.Rows {
 			if row[0] == design {

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"randfill/internal/aes"
 	"randfill/internal/cache"
 	"randfill/internal/mem"
-	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
 	"randfill/internal/trace"
@@ -61,11 +61,11 @@ func aesEncDecTrace(sc Scale) *trace.Compiled {
 }
 
 // lazyVictim returns the compiled Figure 6 AES-CBC victim trace of sc,
-// built on the first call and shared read-only by every later one. The
-// matrix experiments replay it in every unit: building it lazily means a
-// resume pass that restores every unit never builds it, and sharing it keeps
-// each unit a pure function of (Scale, index) because the trace depends
-// only on Seed and CBCBytes, which the config hash binds.
+// built on the first call and shared read-only by every later one. Every
+// experiment that replays it does so in each unit: building it lazily means
+// a resume pass that restores every unit never builds it, and sharing it
+// keeps each unit a pure function of (Scale, index) because the trace
+// depends only on Seed and CBCBytes, which the config hash binds.
 func lazyVictim(sc Scale) func() *trace.Compiled {
 	return sync.OnceValue(func() *trace.Compiled { return aesCBCTrace(sc) })
 }
@@ -89,53 +89,56 @@ func figure6Geometries() []cache.Geometry {
 	return out
 }
 
-// Figure6 reproduces the cryptographic-workload IPC comparison: for each L1
-// geometry, the IPC of PLcache+preload, disable-cache and random fill
-// [-16,+15], normalized to the demand-fetch baseline of the same geometry.
-func Figure6(sc Scale) *Table {
-	victim := aesCBCTrace(sc)
-	t := &Table{
-		Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
-		Headers: []string{"L1 geometry", "baseline", "PLcache+preload", "disable cache", "random fill"},
-	}
+// figure6Plan reproduces the cryptographic-workload IPC comparison: for
+// each L1 geometry, the IPC of PLcache+preload, disable-cache and random
+// fill [-16,+15], normalized to the demand-fetch baseline of the same
+// geometry. A unit is one geometry's four runs.
+func figure6Plan(sc Scale) unitPlan[[4]float64] {
+	victim := lazyVictim(sc)
 	geoms := figure6Geometries()
-	// Each geometry's four runs are one self-contained work item.
-	rows := parexp.Map(sc.engine(), len(geoms), func(i int) [4]float64 {
-		g := geoms[i]
-		base := func(kind sim.CacheKind) sim.Config {
-			cfg := sim.DefaultConfig()
-			cfg.L1 = g
-			cfg.L1Kind = kind
-			cfg.Seed = sc.Seed
-			return cfg
-		}
-		baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, victim)
-		preload := sim.New(base(sim.KindPLcache)).RunTrace(sim.ThreadConfig{
-			Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
-		}, victim)
-		disable := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim)
-		rf := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
-			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, victim)
-		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}
-	})
-	for i, r := range rows {
-		t.AddRow(geoms[i].String(), "100.0%",
-			pct(r[1]/r[0]), pct(r[2]/r[0]), pct(r[3]/r[0]))
+	return unitPlan[[4]float64]{
+		n: len(geoms),
+		run: func(_ context.Context, i int) ([4]float64, error) {
+			base := func(kind sim.CacheKind) sim.Config {
+				cfg := sim.DefaultConfig()
+				cfg.L1 = geoms[i]
+				cfg.L1Kind = kind
+				cfg.Seed = sc.Seed
+				return cfg
+			}
+			baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, victim())
+			preload := sim.New(base(sim.KindPLcache)).RunTrace(sim.ThreadConfig{
+				Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
+			}, victim())
+			disable := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim())
+			rf := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
+				Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
+			}, victim())
+			return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}, nil
+		},
+		render: func(rows [][4]float64) *Table {
+			t := &Table{
+				Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
+				Headers: []string{"L1 geometry", "baseline", "PLcache+preload", "disable cache", "random fill"},
+			}
+			for i, r := range rows {
+				t.AddRow(geoms[i].String(), "100.0%",
+					pct(r[1]/r[0]), pct(r[2]/r[0]), pct(r[3]/r[0]))
+			}
+			t.AddNote("paper: disable cache ≈ 55%% for all shapes; PLcache+preload 85%% at 8KB DM rising with size/ways; random fill ≥ 96.5%% at 8KB, ≈ 100%% at 32KB")
+			return t
+		},
 	}
-	t.AddNote("paper: disable cache ≈ 55%% for all shapes; PLcache+preload 85%% at 8KB DM rising with size/ways; random fill ≥ 96.5%% at 8KB, ≈ 100%% at 32KB")
-	return t
 }
 
-// Figure7 reproduces the window-size sensitivity of the AES workload: IPC
-// normalized to the same cache with demand fetch, for the SA cache (8 KB DM
-// and 32 KB 4-way) and Newcache (8 KB and 32 KB).
-func Figure7(sc Scale) *Table {
-	victim := aesCBCTrace(sc)
-	t := &Table{
-		Title:   "Figure 7: normalized IPC of AES vs random fill window size",
-		Headers: []string{"window", "8KB DM SA", "32KB 4-way SA", "8KB Newcache", "32KB Newcache"},
-	}
+// figure7Plan reproduces the window-size sensitivity of the AES workload:
+// IPC normalized to the same cache with demand fetch, for the SA cache
+// (8 KB DM and 32 KB 4-way) and Newcache (8 KB and 32 KB). A unit is one
+// (window size, cache) cell. Window size 1 is demand fetch (random fill
+// needs a window of at least two lines), so the first row's cells are the
+// baselines every row is normalized to.
+func figure7Plan(sc Scale) unitPlan[float64] {
+	victim := lazyVictim(sc)
 	configs := []struct {
 		kind sim.CacheKind
 		geom cache.Geometry
@@ -145,37 +148,37 @@ func Figure7(sc Scale) *Table {
 		{sim.KindNewcache, cache.Geometry{SizeBytes: 8 * 1024, Ways: 1}},
 		{sim.KindNewcache, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}},
 	}
-	eng := sc.engine()
-	baselines := parexp.Map(eng, len(configs), func(i int) float64 {
-		cfg := sim.DefaultConfig()
-		cfg.L1 = configs[i].geom
-		cfg.L1Kind = configs[i].kind
-		cfg.Seed = sc.Seed
-		return sim.New(cfg).RunTrace(sim.ThreadConfig{}, victim).IPC()
-	})
 	sizes := []int{1, 2, 4, 8, 16, 32}
-	// One work item per (size, config) cell, index-ordered back into rows.
-	cells := parexp.Map(eng, len(sizes)*len(configs), func(k int) float64 {
-		size, c := sizes[k/len(configs)], configs[k%len(configs)]
-		cfg := sim.DefaultConfig()
-		cfg.L1 = c.geom
-		cfg.L1Kind = c.kind
-		cfg.Seed = sc.Seed
-		tc := sim.ThreadConfig{}
-		if size > 1 {
-			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
-		}
-		return sim.New(cfg).RunTrace(tc, victim).IPC()
-	})
-	for si, size := range sizes {
-		row := []string{fmt.Sprintf("%d", size)}
-		for i := range configs {
-			row = append(row, pct(cells[si*len(configs)+i]/baselines[i]))
-		}
-		t.AddRow(row...)
+	return unitPlan[float64]{
+		n: len(sizes) * len(configs),
+		run: func(_ context.Context, k int) (float64, error) {
+			size, c := sizes[k/len(configs)], configs[k%len(configs)]
+			cfg := sim.DefaultConfig()
+			cfg.L1 = c.geom
+			cfg.L1Kind = c.kind
+			cfg.Seed = sc.Seed
+			tc := sim.ThreadConfig{}
+			if size > 1 {
+				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
+			}
+			return sim.New(cfg).RunTrace(tc, victim()).IPC(), nil
+		},
+		render: func(cells []float64) *Table {
+			t := &Table{
+				Title:   "Figure 7: normalized IPC of AES vs random fill window size",
+				Headers: []string{"window", "8KB DM SA", "32KB 4-way SA", "8KB Newcache", "32KB Newcache"},
+			}
+			for si, size := range sizes {
+				row := []string{fmt.Sprintf("%d", size)}
+				for i := range configs {
+					row = append(row, pct(cells[si*len(configs)+i]/cells[i]))
+				}
+				t.AddRow(row...)
+			}
+			t.AddNote("paper: SA insensitive to window size; Newcache degrades with window (max -9%% at size 32 on 8KB)")
+			return t
+		},
 	}
-	t.AddNote("paper: SA insensitive to window size; Newcache degrades with window (max -9%% at size 32 on 8KB)")
-	return t
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -12,7 +12,7 @@ import (
 // TestPolicyMatrixShape: one row per (policy, design) pair, policy-major in
 // PolicyNames order, designs in registry order, every cell numeric.
 func TestPolicyMatrixShape(t *testing.T) {
-	tbl := mustTable(t, PolicyMatrixCtx, tinyScale())
+	tbl := mustTable(t, "PolicyMatrix", tinyScale())
 	policies := cache.PolicyNames()
 	designs := securecache.All()
 	if len(tbl.Rows) != len(policies)*len(designs) {
@@ -48,7 +48,7 @@ func TestPolicyMatrixShape(t *testing.T) {
 // footprint cleanly; a random victim stream adds eviction noise the probe
 // cannot average away at the same budget.
 func TestPolicyMatrixPolicyEffect(t *testing.T) {
-	tbl := mustTable(t, PolicyMatrixCtx, tinyScale())
+	tbl := mustTable(t, "PolicyMatrix", tinyScale())
 	occAcc := func(policy, design string) float64 {
 		for _, row := range tbl.Rows {
 			if row[0] == policy && row[1] == design {

@@ -1,20 +1,31 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"strings"
 
 	"randfill/internal/checkpoint"
+	"randfill/internal/fabric"
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
 )
 
-// configHash binds a checkpoint to everything that determines a shard's
+// unitCodec versions the checkpoint payload encoding (encodeUnit); version
+// 1 was one codec per unit type. The config hash binds it, so a store
+// written under another encoding reads as foreign instead of decoding into
+// the wrong fields or tripping the store's first-writer-wins check.
+const unitCodec = 2
+
+// configHash binds a checkpoint to everything that determines a unit's
 // bytes: the experiment, every budget knob, the master seed, the fixed
-// shard count, and the RNG stream version. Workers is deliberately absent —
-// worker-count invariance means a run checkpointed at -workers 8 may resume
-// at -workers 1 and still reproduce the uninterrupted output exactly.
+// shard count, the RNG stream version and the unit codec. Workers is
+// deliberately absent — worker-count invariance means a run checkpointed
+// at -workers 8 may resume at -workers 1 and still reproduce the
+// uninterrupted output exactly.
 func (sc Scale) configHash(exp string) uint64 {
 	return checkpoint.Hash(
 		exp,
@@ -27,40 +38,93 @@ func (sc Scale) configHash(exp string) uint64 {
 		fmt.Sprintf("seed=%d", sc.Seed),
 		fmt.Sprintf("shards=%d", parexp.Shards),
 		fmt.Sprintf("stream=%d", rng.StreamVersion),
+		fmt.Sprintf("codec=%d", unitCodec),
 	)
 }
 
-// unitPlan is one resumable experiment's fixed work-unit plan: n units,
-// each a pure function of (Scale, i) with an exact binary codec. It is the
-// single description behind both execution paths — the in-process runShards
-// driver and, type-erased through PlanFor, the multi-process fabric — so a
-// unit computes identical bytes no matter which path ran it.
+// unitPlan is an experiment's fixed work-unit plan: n units, each a pure
+// function of (Scale, i), and a render from the unit results, in unit
+// order, to the experiment's table. It is the single description behind
+// both execution paths — the in-process runShards driver and, through
+// PlanFor, the multi-process fabric — so a unit computes identical bytes
+// no matter which path ran it. Building a plan simulates nothing: inputs
+// the units share (compiled traces) are built on first use, so rendering
+// from a complete checkpoint store computes nothing either.
 type unitPlan[T any] struct {
-	exp       string
-	n         int
-	seed      func(i int) uint64
-	run       func(ctx context.Context, i int) (T, error)
-	marshal   func(T) ([]byte, error)
-	unmarshal func([]byte) (T, error)
+	n int
+	// seed is unit i's checkpoint seed; nil means sc.Seed.
+	seed   func(i int) uint64
+	run    func(ctx context.Context, i int) (T, error)
+	render func(units []T) *Table
 }
 
-// meta is unit i's checkpoint identity under sc.
-func (p unitPlan[T]) meta(sc Scale, hash uint64, i int) checkpoint.Meta {
-	return checkpoint.Meta{
-		Experiment:    p.exp,
-		Shard:         i,
-		Seed:          p.seed(i),
-		ConfigHash:    hash,
-		StreamVersion: rng.StreamVersion,
+// experiment registers a unit plan under name: Run executes the plan
+// through runShards and renders its table, and PlanFor hands the same plan
+// to the fabric.
+func experiment[T any](name, desc string, plan func(Scale) unitPlan[T]) Experiment {
+	return Experiment{
+		Name:        name,
+		Description: desc,
+		Run: func(ctx context.Context, sc Scale) (*Table, error) {
+			p := plan(sc)
+			units, err := runShards(ctx, sc, name, p)
+			if err != nil {
+				return nil, err
+			}
+			return p.render(units), nil
+		},
+		plan: func(sc Scale) fabric.Plan {
+			p := plan(sc)
+			meta := unitMeta(sc, name, p)
+			return fabric.Plan{
+				Name:  name,
+				Units: p.n,
+				Meta:  meta,
+				RunUnit: func(ctx context.Context, i int, store *checkpoint.Store) error {
+					_, err := runUnit(ctx, p, i, store, meta)
+					return err
+				},
+			}
+		},
 	}
 }
 
+// unitMeta returns unit i's checkpoint identity under sc.
+func unitMeta[T any](sc Scale, exp string, p unitPlan[T]) func(i int) checkpoint.Meta {
+	hash := sc.configHash(exp)
+	return func(i int) checkpoint.Meta {
+		seed := sc.Seed
+		if p.seed != nil {
+			seed = p.seed(i)
+		}
+		return checkpoint.Meta{
+			Experiment:    exp,
+			Shard:         i,
+			Seed:          seed,
+			ConfigHash:    hash,
+			StreamVersion: rng.StreamVersion,
+		}
+	}
+}
+
+// runUnit computes unit i and, with a store, flushes it as one checkpoint.
+func runUnit[T any](ctx context.Context, p unitPlan[T], i int, store *checkpoint.Store, meta func(int) checkpoint.Meta) (T, error) {
+	v, err := p.run(ctx, i)
+	if err != nil || store == nil {
+		return v, err
+	}
+	data, err := encodeUnit(v)
+	if err != nil {
+		return v, err
+	}
+	return v, store.Put(meta(i), data)
+}
+
 // runShards executes a unitPlan's independent work units with optional
-// checkpointing, and is the primitive every resumable experiment is built
-// on. Unit i's result must be a pure function of (sc, i) — never of worker
-// count or of other units — which is what makes the recovery story simple:
-// a unit either completed (its checkpoint holds the exact accumulator
-// bytes) or it didn't (it re-runs from scratch).
+// checkpointing. Unit i's result must be a pure function of (sc, i) — never
+// of worker count or of other units — which is what makes the recovery
+// story simple: a unit either completed (its checkpoint holds the exact
+// result bytes) or it didn't (it re-runs from scratch).
 //
 // With sc.Checkpoint set, each unit is flushed through the store the moment
 // it completes, inside the worker, so a cancellation or crash between units
@@ -73,34 +137,24 @@ func (p unitPlan[T]) meta(sc Scale, hash uint64, i int) checkpoint.Meta {
 // sc.Track, when set, observes each executed unit starting and durably
 // finishing (restored units are never reported): the hook behind the
 // hard-kill path's best-effort aborted markers.
-func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error) {
-	hash := sc.configHash(p.exp)
-	meta := func(i int) checkpoint.Meta { return p.meta(sc, hash, i) }
-
+func runShards[T any](ctx context.Context, sc Scale, exp string, p unitPlan[T]) ([]T, error) {
+	meta := unitMeta(sc, exp, p)
 	out := make([]T, p.n)
-	restored := make([]bool, p.n)
-	if sc.Checkpoint != nil && sc.Resume {
-		for i := 0; i < p.n; i++ {
+	var missing []int
+	for i := range out {
+		if sc.Checkpoint != nil && sc.Resume {
 			payload, ok, err := sc.Checkpoint.Get(meta(i))
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
+			if ok {
+				if v, err := decodeUnit[T](payload); err == nil {
+					out[i] = v
+					continue
+				} // an undecodable payload reads as missing: the unit re-runs
 			}
-			v, err := p.unmarshal(payload)
-			if err != nil {
-				continue // undecodable payload: treat as missing, re-run
-			}
-			out[i] = v
-			restored[i] = true
 		}
-	}
-	var missing []int
-	for i := 0; i < p.n; i++ {
-		if !restored[i] {
-			missing = append(missing, i)
-		}
+		missing = append(missing, i)
 	}
 	if len(missing) == 0 {
 		return out, nil
@@ -110,20 +164,11 @@ func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error)
 		if sc.Track != nil {
 			sc.Track(meta(i), false)
 		}
-		v, err := p.run(ctx, i)
+		v, err := runUnit(ctx, p, i, sc.Checkpoint, meta)
 		if err != nil {
 			return err
 		}
 		out[i] = v
-		if sc.Checkpoint != nil {
-			data, err := p.marshal(v)
-			if err != nil {
-				return err
-			}
-			if err := sc.Checkpoint.Put(meta(i), data); err != nil {
-				return err
-			}
-		}
 		if sc.Track != nil {
 			sc.Track(meta(i), true)
 		}
@@ -135,61 +180,47 @@ func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error)
 	return out, nil
 }
 
-// WorkPlan is a type-erased unitPlan: the shape internal/fabric schedules
-// across processes. RunUnit executes one unit and publishes exactly one
-// checkpoint through store; it is the same computation runShards performs
-// for that unit, so a fabric run's store is byte-identical to a solo run's.
-type WorkPlan struct {
-	// Name is the experiment name as registered in All().
-	Name string
-	// Units is the number of independent work units.
-	Units int
-	// Meta returns unit i's checkpoint identity.
-	Meta func(i int) checkpoint.Meta
-	// RunUnit computes unit i and flushes it through store.
-	RunUnit func(ctx context.Context, i int, store *checkpoint.Store) error
+// errUnitSize reports a unit payload whose length is not its value's
+// encoded size.
+var errUnitSize = errors.New("experiments: unit payload has the wrong size")
+
+// encodeUnit is the checkpoint codec of every unit result. A type whose
+// pointer implements encoding.BinaryMarshaler (attacks.CollisionStats)
+// encodes itself; every other unit result is fixed-size data with exported
+// fields, written by encoding/binary — floats as their IEEE-754 bit
+// patterns, so NaN payloads, -0 and ±Inf round-trip exactly. Either way
+// the bytes are a pure function of the value.
+func encodeUnit[T any](v T) ([]byte, error) {
+	if m, ok := any(&v).(encoding.BinaryMarshaler); ok {
+		return m.MarshalBinary()
+	}
+	var b bytes.Buffer
+	err := binary.Write(&b, binary.LittleEndian, v)
+	return b.Bytes(), err
 }
 
-// exportPlan type-erases a unitPlan for the fabric.
-func exportPlan[T any](sc Scale, p unitPlan[T]) WorkPlan {
-	hash := sc.configHash(p.exp)
-	meta := func(i int) checkpoint.Meta { return p.meta(sc, hash, i) }
-	return WorkPlan{
-		Name:  p.exp,
-		Units: p.n,
-		Meta:  meta,
-		RunUnit: func(ctx context.Context, i int, store *checkpoint.Store) error {
-			v, err := p.run(ctx, i)
-			if err != nil {
-				return err
-			}
-			data, err := p.marshal(v)
-			if err != nil {
-				return err
-			}
-			return store.Put(meta(i), data)
-		},
+// decodeUnit inverts encodeUnit, rejecting a payload that is short or
+// carries trailing bytes.
+func decodeUnit[T any](data []byte) (T, error) {
+	var v T
+	if u, ok := any(&v).(encoding.BinaryUnmarshaler); ok {
+		return v, u.UnmarshalBinary(data)
 	}
+	if binary.Size(v) != len(data) {
+		return v, errUnitSize
+	}
+	return v, binary.Read(bytes.NewReader(data), binary.LittleEndian, &v)
 }
 
-// PlanFor returns the named resumable experiment's work-unit plan under sc.
-// Only the resumable experiments (the ones whose registry entries honor
-// Scale.Checkpoint) have plans; ok is false for every other name. Every
-// process in a fabric derives the plan from the same (name, Scale), so
-// unit identities agree everywhere — a lease whose identity doesn't match
-// is foreign and is refused, not guessed at.
-func PlanFor(name string, sc Scale) (WorkPlan, bool) {
-	switch {
-	case strings.EqualFold(name, "Figure2"):
-		return exportPlan(sc, figure2Plan(sc)), true
-	case strings.EqualFold(name, "Table3"):
-		return exportPlan(sc, table3Plan(sc)), true
-	case strings.EqualFold(name, "MissQueueSecurity"):
-		return exportPlan(sc, missQueuePlan(sc)), true
-	case strings.EqualFold(name, "OccupancyMatrix"):
-		return exportPlan(sc, occupancyPlan(sc)), true
-	case strings.EqualFold(name, "PolicyMatrix"):
-		return exportPlan(sc, policyPlan(sc)), true
+// PlanFor returns the named experiment's work-unit plan under sc, in the
+// shape internal/fabric schedules across processes; ok is false for an
+// unregistered name. Every process in a fabric derives the plan from the
+// same (name, Scale), so unit identities agree everywhere — a lease whose
+// identity doesn't match is foreign and is refused, not guessed at.
+func PlanFor(name string, sc Scale) (fabric.Plan, bool) {
+	e, ok := ByName(name)
+	if !ok {
+		return fabric.Plan{}, false
 	}
-	return WorkPlan{}, false
+	return e.plan(sc), true
 }

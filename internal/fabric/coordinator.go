@@ -59,8 +59,8 @@ func (c CoordinatorConfig) logf(format string, args ...any) {
 // context cancellation it returns ctx.Err().
 func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (CoordinatorResult, error) {
 	var res CoordinatorResult
-	if cfg.TTL <= 0 || cfg.Poll <= 0 {
-		return res, errors.New("fabric: coordinator needs positive TTL and Poll")
+	if cfg.TTL < MinTTL || cfg.Poll <= 0 {
+		return res, fmt.Errorf("fabric: coordinator needs a TTL of at least %v and a positive Poll", MinTTL)
 	}
 	layout := Layout{Root: cfg.Dir}
 	if err := layout.Prepare(); err != nil {

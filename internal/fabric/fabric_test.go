@@ -683,3 +683,33 @@ func TestAbortedMarkerLifecycle(t *testing.T) {
 		t.Fatalf("marker not cleared: %+v", got)
 	}
 }
+
+// TestRejectsTTLBelowRenewal: a TTL whose TTL/3 renewal interval rounds to
+// zero is a config error for both roles, never a ticker panic. The context
+// is already canceled, so a role that accepted the TTL returns
+// context.Canceled instead of running.
+func TestRejectsTTLBelowRenewal(t *testing.T) {
+	layout := prepared(t)
+	plan := testPlan("ttl", 1)
+	store := openStore(t, layout.CheckpointDir())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	accepted := func(err error) bool { return err == nil || errors.Is(err, context.Canceled) }
+	for _, ttl := range []time.Duration{-time.Second, 0, 1, MinTTL - 1} {
+		if _, err := RunWorker(ctx, WorkerConfig{
+			Dir: layout.Root, ID: "w", Plan: plan, Store: store, TTL: ttl, Poll: time.Millisecond,
+		}); accepted(err) {
+			t.Errorf("RunWorker accepted TTL %v", ttl)
+		}
+		if _, err := RunCoordinator(ctx, CoordinatorConfig{
+			Dir: layout.Root, ID: "c", Plan: plan, Store: store, TTL: ttl, Poll: time.Millisecond,
+		}); accepted(err) {
+			t.Errorf("RunCoordinator accepted TTL %v", ttl)
+		}
+	}
+	if _, err := RunWorker(ctx, WorkerConfig{
+		Dir: layout.Root, ID: "w", Plan: plan, Store: store, TTL: MinTTL, Poll: time.Millisecond,
+	}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunWorker at MinTTL: %v, want the canceled context", err)
+	}
+}

@@ -12,6 +12,10 @@ import (
 	"randfill/internal/checkpoint"
 )
 
+// MinTTL is the shortest claim and lease duration the fabric runs on: both
+// are renewed every TTL/3, which must be a positive interval.
+const MinTTL = 3 * time.Nanosecond
+
 // WorkerConfig configures one worker process (or in-process worker loop).
 type WorkerConfig struct {
 	// Dir is the fabric root directory.
@@ -81,8 +85,8 @@ type worker struct {
 // checkpoint.ErrPurity, is fatal.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerResult, error) {
 	var res WorkerResult
-	if cfg.TTL <= 0 || cfg.Poll <= 0 {
-		return res, errors.New("fabric: worker needs positive TTL and Poll")
+	if cfg.TTL < MinTTL || cfg.Poll <= 0 {
+		return res, fmt.Errorf("fabric: worker needs a TTL of at least %v and a positive Poll", MinTTL)
 	}
 	w := &worker{cfg: cfg, layout: Layout{Root: cfg.Dir}, clock: clockOr(cfg.Clock), metas: cfg.Plan.Metas()}
 	if err := w.layout.Prepare(); err != nil {

@@ -10,8 +10,7 @@ import (
 
 // PanicError is a shard panic converted to an error by ForEachCtx: the
 // shard index attributes the failure to one work item of the fixed shard
-// plan, and Stack preserves the goroutine stack at the panic site (Map's
-// re-panic cannot).
+// plan, and Stack preserves the goroutine stack at the panic site.
 type PanicError struct {
 	// Shard is the work-item index whose fn panicked.
 	Shard int
@@ -122,9 +121,13 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Cont
 	return ctx.Err()
 }
 
-// MapCtx is the context-aware Map: fn(ctx, i) for every i in [0, n), results
-// in index order. On cancellation, error, or panic the partial results are
-// discarded and only the error is returned.
+// MapCtx runs fn(ctx, i) for every i in [0, n) through ForEachCtx and
+// returns the results in index order. Because the returned slice is ordered
+// by shard index, folding it left-to-right gives a deterministic merge
+// regardless of which worker finished first; fn must therefore be
+// self-contained per item (own rng stream, own simulator). On cancellation,
+// error, or panic the partial results are discarded and only the error is
+// returned.
 func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := e.ForEachCtx(ctx, n, func(ctx context.Context, i int) error {

@@ -16,9 +16,9 @@
 //     root seed via Split (ShardSeeds). No shard ever touches another
 //     shard's Source, so the values a shard draws are independent of
 //     scheduling.
-//  3. Results are merged in shard-index order (Map returns an index-ordered
-//     slice). Floating-point accumulation order is therefore fixed even
-//     though execution order is not.
+//  3. Results are merged in shard-index order (MapCtx returns an
+//     index-ordered slice). Floating-point accumulation order is therefore
+//     fixed even though execution order is not.
 //
 // The rflint rngshare checker enforces rule 2 statically: a *rng.Source
 // captured by a go-launched closure is flagged, forcing the
@@ -26,7 +26,6 @@
 package parexp
 
 import (
-	"context"
 	"runtime"
 
 	"randfill/internal/rng"
@@ -56,24 +55,6 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{workers: workers}
-}
-
-// Map runs fn(i) for every i in [0, n) across the pool and returns the
-// results in index order. Because the returned slice is ordered by shard
-// index, folding it left-to-right gives a deterministic merge regardless of
-// which worker finished first. Items are claimed from an atomic counter, so
-// the i -> goroutine assignment is scheduling dependent; fn must therefore
-// be self-contained per item (own rng stream, own simulator). Map is
-// MapCtx under a background context: a panic in fn stops the pool and is
-// re-panicked in the caller with its original value.
-func Map[T any](e *Engine, n int, fn func(i int) T) []T {
-	out, err := MapCtx(e, context.Background(), n, func(_ context.Context, i int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil {
-		panic(err.(*PanicError).Value) // fn returns no error and the ctx never ends
-	}
-	return out
 }
 
 // ShardSeeds derives n independent shard seeds from a root seed, shard i

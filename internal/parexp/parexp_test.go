@@ -1,17 +1,31 @@
 package parexp
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 )
+
+// mapAll is MapCtx under a background context for an fn that cannot fail.
+func mapAll[T any](t *testing.T, e *Engine, n int, fn func(i int) T) []T {
+	t.Helper()
+	out, err := MapCtx(e, context.Background(), n, func(_ context.Context, i int) (T, error) {
+		return fn(i), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestMapCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 32} {
 		e := New(workers)
 		const n = 1000
 		var counts [n]atomic.Int64
-		Map(e, n, func(i int) struct{} { counts[i].Add(1); return struct{}{} })
+		mapAll(t, e, n, func(i int) struct{} { counts[i].Add(1); return struct{}{} })
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, got)
@@ -22,7 +36,7 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 
 func TestMapReturnsIndexOrderedResults(t *testing.T) {
 	e := New(8)
-	got := Map(e, 100, func(i int) int { return i * i })
+	got := mapAll(t, e, 100, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)
@@ -36,7 +50,7 @@ func TestMapIsWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) []uint64 {
 		e := New(workers)
 		seeds := ShardSeeds(42, 16)
-		return Map(e, 16, func(i int) uint64 {
+		return mapAll(t, e, 16, func(i int) uint64 {
 			// Simulate a shard that consumes its own derived stream.
 			s := seeds[i]
 			var acc uint64
@@ -69,29 +83,27 @@ func TestNewClampsWorkers(t *testing.T) {
 
 func TestMapZeroItems(t *testing.T) {
 	ran := false
-	out := Map(New(4), 0, func(int) int { ran = true; return 1 })
+	out := mapAll(t, New(4), 0, func(int) int { ran = true; return 1 })
 	if ran || len(out) != 0 {
 		t.Fatalf("fn ran %v, out %v for an empty range", ran, out)
 	}
 }
 
-// TestMapPropagatesPanic: a panic in fn reaches Map's caller with its
-// original value, on the inline serial path and across the pool alike.
+// TestMapPropagatesPanic: a panic in fn reaches MapCtx's caller as a
+// *PanicError carrying the shard index and the original value, on the
+// inline serial path and across the pool alike.
 func TestMapPropagatesPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Fatalf("workers=%d: recovered %v, want the original panic value", workers, r)
-				}
-			}()
-			Map(New(workers), 100, func(i int) int {
-				if i == 37 {
-					panic("boom")
-				}
-				return i
-			})
-		}()
+		out, err := MapCtx(New(workers), context.Background(), 100, func(_ context.Context, i int) (int, error) {
+			if i == 37 {
+				panic("boom")
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" || pe.Shard != 37 || out != nil {
+			t.Fatalf("workers=%d: got (%v, %v), want a *PanicError for shard 37 with the original value", workers, out, err)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package attacks
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -73,6 +75,37 @@ func TestCollisionStatsUnmarshalRejectsCorrupt(t *testing.T) {
 		got := &CollisionStats{}
 		if err := got.UnmarshalBinary(bad); err == nil {
 			t.Fatalf("len %d: want error", len(bad))
+		}
+	}
+}
+
+// TestSearchResultRoundTrip: SearchResult is fixed-size data, which the
+// experiments checkpoint codec writes with little-endian encoding/binary.
+// Every field comes back exactly (a 2^40 count, a negative CorrectPairs, a
+// fractional SigmaT), and a payload one byte short does not decode.
+func TestSearchResultRoundTrip(t *testing.T) {
+	for _, r := range []SearchResult{
+		{},
+		{Measurements: 123456, Success: true, CorrectPairs: 120, SigmaT: 3.25},
+		{Measurements: 1 << 40, Success: false, CorrectPairs: -1, SigmaT: 0.0625},
+	} {
+		var b bytes.Buffer
+		if err := binary.Write(&b, binary.LittleEndian, r); err != nil {
+			t.Fatal(err)
+		}
+		data := b.Bytes()
+		if n := binary.Size(r); n != len(data) {
+			t.Fatalf("encoded %d bytes, binary.Size says %d", len(data), n)
+		}
+		var got SearchResult
+		if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != r {
+			t.Fatalf("round trip: got %+v, want %+v", got, r)
+		}
+		if err := binary.Read(bytes.NewReader(data[:len(data)-1]), binary.LittleEndian, &got); err == nil {
+			t.Fatal("short payload: want error")
 		}
 	}
 }

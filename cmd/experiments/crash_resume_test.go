@@ -438,6 +438,10 @@ func TestUsageErrors(t *testing.T) {
 		// Traffic has 2 units: one past the bound, so a broken check
 		// forks only a handful of workers.
 		{"-role", "coordinator", "-fabric-dir", t.TempDir(), "-run", "Traffic", "-fabric-spawn", "3"},
+		// Fabric flags without -role: the run would ignore them and run
+		// in one process.
+		{"-run", "Figure5", "-fabric-spawn", "3"},
+		{"-run", "Figure5", "-fabric-dir", filepath.Join(t.TempDir(), "D"), "-worker-id", "x", "-lease-ttl", "1h"},
 	} {
 		res := runBin(t, args...)
 		if res.code != 2 {

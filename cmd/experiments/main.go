@@ -34,9 +34,11 @@
 // another worker. The coordinator waits for every unit's checkpoint, counts
 // the lost claims as re-dispatches, and renders the final table from the
 // checkpoint store — byte-identical to a single-process run no matter how
-// many workers ran, died, or re-ran a unit. -join merges the checkpoint
-// stores of partial runs into -checkpoint-dir and renders from the merged
-// store, with the same byte-identity guarantee.
+// many workers ran, died, or re-ran a unit. The fabric flags (-fabric-dir,
+// -fabric-spawn, -worker-id, -lease-ttl, -fabric-poll, -worker-idle-exit)
+// are a usage error without -role. -join merges the checkpoint stores of
+// partial runs into -checkpoint-dir and renders from the merged store, with
+// the same byte-identity guarantee.
 //
 // Exit codes: 0 success; 1 experiment failure, including a checkpoint whose
 // unit the store already holds with different bytes; 2 usage error;
@@ -159,6 +161,20 @@ func run() int {
 	// best-effort aborted markers belong.
 	if *role != "" && *role != "coordinator" && *role != "worker" {
 		return usage("unknown -role %q (want coordinator or worker)", *role)
+	}
+	if *role == "" {
+		// Only flags given on the command line count, so the defaults of
+		// -lease-ttl, -fabric-poll and -worker-idle-exit never trip this.
+		var fabricOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "fabric-dir", "fabric-spawn", "worker-id", "lease-ttl", "fabric-poll", "worker-idle-exit":
+				fabricOnly = append(fabricOnly, "-"+f.Name)
+			}
+		})
+		if len(fabricOnly) > 0 {
+			return usage("%s: fabric flags need -role coordinator or -role worker", strings.Join(fabricOnly, ", "))
+		}
 	}
 	if *role != "" {
 		if *fabricDir == "" {

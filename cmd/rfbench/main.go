@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -459,7 +460,7 @@ func main() {
 		fatal(err)
 	}
 	if *compare != "" {
-		ok, err := compareBaseline(rep, *compare, *threshold)
+		ok, err := compareBaseline(os.Stdout, rep, *compare, *threshold)
 		if err != nil {
 			fatal(err)
 		}
@@ -522,15 +523,16 @@ func emit(rep Report, path string) error {
 	return atomicio.WriteFile(path, data, 0o644)
 }
 
-// compareBaseline prints a benchstat-style delta table of rep against the
-// baseline file — median ns/op and allocs/op side by side, with a geomean
-// speedup over the kernels both runs measured — and reports whether every
-// kernel's median is within the ns/op regression threshold. Kernels present
-// on only one side are reported but never fail the gate (adding a kernel
-// must not require regenerating history first). It prints both hosts and says when they
-// differ, but gates either way: CI compares a hosted runner against a
-// baseline recorded on another machine.
-func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error) {
+// compareBaseline writes to w a benchstat-style delta table of rep against
+// the baseline file — median ns/op, bytes/op and allocs/op side by side,
+// with a geomean speedup over the kernels both runs measured — and reports
+// whether every kernel's median is within the ns/op regression threshold.
+// Only ns/op gates; the memory columns are for reading. Kernels present on
+// only one side are reported but never fail the gate (adding a kernel must
+// not require regenerating history first). It prints both hosts and says
+// when they differ, but gates either way: CI compares a hosted runner
+// against a baseline recorded on another machine.
+func compareBaseline(w io.Writer, rep Report, path string, thresholdPct float64) (bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
@@ -547,21 +549,22 @@ func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error
 		old[k.Name] = k
 	}
 
-	fmt.Printf("comparing against %s (commit %s)\n", path, base.Commit)
-	fmt.Printf("baseline host: %v\n", base.Host)
-	fmt.Printf("this host:     %v\n", rep.Host)
+	fmt.Fprintf(w, "comparing against %s (commit %s)\n", path, base.Commit)
+	fmt.Fprintf(w, "baseline host: %v\n", base.Host)
+	fmt.Fprintf(w, "this host:     %v\n", rep.Host)
 	if base.Host != rep.Host {
-		fmt.Println("hosts differ: ns/op deltas include the change of host")
+		fmt.Fprintln(w, "hosts differ: ns/op deltas include the change of host")
 	}
-	fmt.Printf("%-18s %14s %14s %8s %10s %10s %8s\n",
-		"kernel", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
+	const row = "%-18s %14s %14s %8s %12s %12s %8s %10s %10s %8s%s\n"
+	fmt.Fprintf(w, row, "kernel", "old ns/op", "new ns/op", "delta",
+		"old B/op", "new B/op", "delta", "old allocs", "new allocs", "delta", "")
 	ok := true
 	logRatioSum, compared := 0.0, 0
 	for _, k := range rep.Kernels {
 		o, found := old[k.Name]
 		if !found {
-			fmt.Printf("%-18s %14s %14.0f %8s %10s %10d %8s  (new kernel)\n",
-				k.Name, "-", k.NsPerOp, "-", "-", k.AllocsPerOp, "-")
+			fmt.Fprintf(w, row, k.Name, "-", fmt.Sprintf("%.0f", k.NsPerOp), "-",
+				"-", fmt.Sprint(k.BytesPerOp), "-", "-", fmt.Sprint(k.AllocsPerOp), "-", "  (new kernel)")
 			continue
 		}
 		delta := 100 * (k.NsPerOp - o.NsPerOp) / o.NsPerOp
@@ -570,9 +573,9 @@ func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error
 			verdict = "  REGRESSION"
 			ok = false
 		}
-		fmt.Printf("%-18s %14.0f %14.0f %+7.1f%% %10d %10d %8s%s\n",
-			k.Name, o.NsPerOp, k.NsPerOp, delta,
-			o.AllocsPerOp, k.AllocsPerOp, allocDelta(o.AllocsPerOp, k.AllocsPerOp), verdict)
+		fmt.Fprintf(w, row, k.Name, fmt.Sprintf("%.0f", o.NsPerOp), fmt.Sprintf("%.0f", k.NsPerOp), fmt.Sprintf("%+.1f%%", delta),
+			fmt.Sprint(o.BytesPerOp), fmt.Sprint(k.BytesPerOp), countDelta(o.BytesPerOp, k.BytesPerOp),
+			fmt.Sprint(o.AllocsPerOp), fmt.Sprint(k.AllocsPerOp), countDelta(o.AllocsPerOp, k.AllocsPerOp), verdict)
 		if o.NsPerOp > 0 && k.NsPerOp > 0 {
 			logRatioSum += math.Log(k.NsPerOp / o.NsPerOp)
 			compared++
@@ -580,25 +583,25 @@ func compareBaseline(rep Report, path string, thresholdPct float64) (bool, error
 	}
 	for _, k := range base.Kernels {
 		if _, found := findKernel(rep.Kernels, k.Name); !found {
-			fmt.Printf("%-18s %14.0f %14s %8s %10d %10s %8s  (not run)\n",
-				k.Name, k.NsPerOp, "-", "-", k.AllocsPerOp, "-", "-")
+			fmt.Fprintf(w, row, k.Name, fmt.Sprintf("%.0f", k.NsPerOp), "-", "-",
+				fmt.Sprint(k.BytesPerOp), "-", "-", fmt.Sprint(k.AllocsPerOp), "-", "-", "  (not run)")
 		}
 	}
 	if compared > 0 {
 		// benchstat convention: geomean of new/old time ratios over the
 		// kernels measured on both sides; < 1.00x means faster overall.
-		fmt.Printf("geomean ns/op ratio (new/old) over %d kernels: %.2fx\n",
+		fmt.Fprintf(w, "geomean ns/op ratio (new/old) over %d kernels: %.2fx\n",
 			compared, math.Exp(logRatioSum/float64(compared)))
 	}
 	if !ok {
-		fmt.Printf("FAIL: ns/op regression beyond %.0f%% tolerance\n", thresholdPct)
+		fmt.Fprintf(w, "FAIL: ns/op regression beyond %.0f%% tolerance\n", thresholdPct)
 	}
 	return ok, nil
 }
 
-// allocDelta formats the allocs/op change as a benchstat-style percentage,
-// with the 0 → 0 and N → 0 edges spelled out.
-func allocDelta(old, new int64) string {
+// countDelta formats the change of a per-op count (bytes or allocs) as a
+// benchstat-style percentage, with the 0 → 0 and 0 → N edges spelled out.
+func countDelta(old, new int64) string {
 	switch {
 	case old == new:
 		return "0.0%"

@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,7 +39,7 @@ func writeReport(t *testing.T, rep Report) string {
 
 func TestCompareWithinThreshold(t *testing.T) {
 	base := writeReport(t, sampleReport(1000))
-	ok, err := compareBaseline(sampleReport(1100), base, 20)
+	ok, err := compareBaseline(io.Discard, sampleReport(1100), base, 20)
 	if err != nil || !ok {
 		t.Fatalf("10%% slower flagged as regression: ok=%v err=%v", ok, err)
 	}
@@ -44,7 +47,7 @@ func TestCompareWithinThreshold(t *testing.T) {
 
 func TestCompareFlagsRegression(t *testing.T) {
 	base := writeReport(t, sampleReport(1000))
-	ok, err := compareBaseline(sampleReport(1500), base, 20)
+	ok, err := compareBaseline(io.Discard, sampleReport(1500), base, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,28 +62,71 @@ func TestCompareGatesAcrossHosts(t *testing.T) {
 	path := writeReport(t, sampleReport(1000))
 	rep := sampleReport(1500)
 	rep.Host = Host{CPU: "Other CPU", NumCPU: 4, GOMAXPROCS: 4}
-	if ok, err := compareBaseline(rep, path, 20); err != nil || ok {
+	if ok, err := compareBaseline(io.Discard, rep, path, 20); err != nil || ok {
 		t.Errorf("50%% slowdown on another host: ok=%v err=%v, want a failed gate", ok, err)
 	}
 }
 
 func TestCompareIgnoresNewAndMissingKernels(t *testing.T) {
 	base := sampleReport(1000)
-	base.Kernels = append(base.Kernels, Kernel{Name: "retired-kernel", NsPerOp: 5})
+	base.Kernels = append(base.Kernels, Kernel{Name: "retired-kernel", NsPerOp: 5, BytesPerOp: 96, AllocsPerOp: 2})
 	path := writeReport(t, base)
 	rep := sampleReport(1000)
-	rep.Kernels = append(rep.Kernels, Kernel{Name: "brand-new", NsPerOp: 7})
-	ok, err := compareBaseline(rep, path, 20)
+	rep.Kernels = append(rep.Kernels, Kernel{Name: "brand-new", NsPerOp: 7, BytesPerOp: 48, AllocsPerOp: 3})
+	var out strings.Builder
+	ok, err := compareBaseline(&out, rep, path, 20)
 	if err != nil || !ok {
 		t.Fatalf("kernel set drift failed the gate: ok=%v err=%v", ok, err)
 	}
+	// A one-sided kernel shows the bytes/op and allocs/op of its side.
+	for _, want := range [][]string{
+		{"brand-new", "-", "7", "-", "-", "48", "-", "-", "3", "-", "(new", "kernel)"},
+		{"retired-kernel", "5", "-", "-", "96", "-", "-", "2", "-", "-", "(not", "run)"},
+	} {
+		if !hasRow(out.String(), want) {
+			t.Errorf("no row %q in:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestCompareShowsBytesPerOp: the table sets old and new bytes/op and
+// their delta beside allocs/op, for a memory change that does not gate.
+func TestCompareShowsBytesPerOp(t *testing.T) {
+	path := writeReport(t, sampleReport(1000))
+	rep := sampleReport(1000)
+	rep.Kernels[0].BytesPerOp, rep.Kernels[0].AllocsPerOp = 16, 2
+	rep.Kernels[1].BytesPerOp = 32
+	var out strings.Builder
+	ok, err := compareBaseline(&out, rep, path, 20)
+	if err != nil || !ok {
+		t.Fatalf("a bytes/op change failed the ns/op gate: ok=%v err=%v", ok, err)
+	}
+	for _, want := range [][]string{
+		{"kernel", "old", "ns/op", "new", "ns/op", "delta", "old", "B/op", "new", "B/op", "delta", "old", "allocs", "new", "allocs", "delta"},
+		{"table3-cell", "1000", "1000", "+0.0%", "64", "16", "-75.0%", "1", "2", "+100.0%"},
+		{"sim-replay", "1000", "1000", "+0.0%", "0", "32", "+inf", "0", "0", "0.0%"},
+	} {
+		if !hasRow(out.String(), want) {
+			t.Errorf("no row %q in:\n%s", want, out.String())
+		}
+	}
+}
+
+// hasRow reports whether out has a line whose fields are exactly want.
+func hasRow(out string, want []string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if slices.Equal(strings.Fields(line), want) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestCompareRejectsWrongSchema(t *testing.T) {
 	base := sampleReport(1000)
 	base.Schema = "randfill-bench/v0"
 	path := writeReport(t, base)
-	if _, err := compareBaseline(sampleReport(1000), path, 20); err == nil {
+	if _, err := compareBaseline(io.Discard, sampleReport(1000), path, 20); err == nil {
 		t.Error("wrong schema accepted")
 	}
 }

@@ -130,8 +130,10 @@ type bytePair struct {
 	lineGranular bool
 }
 
-// NewCollision prepares an attack. It panics on an invalid key, mirroring
-// misuse rather than runtime failure.
+// NewCollision prepares an attack on a machine from sim.Acquire; Release
+// returns the machine to the pool once the attack has collected its last
+// sample. It panics on an invalid key, mirroring misuse rather than runtime
+// failure.
 func NewCollision(cfg CollisionConfig) *Collision {
 	src := rng.New(cfg.Seed ^ 0xc0111510)
 	key := cfg.Key
@@ -144,7 +146,7 @@ func NewCollision(cfg CollisionConfig) *Collision {
 		panic(fmt.Sprintf("attacks: %v", err))
 	}
 	layout := aes.DefaultLayout()
-	machine := sim.New(cfg.Sim)
+	machine := sim.Acquire(cfg.Sim)
 	a := &Collision{
 		CollisionStats: &CollisionStats{},
 		cfg:            cfg,
@@ -202,6 +204,17 @@ func NewCollision(cfg CollisionConfig) *Collision {
 		a.truth[p] = a.computeTrueXor(p)
 	}
 	return a
+}
+
+// Release returns the attack's machine to sim's pool, for the next attack
+// or experiment unit to reuse. The measurement state (Stats and the
+// verdicts on it) stays valid; Collect after Release panics. A second
+// Release does nothing.
+func (a *Collision) Release() {
+	if a.machine != nil {
+		a.machine.Release()
+		a.machine, a.thread = nil, nil
+	}
 }
 
 // Stats returns the attack's mergeable measurement state. The returned
@@ -279,6 +292,9 @@ func (a *Collision) cleanCache() {
 // victim's tables become L2-resident for the rest of the attack) and their
 // DRAM-latency outliers would otherwise pollute small-sample group means.
 func (a *Collision) Collect(n int) {
+	if a.machine == nil {
+		panic("attacks: Collect after Release")
+	}
 	var pt [16]byte
 	for a.warmups < 4 {
 		a.warmups++
@@ -442,6 +458,7 @@ func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, m
 		return SearchResult{}, err
 	}
 	a := NewCollision(cfg)
+	defer a.Release()
 	best := 0
 	for a.Samples() < uint64(maxSamples) {
 		if err := ctx.Err(); err != nil {

@@ -11,37 +11,47 @@ import (
 // victim key (the shards are one attack on one victim) but each with its
 // own Split-derived plaintext stream and simulator seed. The shard plan is
 // a pure function of (cfg, shards): which shard draws which random values
-// never depends on how many goroutines execute them. It is exported so the
-// resumable experiment layer can run the plan shard-by-shard, persisting
-// each completed shard's Stats through the checkpoint store.
+// never depends on how many goroutines execute them. Shard s is exactly
+// NewShard(cfg, s). Each shard holds a pooled machine until its Release.
 func NewShards(cfg CollisionConfig, shards int) []*Collision {
 	if shards < 1 {
 		shards = 1
 	}
-	// Mirror NewCollision's key derivation so that, for a given cfg.Seed,
-	// the sharded attack targets the same victim key as the serial one.
-	root := rng.New(cfg.Seed ^ 0xc0111510)
-	key := cfg.Key
-	if key == nil {
-		key = make([]byte, 16)
-		root.Bytes(key)
-	}
 	out := make([]*Collision, shards)
 	for s := range out {
-		scfg := cfg
-		scfg.Key = key
-		scfg.Seed = root.SplitSeed(uint64(s))
-		// Give each shard's machine (random fill engine, replacement
-		// randomness) its own stream too, so shards are independent
-		// Monte Carlo samples of the same victim, not replicas.
-		scfg.Sim.Seed = scfg.Seed ^ 0x5ead
-		out[s] = NewCollision(scfg)
+		out[s] = NewShard(cfg, s)
 	}
 	return out
 }
 
-// ShardSeed returns the plaintext-stream seed NewShards derives for shard s
-// of cfg — the identity a checkpoint of that shard is bound to.
+// NewShard builds shard s of NewShards' plan on its own, so a caller that
+// runs one shard (the resumable experiment layer persists each completed
+// shard's Stats through the checkpoint store) builds only that shard.
+func NewShard(cfg CollisionConfig, s int) *Collision {
+	// Mirror NewCollision's key derivation so that, for a given cfg.Seed,
+	// the sharded attack targets the same victim key as the serial one.
+	root := rng.New(cfg.Seed ^ 0xc0111510)
+	if cfg.Key == nil {
+		cfg.Key = make([]byte, 16)
+		root.Bytes(cfg.Key)
+	}
+	// Shards 0..s-1 each take one split of root before shard s.
+	for i := 0; i < s; i++ {
+		root.SplitSeed(uint64(i))
+	}
+	cfg.Seed = root.SplitSeed(uint64(s))
+	// Give each shard's machine (random fill engine, replacement
+	// randomness) its own stream too, so shards are independent Monte
+	// Carlo samples of the same victim, not replicas.
+	cfg.Sim.Seed = cfg.Seed ^ 0x5ead
+	return NewCollision(cfg)
+}
+
+// ShardSeed returns the checkpoint identity of shard s of cfg: a split of
+// a fresh root, keyed by s. It is NOT the plaintext-stream seed NewShard
+// derives, which splits the root after the key draw and after the earlier
+// shards' splits. Figure 2's checkpoint stores carry this value, so it
+// stays as it is.
 func ShardSeed(cfg CollisionConfig, s int) uint64 {
 	return rng.New(cfg.Seed ^ 0xc0111510).SplitSeed(uint64(s))
 }
@@ -89,12 +99,18 @@ func MergeStats(states []*CollisionStats) *CollisionStats {
 // error and no result. The search's
 // round-by-round early exit is why it checkpoints as one unit rather than
 // per shard: a shard's stopping point depends on every other shard's
-// measurements at each round boundary.
+// measurements at each round boundary. Every return releases the shards'
+// machines, so the next cell's shards reuse their L2s.
 func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) (SearchResult, error) {
 	if err := checkSearchBudget(batch, maxSamples); err != nil {
 		return SearchResult{}, err
 	}
 	atks := NewShards(cfg, shards)
+	defer func() {
+		for _, a := range atks {
+			a.Release()
+		}
+	}()
 	best := 0
 	collected := 0
 	agg := MergeShardStats(atks) // degenerate budgets report an empty aggregate

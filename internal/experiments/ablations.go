@@ -35,8 +35,10 @@ func windowShapePlan(sc Scale) unitPlan[[2]float64] {
 	return unitPlan[[2]float64]{
 		n: len(shapes) + 1,
 		run: func(_ context.Context, i int) ([2]float64, error) {
+			m := sim.Acquire(sim.Config{Seed: sc.Seed})
+			defer m.Release()
 			if i == len(shapes) {
-				return [2]float64{0, sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, ct()).IPC()}, nil
+				return [2]float64{0, m.RunTraceSteady(sim.ThreadConfig{}, ct()).IPC()}, nil
 			}
 			mc := infotheory.MonteCarloP1P2(infotheory.P1P2Config{
 				NewCache: securecache.L1Factory("sa"),
@@ -45,7 +47,7 @@ func windowShapePlan(sc Scale) unitPlan[[2]float64] {
 				Region:   t4Region(),
 				Seed:     sc.Seed,
 			})
-			res := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{
+			res := m.RunTraceSteady(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: shapes[i].w,
 			}, ct())
 			return [2]float64{mc.Diff(), res.IPC()}, nil
@@ -77,16 +79,17 @@ func fillQueuePlan(sc Scale) unitPlan[sim.Result] {
 	return unitPlan[sim.Result]{
 		n: len(depths) + 1,
 		run: func(_ context.Context, i int) (sim.Result, error) {
-			if i == len(depths) {
-				return sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, victim()), nil
+			cfg, tc := sim.Config{Seed: sc.Seed}, sim.ThreadConfig{}
+			if i < len(depths) {
+				cfg = sim.DefaultConfig()
+				cfg.Seed = sc.Seed
+				cfg.MissQueue = 2
+				cfg.FillQueueCap = depths[i]
+				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15}}
 			}
-			cfg := sim.DefaultConfig()
-			cfg.Seed = sc.Seed
-			cfg.MissQueue = 2
-			cfg.FillQueueCap = depths[i]
-			return sim.New(cfg).RunTrace(sim.ThreadConfig{
-				Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-			}, victim()), nil
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			return m.RunTrace(tc, victim()), nil
 		},
 		render: func(results []sim.Result) *Table {
 			t := &Table{
@@ -119,7 +122,9 @@ func missQueueAblationPlan(sc Scale) unitPlan[float64] {
 			cfg := sim.DefaultConfig()
 			cfg.Seed = sc.Seed
 			cfg.MissQueue = sizes[i]
-			return sim.New(cfg).RunTrace(sim.ThreadConfig{}, victim()).IPC(), nil
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			return m.RunTrace(sim.ThreadConfig{}, victim()).IPC(), nil
 		},
 		render: func(ipcs []float64) *Table {
 			t := &Table{
@@ -159,7 +164,8 @@ func dropOnHitPlan(sc Scale) unitPlan[[2]float64] {
 					KeepRedundantFills: keeps[i],
 				}
 			}
-			m := sim.New(sim.Config{Seed: sc.Seed})
+			m := sim.Acquire(sim.Config{Seed: sc.Seed})
+			defer m.Release()
 			res := m.RunTrace(tc, victim())
 			return [2]float64{res.IPC(), float64(m.L2Accesses())}, nil
 		},
@@ -195,12 +201,13 @@ func l2RandomFillPlan(sc Scale) unitPlan[float64] {
 	return unitPlan[float64]{
 		n: len(variants) + 1,
 		run: func(_ context.Context, i int) (float64, error) {
-			if i == len(variants) {
-				return sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, victim()).IPC(), nil
+			cfg, tc := sim.Config{Seed: sc.Seed}, sim.ThreadConfig{}
+			if i < len(variants) {
+				cfg, tc = variants[i], sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 			}
-			return sim.New(variants[i]).RunTrace(sim.ThreadConfig{
-				Mode: sim.ModeRandomFill, Window: w,
-			}, victim()).IPC(), nil
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			return m.RunTrace(tc, victim()).IPC(), nil
 		},
 		render: func(ipcs []float64) *Table {
 			t := &Table{

@@ -50,7 +50,8 @@ func adaptivePlan(sc Scale) unitPlan[adaptiveRun] {
 	return unitPlan[adaptiveRun]{
 		n: len(statics) + 1,
 		run: func(_ context.Context, i int) (adaptiveRun, error) {
-			m := sim.New(sim.Config{Seed: sc.Seed})
+			m := sim.Acquire(sim.Config{Seed: sc.Seed})
+			defer m.Release()
 			if i < len(statics) {
 				tc := sim.ThreadConfig{}
 				if w := statics[i].w; !w.Zero() {

@@ -42,7 +42,9 @@ func constantTimePlan(sc Scale) unitPlan[sim.Result] {
 			cfg.L1 = cache.Geometry{SizeBytes: 8 * 1024, Ways: 2}
 			cfg.L1Kind = runs[i].kind
 			cfg.Seed = sc.Seed
-			return sim.New(cfg).RunTrace(runs[i].tc, victim()), nil
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			return m.RunTrace(runs[i].tc, victim()), nil
 		},
 		render: func(res []sim.Result) *Table {
 			t := &Table{
@@ -92,8 +94,11 @@ func informingDoSPlan(sc Scale) unitPlan[[2]sim.Result] {
 			cfg.L1 = cache.Geometry{SizeBytes: 16 * 1024, Ways: 1}
 			cfg.Seed = sc.Seed
 			tc := defenses[i].tc
-			solo := sim.New(cfg).RunTrace(tc, victim())
-			co := sim.New(cfg).RunSMTCompiled(tc, victim(), sim.ThreadConfig{Owner: 1}, attacker())
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			solo := m.RunTrace(tc, victim())
+			m.Reset(cfg)
+			co := m.RunSMTCompiled(tc, victim(), sim.ThreadConfig{Owner: 1}, attacker())
 			return [2]sim.Result{solo, co}, nil
 		},
 		render: func(results [][2]sim.Result) *Table {

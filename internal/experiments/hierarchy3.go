@@ -62,7 +62,8 @@ func hierarchy3Plan(sc Scale) unitPlan[placeResult] {
 			if p.l1 {
 				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
 			}
-			m := sim.New(cfg)
+			m := sim.Acquire(cfg)
+			defer m.Release()
 			res := m.RunTrace(tc, victim())
 			r := placeResult{IPC: res.IPC(), Mem: m.MemAccesses()}
 			r.RF[0] = res.RandomFills

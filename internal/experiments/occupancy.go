@@ -86,7 +86,9 @@ func matrixCell(sc Scale, pol string, d securecache.Design, b cellBudget, seed u
 	cfg.L1Policy = pol
 	kind, tc := sim.DesignL1(d.Name)
 	cfg.L1Kind = kind
-	res := sim.New(cfg).RunTrace(tc, victim)
+	m := sim.Acquire(cfg)
+	defer m.Release()
+	res := m.RunTrace(tc, victim)
 
 	return occCell{
 		ReuseAcc: reuse.Accuracy, ReuseMI: reuse.MutualInfo,

@@ -92,7 +92,8 @@ func figure6Geometries() []cache.Geometry {
 // figure6Plan reproduces the cryptographic-workload IPC comparison: for
 // each L1 geometry, the IPC of PLcache+preload, disable-cache and random
 // fill [-16,+15], normalized to the demand-fetch baseline of the same
-// geometry. A unit is one geometry's four runs.
+// geometry. A unit is one geometry's four runs, on one pooled machine reset
+// for each.
 func figure6Plan(sc Scale) unitPlan[[4]float64] {
 	victim := lazyVictim(sc)
 	geoms := figure6Geometries()
@@ -106,12 +107,17 @@ func figure6Plan(sc Scale) unitPlan[[4]float64] {
 				cfg.Seed = sc.Seed
 				return cfg
 			}
-			baseline := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{}, victim())
-			preload := sim.New(base(sim.KindPLcache)).RunTrace(sim.ThreadConfig{
+			m := sim.Acquire(base(sim.KindSA))
+			defer m.Release()
+			baseline := m.RunTrace(sim.ThreadConfig{}, victim())
+			m.Reset(base(sim.KindPLcache))
+			preload := m.RunTrace(sim.ThreadConfig{
 				Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
 			}, victim())
-			disable := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim())
-			rf := sim.New(base(sim.KindSA)).RunTrace(sim.ThreadConfig{
+			m.Reset(base(sim.KindSA))
+			disable := m.RunTrace(sim.ThreadConfig{Mode: sim.ModeDisableSecret}, victim())
+			m.Reset(base(sim.KindSA))
+			rf := m.RunTrace(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
 			}, victim())
 			return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}, nil
@@ -161,7 +167,9 @@ func figure7Plan(sc Scale) unitPlan[float64] {
 			if size > 1 {
 				tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 			}
-			return sim.New(cfg).RunTrace(tc, victim()).IPC(), nil
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			return m.RunTrace(tc, victim()).IPC(), nil
 		},
 		render: func(cells []float64) *Table {
 			t := &Table{

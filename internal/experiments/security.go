@@ -23,10 +23,10 @@ func t4Region() mem.Region {
 // time vs c0^c1 over random-plaintext block encryptions against a
 // demand-fetch cache, with the minimum at k10_0 ^ k10_1. Its units are the
 // collision attack's parexp.Shards measurement shards — attacks.NewShards'
-// fixed plan, one Collect per shard — so each checkpoint holds one shard's
-// full CollisionStats and the final merge (in shard-index order) is
-// byte-identical whether the shards came from this run, a prior one, or
-// another process's.
+// fixed plan, one NewShard and Collect per unit — so each checkpoint holds
+// one shard's full CollisionStats and the final merge (in shard-index
+// order) is byte-identical whether the shards came from this run, a prior
+// one, or another process's.
 func figure2Plan(sc Scale) unitPlan[attacks.CollisionStats] {
 	cfg := attacks.CollisionConfig{
 		Sim:  sim.AttackerConfig(),
@@ -37,9 +37,11 @@ func figure2Plan(sc Scale) unitPlan[attacks.CollisionStats] {
 		n:    parexp.Shards,
 		seed: func(i int) uint64 { return attacks.ShardSeed(cfg, i) },
 		run: func(_ context.Context, i int) (attacks.CollisionStats, error) {
-			// Each unit builds its own shard attacker: a unit is a pure
-			// function of (sc, i) even when another process runs it alone.
-			atk := attacks.NewShards(cfg, parexp.Shards)[i]
+			// Each unit builds only its own shard attacker: a unit is a
+			// pure function of (sc, i) even when another process runs it
+			// alone.
+			atk := attacks.NewShard(cfg, i)
+			defer atk.Release()
 			atk.Collect(counts[i])
 			return *atk.Stats(), nil
 		},

@@ -38,7 +38,8 @@ var figure8Geoms = [2]cache.Geometry{
 // five cache configurations at 16 KB DM and 32 KB 4-way, normalized to the
 // baseline (demand-fetch SA, crypto thread unprotected). A unit is one
 // benchmark: it generates and compiles the benchmark once and runs its five
-// co-runs at every geometry on one machine, which each co-run resets.
+// co-runs at every geometry on one pooled machine, which each co-run
+// resets.
 func figure8Plan(sc Scale) unitPlan[[2][5]float64] {
 	// The crypto trace is compiled once per run and shared read-only.
 	lazyCrypto := sync.OnceValue(func() *trace.Compiled { return aesEncDecTrace(sc) })
@@ -51,7 +52,8 @@ func figure8Plan(sc Scale) unitPlan[[2][5]float64] {
 			// first unit builds it.
 			crypto := lazyCrypto()
 			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
-			m := new(sim.Machine)
+			m := sim.Acquire(sim.DefaultConfig())
+			defer m.Release()
 			var out [2][5]float64
 			for gi, g := range figure8Geoms {
 				base := smtRun(m, sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
@@ -151,8 +153,8 @@ var figure10Windows = [11]rng.Window{
 // figure10Plan reproduces the per-benchmark MPKI and IPC sweep across fill
 // windows: window [0,0] is the demand-fetch baseline. A unit is one
 // benchmark: it compiles the benchmark once and runs its full window sweep
-// on one machine, reset per window, and returns each window's MPKI and IPC
-// (the [0,0] column is the in-unit baseline, so units stay
+// on one pooled machine, reset per window, and returns each window's MPKI
+// and IPC (the [0,0] column is the in-unit baseline, so units stay
 // self-contained).
 func figure10Plan(sc Scale) unitPlan[[2][11]float64] {
 	benches := workloads.All()
@@ -160,11 +162,12 @@ func figure10Plan(sc Scale) unitPlan[[2][11]float64] {
 		n: len(benches),
 		run: func(_ context.Context, bi int) ([2][11]float64, error) {
 			ct := trace.Compile(benches[bi].Gen(sc.SpecAccesses, sc.Seed))
-			m := new(sim.Machine)
+			cfg := sim.DefaultConfig()
+			cfg.Seed = sc.Seed
+			m := sim.Acquire(cfg)
+			defer m.Release()
 			var out [2][11]float64
 			for i, w := range figure10Windows {
-				cfg := sim.DefaultConfig()
-				cfg.Seed = sc.Seed
 				tc := sim.ThreadConfig{}
 				if !w.Zero() {
 					tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w}
@@ -206,7 +209,7 @@ var streamingBenches = []string{"lbm", "libquantum"}
 
 // trafficPlan reproduces the Section VII traffic observation: the L2 and
 // memory traffic increase of random fill [0,15] over demand fetch for the
-// streaming benchmarks, one benchmark per unit.
+// streaming benchmarks, one benchmark per unit, on one pooled machine.
 func trafficPlan(sc Scale) unitPlan[[2]float64] {
 	return unitPlan[[2]float64]{
 		n: len(streamingBenches),
@@ -214,17 +217,21 @@ func trafficPlan(sc Scale) unitPlan[[2]float64] {
 			bench, _ := workloads.ByName(streamingBenches[i])
 			ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
 
-			mBase := sim.New(sim.Config{Seed: sc.Seed})
-			mBase.RunTraceSteady(sim.ThreadConfig{}, ct)
+			cfg := sim.Config{Seed: sc.Seed}
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			m.RunTraceSteady(sim.ThreadConfig{}, ct)
+			// Read the baseline's counters before the reset clears them.
+			baseL2, baseMem := m.L2Accesses(), m.MemAccesses()
 
-			mRF := sim.New(sim.Config{Seed: sc.Seed})
-			mRF.RunTraceSteady(sim.ThreadConfig{
+			m.Reset(cfg)
+			m.RunTraceSteady(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
 			}, ct)
 
 			return [2]float64{
-				float64(mRF.L2Accesses())/float64(mBase.L2Accesses()) - 1,
-				float64(mRF.MemAccesses())/float64(mBase.MemAccesses()) - 1,
+				float64(m.L2Accesses())/float64(baseL2) - 1,
+				float64(m.MemAccesses())/float64(baseMem) - 1,
 			}, nil
 		},
 		render: func(rows [][2]float64) *Table {
@@ -243,7 +250,8 @@ func trafficPlan(sc Scale) unitPlan[[2]float64] {
 
 // prefetchPlan reproduces the Section VII prefetcher comparison: IPC of a
 // tagged next-line prefetcher vs random fill [0,15] on the streaming
-// benchmarks, normalized to demand fetch, one benchmark per unit.
+// benchmarks, normalized to demand fetch, one benchmark per unit, on one
+// pooled machine.
 func prefetchPlan(sc Scale) unitPlan[[3]float64] {
 	return unitPlan[[3]float64]{
 		n: len(streamingBenches),
@@ -251,13 +259,17 @@ func prefetchPlan(sc Scale) unitPlan[[3]float64] {
 			bench, _ := workloads.ByName(streamingBenches[i])
 			ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
 
-			base := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{}, ct)
+			cfg := sim.Config{Seed: sc.Seed}
+			m := sim.Acquire(cfg)
+			defer m.Release()
+			base := m.RunTraceSteady(sim.ThreadConfig{}, ct)
 
-			mPf := sim.New(sim.Config{Seed: sc.Seed})
-			mPf.Prefetcher = prefetch.NewTagged()
-			pf := mPf.RunTraceSteady(sim.ThreadConfig{}, ct)
+			m.Reset(cfg) // drops the prefetcher too
+			m.Prefetcher = prefetch.NewTagged()
+			pf := m.RunTraceSteady(sim.ThreadConfig{}, ct)
 
-			rf := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{
+			m.Reset(cfg)
+			rf := m.RunTraceSteady(sim.ThreadConfig{
 				Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
 			}, ct)
 

@@ -58,7 +58,8 @@ func MeasureTimingSignal(cfg TimingSignalConfig) TimingSignalResult {
 	simCfg := sim.DefaultConfig()
 	simCfg.MissQueue = 1 // fully serialized: latencies are exposed
 	simCfg.Seed = cfg.Seed
-	m := sim.New(simCfg)
+	m := sim.Acquire(simCfg)
+	defer m.Release()
 	tc := sim.ThreadConfig{}
 	if !cfg.Window.Zero() {
 		tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: cfg.Window}

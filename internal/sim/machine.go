@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 
 	"randfill/internal/cache"
 	"randfill/internal/core"
@@ -19,6 +20,11 @@ import (
 // through an internal/hierarchy.Hierarchy with one uniform miss path; the
 // L1 (level 0) is driven by the per-thread fill engines, which model MSHR
 // occupancy and the random fill queue.
+//
+// A machine comes from New, which always allocates, or from Acquire, which
+// recycles one that Release returned to a package-level pool. Either way
+// it is exactly the machine New builds; recycling changes only what is
+// allocated, since Reset clears an L2 of unchanged geometry in place.
 type Machine struct {
 	cfg     Config
 	root    *rng.Source
@@ -35,11 +41,49 @@ type Machine struct {
 
 // New builds a machine from cfg (zero fields take Table IV defaults). It is
 // Reset of a zero machine, so New and Reset share one construction path,
-// and it panics on a configuration Validate rejects.
+// and it panics on a configuration Validate rejects. It never takes a
+// machine from the pool: code that builds one machine per process calls
+// New, and code that builds many calls Acquire and Release.
 func New(cfg Config) *Machine {
 	m := new(Machine)
 	m.Reset(cfg)
 	return m
+}
+
+// pool holds released machines for Acquire. A sync.Pool rather than a
+// free list: the machines pass between the goroutines of parexp's engines
+// in no fixed order, and the garbage collector may drop idle ones, so a
+// pool never pins memory for the life of the process.
+var pool sync.Pool
+
+// Acquire returns a machine Reset to cfg: one that Release returned to the
+// pool when there is one, and New(cfg) otherwise. Which machine it returns
+// cannot change a simulated result, because Reset leaves exactly the
+// machine New builds; it changes what is allocated, since a pooled machine
+// clears a lower level of unchanged geometry in place. A caller that never
+// calls Release still gets a correct machine, which the garbage collector
+// frees. It panics on a configuration Validate rejects.
+func Acquire(cfg Config) *Machine {
+	m, ok := pool.Get().(*Machine)
+	if !ok {
+		return New(cfg)
+	}
+	m.Reset(cfg)
+	return m
+}
+
+// Release returns m to the pool for a later Acquire. It keeps only what
+// Reset reuses, the stores of the levels below the L1 and their level
+// configs, and drops the L1, the hierarchy, the threads and the
+// prefetcher, so a pooled machine holds nothing but lower-level arrays.
+// Neither m nor a thread made on it may be used after Release: another
+// Acquire may hand m out again. Releasing m twice panics.
+func (m *Machine) Release() {
+	if m.hier == nil {
+		panic("sim: Release of a machine that is not in use")
+	}
+	*m = Machine{cfg: Config{Levels: m.cfg.Levels}, below: m.below}
+	pool.Put(m)
 }
 
 // Reset rebuilds m in place as exactly the machine New(cfg) returns: a
@@ -47,10 +91,11 @@ func New(cfg Config) *Machine {
 // engines and counters, and no threads or prefetcher. The one thing it
 // reuses is storage: a level below the L1 whose geometry is unchanged is
 // cleared in place (cache.SetAssoc.Reset) rather than reallocated, so a
-// sweep that resets one machine per configuration allocates its L2 once.
-// Threads made before Reset must not be used after it: they still point
-// at the cleared stores. It panics, leaving m as it was, on a
-// configuration Validate rejects.
+// unit that resets one machine per configuration allocates its L2 once,
+// and Acquire reuses the L2 of a machine another unit released. Threads
+// made before Reset must not be used after it: they still point at the
+// cleared stores. It panics, leaving m as it was, on a configuration
+// Validate rejects.
 func (m *Machine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -19,6 +19,12 @@ import (
 // lower level's traffic, cache counters and fill decisions, and the memory
 // traffic. reuseL2 says whether the L2 store survives the reset: it does
 // when the L2 geometry is unchanged, and is reallocated when it changes.
+//
+// Each case also acquires a machine from the pool, which holds the
+// machines the previous case released after running its configuration
+// (unless the pool dropped them, as -race does with some Puts). The replay
+// on the acquired machine must equal the replay on New(cfg) too, and a
+// released machine must hold nothing but its lower-level stores.
 func TestResetMatchesNew(t *testing.T) {
 	tr, reg := replayPinTrace()
 	ct := trace.Compile(tr)
@@ -72,8 +78,45 @@ func TestResetMatchesNew(t *testing.T) {
 			if got != want {
 				t.Errorf("reset machine diverges from a new one:\n reset %s\n new   %s", got, want)
 			}
+
+			pooled := Acquire(c.cfg)
+			if got := machineState(pooled, pooled.RunTrace(c.tc, ct)); got != want {
+				t.Errorf("acquired machine diverges from a new one:\n pooled %s\n new    %s", got, want)
+			}
+			pooled.Prefetcher = prefetch.NewTagged()
+			for _, r := range []*Machine{pooled, m} {
+				r.Release()
+				checkReleased(t, r)
+			}
 		})
 	}
+}
+
+// checkReleased fails t unless m, just released, keeps only its
+// below-L1 stores and their level configs: no L1, hierarchy, root stream,
+// threads or prefetcher.
+func checkReleased(t *testing.T, m *Machine) {
+	t.Helper()
+	if m.hier != nil || m.root != nil || m.threads != nil || m.Prefetcher != nil {
+		t.Errorf("released machine still holds hier %v, root %v, %d threads, prefetcher %v",
+			m.hier != nil, m.root != nil, len(m.threads), m.Prefetcher != nil)
+	}
+	if len(m.below) == 0 || len(m.below) != len(m.cfg.Levels) {
+		t.Errorf("released machine holds %d stores for %d levels, want the lower levels' stores", len(m.below), len(m.cfg.Levels))
+	}
+}
+
+// TestReleaseTwicePanics: a released machine may be in the pool, so a
+// second Release, which would hand it to two callers, panics.
+func TestReleaseTwicePanics(t *testing.T) {
+	m := New(tinyConfig())
+	m.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release did not panic")
+		}
+	}()
+	m.Release()
 }
 
 // TestResetAllocation pins what Reset is for: resetting a default machine

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"randfill/internal/mem"
+	"randfill/internal/trace"
 )
 
 // Layout places the cipher's data structures in the simulated address
@@ -94,27 +95,28 @@ func (o TraceOpts) withDefaults() TraceOpts {
 // stackLines is the number of cache lines in the hot stack region.
 const stackLines = 4
 
-// traceRec builds a mem.Trace from the cipher's lookup callbacks,
-// interleaving the non-table accesses (round keys, stack traffic) a real
-// execution performs.
+// traceRec writes a cipher execution's accesses through a trace.Sink, so
+// one recorder builds both forms of a trace: it interleaves, around the
+// cipher's lookup callbacks, the non-table accesses (round keys, stack
+// traffic) a real execution performs.
 type traceRec struct {
 	lay    Layout
 	opts   TraceOpts
-	trace  mem.Trace
+	out    trace.Sink
 	stack  int // rotating stack-line cursor
 	rkWord int // rotating round-key word cursor
 }
 
-func (r *traceRec) add(a mem.Access) { r.trace = append(r.trace, a) }
+func (r *traceRec) add(a mem.Access) { r.out.Add(a) }
 
-// reserve sizes the trace for blocks blocks in all, once the first block is
-// recorded: for a given cipher and TraceOpts every block emits the same
-// number of accesses, so a CBC run makes one allocation of the whole trace
-// instead of growing it through repeated copies.
-func (r *traceRec) reserve(blocks int) {
-	if n := len(r.trace) * blocks; n > cap(r.trace) {
-		r.trace = append(make(mem.Trace, 0, n), r.trace...)
-	}
+// reserve sizes the trace for blocks blocks from start, its length when
+// the first of them began, once that first block is recorded: for a given
+// cipher and TraceOpts every block emits the same number of accesses, so a
+// CBC run makes one allocation of the whole trace instead of growing it
+// through repeated copies. It sizes only the new part, whatever the trace
+// held before start.
+func (r *traceRec) reserve(start, blocks int) {
+	r.out.Grow((r.out.Len() - start) * (blocks - 1))
 }
 
 func (r *traceRec) stackAccess(kind mem.Kind) {
@@ -186,7 +188,7 @@ func (t *Tracer) EncryptBlockInto(buf mem.Trace, src []byte, off int) ([BlockSiz
 	rec := &t.rec
 	rec.lay = t.Layout
 	rec.opts = t.Opts.withDefaults()
-	rec.trace = buf
+	rec.out = trace.Record(buf)
 	rec.stack = 0
 	rec.rkWord = 0
 	rec.bufferIO(t.Layout.Input, off, mem.Read)
@@ -194,8 +196,8 @@ func (t *Tracer) EncryptBlockInto(buf mem.Trace, src []byte, off int) ([BlockSiz
 	var dst [BlockSize]byte
 	t.Cipher.Encrypt(dst[:], src, rec)
 	rec.bufferIO(t.Layout.Output, off, mem.Write)
-	out := rec.trace
-	rec.trace = nil
+	out := rec.out.Records()
+	rec.out = trace.Sink{}
 	return dst, out
 }
 
@@ -205,10 +207,51 @@ func (t *Tracer) EncryptBlockInto(buf mem.Trace, src []byte, off int) ([BlockSiz
 // cipher block chaining (CBC) mode of encryption." src must be whole blocks
 // and iv one block.
 func (t *Tracer) EncryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
-	if err := checkCBC(src, iv); err != nil {
-		return nil, nil, err
+	out := trace.Record(nil)
+	dst, err := t.encryptCBC(&out, src, iv, len(src)/BlockSize)
+	return dst, out.Records(), err
+}
+
+// DecryptCBC decrypts src in CBC mode and returns the plaintext and trace.
+func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
+	out := trace.Record(nil)
+	dst, err := t.decryptCBC(&out, src, iv, len(src)/BlockSize)
+	return dst, out.Records(), err
+}
+
+// EncryptCBCInto is EncryptCBC with the trace appended to ct in the packed
+// form replay reads, and no records built.
+func (t *Tracer) EncryptCBCInto(ct *trace.Compiled, src, iv []byte) ([]byte, error) {
+	out := trace.Pack(ct)
+	return t.encryptCBC(&out, src, iv, len(src)/BlockSize)
+}
+
+// EncryptDecryptCBCInto appends to ct, packed, the trace of CBC encryption
+// of src followed by that of decrypting the ciphertext: the paper's
+// continuous AES encryption and decryption (Figure 8), which touches all
+// ten tables. Decryption traces as many accesses per block as encryption,
+// so the encryption reserves room for both and the whole trace is one
+// allocation.
+func (t *Tracer) EncryptDecryptCBCInto(ct *trace.Compiled, src, iv []byte) error {
+	out := trace.Pack(ct)
+	blocks := len(src) / BlockSize
+	ctext, err := t.encryptCBC(&out, src, iv, 2*blocks)
+	if err != nil {
+		return err
 	}
-	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults()}
+	_, err = t.decryptCBC(&out, ctext, iv, blocks)
+	return err
+}
+
+// encryptCBC traces CBC encryption of src into out and returns the
+// ciphertext. Once the first block is traced it reserves room for reserve
+// blocks in all.
+func (t *Tracer) encryptCBC(out *trace.Sink, src, iv []byte, reserve int) ([]byte, error) {
+	if err := checkCBC(src, iv); err != nil {
+		return nil, err
+	}
+	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults(), out: *out}
+	start := rec.out.Len()
 	dst := make([]byte, len(src))
 	// CBC processes block by block; buffer traffic is interleaved by
 	// encrypting per block through the low-level API so buffer reads and
@@ -226,18 +269,21 @@ func (t *Tracer) EncryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 		rec.bufferIO(t.Layout.Output, off, mem.Write)
 		copy(chain[:], dst[off:off+BlockSize])
 		if off == 0 {
-			rec.reserve(len(src) / BlockSize)
+			rec.reserve(start, reserve)
 		}
 	}
-	return dst, rec.trace, nil
+	*out = rec.out
+	return dst, nil
 }
 
-// DecryptCBC decrypts src in CBC mode and returns the plaintext and trace.
-func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
+// decryptCBC traces CBC decryption of src into out, as encryptCBC does
+// encryption, and returns the plaintext.
+func (t *Tracer) decryptCBC(out *trace.Sink, src, iv []byte, reserve int) ([]byte, error) {
 	if err := checkCBC(src, iv); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults()}
+	rec := &traceRec{lay: t.Layout, opts: t.Opts.withDefaults(), out: *out}
+	start := rec.out.Len()
 	dst := make([]byte, len(src))
 	var chain, next [BlockSize]byte
 	copy(chain[:], iv)
@@ -252,10 +298,11 @@ func (t *Tracer) DecryptCBC(src, iv []byte) ([]byte, mem.Trace, error) {
 		rec.bufferIO(t.Layout.Output, off, mem.Write)
 		chain = next
 		if off == 0 {
-			rec.reserve(len(src) / BlockSize)
+			rec.reserve(start, reserve)
 		}
 	}
-	return dst, rec.trace, nil
+	*out = rec.out
+	return dst, nil
 }
 
 // checkCBC rejects a CBC input that is not whole blocks and an iv that is

@@ -30,7 +30,7 @@ func windowShapePlan(sc Scale) unitPlan[[2]float64] {
 	}
 	ct := sync.OnceValue(func() *trace.Compiled {
 		bench, _ := workloads.ByName("libquantum")
-		return trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
+		return bench.Compile(sc.SpecAccesses, sc.Seed)
 	})
 	return unitPlan[[2]float64]{
 		n: len(shapes) + 1,

@@ -77,7 +77,7 @@ func informingDoSPlan(sc Scale) unitPlan[[2]sim.Result] {
 	victim := lazyVictim(sc)
 	// The attacker streams over a large buffer, evicting the victim's
 	// tables from the shared L1 as fast as it can.
-	attacker := sync.OnceValue(func() *trace.Compiled { return trace.Compile(streamingEvictTrace(sc)) })
+	attacker := sync.OnceValue(func() *trace.Compiled { return streamingEvictTrace(sc) })
 	defenses := []struct {
 		name string
 		tc   sim.ThreadConfig
@@ -120,14 +120,16 @@ func informingDoSPlan(sc Scale) unitPlan[[2]sim.Result] {
 	}
 }
 
-// streamingEvictTrace builds the DoS attacker's trace: a fast streaming
-// sweep large enough to thrash the shared L1.
-func streamingEvictTrace(sc Scale) mem.Trace {
+// streamingEvictTrace builds the DoS attacker's trace, packed: a fast
+// streaming sweep large enough to thrash the shared L1.
+func streamingEvictTrace(sc Scale) *trace.Compiled {
 	const sweepLines = 4096 // 256 KB, 8x the L1
 	n := sc.SpecAccesses / 2
-	tr := make(mem.Trace, n)
-	for i := range tr {
-		tr[i] = mem.Access{Addr: 0x4000000 + mem.Addr((i%sweepLines)*mem.LineSize)}
+	ct := new(trace.Compiled)
+	out := trace.Pack(ct)
+	out.Grow(n)
+	for i := range n {
+		out.Add(mem.Access{Addr: 0x4000000 + mem.Addr((i%sweepLines)*mem.LineSize)})
 	}
-	return tr
+	return ct
 }

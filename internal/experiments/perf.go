@@ -13,51 +13,43 @@ import (
 	"randfill/internal/trace"
 )
 
-// aesCBCTrace builds and compiles the Figure 6/7 workload: AES-CBC
-// encryption of sc.CBCBytes of random input (the paper uses 32 KB).
-func aesCBCTrace(sc Scale) *trace.Compiled {
-	src := rng.New(sc.Seed ^ 0xcbc)
-	var key, iv [16]byte
+// aesInputs returns the AES tracer and the random CBC input of a crypto
+// workload: key, iv and size bytes of plaintext, all drawn from seed.
+func aesInputs(seed uint64, size int) (tracer *aes.Tracer, pt, iv []byte) {
+	src := rng.New(seed)
+	var key [16]byte
+	iv = make([]byte, aes.BlockSize)
 	src.Bytes(key[:])
-	src.Bytes(iv[:])
-	pt := make([]byte, sc.CBCBytes)
+	src.Bytes(iv)
+	pt = make([]byte, size)
 	src.Bytes(pt)
 	cipher, err := aes.New(key[:])
 	if err != nil {
 		panic(err)
 	}
-	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	_, tr, err := tracer.EncryptCBC(pt, iv[:])
-	if err != nil {
-		panic(err)
-	}
-	return trace.Compile(tr)
+	return &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}, pt, iv
 }
 
-// aesEncDecTrace builds and compiles the Figure 8 crypto workload:
-// continuous AES encryption and decryption (touching all ten tables).
+// aesCBCTrace builds the Figure 6/7 workload, packed: AES-CBC encryption of
+// sc.CBCBytes of random input (the paper uses 32 KB).
+func aesCBCTrace(sc Scale) *trace.Compiled {
+	tracer, pt, iv := aesInputs(sc.Seed^0xcbc, sc.CBCBytes)
+	ct := new(trace.Compiled)
+	if _, err := tracer.EncryptCBCInto(ct, pt, iv); err != nil {
+		panic(err)
+	}
+	return ct
+}
+
+// aesEncDecTrace builds the Figure 8 crypto workload, packed: continuous
+// AES encryption and decryption (touching all ten tables), in one array.
 func aesEncDecTrace(sc Scale) *trace.Compiled {
-	src := rng.New(sc.Seed ^ 0xdec)
-	var key, iv [16]byte
-	src.Bytes(key[:])
-	src.Bytes(iv[:])
-	pt := make([]byte, sc.CBCBytes)
-	src.Bytes(pt)
-	cipher, err := aes.New(key[:])
-	if err != nil {
+	tracer, pt, iv := aesInputs(sc.Seed^0xdec, sc.CBCBytes)
+	ct := new(trace.Compiled)
+	if err := tracer.EncryptDecryptCBCInto(ct, pt, iv); err != nil {
 		panic(err)
 	}
-	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	ct, encTrace, err := tracer.EncryptCBC(pt, iv[:])
-	if err != nil {
-		panic(err)
-	}
-	_, decTrace, err := tracer.DecryptCBC(ct, iv[:])
-	if err != nil {
-		panic(err)
-	}
-	out := make(mem.Trace, 0, len(encTrace)+len(decTrace))
-	return trace.Compile(append(append(out, encTrace...), decTrace...))
+	return ct
 }
 
 // lazyVictim returns the compiled Figure 6 AES-CBC victim trace of sc,

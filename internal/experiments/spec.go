@@ -51,7 +51,7 @@ func figure8Plan(sc Scale) unitPlan[[2][5]float64] {
 			// The crypto trace first: no benchmark trace is live while the
 			// first unit builds it.
 			crypto := lazyCrypto()
-			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
+			bench := benches[i].Compile(sc.SpecAccesses, sc.Seed)
 			m := sim.Acquire(sim.DefaultConfig())
 			defer m.Release()
 			var out [2][5]float64
@@ -113,7 +113,7 @@ func figure9Plan(sc Scale) unitPlan[[10]float64] {
 	return unitPlan[[10]float64]{
 		n: len(benches),
 		run: func(_ context.Context, i int) ([10]float64, error) {
-			p := workloads.SpatialProfile(benches[i].Gen(sc.SpecAccesses, sc.Seed), geom, 16, sc.Seed)
+			p := workloads.SpatialProfile(benches[i].Compile(sc.SpecAccesses, sc.Seed), geom, 16, sc.Seed)
 			var eff [10]float64
 			for k, d := range figure9Offsets {
 				eff[k] = p.Eff(d)
@@ -161,7 +161,7 @@ func figure10Plan(sc Scale) unitPlan[[2][11]float64] {
 	return unitPlan[[2][11]float64]{
 		n: len(benches),
 		run: func(_ context.Context, bi int) ([2][11]float64, error) {
-			ct := trace.Compile(benches[bi].Gen(sc.SpecAccesses, sc.Seed))
+			ct := benches[bi].Compile(sc.SpecAccesses, sc.Seed)
 			cfg := sim.DefaultConfig()
 			cfg.Seed = sc.Seed
 			m := sim.Acquire(cfg)
@@ -215,7 +215,7 @@ func trafficPlan(sc Scale) unitPlan[[2]float64] {
 		n: len(streamingBenches),
 		run: func(_ context.Context, i int) ([2]float64, error) {
 			bench, _ := workloads.ByName(streamingBenches[i])
-			ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
+			ct := bench.Compile(sc.SpecAccesses, sc.Seed)
 
 			cfg := sim.Config{Seed: sc.Seed}
 			m := sim.Acquire(cfg)
@@ -257,7 +257,7 @@ func prefetchPlan(sc Scale) unitPlan[[3]float64] {
 		n: len(streamingBenches),
 		run: func(_ context.Context, i int) ([3]float64, error) {
 			bench, _ := workloads.ByName(streamingBenches[i])
-			ct := trace.Compile(bench.Gen(sc.SpecAccesses, sc.Seed))
+			ct := bench.Compile(sc.SpecAccesses, sc.Seed)
 
 			cfg := sim.Config{Seed: sc.Seed}
 			m := sim.Acquire(cfg)

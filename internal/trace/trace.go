@@ -1,16 +1,24 @@
-// Package trace precompiles memory traces for batch replay. A mem.Trace is
-// a []mem.Access of 24-byte records; the per-access interpreter loops in
-// internal/sim and internal/hierarchy are memory-bound on that stream — the
-// three accounting lines at the top of Thread.Step dominated the replay
-// profile purely because each iteration pulls a fresh 24-byte struct through
-// the cache hierarchy (see DESIGN.md §12).
+// Package trace holds memory traces in the packed form batch replay reads.
+// A mem.Trace is a []mem.Access of 24-byte records; the per-access
+// interpreter loops in internal/sim and internal/hierarchy are memory-bound
+// on that stream — the three accounting lines at the top of Thread.Step
+// dominated the replay profile purely because each iteration pulls a fresh
+// 24-byte struct through the cache hierarchy (see DESIGN.md §12).
 //
-// Compile decodes a trace once into a struct-of-arrays form: one packed
-// 64-bit word per access carrying the cache-line number (the tag — set
-// index and tag both derive from it with single-cycle masks), the
-// read/write flag, the dependence and secret flags, and the leading
-// non-memory instruction count. Batch replay then streams 8 bytes per
-// access instead of 24 and re-derives nothing.
+// A Compiled trace is a struct-of-arrays form: one packed 64-bit word per
+// access carrying the cache-line number (the tag — set index and tag both
+// derive from it with single-cycle masks), the read/write flag, the
+// dependence and secret flags, and the leading non-memory instruction
+// count. Batch replay then streams 8 bytes per access instead of 24 and
+// re-derives nothing.
+//
+// Traces are packed where they are built: a generator writes each access
+// through a Sink, which packs it straight into a Compiled (the form every
+// experiment replays) or appends the record to a mem.Trace (the form trace
+// files and the record APIs return), so one generator body builds both and
+// no experiment holds a record stream. Compile and CompileInto pack a trace
+// that already exists as records, such as one read from a trace file; both
+// apply the same per-access packing rule as a Sink.
 //
 // The compiled form is exact at the granularity the simulators consume:
 // every cache model and the timing simulator operate on Line(), Kind,
@@ -21,10 +29,15 @@
 // replay of the same trace are therefore the same access sequence by
 // construction.
 // The property test in this package pins that equivalence over fuzzed
-// geometries, and FuzzTraceCompile keeps it pinned under arbitrary inputs.
+// geometries, and FuzzTraceCompile keeps it pinned under arbitrary inputs,
+// for packing access by access as well as for CompileInto.
 package trace
 
-import "randfill/internal/mem"
+import (
+	"slices"
+
+	"randfill/internal/mem"
+)
 
 // Packed-word layout, least-significant bits first:
 //
@@ -56,7 +69,8 @@ const (
 )
 
 // Compiled is a trace decoded for batch replay. The zero value is an empty
-// trace; build one with Compile or CompileInto.
+// trace; build one through a Sink made by Pack, or from records with
+// Compile or CompileInto.
 type Compiled struct {
 	words   []uint64
 	escapes []mem.Access
@@ -72,30 +86,62 @@ func Compile(t mem.Trace) *Compiled {
 // traces allocates nothing.
 func CompileInto(ct *Compiled, t mem.Trace) *Compiled {
 	if cap(ct.words) < len(t) {
-		ct.words = make([]uint64, len(t))
+		ct.words = make([]uint64, 0, len(t))
 	}
-	ct.words = ct.words[:len(t)]
+	ct.words = ct.words[:0]
 	ct.escapes = ct.escapes[:0]
-	for i, a := range t {
-		line := a.Line()
-		if uint64(line) > lineMask || a.NonMem > nonMemMax {
-			ct.words[i] = uint64(len(ct.escapes))<<0 | escapeMark<<nonMemShift
-			ct.escapes = append(ct.escapes, a)
-			continue
-		}
-		w := uint64(line) | uint64(a.NonMem)<<nonMemShift
-		if a.Kind == mem.Write {
-			w |= flagWrite
-		}
-		if a.Dependent {
-			w |= flagDependent
-		}
-		if a.Secret {
-			w |= flagSecret
-		}
-		ct.words[i] = w
+	for _, a := range t {
+		ct.add(a)
 	}
 	return ct
+}
+
+// add appends access a. It is the one packing rule: CompileInto applies it
+// to every record of a trace, and a packing Sink to every access a
+// generator writes.
+func (ct *Compiled) add(a mem.Access) {
+	line := a.Line()
+	if uint64(line) > lineMask || a.NonMem > nonMemMax {
+		ct.words = append(ct.words, ct.escape(a))
+		return
+	}
+	w := uint64(line) | uint64(a.NonMem)<<nonMemShift
+	if a.Kind == mem.Write {
+		w |= flagWrite
+	}
+	if a.Dependent {
+		w |= flagDependent
+	}
+	if a.Secret {
+		w |= flagSecret
+	}
+	ct.words = append(ct.words, w)
+}
+
+// escape stores a verbatim as an escape record and returns the word that
+// refers to it.
+func (ct *Compiled) escape(a mem.Access) uint64 {
+	ct.escapes = append(ct.escapes, a)
+	return uint64(len(ct.escapes)-1) | escapeMark<<nonMemShift
+}
+
+// truncate keeps the first n accesses, and only the escape records their
+// words refer to. A trace packed access by access stores its escapes in
+// word order, so truncating it leaves exactly the escapes CompileInto gives
+// its first n records.
+func (ct *Compiled) truncate(n int) {
+	dropped := ct.words[n:]
+	ct.words = ct.words[:n]
+	if !slices.ContainsFunc(dropped, IsEscape) {
+		return
+	}
+	keep := 0
+	for _, w := range ct.words {
+		if IsEscape(w) {
+			keep = max(keep, int(w&lineMask)+1)
+		}
+	}
+	ct.escapes = ct.escapes[:keep]
 }
 
 // Len returns the number of accesses in the compiled trace.
@@ -140,8 +186,7 @@ func (ct *Compiled) SetAddr(i int, addr mem.Addr) {
 	if uint64(line) > lineMask {
 		a := ct.At(i)
 		a.Addr = addr
-		ct.words[i] = uint64(len(ct.escapes)) | escapeMark<<nonMemShift
-		ct.escapes = append(ct.escapes, a)
+		ct.words[i] = ct.escape(a)
 		return
 	}
 	ct.words[i] = w&^lineMask | uint64(line)

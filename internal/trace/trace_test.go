@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"randfill/internal/mem"
@@ -118,6 +119,85 @@ func TestCompileIntoReuses(t *testing.T) {
 	}
 }
 
+// sameCompiled fails unless got holds exactly want's words and escape
+// records.
+func sameCompiled(t *testing.T, got, want *Compiled) {
+	t.Helper()
+	if !slices.Equal(got.words, want.words) {
+		t.Fatalf("words differ:\n got %#x\nwant %#x", got.words, want.words)
+	}
+	if !slices.Equal(got.escapes, want.escapes) {
+		t.Fatalf("escapes differ:\n got %+v\nwant %+v", got.escapes, want.escapes)
+	}
+}
+
+// packEach writes tr through a packing Sink access by access, then extra
+// accesses past its end, and truncates back to len(tr): the path every
+// generator's packed build takes.
+func packEach(tr, extra mem.Trace) *Compiled {
+	ct := new(Compiled)
+	out := Pack(ct)
+	for _, a := range append(tr[:len(tr):len(tr)], extra...) {
+		out.Add(a)
+	}
+	out.Truncate(len(tr))
+	return ct
+}
+
+// TestSinkMatchesCompile requires a packing Sink to build exactly the
+// words and escape records CompileInto builds, with accesses (escapes
+// among them) written past the end and truncated away, and a record Sink
+// to return the records it was given.
+func TestSinkMatchesCompile(t *testing.T) {
+	src := rng.New(0x51c)
+	for round := 0; round < 50; round++ {
+		tr := randTrace(src, src.Intn(300))
+		extra := randTrace(src, src.Intn(60))
+		sameCompiled(t, packEach(tr, extra), Compile(tr))
+
+		out := Record(nil)
+		out.Grow(len(tr))
+		for _, a := range append(tr[:len(tr):len(tr)], extra...) {
+			out.Add(a)
+		}
+		out.Truncate(len(tr))
+		if got := out.Records(); !slices.Equal(got, tr) || out.Len() != len(tr) {
+			t.Fatalf("record Sink returned %d records, want the %d written", len(got), len(tr))
+		}
+	}
+}
+
+// TestTruncateKeepsReferencedEscapes covers a trace whose escape records
+// are not in word order: SetAddr turned an early word into an escape after
+// a later one. Truncating away the later one must keep the early one's.
+func TestTruncateKeepsReferencedEscapes(t *testing.T) {
+	far := mem.Addr(1) << 62 // beyond the packed line range
+	tr := mem.Trace{{Addr: 0x40}, {Addr: far}, {Addr: 0x80}}
+	ct := Compile(tr)
+	ct.SetAddr(0, far+64)
+	ct.truncate(1)
+	if ct.Len() != 1 || ct.At(0).Addr != far+64 {
+		t.Fatalf("after truncate: %d words, At(0) = %+v, want the rewritten escape", ct.Len(), ct.At(0))
+	}
+}
+
+// TestSinkGrowSizesOnlyTheNewPart pins Grow's one-allocation sizing on a
+// trace that already holds accesses: it makes room for exactly the new
+// part, and makes none when there is room already.
+func TestSinkGrowSizesOnlyTheNewPart(t *testing.T) {
+	ct := Compile(randTrace(rng.New(3), 1000))
+	out := Pack(ct)
+	out.Grow(5000)
+	if got := cap(ct.words); got < 6000 || got > 6000+1024 {
+		t.Fatalf("Grow(5000) after 1000 words: cap %d, want 6000 (rounded up to a page)", got)
+	}
+	words := &ct.words[0]
+	out.Grow(5000)
+	if &ct.words[0] != words {
+		t.Fatal("Grow reallocated a trace that had room")
+	}
+}
+
 // decodeFuzzTrace turns an arbitrary byte string into a trace, giving the
 // fuzzer full control over every field including the escape conditions.
 func decodeFuzzTrace(data []byte) mem.Trace {
@@ -144,8 +224,10 @@ func decodeFuzzTrace(data []byte) mem.Trace {
 
 // FuzzTraceCompile fuzzes the compiler against the scalar decode: whatever
 // the input trace, the compiled stream must decode to the same
-// (line, write) sequence and At must round-trip every replay-visible field. Seed corpus entries cover the packed fast
-// path, both escape conditions, and the all-flags case.
+// (line, write) sequence and At must round-trip every replay-visible field,
+// and packing a prefix access by access, past its end and truncated back,
+// must equal CompileInto of that prefix. Seed corpus entries cover the
+// packed fast path, both escape conditions, and the all-flags case.
 func FuzzTraceCompile(f *testing.F) {
 	f.Add([]byte{})
 	// One plain packed access.
@@ -157,5 +239,9 @@ func FuzzTraceCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := decodeFuzzTrace(data)
 		checkCompiled(t, tr, Compile(tr))
+		// Packing access by access and truncating, as a generator's packed
+		// build does, gives CompileInto's words and escapes.
+		k := len(data) % (len(tr) + 1)
+		sameCompiled(t, packEach(tr[:k], tr[k:]), CompileInto(new(Compiled), tr[:k]))
 	})
 }

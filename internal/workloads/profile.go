@@ -5,6 +5,7 @@ import (
 	"randfill/internal/core"
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 // Profile holds the spatial-locality sampling of Figure 9: for each fill
@@ -31,7 +32,7 @@ func (p Profile) Eff(d int) float64 {
 // its offset and accounting referenced-before-evicted ratios per offset —
 // the profiling methodology of Section VII / Figure 9. Lines still resident
 // at the end of the run are drained into the counts.
-func SpatialProfile(trace mem.Trace, geom cache.Geometry, maxD int, seed uint64) Profile {
+func SpatialProfile(ct *trace.Compiled, geom cache.Geometry, maxD int, seed uint64) Profile {
 	p := Profile{
 		Referenced: make(map[int]uint64),
 		Fetched:    make(map[int]uint64),
@@ -46,7 +47,8 @@ func SpatialProfile(trace mem.Trace, geom cache.Geometry, maxD int, seed uint64)
 	})
 	eng := core.NewEngine(c, rng.New(seed))
 	eng.SetRR(maxD, maxD)
-	for _, a := range trace {
+	for i := range ct.Len() {
+		a := ct.At(i)
 		eng.Access(a.Line(), a.Kind == mem.Write)
 	}
 	c.DrainValid()

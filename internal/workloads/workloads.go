@@ -16,16 +16,47 @@ package workloads
 import (
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
-// Generator produces a deterministic synthetic trace for one benchmark.
+// Generator produces a deterministic synthetic trace for one benchmark, in
+// either form: Gen returns the records and Compile the packed words replay
+// reads, both written by the same generator body.
 type Generator struct {
 	// Name is the SPEC benchmark name this generator stands in for.
 	Name string
 	// Class is a one-line description of the locality class synthesized.
 	Class string
-	// Gen produces n memory accesses from the given seed.
-	Gen func(n int, seed uint64) mem.Trace
+
+	// body writes at least n accesses from seed through out. It checks the
+	// trace's length once per step and a step may write several accesses,
+	// so it writes up to overshoot accesses past n, which Gen and Compile
+	// make room for and cut off.
+	body      func(out *trace.Sink, n int, seed uint64)
+	overshoot int
+}
+
+// Gen produces n memory accesses from the given seed, as records.
+func (g Generator) Gen(n int, seed uint64) mem.Trace {
+	out := g.build(trace.Record(nil), n, seed)
+	return out.Records()
+}
+
+// Compile produces the same n accesses as Gen, packed for replay without
+// building the records.
+func (g Generator) Compile(n int, seed uint64) *trace.Compiled {
+	ct := new(trace.Compiled)
+	g.build(trace.Pack(ct), n, seed)
+	return ct
+}
+
+// build runs the body into out, sized in one allocation for its longest
+// run, and cuts the trace back to n.
+func (g Generator) build(out trace.Sink, n int, seed uint64) trace.Sink {
+	out.Grow(n + g.overshoot)
+	g.body(&out, n, seed)
+	out.Truncate(n)
+	return out
 }
 
 // base addresses keep benchmark footprints disjoint from the AES layout
@@ -42,16 +73,21 @@ const (
 )
 
 // All returns the eight benchmark generators in the paper's Figure 8 order.
+//
+// The last field of each is its body's overshoot: the accesses a step
+// writes after its one length check, less one (lbm writes three per step,
+// h264ref a read and maybe a write per line, hmmer three and maybe a
+// fourth after a second check).
 func All() []Generator {
 	return []Generator{
-		{"sjeng", "random hash-table probes, narrow locality", genSjeng},
-		{"lbm", "regular grid streaming with neighbor access, wide forward locality", genLbm},
-		{"libquantum", "irregular streaming over a large array, wide forward locality", genLibquantum},
-		{"h264ref", "2D macroblock sweeps with neighborhood reuse", genH264},
-		{"astar", "dependent pointer chasing over a graph", genAstar},
-		{"milc", "strided numerical sweeps over a lattice", genMilc},
-		{"bzip2", "sequential scan mixed with random work-buffer accesses", genBzip2},
-		{"hmmer", "hot loops over small score tables, high reuse", genHmmer},
+		{"sjeng", "random hash-table probes, narrow locality", genSjeng, 0},
+		{"lbm", "regular grid streaming with neighbor access, wide forward locality", genLbm, 2},
+		{"libquantum", "irregular streaming over a large array, wide forward locality", genLibquantum, 1},
+		{"h264ref", "2D macroblock sweeps with neighborhood reuse", genH264, 1},
+		{"astar", "dependent pointer chasing over a graph", genAstar, 0},
+		{"milc", "strided numerical sweeps over a lattice", genMilc, 1},
+		{"bzip2", "sequential scan mixed with random work-buffer accesses", genBzip2, 0},
+		{"hmmer", "hot loops over small score tables, high reuse", genHmmer, 2},
 	}
 }
 
@@ -79,54 +115,49 @@ func ByName(name string) (Generator, bool) {
 // table with a skewed distribution: most probes hit a hot head region that
 // the L1 retains, the rest scatter over a cold tail. Random fills displace
 // hot entries with cold neighbors, so the miss rate rises with the window.
-func genSjeng(n int, seed uint64) mem.Trace {
+func genSjeng(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0x516a)
 	const hotLines = 1 << 8   // 16 KB hot head
 	const coldLines = 1 << 13 // 512 KB tail
-	tr := make(mem.Trace, 0, n)
-	for len(tr) < n {
+	for out.Len() < n {
 		var line mem.Line
 		if src.Bool(0.8) {
 			line = mem.LineOf(baseSjeng) + mem.Line(src.Intn(hotLines))
 		} else {
 			line = mem.LineOf(baseSjeng) + mem.Line(hotLines+src.Intn(coldLines))
 		}
-		tr = append(tr, mem.Access{
+		out.Add(mem.Access{
 			Addr:      mem.AddrOf(line) + mem.Addr(src.Intn(8)*8),
 			NonMem:    14,
 			Dependent: true,
 		})
-		if len(tr) < n && src.Bool(0.5) {
+		if out.Len() < n && src.Bool(0.5) {
 			// Hash entries span two lines: the second half is read in
 			// the same probe, so the immediate neighbor has utility.
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(line + 1), NonMem: 2})
+			out.Add(mem.Access{Addr: mem.AddrOf(line + 1), NonMem: 2})
 		}
 	}
-	return tr[:n]
 }
 
 // genLbm: lattice-Boltzmann — streaming sweeps over an 8 MB grid, reading
 // the current cell and its ±1-row neighborhood and writing the cell back.
 // Advances nearly sequentially with occasional small jumps at row ends, so
 // the forward spatial locality extends well beyond one line.
-func genLbm(n int, seed uint64) mem.Trace {
+func genLbm(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0x1b3)
 	const gridLines = 1 << 17 // 8 MB
-	tr := make(mem.Trace, 0, n)
 	line := 0
 	group := 0
-	for len(tr) < n {
+	for out.Len() < n {
 		l := mem.LineOf(baseLbm) + mem.Line(line)
 		// Cell read, neighbor read, cell write: three accesses per
 		// line position, spread within the line. Every second cell's
 		// leading read feeds the collision computation directly, so it
 		// is marked dependent — the stream is partially latency-bound,
 		// which is what a prefetching fill policy can recover.
-		tr = append(tr,
-			mem.Access{Addr: mem.AddrOf(l), NonMem: 3, Dependent: group%2 == 0},
-			mem.Access{Addr: mem.AddrOf(l) + 24, NonMem: 2},
-			mem.Access{Addr: mem.AddrOf(l) + 48, Kind: mem.Write, NonMem: 2},
-		)
+		out.Add(mem.Access{Addr: mem.AddrOf(l), NonMem: 3, Dependent: group%2 == 0})
+		out.Add(mem.Access{Addr: mem.AddrOf(l) + 24, NonMem: 2})
+		out.Add(mem.Access{Addr: mem.AddrOf(l) + 48, Kind: mem.Write, NonMem: 2})
 		group++
 		// Irregular advance: usually the next line, sometimes a short
 		// forward skip (collision-propagation reordering).
@@ -139,7 +170,6 @@ func genLbm(n int, seed uint64) mem.Trace {
 			line = 0
 		}
 	}
-	return tr[:n]
 }
 
 // genLibquantum: quantum register simulation — a latency-bound irregular
@@ -149,25 +179,22 @@ func genLbm(n int, seed uint64) mem.Trace {
 // policy recovers). Short skips and pair reorderings break strict
 // sequentiality, hurting a next-line prefetcher, while lines within a
 // ~16-line forward window remain useful.
-func genLibquantum(n int, seed uint64) mem.Trace {
+func genLibquantum(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0x11b9)
 	const regLines = 1 << 16 // 4 MB
-	tr := make(mem.Trace, 0, n)
 	line := 0
-	for len(tr) < n {
+	for out.Len() < n {
 		a, b := 0, 1
 		if src.Bool(0.3) {
 			a, b = 1, 0 // process the pair out of order
 		}
 		for _, o := range [2]int{a, b} {
-			if len(tr) >= n {
+			if out.Len() >= n {
 				break
 			}
 			l := mem.LineOf(baseLibquantum) + mem.Line((line+o)%regLines)
-			tr = append(tr,
-				mem.Access{Addr: mem.AddrOf(l), NonMem: 3, Dependent: o == a},
-				mem.Access{Addr: mem.AddrOf(l) + 16, Kind: mem.Write, NonMem: 2},
-			)
+			out.Add(mem.Access{Addr: mem.AddrOf(l), NonMem: 3, Dependent: o == a})
+			out.Add(mem.Access{Addr: mem.AddrOf(l) + 16, Kind: mem.Write, NonMem: 2})
 		}
 		line += 2
 		if src.Bool(0.1) {
@@ -177,27 +204,25 @@ func genLibquantum(n int, seed uint64) mem.Trace {
 			line = 0
 		}
 	}
-	return tr[:n]
 }
 
 // genH264: video encoding — macroblock processing: each macroblock touches
 // a short cluster of 3 consecutive lines several times (current block +
 // reference block), then jumps a full frame-row stride away. Locality spans
 // roughly ±3 lines; the jump target is far outside any fill window.
-func genH264(n int, seed uint64) mem.Trace {
+func genH264(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0x264)
 	const rowStride = 128      // lines between vertically adjacent blocks
 	const frameLines = 1 << 14 // 1 MB frame (fits the L2)
-	tr := make(mem.Trace, 0, n)
 	pos := 0
-	for len(tr) < n {
-		for i := 0; i < 3 && len(tr) < n; i++ {
+	for out.Len() < n {
+		for i := 0; i < 3 && out.Len() < n; i++ {
 			l := mem.LineOf(baseH264) + mem.Line((pos+i)%frameLines)
 			// The encoder is compute-heavy: SAD/transform work
 			// between pixel accesses dilutes memory time.
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(l), NonMem: 20})
+			out.Add(mem.Access{Addr: mem.AddrOf(l), NonMem: 20})
 			if src.Bool(0.5) {
-				tr = append(tr, mem.Access{Addr: mem.AddrOf(l) + 32, Kind: mem.Write, NonMem: 12})
+				out.Add(mem.Access{Addr: mem.AddrOf(l) + 32, Kind: mem.Write, NonMem: 12})
 			}
 		}
 		// Next block: vertical neighbor a frame row away.
@@ -206,113 +231,101 @@ func genH264(n int, seed uint64) mem.Trace {
 			pos += 3 // move to the next block column
 		}
 	}
-	return tr[:n]
 }
 
 // genAstar: path-finding — dependent pointer chasing with a skewed node
 // distribution (the search frontier re-expands nearby nodes) plus a hot
 // open-list region. Random fills trade hot frontier lines for arbitrary
 // pool neighbors.
-func genAstar(n int, seed uint64) mem.Trace {
+func genAstar(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0xa57a)
 	const hotLines = 1 << 8   // 16 KB frontier
 	const poolLines = 1 << 14 // 1 MB node pool
-	tr := make(mem.Trace, 0, n)
-	for len(tr) < n {
+	for out.Len() < n {
 		var node mem.Line
 		if src.Bool(0.7) {
 			node = mem.LineOf(baseAstar) + mem.Line(src.Intn(hotLines))
 		} else {
 			node = mem.LineOf(baseAstar) + mem.Line(hotLines+src.Intn(poolLines))
 		}
-		tr = append(tr, mem.Access{Addr: mem.AddrOf(node), NonMem: 12, Dependent: true})
-		if len(tr) < n && src.Bool(0.5) {
+		out.Add(mem.Access{Addr: mem.AddrOf(node), NonMem: 12, Dependent: true})
+		if out.Len() < n && src.Bool(0.5) {
 			// Node records span two lines.
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(node + 1), NonMem: 2})
+			out.Add(mem.Access{Addr: mem.AddrOf(node + 1), NonMem: 2})
 		}
 		// Hot open-list access (always cached).
-		if len(tr) < n {
+		if out.Len() < n {
 			hot := mem.LineOf(baseAstar+0x400000) + mem.Line(src.Intn(8))
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(hot), NonMem: 3})
+			out.Add(mem.Access{Addr: mem.AddrOf(hot), NonMem: 3})
 		}
 	}
-	return tr[:n]
 }
 
 // genMilc: lattice QCD — strided sweeps over a lattice whose sites span a
 // pair of adjacent lines, with a two-line gap between sites (interleaved
 // field storage). The immediate neighbor of a miss is useful; farther fill
 // targets mostly land in the gaps.
-func genMilc(n int, seed uint64) mem.Trace {
+func genMilc(out *trace.Sink, n int, seed uint64) {
 	const latticeLines = 1 << 14 // 1 MB working slice (fits the L2)
-	tr := make(mem.Trace, 0, n)
 	line := 0
-	for len(tr) < n {
+	for out.Len() < n {
 		l := mem.LineOf(baseMilc) + mem.Line(line)
-		tr = append(tr,
-			mem.Access{Addr: mem.AddrOf(l), NonMem: 12},
-			mem.Access{Addr: mem.AddrOf(l + 1), NonMem: 12},
-		)
+		out.Add(mem.Access{Addr: mem.AddrOf(l), NonMem: 12})
+		out.Add(mem.Access{Addr: mem.AddrOf(l + 1), NonMem: 12})
 		line += 4
 		if line >= latticeLines {
 			line = (line + 1) % 4 // rotate parity each sweep
 		}
 	}
-	return tr[:n]
 }
 
 // genBzip2: compression — a sequential input scan interleaved with sparser
 // random accesses into 512 KB sorting work buffers (reads with occasional
 // pointer-update writes).
-func genBzip2(n int, seed uint64) mem.Trace {
+func genBzip2(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0xb21b)
 	const workLines = 1 << 13  // 512 KB
 	const inputLines = 1 << 16 // streamed input
-	tr := make(mem.Trace, 0, n)
 	in := 0
-	for len(tr) < n {
+	for out.Len() < n {
 		// Input bytes: several accesses per line before advancing.
 		l := mem.LineOf(baseBzip2) + mem.Line(in%inputLines)
-		tr = append(tr, mem.Access{Addr: mem.AddrOf(l) + mem.Addr(src.Intn(8)*8), NonMem: 3})
+		out.Add(mem.Access{Addr: mem.AddrOf(l) + mem.Addr(src.Intn(8)*8), NonMem: 3})
 		if src.Bool(0.25) {
 			in++
 		}
 		// Work-buffer access on every third input access.
-		if len(tr) < n && src.Bool(0.33) {
+		if out.Len() < n && src.Bool(0.33) {
 			w := mem.LineOf(baseBzip2+0x800000) + mem.Line(src.Intn(workLines))
 			kind := mem.Write
 			if src.Bool(0.3) {
 				kind = mem.Read
 			}
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(w), Kind: kind, NonMem: 4})
+			out.Add(mem.Access{Addr: mem.AddrOf(w), Kind: kind, NonMem: 4})
 		}
 	}
-	return tr[:n]
 }
 
 // genHmmer: profile HMM scoring — tight loops over score tables that fit
 // the L1, interleaved with reads of the (cold, streamed) sequence database.
 // The sequence misses trigger random fills whose victims are hot table
 // lines, so pollution grows with the window.
-func genHmmer(n int, seed uint64) mem.Trace {
+func genHmmer(out *trace.Sink, n int, seed uint64) {
 	src := rng.New(seed ^ 0x4a3e)
 	const tableLines = 320   // 20 KB hot score tables
 	const seqLines = 1 << 14 // streamed sequence data
-	tr := make(mem.Trace, 0, n)
 	pos, seq := 0, 0
-	for len(tr) < n {
+	for out.Len() < n {
 		l := mem.LineOf(baseHmmer) + mem.Line(pos%tableLines)
-		tr = append(tr,
-			mem.Access{Addr: mem.AddrOf(l), NonMem: 3},
-			mem.Access{Addr: mem.AddrOf(l) + 16, NonMem: 2},
-			mem.Access{Addr: mem.AddrOf(l) + 32, Kind: mem.Write, NonMem: 3},
-		)
+		out.Add(mem.Access{Addr: mem.AddrOf(l), NonMem: 3})
+		out.Add(mem.Access{Addr: mem.AddrOf(l) + 16, NonMem: 2})
+		out.Add(mem.Access{Addr: mem.AddrOf(l) + 32, Kind: mem.Write, NonMem: 3})
 		pos++
 		// Every few table iterations, the next sequence residue is
 		// read from the cold stream.
-		if len(tr) < n && pos%4 == 0 {
+		if out.Len() < n && pos%4 == 0 {
 			sl := mem.LineOf(baseHmmer+0x800000) + mem.Line(seq%seqLines)
-			tr = append(tr, mem.Access{Addr: mem.AddrOf(sl), NonMem: 2})
+			out.Add(mem.Access{Addr: mem.AddrOf(sl), NonMem: 2})
 			if src.Bool(0.25) {
 				seq++
 			}
@@ -321,5 +334,4 @@ func genHmmer(n int, seed uint64) mem.Trace {
 			pos = src.Intn(tableLines)
 		}
 	}
-	return tr[:n]
 }

@@ -86,7 +86,7 @@ func geom32k() cache.Geometry { return cache.Geometry{SizeBytes: 32 * 1024, Ways
 
 func TestSpatialProfileBounds(t *testing.T) {
 	g, _ := ByName("lbm")
-	p := SpatialProfile(g.Gen(40000, 1), geom32k(), 16, 1)
+	p := SpatialProfile(g.Compile(40000, 1), geom32k(), 16, 1)
 	for _, d := range offsets(p) {
 		f := p.Fetched[d]
 		if d < -16 || d > 16 {
@@ -114,7 +114,7 @@ func TestSpatialLocalityClasses(t *testing.T) {
 	wide := map[string]bool{"lbm": true, "libquantum": true}
 	narrow := map[string]bool{"astar": true, "sjeng": true}
 	for _, g := range All() {
-		p := SpatialProfile(g.Gen(60000, 1), geom32k(), 16, 1)
+		p := SpatialProfile(g.Compile(60000, 1), geom32k(), 16, 1)
 		switch {
 		case wide[g.Name]:
 			if !wideForward(p, 0.5) {

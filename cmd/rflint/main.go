@@ -12,7 +12,10 @@
 // reporting to the packages under that directory (the whole module is
 // still loaded and analyzed so cross-package taint and types resolve).
 // Findings can be suppressed inline with "//lint:ignore <checker> <reason>"
-// on the offending line or the line above.
+// on the offending line or the line above. Files are selected as `go build`
+// selects them (//go:build lines and file-name suffixes under the default
+// build context), and a package that does not type check fails the run
+// unless -fail-on is never.
 //
 // The ctflow checker's findings are reconciled against the committed leak
 // manifest (LEAKS.json at the module root): findings listed there are the
@@ -36,8 +39,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,28 +53,57 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	checkerList := flag.String("checkers", "", "comma-separated checkers to run (default all)")
-	failOn := flag.String("fail-on", "warning", "exit nonzero at this severity: warning, error, or never")
-	tests := flag.Bool("tests", true, "include _test.go files")
-	list := flag.Bool("list", false, "list available checkers and exit")
-	trace := flag.Bool("trace", false, "print each finding's source→hop→sink witness path")
-	manifestFlag := flag.String("manifest", "auto", `leak manifest path ("auto" = <module>/LEAKS.json, "none" = disabled)`)
-	writeManifest := flag.Bool("write-manifest", false, "regenerate the leak manifest from current ctflow findings")
-	since := flag.String("since", "", "report only packages with files changed since this git ref")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		switch {
+		case errors.Is(err, errUsage):
+			os.Exit(2)
+		case !errors.Is(err, errFindings):
+			fmt.Fprintln(os.Stderr, "rflint:", err)
+		}
+		os.Exit(1)
+	}
+}
 
+var (
+	// errUsage reports a command line the flag package rejected; it has
+	// already printed why, with the usage.
+	errUsage = errors.New("usage")
+	// errFindings reports findings at the -fail-on severity, which run
+	// has already printed.
+	errFindings = errors.New("findings")
+)
+
+// run lints the module as the flags in args say, writing findings to
+// stdout and type errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rflint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
+	checkerList := fs.String("checkers", "", "comma-separated checkers to run (default all)")
+	failOn := fs.String("fail-on", "warning", "exit nonzero at this severity: warning, error, or never")
+	tests := fs.Bool("tests", true, "include _test.go files")
+	list := fs.Bool("list", false, "list available checkers and exit")
+	trace := fs.Bool("trace", false, "print each finding's source→hop→sink witness path")
+	manifestFlag := fs.String("manifest", "auto", `leak manifest path ("auto" = <module>/LEAKS.json, "none" = disabled)`)
+	writeManifest := fs.Bool("write-manifest", false, "regenerate the leak manifest from current ctflow findings")
+	since := fs.String("since", "", "report only packages with files changed since this git ref")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if *list {
 		for _, az := range checkers.All() {
-			fmt.Printf("%-12s %s\n", az.Name(), az.Doc())
+			fmt.Fprintf(stdout, "%-12s %s\n", az.Name(), az.Doc())
 		}
-		return
+		return nil
 	}
 
 	switch *failOn {
 	case "warning", "error", "never":
 	default:
-		fatal(fmt.Errorf("bad -fail-on %q (want warning, error, or never)", *failOn))
+		return fmt.Errorf("bad -fail-on %q (want warning, error, or never)", *failOn)
 	}
 
 	azs := checkers.All()
@@ -77,27 +111,27 @@ func main() {
 		var err error
 		azs, err = checkers.ByName(*checkerList)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	dir := "."
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 0:
 	case 1:
-		if arg := flag.Arg(0); arg != "./..." {
+		if arg := fs.Arg(0); arg != "./..." {
 			dir = arg
 		}
 	default:
-		fatal(fmt.Errorf("at most one package argument, got %d", flag.NArg()))
+		return fmt.Errorf("at most one package argument, got %d", fs.NArg())
 	}
 	if *since != "" && dir != "." {
-		fatal(fmt.Errorf("-since and a directory argument are mutually exclusive"))
+		return fmt.Errorf("-since and a directory argument are mutually exclusive")
 	}
 
 	modRoot, _, err := analysis.FindModuleRoot(dir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The whole module is always loaded and analyzed — interprocedural
@@ -105,7 +139,7 @@ func main() {
 	// *reported*.
 	fset, pkgs, err := analysis.Load(analysis.LoadConfig{Dir: dir, Tests: *tests})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// scope is the set of package directories to report on; nil = all.
@@ -113,7 +147,7 @@ func main() {
 	if dir != "." {
 		abs, err := filepath.Abs(dir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		scope = map[string]bool{}
 		for _, pkg := range pkgs {
@@ -123,29 +157,34 @@ func main() {
 		}
 		if len(scope) == 0 {
 			// testdata/vendor/hidden dirs are skipped; "clean" would be a lie here.
-			fatal(fmt.Errorf("no Go packages found under %s", dir))
+			return fmt.Errorf("no Go packages found under %s", dir)
 		}
 	}
 	if *since != "" {
 		scope, err = changedScope(modRoot, *since, pkgs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if scope != nil && len(scope) == 0 {
-			fmt.Printf("rflint: no packages changed since %s\n", *since)
-			return
+			fmt.Fprintf(stdout, "rflint: no packages changed since %s\n", *since)
+			return nil
 		}
 	}
 
+	// A package that does not type check is analysed without the types it
+	// lacks, so its findings cannot be trusted: report every type error
+	// and fail the run, whatever the findings.
+	typeErrors := 0
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "rflint: %s: type error (analysis degraded): %v\n", pkg.Path, terr)
+			fmt.Fprintf(stderr, "rflint: %s: type error (analysis degraded): %v\n", pkg.Path, terr)
+			typeErrors++
 		}
 	}
 
 	diags, err := analysis.Run(fset, pkgs, azs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if scope != nil {
 		var kept []analysis.Diagnostic
@@ -171,19 +210,19 @@ func main() {
 	}
 	if *writeManifest {
 		if manifestPath == "" {
-			fatal(fmt.Errorf("-write-manifest needs a manifest path (-manifest is %q)", *manifestFlag))
+			return fmt.Errorf("-write-manifest needs a manifest path (-manifest is %q)", *manifestFlag)
 		}
 		old, _ := analysis.LoadManifest(manifestPath)
 		m := analysis.BuildManifest(diags, modRoot, old)
 		if err := m.WriteManifest(manifestPath); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("rflint: wrote %d leak sites to %s\n", len(m.Leaks), manifestPath)
+		fmt.Fprintf(stdout, "rflint: wrote %d leak sites to %s\n", len(m.Leaks), manifestPath)
 	}
 	if manifestPath != "" {
 		m, err := analysis.LoadManifest(manifestPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var inScope func(string) bool
 		if scope != nil {
@@ -195,44 +234,48 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
 			diags = []analysis.Diagnostic{}
 		}
 		if err := enc.Encode(diags); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 			if *trace {
 				for _, s := range d.Trace {
 					if s.File != "" {
-						fmt.Printf("    %s:%d: %s\n", s.File, s.Line, s.Desc)
+						fmt.Fprintf(stdout, "    %s:%d: %s\n", s.File, s.Line, s.Desc)
 					} else {
-						fmt.Printf("    %s\n", s.Desc)
+						fmt.Fprintf(stdout, "    %s\n", s.Desc)
 					}
 				}
 			}
 		}
-		if len(diags) == 0 {
-			fmt.Println("rflint: clean")
+		if len(diags) == 0 && typeErrors == 0 {
+			fmt.Fprintln(stdout, "rflint: clean")
 		}
 	}
 
 	if *failOn == "never" {
-		return
+		return nil
+	}
+	if typeErrors > 0 {
+		return fmt.Errorf("%d type errors: the module must type check to be linted", typeErrors)
 	}
 	threshold, err := analysis.ParseSeverity(*failOn)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, d := range diags {
 		if d.Severity >= threshold {
-			os.Exit(1)
+			return errFindings
 		}
 	}
+	return nil
 }
 
 // changedScope maps `git diff --name-only <ref>` (plus untracked files) to
@@ -290,9 +333,4 @@ func gitLines(dir string, args ...string) ([]string, error) {
 		}
 	}
 	return lines, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rflint:", err)
-	os.Exit(1)
 }

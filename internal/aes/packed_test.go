@@ -90,7 +90,8 @@ func TestPackedCBCMatchesRecords(t *testing.T) {
 
 // TestPackedCBCAllocation pins the packed CBC build: the Figure 8 crypto
 // trace, encryption then decryption of 8 KB, allocates at most about 1.1
-// words of 8 bytes per access, in one array.
+// words of 8 bytes per access, in one array, and a trace appended to it
+// reserves only its own part.
 func TestPackedCBCAllocation(t *testing.T) {
 	tr, pt, iv := cbcInputs(9, 8*1024)
 	var warm trace.Compiled
@@ -109,5 +110,17 @@ func TestPackedCBCAllocation(t *testing.T) {
 	t.Logf("%d accesses: %d B allocated (%.2f B per access)", ct.Len(), got, float64(got)/float64(ct.Len()))
 	if got < words || float64(got) > 1.1*float64(words) {
 		t.Errorf("EncryptDecryptCBCInto allocated %d B for %d B of words, want at most 1.1x", got, words)
+	}
+
+	// Appended to a trace that is already there, the reservation sizes
+	// only the new part. (The new part's first block may still grow the
+	// array by append's factor.) Sizing the whole trace again would hold
+	// several times its length.
+	had := ct.Len()
+	if err := tr.EncryptDecryptCBCInto(&ct, pt[:3*BlockSize], iv); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(ct.Words()); c >= 2*ct.Len() {
+		t.Errorf("after %d words, appending %d: capacity %d for %d words", had, ct.Len()-had, c, ct.Len())
 	}
 }

@@ -215,6 +215,11 @@ func TestWholeModuleIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range pkgs {
+		for _, e := range p.TypeErrors {
+			t.Errorf("%s does not type check, so its analysis is degraded: %v", p.Path, e)
+		}
+	}
 	diags, err := analysis.Run(fset, pkgs, checkers.All())
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +234,46 @@ func TestWholeModuleIsClean(t *testing.T) {
 	diags = m.Apply(diags, modRoot, nil)
 	for _, d := range diags {
 		t.Errorf("repository not lint-clean: %s", d)
+	}
+}
+
+// TestLoadHonorsBuildConstraints loads a package that declares one name in
+// a race file and again in a !race file, imports a package that does the
+// same, and shares its directory with a //go:build ignore program. Files
+// selected as `go build` selects them type check; all of them would not.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	fset, pkgs, err := analysis.LoadDir(analysis.LoadConfig{Dir: filepath.Join("testdata", "src", "buildtags")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	for _, e := range pkgs[0].TypeErrors {
+		t.Errorf("type error: %v", e)
+	}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(fset.Position(f.Pos()).Filename))
+	}
+	if want := []string{"buildtags.go", "race_off.go"}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("loaded files %v, want %v", names, want)
+	}
+}
+
+// TestLoadReportsTypeErrors requires a package that does not type check to
+// load with its error in TypeErrors, which fails rflint and
+// TestWholeModuleIsClean.
+func TestLoadReportsTypeErrors(t *testing.T) {
+	_, pkgs, err := analysis.LoadDir(analysis.LoadConfig{Dir: filepath.Join("testdata", "src", "typeerror")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].TypeErrors) == 0 {
+		t.Fatalf("loaded %d packages with no type error, want the corpus's one", len(pkgs))
+	}
+	if msg := pkgs[0].TypeErrors[0].Error(); !strings.Contains(msg, "cannot use") {
+		t.Errorf("type error %q, want the string assigned to an int", msg)
 	}
 }
 

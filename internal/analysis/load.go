@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -302,6 +303,12 @@ func hasGoFiles(dir string) bool {
 	return err == nil && len(names) > 0
 }
 
+// goFileNames returns the Go files in dir that `go build` compiles under
+// the default build context, tests included: go/build's MatchFile applies
+// the //go:build lines and the _GOOS/_GOARCH file-name suffixes, so a
+// package that declares one name in a race file and again in a !race file
+// loads as the compiler sees it, and a //go:build ignore program is left
+// out.
 func goFileNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -310,10 +317,16 @@ func goFileNames(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		names = append(names, name)
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -37,11 +37,11 @@ var figure8Geoms = [2]cache.Geometry{
 // SPEC-like program running next to a continuous AES enc+dec thread, for
 // five cache configurations at 16 KB DM and 32 KB 4-way, normalized to the
 // baseline (demand-fetch SA, crypto thread unprotected). A unit is one
-// benchmark: it generates and compiles the benchmark once and runs its five
+// benchmark: it builds the benchmark's packed trace once and runs its five
 // co-runs at every geometry on one pooled machine, which each co-run
 // resets.
 func figure8Plan(sc Scale) unitPlan[[2][5]float64] {
-	// The crypto trace is compiled once per run and shared read-only.
+	// The crypto trace is built once per run and shared read-only.
 	lazyCrypto := sync.OnceValue(func() *trace.Compiled { return aesEncDecTrace(sc) })
 	w := rng.Symmetric(32) // bidirectional window of 32 lines (Section VI)
 	benches := workloads.All()
@@ -152,10 +152,10 @@ var figure10Windows = [11]rng.Window{
 
 // figure10Plan reproduces the per-benchmark MPKI and IPC sweep across fill
 // windows: window [0,0] is the demand-fetch baseline. A unit is one
-// benchmark: it compiles the benchmark once and runs its full window sweep
-// on one pooled machine, reset per window, and returns each window's MPKI
-// and IPC (the [0,0] column is the in-unit baseline, so units stay
-// self-contained).
+// benchmark: it builds the benchmark's packed trace once and runs its full
+// window sweep on one pooled machine, reset per window, and returns each
+// window's MPKI and IPC (the [0,0] column is the in-unit baseline, so
+// units stay self-contained).
 func figure10Plan(sc Scale) unitPlan[[2][11]float64] {
 	benches := workloads.All()
 	return unitPlan[[2][11]float64]{

@@ -85,10 +85,7 @@ func Compile(t mem.Trace) *Compiled {
 // large enough, and returns ct. Steady-state recompilation of same-length
 // traces allocates nothing.
 func CompileInto(ct *Compiled, t mem.Trace) *Compiled {
-	if cap(ct.words) < len(t) {
-		ct.words = make([]uint64, 0, len(t))
-	}
-	ct.words = ct.words[:0]
+	ct.words = grow(ct.words[:0], len(t))
 	ct.escapes = ct.escapes[:0]
 	for _, a := range t {
 		ct.add(a)

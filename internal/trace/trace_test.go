@@ -131,16 +131,16 @@ func sameCompiled(t *testing.T, got, want *Compiled) {
 	}
 }
 
-// packEach writes tr through a packing Sink access by access, then extra
-// accesses past its end, and truncates back to len(tr): the path every
-// generator's packed build takes.
-func packEach(tr, extra mem.Trace) *Compiled {
+// packEach writes tr through a packing Sink access by access and
+// truncates the result to its first n accesses: the path a generator's
+// packed build takes when its last step writes past n.
+func packEach(tr mem.Trace, n int) *Compiled {
 	ct := new(Compiled)
 	out := Pack(ct)
-	for _, a := range append(tr[:len(tr):len(tr)], extra...) {
+	for _, a := range tr {
 		out.Add(a)
 	}
-	out.Truncate(len(tr))
+	out.Truncate(n)
 	return ct
 }
 
@@ -151,18 +151,18 @@ func packEach(tr, extra mem.Trace) *Compiled {
 func TestSinkMatchesCompile(t *testing.T) {
 	src := rng.New(0x51c)
 	for round := 0; round < 50; round++ {
-		tr := randTrace(src, src.Intn(300))
-		extra := randTrace(src, src.Intn(60))
-		sameCompiled(t, packEach(tr, extra), Compile(tr))
+		tr := randTrace(src, 60+src.Intn(300))
+		k := src.Intn(len(tr) + 1)
+		sameCompiled(t, packEach(tr, k), Compile(tr[:k]))
 
 		out := Record(nil)
-		out.Grow(len(tr))
-		for _, a := range append(tr[:len(tr):len(tr)], extra...) {
+		out.Grow(k)
+		for _, a := range tr {
 			out.Add(a)
 		}
-		out.Truncate(len(tr))
-		if got := out.Records(); !slices.Equal(got, tr) || out.Len() != len(tr) {
-			t.Fatalf("record Sink returned %d records, want the %d written", len(got), len(tr))
+		out.Truncate(k)
+		if got := out.Records(); !slices.Equal(got, tr[:k]) || out.Len() != k {
+			t.Fatalf("record Sink returned %d records, want the first %d written", len(got), k)
 		}
 	}
 }
@@ -242,6 +242,6 @@ func FuzzTraceCompile(f *testing.F) {
 		// Packing access by access and truncating, as a generator's packed
 		// build does, gives CompileInto's words and escapes.
 		k := len(data) % (len(tr) + 1)
-		sameCompiled(t, packEach(tr[:k], tr[k:]), CompileInto(new(Compiled), tr[:k]))
+		sameCompiled(t, packEach(tr, k), CompileInto(new(Compiled), tr[:k]))
 	})
 }

@@ -60,10 +60,11 @@ func roundUp(size uintptr) uint64 { return uint64(size+8191) &^ 8191 }
 // record buffer of n plus the generator's overshoot (and its few small
 // objects), never a regrowth when the last step writes past n. h264ref and
 // hmmer used to copy their whole trace into a larger array on that step.
+// The lengths run over every alignment of a step of up to four accesses.
 func TestGenAllocatesOneBuffer(t *testing.T) {
 	const slack = 8 << 10 // the rng source, the sink and the runtime's own
 	for _, g := range All() {
-		for _, n := range []int{30_000, 150_000} {
+		for _, n := range []int{30_000, 30_001, 30_002, 30_003, 30_005, 30_007, 150_000} {
 			want := roundUp(uintptr(n+g.overshoot)*unsafe.Sizeof(mem.Access{})) + slack
 			var tr mem.Trace
 			got := bytesPerCall(func() { tr = g.Gen(n, 1) })
